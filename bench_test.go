@@ -572,6 +572,45 @@ func BenchmarkBatchMaskedRoundD7Wide(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
 }
 
+// BenchmarkLanePoliciesD7 measures the bit-sliced ERASER planner in front of
+// the wide engine: one round of PlanRound + Observe over 256 lanes at d=7,
+// fed detection-event planes at the density a p=1e-3 memory experiment
+// produces (~1/64 per stabilizer per round; 37.5 events per 49-round shot).
+// The planner is warmed over every pre-drawn plane before the timer starts,
+// so the per-lane LRC buffers have reached their steady capacity; the CI
+// allocation gate greps this benchmark for 0 allocs/op.
+func BenchmarkLanePoliciesD7(b *testing.B) {
+	l := surfacecode.MustNew(7)
+	lp := core.NewLanePolicies(core.PolicyEraser, l, circuit.ProtocolSwap, batch.BlockLanes)
+	rng := stats.NewRNG(1, 1)
+	const rounds = 16
+	planes := make([][]uint64, rounds)
+	for r := range planes {
+		planes[r] = make([]uint64, l.NumParity*batch.BlockWords)
+		for i := range planes[r] {
+			planes[r][i] = ^uint64(0)
+			for j := 0; j < 6; j++ {
+				planes[r][i] &= rng.Uint64()
+			}
+		}
+	}
+	active := batch.BlockMask(batch.BlockLanes)
+	round := func(r int) {
+		lp.PlanRound(r, active)
+		lp.Observe(core.LaneRoundInfo{Round: r, Active: active, Events: planes[r%rounds]})
+	}
+	lp.Reset()
+	for r := 1; r <= 4*rounds; r++ {
+		round(r)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round(i + 1)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
+}
+
 // BenchmarkWideVsNarrow measures the end-to-end unit-range throughput of the
 // 256-lane wide engine against the 64-lane narrow path it replaces (the
 // ForceNarrow opt-out runs the identical workload, bit-exactly, one unit at

@@ -2,9 +2,10 @@ package core
 
 import (
 	"fmt"
+	"math/bits"
 
+	"repro/internal/analytic"
 	"repro/internal/circuit"
-	"repro/internal/sim"
 	"repro/internal/surfacecode"
 )
 
@@ -25,7 +26,10 @@ type LaneRoundInfo struct {
 	// Events holds the detection-event planes per stabilizer.
 	Events []uint64
 	// MLParityLeak and MLParityVal are the multi-level readout bit-planes
-	// per stabilizer: is-leak and value. Only ERASER+M reads them.
+	// per stabilizer: is-leak and value. Only ERASER+M reads MLParityLeak.
+	// No policy reads MLParityVal — the LSB reacts to |L> classifications
+	// only — and the field stays for source compatibility with callers
+	// that still fill it.
 	MLParityLeak []uint64
 	MLParityVal  []uint64
 	// TrueLeakedData holds the ground-truth leakage planes per data qubit.
@@ -33,35 +37,50 @@ type LaneRoundInfo struct {
 	TrueLeakedData []uint64
 }
 
-// LanePolicies runs a configurable number of independent instances of one
-// scheduling policy side by side, one per batch-simulator lane, so adaptive
-// policies whose plans react to per-shot observations can drive the
-// word-parallel engines — 64 instances in front of the single-word engine,
-// batch.BlockLanes in front of the wide one. PlanRound queries every active
-// lane's instance and exposes the per-lane plans (for
-// circuit.Builder.MaskedRound) together with per-data-qubit planned-lane
-// words and the total LRC count (for the harness accounting); Observe fans
-// the engine's event and readout words back out to the per-lane instances.
+// maxSpecThreshold bounds analytic.SpeculationThreshold over a layout's
+// data qubits: a surface-code data qubit has 2 to 4 neighboring checks.
+const maxSpecThreshold = 2
+
+// LanePolicies runs one scheduling policy over a configurable number of
+// batch-simulator lanes at once — 64 in front of the single-word engine,
+// batch.BlockLanes in front of the wide one — so adaptive policies whose
+// plans react to per-shot observations can drive the word-parallel engines.
+// The adaptive kinds (ERASER, ERASER+M, Optimal) are bit-sliced: the
+// Leakage Tracking Table and the PUTT are lane-word planes, Observe runs the
+// LSB's "at least ⌈n/2⌉ neighboring checks flipped" rule as word ops over
+// all lanes, and PlanRound runs the DLI's primary/backup SWAP-lookup under
+// per-parity-qubit usage words — the combinational form of the paper's
+// hardware blocks, producing for every lane exactly the plan a scalar Policy
+// instance would. The static kinds (NoLRC, Always) keep one scalar instance
+// and broadcast its plan to every active lane. PlanRound exposes the
+// per-lane plans (for circuit.Builder.MaskedRound) together with
+// per-data-qubit planned-lane words and the total LRC count (for the
+// harness accounting).
+//
+// Every per-qubit plane uses the engines' flat layout: qubit q's word for
+// sub-word w sits at index q*words+w.
 type LanePolicies struct {
 	kind   Kind
 	layout *surfacecode.Layout
+	name   string
 	lanes  int
 	words  int
-	pols   []Policy
 	plans  []circuit.Plan
+	static Policy // NoLRC / Always: one instance serves every lane
+
+	threshold []int    // [NumData] LSB speculation cutoff
+	usePUTT   bool     // DLI parity-qubit cooldown (off for DQLR and Optimal)
+	ltt       []uint64 // [NumData*words] Leakage Tracking Table
+	putt      []uint64 // [NumParity*words] parity qubits used last round; all zero without usePUTT
+	used      []uint64 // [NumParity*words] scratch: parity qubits taken this round
+	planLanes circuit.LaneMask
 
 	plannedWord []uint64 // [NumData*words] lanes scheduling an LRC on q
 	lrcTotal    int64    // LRCs planned this round, summed over active lanes
-
-	// Fan-out scratch, reused across lanes: policies must consume RoundInfo
-	// slices synchronously (they all do — see Policy.Observe).
-	events []uint8
-	mlPar  []sim.MLClass
-	truth  []bool
 }
 
-// NewLanePolicies builds lanes policy instances of the given kind. lanes
-// must be a positive multiple of circuit.WordLanes no larger than
+// NewLanePolicies builds a planner for lanes shots of the given policy kind.
+// lanes must be a positive multiple of circuit.WordLanes no larger than
 // circuit.MaxLanes.
 func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lanes int) *LanePolicies {
 	if lanes <= 0 || lanes > circuit.MaxLanes || lanes%circuit.WordLanes != 0 {
@@ -69,61 +88,140 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 			lanes, circuit.WordLanes, circuit.MaxLanes))
 	}
 	words := lanes / circuit.WordLanes
+	ref := NewPolicy(k, l, proto)
 	lp := &LanePolicies{
 		kind:        k,
 		layout:      l,
+		name:        ref.Name(),
 		lanes:       lanes,
 		words:       words,
-		pols:        make([]Policy, lanes),
 		plans:       make([]circuit.Plan, lanes),
 		plannedWord: make([]uint64, l.NumData*words),
-		events:      make([]uint8, l.NumParity),
-		mlPar:       make([]sim.MLClass, l.NumParity),
-		truth:       make([]bool, l.NumData),
 	}
-	for i := range lp.pols {
-		lp.pols[i] = NewPolicy(k, l, proto)
+	if k == PolicyNone || k == PolicyAlways {
+		lp.static = ref
+		return lp
+	}
+	lp.threshold = make([]int, l.NumData)
+	for q := range lp.threshold {
+		lp.threshold[q] = analytic.SpeculationThreshold(len(l.DataStabs[q]))
+	}
+	lp.usePUTT = k != PolicyOptimal && proto != circuit.ProtocolDQLR
+	lp.ltt = make([]uint64, l.NumData*words)
+	lp.putt = make([]uint64, l.NumParity*words)
+	lp.used = make([]uint64, l.NumParity*words)
+	plan := circuit.Plan{Protocol: proto, CondReturn: k == PolicyEraserM && proto == circuit.ProtocolSwap}
+	for i := range lp.plans {
+		lp.plans[i] = plan
 	}
 	return lp
 }
 
 // Name identifies the underlying policy in reports.
-func (lp *LanePolicies) Name() string { return lp.pols[0].Name() }
+func (lp *LanePolicies) Name() string { return lp.name }
 
-// Lanes returns the number of policy instances the planner drives.
+// Lanes returns the number of lanes the planner drives.
 func (lp *LanePolicies) Lanes() int { return lp.lanes }
 
-// Reset prepares every lane's instance for a new batch of shots.
+// Reset prepares every lane for a new batch of shots.
 func (lp *LanePolicies) Reset() {
-	for i := range lp.pols {
-		lp.pols[i].Reset()
+	if lp.static != nil {
+		lp.static.Reset()
 	}
-	for q := range lp.plannedWord {
-		lp.plannedWord[q] = 0
-	}
+	clear(lp.ltt)
+	clear(lp.putt)
+	clear(lp.plannedWord)
+	lp.clearPlans()
 	lp.lrcTotal = 0
+}
+
+// clearPlans empties the plans of the lanes that scheduled LRCs last round,
+// keeping each lane's LRC buffer for reuse.
+func (lp *LanePolicies) clearPlans() {
+	for w, m := range lp.planLanes {
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			lp.plans[i].LRCs = lp.plans[i].LRCs[:0]
+		}
+	}
+	lp.planLanes = circuit.LaneMask{}
 }
 
 // PlanRound returns the per-lane plans for the upcoming round (aliased;
 // valid until the next call). Inactive lanes get empty plans.
 func (lp *LanePolicies) PlanRound(round int, active circuit.LaneMask) []circuit.Plan {
-	for q := range lp.plannedWord {
-		lp.plannedWord[q] = 0
+	if lp.static != nil {
+		lp.broadcast(lp.static.PlanRound(round), active)
+		return lp.plans
 	}
+	lp.clearPlans()
+	clear(lp.used)
 	lp.lrcTotal = 0
-	for i := range lp.pols {
-		w, bit := i>>6, uint64(1)<<uint(i&63)
-		if active[w]&bit == 0 {
-			lp.plans[i] = circuit.Plan{}
-			continue
+	l, words := lp.layout, lp.words
+	for q := 0; q < l.NumData; q++ {
+		prim, back := l.SwapPrimary[q]*words, -1
+		if l.SwapBackup[q] >= 0 {
+			back = l.SwapBackup[q] * words
 		}
-		lp.plans[i] = lp.pols[i].PlanRound(round)
-		lp.lrcTotal += int64(len(lp.plans[i].LRCs))
-		for _, lrc := range lp.plans[i].LRCs {
-			lp.plannedWord[lrc.Data*lp.words+w] |= bit
+		for w := 0; w < words; w++ {
+			req := lp.ltt[q*words+w] & active[w]
+			if req == 0 {
+				lp.plannedWord[q*words+w] = 0
+				continue
+			}
+			// Each lane takes the primary parity qubit when it is neither
+			// taken this round nor cooling down in the PUTT, else the backup
+			// under the same rule; lanes losing both retry next round.
+			onPrim := req &^ (lp.used[prim+w] | lp.putt[prim+w])
+			lp.used[prim+w] |= onPrim
+			lp.appendLRCs(w, onPrim, circuit.LRC{Data: q, Stab: l.SwapPrimary[q]})
+			got := onPrim
+			if rest := req &^ onPrim; rest != 0 && back >= 0 {
+				onBack := rest &^ (lp.used[back+w] | lp.putt[back+w])
+				lp.used[back+w] |= onBack
+				lp.appendLRCs(w, onBack, circuit.LRC{Data: q, Stab: l.SwapBackup[q]})
+				got |= onBack
+			}
+			lp.plannedWord[q*words+w] = got
+			lp.planLanes[w] |= got
+			lp.lrcTotal += int64(bits.OnesCount64(got))
 		}
+	}
+	if lp.usePUTT {
+		copy(lp.putt, lp.used)
 	}
 	return lp.plans
+}
+
+// appendLRCs appends lrc to the plan of every lane of sub-word w set in m.
+// Data qubits are visited in ascending order, so each lane's LRCs come out
+// in the order the scalar DLI emits them.
+func (lp *LanePolicies) appendLRCs(w int, m uint64, lrc circuit.LRC) {
+	for ; m != 0; m &= m - 1 {
+		i := w<<6 | bits.TrailingZeros64(m)
+		lp.plans[i].LRCs = append(lp.plans[i].LRCs, lrc)
+	}
+}
+
+// broadcast hands the static policy's plan to every active lane.
+func (lp *LanePolicies) broadcast(plan circuit.Plan, active circuit.LaneMask) {
+	words := lp.words
+	clear(lp.plannedWord)
+	n := 0
+	for w := 0; w < words; w++ {
+		n += bits.OnesCount64(active[w])
+	}
+	lp.lrcTotal = int64(len(plan.LRCs) * n)
+	for _, lrc := range plan.LRCs {
+		copy(lp.plannedWord[lrc.Data*words:(lrc.Data+1)*words], active[:words])
+	}
+	for i := range lp.plans {
+		if active[i>>6]&(1<<uint(i&63)) != 0 {
+			lp.plans[i] = plan
+		} else {
+			lp.plans[i] = circuit.Plan{}
+		}
+	}
 }
 
 // PlannedWord returns the first 64 lanes whose current plan schedules an LRC
@@ -140,49 +238,49 @@ func (lp *LanePolicies) PlannedWords(q int) []uint64 {
 // over active lanes.
 func (lp *LanePolicies) LRCTotal() int64 { return lp.lrcTotal }
 
-// Observe fans the round's packed classical record out to each active
-// lane's policy instance. Only the slices the policy kind actually reads
-// are unpacked: detection events for ERASER (+M), the multi-level planes
-// for ERASER+M, ground-truth leakage for Optimal.
+// Observe updates the active lanes' Leakage Tracking Table from the round's
+// packed classical record: detection events (and, for ERASER+M, the
+// multi-level is-leak planes) for ERASER, ground-truth leakage for Optimal.
+// Static policies ignore observations.
 func (lp *LanePolicies) Observe(info LaneRoundInfo) {
-	needEvents := lp.kind == PolicyEraser || lp.kind == PolicyEraserM
-	needML := lp.kind == PolicyEraserM && info.MLParityLeak != nil
-	needTruth := lp.kind == PolicyOptimal
-	if !needEvents && !needML && !needTruth {
-		return // static policies ignore observations
-	}
-	words := lp.words
-	for i := 0; i < lp.lanes; i++ {
-		w, sh := i>>6, uint(i&63)
-		if (info.Active[w]>>sh)&1 == 0 {
-			continue
-		}
-		ri := RoundInfo{Round: info.Round}
-		if needEvents {
-			for s := range lp.events {
-				lp.events[s] = uint8((info.Events[s*words+w] >> sh) & 1)
+	l, words := lp.layout, lp.words
+	switch lp.kind {
+	case PolicyOptimal:
+		for q := 0; q < l.NumData; q++ {
+			for w := 0; w < words; w++ {
+				i := q*words + w
+				lp.ltt[i] = lp.ltt[i]&^info.Active[w] | info.TrueLeakedData[i]&info.Active[w]
 			}
-			ri.Events = lp.events
 		}
-		if needML {
-			for s := range lp.mlPar {
-				switch {
-				case (info.MLParityLeak[s*words+w]>>sh)&1 == 1:
-					lp.mlPar[s] = sim.MLLeak
-				case info.MLParityVal != nil && (info.MLParityVal[s*words+w]>>sh)&1 == 1:
-					lp.mlPar[s] = sim.ML1
-				default:
-					lp.mlPar[s] = sim.ML0
+	case PolicyEraser, PolicyEraserM:
+		ml := info.MLParityLeak
+		if lp.kind != PolicyEraserM {
+			ml = nil
+		}
+		for q := 0; q < l.NumData; q++ {
+			stabs, k := l.DataStabs[q], lp.threshold[q]
+			for w := 0; w < words; w++ {
+				// atLeast[j] collects the lanes with more than j flipped
+				// neighboring checks so far: a carry chain that stops at the
+				// threshold, since only "at least k" matters.
+				var atLeast [maxSpecThreshold]uint64
+				var mlLeak uint64
+				for _, s := range stabs {
+					e := info.Events[s*words+w]
+					for j := k - 1; j > 0; j-- {
+						atLeast[j] |= atLeast[j-1] & e
+					}
+					atLeast[0] |= e
+					if ml != nil {
+						mlLeak |= ml[s*words+w]
+					}
 				}
+				// A qubit that just had an LRC is cleared and not
+				// re-speculated from the syndrome that LRC produced
+				// (Section 4.2.1).
+				i := q*words + w
+				lp.ltt[i] = (lp.ltt[i] | (atLeast[k-1]|mlLeak)&info.Active[w]) &^ lp.plannedWord[i]
 			}
-			ri.MLParity = lp.mlPar
 		}
-		if needTruth {
-			for q := range lp.truth {
-				lp.truth[q] = (info.TrueLeakedData[q*words+w]>>sh)&1 == 1
-			}
-			ri.TrueLeakedData = lp.truth
-		}
-		lp.pols[i].Observe(ri)
 	}
 }

@@ -1,11 +1,143 @@
 package core
 
 import (
+	"fmt"
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/sim"
 	"repro/internal/surfacecode"
 )
+
+// TestLanePoliciesMatchScalar drives the bit-sliced planner and one scalar
+// Policy per lane with the same seeded random event, multi-level and truth
+// planes, and requires every lane's plan, the planned-lane words and the LRC
+// total to agree each round — over every policy kind, both protocols, both
+// planner widths, full and partial active masks, two code distances, and a
+// Reset between two batches.
+func TestLanePoliciesMatchScalar(t *testing.T) {
+	kinds := []Kind{PolicyNone, PolicyAlways, PolicyEraser, PolicyEraserM, PolicyOptimal}
+	for _, d := range []int{3, 5} {
+		l := surfacecode.MustNew(d)
+		for _, k := range kinds {
+			for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
+				for _, lanes := range []int{circuit.WordLanes, circuit.MaxLanes} {
+					for _, activeLanes := range []int{lanes, lanes - 37} {
+						name := fmt.Sprintf("d%d/%v/%v/%d/active%d", d, k, proto, lanes, activeLanes)
+						t.Run(name, func(t *testing.T) {
+							checkLanePoliciesMatchScalar(t, l, k, proto, lanes, circuit.LaneMaskFor(activeLanes))
+						})
+					}
+				}
+			}
+		}
+	}
+}
+
+func checkLanePoliciesMatchScalar(t *testing.T, l *surfacecode.Layout, k Kind, proto circuit.Protocol,
+	lanes int, active circuit.LaneMask) {
+	words := lanes / circuit.WordLanes
+	rng := rand.New(rand.NewPCG(uint64(l.Distance), uint64(k)<<8|uint64(proto)<<4|uint64(words)))
+	// plane fills n words with bits set at density 2^-sparsity.
+	plane := func(n, sparsity int) []uint64 {
+		p := make([]uint64, n*words)
+		for i := range p {
+			p[i] = ^uint64(0)
+			for j := 0; j < sparsity; j++ {
+				p[i] &= rng.Uint64()
+			}
+		}
+		return p
+	}
+	laneBit := func(p []uint64, e, i int) bool { return p[e*words+i>>6]>>uint(i&63)&1 == 1 }
+
+	lp := NewLanePolicies(k, l, proto, lanes)
+	pols := make([]Policy, lanes)
+	for i := range pols {
+		pols[i] = NewPolicy(k, l, proto)
+	}
+	if lp.Name() != pols[0].Name() {
+		t.Fatalf("Name() = %q, want %q", lp.Name(), pols[0].Name())
+	}
+	events := make([]uint8, l.NumParity)
+	mlPar := make([]sim.MLClass, l.NumParity)
+	truth := make([]bool, l.NumData)
+
+	for batch := 0; batch < 2; batch++ {
+		lp.Reset()
+		for _, p := range pols {
+			p.Reset()
+		}
+		for r := 1; r <= 30; r++ {
+			plans := lp.PlanRound(r, active)
+			var total int64
+			for i, p := range pols {
+				if active[i>>6]>>uint(i&63)&1 == 0 {
+					if len(plans[i].LRCs) != 0 {
+						t.Fatalf("batch %d round %d: inactive lane %d planned %v", batch, r, i, plans[i].LRCs)
+					}
+					continue
+				}
+				want := p.PlanRound(r)
+				got := plans[i]
+				if !slices.Equal(got.LRCs, want.LRCs) {
+					t.Fatalf("batch %d round %d lane %d: LRCs %v, want %v", batch, r, i, got.LRCs, want.LRCs)
+				}
+				if len(want.LRCs) != 0 && (got.Protocol != want.Protocol || got.CondReturn != want.CondReturn) {
+					t.Fatalf("batch %d round %d lane %d: plan %+v, want %+v", batch, r, i, got, want)
+				}
+				total += int64(len(want.LRCs))
+			}
+			if lp.LRCTotal() != total {
+				t.Fatalf("batch %d round %d: LRCTotal = %d, want %d", batch, r, lp.LRCTotal(), total)
+			}
+			for q := 0; q < l.NumData; q++ {
+				pw := lp.PlannedWords(q)
+				for i, p := range pols {
+					want := active[i>>6]>>uint(i&63)&1 == 1 && p.PlannedLRC(q)
+					if got := pw[i>>6]>>uint(i&63)&1 == 1; got != want {
+						t.Fatalf("batch %d round %d: lane %d planned(q%d) = %v, want %v", batch, r, i, q, got, want)
+					}
+				}
+			}
+
+			info := LaneRoundInfo{
+				Round:          r,
+				Active:         active,
+				Events:         plane(l.NumParity, 3),
+				MLParityLeak:   plane(l.NumParity, 5),
+				MLParityVal:    plane(l.NumParity, 1),
+				TrueLeakedData: plane(l.NumData, 4),
+			}
+			lp.Observe(info)
+			for i, p := range pols {
+				if active[i>>6]>>uint(i&63)&1 == 0 {
+					continue
+				}
+				for s := range events {
+					events[s] = 0
+					if laneBit(info.Events, s, i) {
+						events[s] = 1
+					}
+					switch {
+					case laneBit(info.MLParityLeak, s, i):
+						mlPar[s] = sim.MLLeak
+					case laneBit(info.MLParityVal, s, i):
+						mlPar[s] = sim.ML1
+					default:
+						mlPar[s] = sim.ML0
+					}
+				}
+				for q := range truth {
+					truth[q] = laneBit(info.TrueLeakedData, q, i)
+				}
+				p.Observe(RoundInfo{Round: r, Events: events, MLParity: mlPar, TrueLeakedData: truth})
+			}
+		}
+	}
+}
 
 // TestLanePoliciesIndependentLanes: an ERASER observation delivered on one
 // lane's event bits triggers LRCs in that lane's next plan only.
@@ -91,7 +223,7 @@ func TestLanePoliciesInactiveLanes(t *testing.T) {
 
 // TestLanePoliciesWideWords: a planner built at circuit.MaxLanes consumes
 // and produces the wide engine's flat stride-MaskWords planes, routing each
-// sub-word's observations to the right lane instances.
+// sub-word's observations to the right lanes.
 func TestLanePoliciesWideWords(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	words := circuit.MaskWords

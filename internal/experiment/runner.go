@@ -102,11 +102,12 @@ func (c Config) UnitAlign() int {
 // batchEligible reports whether the experiment can run on the word-parallel
 // batch simulator. Since the lane-masked op engine, every policy qualifies:
 // static NoLRC/Always schedules share one unmasked op sequence across all 64
-// lanes, and the adaptive ERASER/ERASER+M/Optimal policies run one instance
-// per lane whose plans are merged into one masked op sequence per round
-// (circuit.Builder.MaskedRound). Only ForceScalar (the benchmark and
-// engine-agreement opt-out) and Tune (which mutates a single scalar policy
-// instance) keep an experiment on the scalar simulator.
+// lanes, and the adaptive ERASER/ERASER+M/Optimal policies run on the
+// word-level planner (core.LanePolicies), whose per-lane plans are merged
+// into one masked op sequence per round (circuit.Builder.MaskedRound). Only
+// ForceScalar (the benchmark and engine-agreement opt-out) and Tune (which
+// mutates a single scalar policy instance; the word-level planner has no
+// tuning knobs) keep an experiment on the scalar simulator.
 func batchEligible(cfg Config) bool {
 	return !cfg.ForceScalar && cfg.Tune == nil
 }
@@ -838,14 +839,15 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 
 // runBatchLaneWorker is the adaptive policies' word-parallel counterpart of
 // runBatchWorker: each work unit is a batch of up to 64 shots whose lanes
-// each carry an independent instance of the policy (core.LanePolicies). Per
-// round the per-lane plans are merged into one lane-masked op sequence —
+// are planned independently by the word-level planner (core.LanePolicies).
+// Per round the per-lane plans are merged into one lane-masked op sequence —
 // every lane shares the syndrome-extraction skeleton, only the LRC ops
 // differ by lane — and the engine's event, readout and ground-truth words
-// are fanned back out to the per-lane instances. Whole 4-unit blocks run
-// 256 policy instances against the wide engine; partial blocks fall back
-// unit by unit to the 64-lane engine. Decoding goes through the sink:
-// inline on single-worker runs, pipelined to the decode pool otherwise.
+// feed the planner's LTT update directly as word ops. Whole 4-unit blocks
+// run a 256-lane planner against the wide engine; partial blocks fall back
+// unit by unit to the 64-lane engine and a 64-lane planner. Decoding goes
+// through the sink: inline on single-worker runs, pipelined to the decode
+// pool otherwise.
 func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, sink *decodeSink,
 	rounds int, np noise.Params, rates *device.Rates, batchSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
 
@@ -918,7 +920,6 @@ func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Lay
 					Active:         activeB,
 					Events:         events,
 					MLParityLeak:   ws.MLParityLeak(),
-					MLParityVal:    ws.MLParityVal(),
 					TrueLeakedData: ws.LeakedDataWords(),
 				})
 			}
@@ -985,7 +986,6 @@ func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Lay
 					Active:         circuit.LaneMask{active},
 					Events:         events,
 					MLParityLeak:   bs.MLParityLeak(),
-					MLParityVal:    bs.MLParityVal(),
 					TrueLeakedData: bs.LeakedDataWords(),
 				})
 			}
