@@ -7,7 +7,11 @@
 // it emits the concrete operation sequence for the next round.
 package circuit
 
-import "repro/internal/surfacecode"
+import (
+	"slices"
+
+	"repro/internal/surfacecode"
+)
 
 // OpKind enumerates the primitive operations understood by the simulator.
 type OpKind uint8
@@ -130,13 +134,22 @@ type Plan struct {
 }
 
 // Builder assembles the operation list for successive rounds of a memory
-// experiment on a fixed layout. It reuses its internal buffer, so the slice
-// returned by Round is only valid until the next call.
+// experiment on a fixed layout. It reuses its internal buffers, so the
+// slices returned by Round and MaskedRound are only valid until the next
+// call, and no returned slice may be modified.
 type Builder struct {
 	layout *surfacecode.Layout
-	ops    []Op
 	// lrcOf maps stabilizer index -> planned data qubit (or -1).
 	lrcOf []int
+	// skeleton is the length of a round without LRCs.
+	skeleton int
+
+	// Round's memo of recent plans and their sequences, replaced round-robin:
+	// static policies repeat a handful of plans (Always cycles through
+	// three), so steady-state rounds are a lookup.
+	memo     [roundMemoSize]roundMemo
+	memoNext int
+	final    []Op // FinalMeasurement's sequence, built once
 
 	// Masked-round state: per stabilizer, the data qubits LRC'd with it this
 	// round and the lanes requesting each pairing.
@@ -151,9 +164,37 @@ type laneLRC struct {
 	mask LaneMask
 }
 
+// roundMemoSize is the number of plans Round remembers.
+const roundMemoSize = 4
+
+// roundMemo is one remembered plan — its LRCs copied by value, since
+// policies rewrite their plan buffers in place — and its op sequence.
+type roundMemo struct {
+	lrcs       []LRC
+	proto      Protocol
+	condReturn bool
+	ops        []Op // nil until the entry is first filled
+}
+
+func (m *roundMemo) matches(plan Plan) bool {
+	return m.ops != nil && m.proto == plan.Protocol && m.condReturn == plan.CondReturn &&
+		slices.Equal(m.lrcs, plan.LRCs)
+}
+
 // NewBuilder returns a Builder for the layout.
 func NewBuilder(l *surfacecode.Layout) *Builder {
-	b := &Builder{layout: l, lrcOf: make([]int, l.NumParity)}
+	b := &Builder{layout: l, lrcOf: make([]int, l.NumParity), skeleton: 2 * l.NumParity}
+	for i := range l.Stabilizers {
+		s := &l.Stabilizers[i]
+		if s.Kind == surfacecode.KindX {
+			b.skeleton += 2 // opening and closing Hadamards
+		}
+		for _, d := range s.Steps {
+			if d >= 0 {
+				b.skeleton++
+			}
+		}
+	}
 	return b
 }
 
@@ -179,9 +220,40 @@ func TwoQubitOpsPerParity(withLRC bool) int {
 // in the following round. With DQLR the round is extracted and measured as
 // usual, then parity qubits are reset, LeakageISWAPped with their data
 // qubit, and reset again.
+//
+// The returned slice is read-only: a plan equal to one of the last few
+// (same Protocol, CondReturn and LRCs) gets the sequence built for it then,
+// and later calls hand out the same slice again.
 func (b *Builder) Round(plan Plan) []Op {
+	for i := range b.memo {
+		if m := &b.memo[i]; m.matches(plan) {
+			return m.ops
+		}
+	}
+	m := &b.memo[b.memoNext]
+	b.memoNext = (b.memoNext + 1) % roundMemoSize
+	m.lrcs = append(fit(m.lrcs, len(plan.LRCs)), plan.LRCs...)
+	m.proto, m.condReturn = plan.Protocol, plan.CondReturn
+	perLRC := 4 // forward SWAP (three CNOTs) and the return transfer
+	if plan.Protocol == ProtocolDQLR {
+		perLRC = 2 // LeakageISWAP and the second parity reset
+	}
+	m.ops = b.round(fit(m.ops, b.skeleton+perLRC*len(plan.LRCs)), plan)
+	return m.ops
+}
+
+// fit returns buf emptied if it can hold n elements, else a new buffer of
+// capacity exactly n, so memo buffers never carry append's growth slack.
+func fit[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, 0, n)
+	}
+	return buf[:0]
+}
+
+// round appends plan's sequence to ops; see Round.
+func (b *Builder) round(ops []Op, plan Plan) []Op {
 	l := b.layout
-	b.ops = b.ops[:0]
 	for i := range b.lrcOf {
 		b.lrcOf[i] = -1
 	}
@@ -196,7 +268,7 @@ func (b *Builder) Round(plan Plan) []Op {
 	for i := range l.Stabilizers {
 		s := &l.Stabilizers[i]
 		if s.Kind == surfacecode.KindX {
-			b.emit(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1})
+			ops = append(ops, Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1})
 		}
 	}
 
@@ -209,9 +281,9 @@ func (b *Builder) Round(plan Plan) []Op {
 				continue
 			}
 			if s.Kind == surfacecode.KindZ {
-				b.emit(Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1})
+				ops = append(ops, Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1})
 			} else {
-				b.emit(Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1})
+				ops = append(ops, Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1})
 			}
 		}
 	}
@@ -222,9 +294,9 @@ func (b *Builder) Round(plan Plan) []Op {
 		for _, lrc := range plan.LRCs {
 			p := l.Stabilizers[lrc.Stab].Ancilla
 			d := lrc.Data
-			b.emit(Op{Kind: OpCNOT, Q0: p, Q1: d, Stab: -1})
-			b.emit(Op{Kind: OpCNOT, Q0: d, Q1: p, Stab: -1})
-			b.emit(Op{Kind: OpCNOT, Q0: p, Q1: d, Stab: -1})
+			ops = append(ops, Op{Kind: OpCNOT, Q0: p, Q1: d, Stab: -1})
+			ops = append(ops, Op{Kind: OpCNOT, Q0: d, Q1: p, Stab: -1})
+			ops = append(ops, Op{Kind: OpCNOT, Q0: p, Q1: d, Stab: -1})
 		}
 	}
 
@@ -239,7 +311,7 @@ func (b *Builder) Round(plan Plan) []Op {
 		if d := b.lrcOf[s.Index]; d >= 0 {
 			wire = d
 		}
-		b.emit(Op{Kind: OpH, Q0: wire, Q1: -1, Stab: -1})
+		ops = append(ops, Op{Kind: OpH, Q0: wire, Q1: -1, Stab: -1})
 	}
 
 	// Measure + reset the wire carrying each stabilizer outcome.
@@ -249,8 +321,8 @@ func (b *Builder) Round(plan Plan) []Op {
 		if d := b.lrcOf[s.Index]; d >= 0 {
 			wire, dataWire = d, true
 		}
-		b.emit(Op{Kind: OpMeasure, Q0: wire, Q1: -1, Stab: s.Index, DataWire: dataWire})
-		b.emit(Op{Kind: OpReset, Q0: wire, Q1: -1, Stab: -1})
+		ops = append(ops, Op{Kind: OpMeasure, Q0: wire, Q1: -1, Stab: s.Index, DataWire: dataWire})
+		ops = append(ops, Op{Kind: OpReset, Q0: wire, Q1: -1, Stab: -1})
 	}
 
 	// Return transfers for SWAP LRCs.
@@ -261,7 +333,7 @@ func (b *Builder) Round(plan Plan) []Op {
 		}
 		for _, lrc := range plan.LRCs {
 			p := l.Stabilizers[lrc.Stab].Ancilla
-			b.emit(Op{Kind: kind, Q0: p, Q1: lrc.Data, Stab: lrc.Stab})
+			ops = append(ops, Op{Kind: kind, Q0: p, Q1: lrc.Data, Stab: lrc.Stab})
 		}
 	}
 
@@ -271,12 +343,12 @@ func (b *Builder) Round(plan Plan) []Op {
 	if plan.Protocol == ProtocolDQLR {
 		for _, lrc := range plan.LRCs {
 			p := l.Stabilizers[lrc.Stab].Ancilla
-			b.emit(Op{Kind: OpLeakISWAP, Q0: lrc.Data, Q1: p, Stab: lrc.Stab})
-			b.emit(Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1})
+			ops = append(ops, Op{Kind: OpLeakISWAP, Q0: lrc.Data, Q1: p, Stab: lrc.Stab})
+			ops = append(ops, Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1})
 		}
 	}
 
-	return b.ops
+	return ops
 }
 
 // MaskedRound merges up to MaxLanes per-lane round plans into one masked
@@ -460,16 +532,17 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 
 // FinalMeasurement emits a transversal Z-basis measurement of every data
 // qubit, tagged with Stab = -1; the experiment harness folds the outcomes
-// into the final detector layer and the logical observable.
+// into the final detector layer and the logical observable. The returned
+// slice is read-only and the same on every call.
 func (b *Builder) FinalMeasurement() []Op {
-	b.ops = b.ops[:0]
-	for q := 0; q < b.layout.NumData; q++ {
-		b.emit(Op{Kind: OpMeasure, Q0: q, Q1: -1, Stab: -1})
+	if b.final == nil {
+		b.final = make([]Op, b.layout.NumData)
+		for q := range b.final {
+			b.final[q] = Op{Kind: OpMeasure, Q0: q, Q1: -1, Stab: -1}
+		}
 	}
-	return b.ops
+	return b.final
 }
-
-func (b *Builder) emit(op Op) { b.ops = append(b.ops, op) }
 
 func (b *Builder) emitMasked(op Op, mask LaneMask) {
 	b.mops = append(b.mops, MaskedOp{Op: op, Mask: mask})

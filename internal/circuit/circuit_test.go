@@ -1,6 +1,8 @@
 package circuit
 
 import (
+	"math/rand/v2"
+	"slices"
 	"testing"
 
 	"repro/internal/surfacecode"
@@ -220,19 +222,65 @@ func TestFinalMeasurement(t *testing.T) {
 	}
 }
 
+// TestBuilderReuse: one Builder fed a seeded sequence of plans returns, for
+// every plan, exactly what a fresh builder emits. The sequence holds far
+// more distinct plans than Round's memo (random LRC sets) next to the
+// repeating ones (the empty plan, Always's dense and sparse plans), both
+// protocols, CondReturn on and off, and FinalMeasurement calls in between.
+// Every non-empty plan is written into one shared LRC buffer in place, as
+// always.PlanRound does, so a memo that kept the caller's slice instead of
+// a copy would match a stale plan.
 func TestBuilderReuse(t *testing.T) {
-	l := surfacecode.MustNew(3)
-	b := NewBuilder(l)
-	plan := Plan{LRCs: []LRC{{Data: 2, Stab: l.SwapPrimary[2]}}}
-	first := append([]Op(nil), b.Round(plan)...)
-	b.Round(Plan{}) // interleave a different round
-	second := b.Round(plan)
-	if len(first) != len(second) {
-		t.Fatalf("round lengths differ: %d vs %d", len(first), len(second))
-	}
-	for i := range first {
-		if first[i] != second[i] {
-			t.Fatalf("op %d differs after builder reuse: %+v vs %+v", i, first[i], second[i])
+	for _, d := range []int{3, 5} {
+		l := surfacecode.MustNew(d)
+		b := NewBuilder(l)
+		rng := rand.New(rand.NewPCG(1, uint64(d)))
+		var dense []LRC
+		for q, s := range l.AlwaysAssign {
+			if s >= 0 {
+				dense = append(dense, LRC{Data: q, Stab: s})
+			}
+		}
+		sparse := []LRC{{Data: l.Leftover, Stab: l.SwapPrimary[l.Leftover]}}
+		shared := make([]LRC, 0, l.NumData)
+		used := make([]bool, l.NumParity)
+		wantFinal := NewBuilder(l).FinalMeasurement()
+		for i := 0; i < 2000; i++ {
+			var plan Plan
+			switch rng.IntN(5) {
+			case 0: // empty plan
+			case 1:
+				plan.LRCs = append(shared[:0], dense...)
+			case 2:
+				plan.LRCs = append(shared[:0], sparse...)
+			default:
+				plan.LRCs = shared[:0]
+				clear(used)
+				for _, q := range rng.Perm(l.NumData)[:1+rng.IntN(3)] {
+					s := l.SwapPrimary[q]
+					if used[s] {
+						s = l.SwapBackup[q]
+					}
+					if s < 0 || used[s] {
+						continue
+					}
+					used[s] = true
+					plan.LRCs = append(plan.LRCs, LRC{Data: q, Stab: s})
+				}
+			}
+			plan.Protocol = Protocol(rng.IntN(2))
+			plan.CondReturn = rng.IntN(2) == 1
+
+			got, want := b.Round(plan), NewBuilder(l).Round(plan)
+			if !slices.Equal(got, want) {
+				t.Fatalf("d=%d call %d: reused builder's round differs from a fresh builder's for %+v", d, i, plan)
+			}
+			if len(want) != cap(want) {
+				t.Fatalf("d=%d call %d: round buffer not sized exactly: len %d cap %d", d, i, len(want), cap(want))
+			}
+			if rng.IntN(4) == 0 && !slices.Equal(b.FinalMeasurement(), wantFinal) {
+				t.Fatalf("d=%d call %d: FinalMeasurement differs after reuse", d, i)
+			}
 		}
 	}
 }

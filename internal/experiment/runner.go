@@ -334,9 +334,13 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	}
 	// One pre-drawn seed per unit, a deterministic function of the config
 	// identity and the unit index alone, so results are identical for any
-	// worker count and any partition of the unit range across runs.
+	// worker count and any partition of the unit range across runs. Unit u's
+	// seed is the root stream's u-th draw; seeds[u-lo] keeps those of [lo, hi).
 	root := stats.NewRNG(cfg.Seed, configStream(cfg))
-	seeds := make([]uint64, hi)
+	for i := 0; i < lo; i++ {
+		root.Uint64()
+	}
+	seeds := make([]uint64, hi-lo)
 	for i := range seeds {
 		seeds[i] = root.Uint64()
 	}
@@ -608,7 +612,7 @@ func runWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, dec 
 		u0 := time.Now()
 		acc.Covered.Add(shot)
 		acc.Shots++
-		rng := stats.NewRNG(shotSeeds[shot], uint64(shot))
+		rng := stats.NewRNG(shotSeeds[shot-lo], uint64(shot))
 		if s == nil {
 			s = sim.NewMemory(layout, np, rng, cfg.Basis)
 			s.UseRates(rates)
@@ -741,7 +745,7 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 			for j := 0; j < BlockUnits; j++ {
 				b := a + j
 				acc.Covered.Add(b)
-				rngs[j] = stats.NewRNG(batchSeeds[b], uint64(b))
+				rngs[j] = stats.NewRNG(batchSeeds[b-lo], uint64(b))
 				cols[j] = sink.beginSlot(j)
 			}
 			acc.Shots += batch.BlockLanes
@@ -801,7 +805,7 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 			acc.Covered.Add(b)
 			acc.Shots += lanes
 			active := batch.LaneMask(lanes)
-			bs.Reset(stats.NewRNG(batchSeeds[b], uint64(b)))
+			bs.Reset(stats.NewRNG(batchSeeds[b-lo], uint64(b)))
 			pol.Reset()
 			col := sink.begin()
 
@@ -881,7 +885,7 @@ func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Lay
 			for j := 0; j < BlockUnits; j++ {
 				b := a + j
 				acc.Covered.Add(b)
-				rngs[j] = stats.NewRNG(batchSeeds[b], uint64(b))
+				rngs[j] = stats.NewRNG(batchSeeds[b-lo], uint64(b))
 				cols[j] = sink.beginSlot(j)
 			}
 			acc.Shots += batch.BlockLanes
@@ -954,7 +958,7 @@ func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Lay
 			acc.Covered.Add(b)
 			acc.Shots += lanes
 			active := batch.LaneMask(lanes)
-			bs.Reset(stats.NewRNG(batchSeeds[b], uint64(b)))
+			bs.Reset(stats.NewRNG(batchSeeds[b-lo], uint64(b)))
 			lp.Reset()
 			col := sink.begin()
 

@@ -3,6 +3,7 @@ package experiment
 import (
 	"encoding/json"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -69,6 +70,25 @@ func TestTallyMergePartition(t *testing.T) {
 				t.Fatalf("HalfWidth %v != (hi-lo)/2 %v", got, (hi-lo)/2)
 			}
 		})
+	}
+}
+
+// TestRunUnitsFarRangeAllocation: a RunUnits call keeps only its own units'
+// seeds, so four units far into the unit space allocate about what the
+// first four do, not an extra 8 bytes per skipped unit.
+func TestRunUnitsFarRangeAllocation(t *testing.T) {
+	cfg := Config{Distance: 3, Cycles: 2, P: 2e-3, Seed: 5, Policy: core.PolicyAlways, Workers: 1}
+	alloc := func(lo, hi int) uint64 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		RunUnits(cfg, lo, hi)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	alloc(0, 4) // warm the decoder's shared tables
+	near, far := alloc(0, 4), alloc(65536, 65540)
+	if far > near+64<<10 {
+		t.Fatalf("RunUnits(65536, 65540) allocated %d B, RunUnits(0, 4) %d B", far, near)
 	}
 }
 

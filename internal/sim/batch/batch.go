@@ -36,6 +36,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/circuit"
@@ -84,35 +85,47 @@ func BlockMask(n int) Block { return circuit.LaneMaskFor(n) }
 // tracks the lane-stream distance to the next success and sets only those
 // bits, so a mask costs O(1 + 64p) random draws.
 type sampler struct {
-	p    float64
-	rng  *stats.RNG
 	skip int
+	p    float64
+	lnq  float64 // math.Log1p(-p), the gap draws' cached denominator
+	rng  *stats.RNG
 }
 
+// reset rebinds the sampler to rate p on rng. For p <= 0 the first success
+// lies at stats.GeometricNever, so next stays in its countdown; for p >= 1
+// it lies at 0, so every word goes to fill. Neither case draws.
 func (m *sampler) reset(p float64, rng *stats.RNG) {
 	m.p, m.rng = p, rng
-	m.skip = 0
-	if p > 0 && p < 1 {
-		m.skip = rng.Geometric(p)
-	}
+	m.lnq = math.Log1p(-p)
+	m.skip = rng.Geometric(p)
 }
 
 // next returns a word whose bits are independently 1 with probability p.
+// The common case at the model's rates — no success among the next Lanes
+// trials — is a countdown small enough to inline at every noise site; fill
+// handles a word with a success.
 func (m *sampler) next() uint64 {
+	if m.skip >= Lanes {
+		m.skip -= Lanes
+		return 0
+	}
+	return m.fill()
+}
+
+// fill is next's outlined path: it sets the bit of every success in the
+// current word and draws the gaps that lead past it.
+func (m *sampler) fill() uint64 {
 	if m.p <= 0 {
+		m.skip = stats.GeometricNever
 		return 0
 	}
 	if m.p >= 1 {
 		return AllLanes
 	}
-	if m.skip >= Lanes {
-		m.skip -= Lanes
-		return 0
-	}
 	var mask uint64
 	for m.skip < Lanes {
 		mask |= 1 << uint(m.skip)
-		m.skip += 1 + m.rng.Geometric(m.p)
+		m.skip += 1 + m.rng.GeometricLn(m.lnq)
 	}
 	m.skip -= Lanes
 	return mask

@@ -230,6 +230,66 @@ func TestSamplerMatchesBernoulli(t *testing.T) {
 	}
 }
 
+// refSampler is the skip sampler as it was before next was split into an
+// inlinable countdown and an outlined fill, kept verbatim as the reference
+// every stored tally was drawn with.
+type refSampler struct {
+	p    float64
+	rng  *stats.RNG
+	skip int
+}
+
+func (m *refSampler) reset(p float64, rng *stats.RNG) {
+	m.p, m.rng = p, rng
+	m.skip = 0
+	if p > 0 && p < 1 {
+		m.skip = rng.Geometric(p)
+	}
+}
+
+func (m *refSampler) next() uint64 {
+	if m.p <= 0 {
+		return 0
+	}
+	if m.p >= 1 {
+		return AllLanes
+	}
+	if m.skip >= Lanes {
+		m.skip -= Lanes
+		return 0
+	}
+	var mask uint64
+	for m.skip < Lanes {
+		mask |= 1 << uint(m.skip)
+		m.skip += 1 + m.rng.Geometric(m.p)
+	}
+	m.skip -= Lanes
+	return mask
+}
+
+// TestSamplerMatchesReference: the sampler emits the reference sampler's
+// masks word for word from identically seeded streams and leaves its stream
+// at the same position, so no random draw anywhere in the engines moved.
+// TestSamplerMatchesBernoulli checks rates only and cannot see a shifted
+// stream.
+func TestSamplerMatchesReference(t *testing.T) {
+	for _, p := range []float64{0, 1e-6, 1e-4, 1e-3, 0.05, 0.5, 1} {
+		rRef, rGot := stats.NewRNG(3, 4), stats.NewRNG(3, 4)
+		var ref refSampler
+		var got sampler
+		ref.reset(p, rRef)
+		got.reset(p, rGot)
+		for i := 0; i < 100000; i++ {
+			if w, g := ref.next(), got.next(); w != g {
+				t.Fatalf("p=%v word %d: mask %#x, want %#x", p, i, g, w)
+			}
+		}
+		if w, g := rRef.Uint64(), rGot.Uint64(); w != g {
+			t.Fatalf("p=%v: stream position differs after 1e5 words", p)
+		}
+	}
+}
+
 // TestMaskedLRCTouchesOnlyMaskedLanes: the heart of the lane-masked engine —
 // an LRC masked to a subset of lanes removes leakage exactly there, while
 // unmasked lanes (whose plan had no LRC) keep both their leakage and their

@@ -14,8 +14,9 @@ import (
 // Wide is the 256-lane wide-word engine: one plane operation advances a
 // Block of BlockWords (4) consecutive 64-lane words, Stim-style. The frame
 // algebra of the hot gates — Hadamard swaps, CNOT propagation, measurement
-// and reset masking, detector folding — runs block-wise with the 4-word
-// loops unrolled so the compiler can vectorize them.
+// and reset masking, detector folding — runs block-wise as unrolled scalar
+// word ops: Go's compiler does not auto-vectorize, so a block amortizes op
+// dispatch and index arithmetic over 256 lanes, not instruction width.
 //
 // The work unit stays 64 lanes. A Wide block carries 4 consecutive units,
 // and sub-word w draws every random number from unit w's own RNG: samplers
@@ -296,8 +297,11 @@ func (s *Wide) applyMasked(op circuit.Op, mask Block) {
 				squash = s.mlDataLeak[op.Stab*BlockWords+w] & mask[w]
 			}
 			if ret := mask[w] &^ squash; ret != 0 {
-				s.cnotW(w, op.Q0, op.Q1, ret)
-				s.cnotW(w, op.Q1, op.Q0, ret)
+				// A block CNOT restricted to sub-word w acts on w alone.
+				var rb Block
+				rb[w] = ret
+				s.cnot(op.Q0, op.Q1, rb)
+				s.cnot(op.Q1, op.Q0, rb)
 			}
 			if squash != 0 {
 				s.resetW(w, op.Q0, squash)
@@ -410,15 +414,17 @@ func (s *Wide) InjectLeak(q int, lanes Block) {
 
 // ------------------------------------------------------------ primitives --
 
-// depolCouplerW returns sub-word w's depolarizing sampler of the (a, b)
-// coupler.
-func (s *Wide) depolCouplerW(w, a, b int) *sampler {
+// depolCouplerClass returns the index of sub-word 0's depolarizing sampler
+// of the (a, b) coupler in depolS (sub-word w's is w further on), falling
+// back to the base class for non-coupler pairs.
+func (s *Wide) depolCouplerClass(a, b int) int {
+	cls := s.depolBase
 	if s.rates != nil {
 		if i := s.rates.CouplerIndex(a, b); i >= 0 {
-			return &s.depolS[int(s.depolC[i])*BlockWords+w]
+			cls = s.depolC[i]
 		}
 	}
-	return &s.depolS[int(s.depolBase)*BlockWords+w]
+	return int(cls) * BlockWords
 }
 
 // transportAt returns the leakage-transport probability of the (a, b)
@@ -536,67 +542,65 @@ func (s *Wide) classifyMLW(w, q int, out, mask uint64) (leak, val uint64) {
 
 // ----------------------------------------------------------------- gates --
 
+// hadamard and cnot apply their frame action and noise tail per sub-word.
+// The samplers' countdowns and leakMaskW inline, and every other per-lane
+// handler is called only on a non-zero mask, so a sub-word where no sampler
+// fires and no operand is leaked makes no calls. Within a sub-word the
+// sampling order is exactly the single-word engine's.
 func (s *Wide) hadamard(q int, mask Block) {
 	xq, zq, lk := blk(s.x, q), blk(s.z, q), blk(s.leaked, q)
-	var swap Block
+	c := int(s.depolQ[q]) * BlockWords
 	for w := 0; w < BlockWords; w++ {
+		if mask[w] == 0 {
+			continue
+		}
 		sw := mask[w] &^ lk[w]
-		swap[w] = sw
 		x, z := xq[w], zq[w]
 		xq[w] = (z & sw) | (x &^ sw)
 		zq[w] = (x & sw) | (z &^ sw)
-	}
-	c := int(s.depolQ[q]) * BlockWords
-	for w := 0; w < BlockWords; w++ {
-		if mask[w] != 0 {
-			s.depolarize1MaskW(w, q, s.depolS[c+w].next()&swap[w])
+		if m := s.depolS[c+w].next() & sw; m != 0 {
+			s.depolarize1MaskW(w, q, m)
 		}
 	}
 }
 
+// cnot's noise tail per sub-word: two-qubit depolarizing on unleaked lanes,
+// leakage injection on the control then the target, then the lanes with
+// exactly one leaked operand.
 func (s *Wide) cnot(c, t int, mask Block) {
 	xc, zc, lkc := blk(s.x, c), blk(s.z, c), blk(s.leaked, c)
 	xt, zt, lkt := blk(s.x, t), blk(s.z, t), blk(s.leaked, t)
-	var lc, lt, both Block
+	cd := s.depolCouplerClass(c, t)
+	cc, ct := int(s.leakQ[c])*BlockWords, int(s.leakQ[t])*BlockWords
+	leakOn := s.Noise.LeakageEnabled
 	for w := 0; w < BlockWords; w++ {
-		lc[w] = lkc[w] & mask[w]
-		lt[w] = lkt[w] & mask[w]
-		both[w] = mask[w] &^ (lc[w] | lt[w])
-		xt[w] ^= xc[w] & both[w]
-		zc[w] ^= zt[w] & both[w]
-	}
-	for w := 0; w < BlockWords; w++ {
-		if mask[w] != 0 {
-			s.cnotNoiseW(w, c, t, lc[w], lt[w], both[w])
+		mw := mask[w]
+		if mw == 0 {
+			continue
+		}
+		lc, lt := lkc[w]&mw, lkt[w]&mw
+		both := mw &^ (lc | lt)
+		xt[w] ^= xc[w] & both
+		zc[w] ^= zt[w] & both
+		if m := s.depolS[cd+w].next() & both; m != 0 {
+			s.depolarize2MaskW(w, c, t, m)
+		}
+		if leakOn {
+			s.leakMaskW(w, c, s.leakS[cc+w].next()&both)
+			s.leakMaskW(w, t, s.leakS[ct+w].next()&both)
+		}
+		if m := lc ^ lt; m != 0 {
+			s.leakedOperandsW(w, c, t, lt, m)
 		}
 	}
 }
 
-// cnotW is the complete single-word CNOT on sub-word w, used where per-lane
-// conditions make the block form inapplicable (OpCondReturn's return SWAP).
-func (s *Wide) cnotW(w, c, t int, mask uint64) {
-	ic, it := c*BlockWords+w, t*BlockWords+w
-	lc := s.leaked[ic] & mask
-	lt := s.leaked[it] & mask
-	both := mask &^ (lc | lt)
-	s.x[it] ^= s.x[ic] & both
-	s.z[ic] ^= s.z[it] & both
-	s.cnotNoiseW(w, c, t, lc, lt, both)
-}
-
-// cnotNoiseW performs the noise tail of a CNOT on sub-word w, in exactly the
-// single-word engine's order: two-qubit depolarizing on unleaked lanes,
-// leakage injection, then the per-lane leaked-operand handling.
-func (s *Wide) cnotNoiseW(w, c, t int, lc, lt, both uint64) {
-	n := &s.Noise
-	s.depolarize2MaskW(w, c, t, s.depolCouplerW(w, c, t).next()&both)
-	if n.LeakageEnabled {
-		s.leakMaskW(w, c, s.leakS[int(s.leakQ[c])*BlockWords+w].next()&both)
-		s.leakMaskW(w, t, s.leakS[int(s.leakQ[t])*BlockWords+w].next()&both)
-	}
-	// Lanes with exactly one leaked operand: random Pauli on the unleaked
-	// one, leakage transport with probability PTransport (Section 5.2.2).
-	for m := lc ^ lt; m != 0; m &= m - 1 {
+// leakedOperandsW handles the lanes m of sub-word w where exactly one CNOT
+// operand is leaked (lt marks those where it is the target): a random Pauli
+// on the unleaked operand, then leakage transport with probability
+// PTransport (Section 5.2.2).
+func (s *Wide) leakedOperandsW(w, c, t int, lt, m uint64) {
+	for ; m != 0; m &= m - 1 {
 		bit := m & -m
 		u, l := t, c
 		if lt&bit != 0 {
@@ -605,7 +609,7 @@ func (s *Wide) cnotNoiseW(w, c, t int, lc, lt, both uint64) {
 		s.applyPauliLaneW(w, u, bit, s.rng[w].IntN(4))
 		if s.rng[w].Bool(s.transportAt(c, t)) {
 			s.leakMaskW(w, u, bit)
-			if n.Transport == noise.TransportExchange {
+			if s.Noise.Transport == noise.TransportExchange {
 				s.unleakMaskW(w, l, bit)
 			}
 		}
@@ -651,7 +655,7 @@ func (s *Wide) leakISWAPW(w, d, p int, mask uint64) {
 			}
 		}
 	}
-	s.depolarize2MaskW(w, d, p, s.depolCouplerW(w, d, p).next()&tail)
+	s.depolarize2MaskW(w, d, p, s.depolS[s.depolCouplerClass(d, p)+w].next()&tail)
 	if n.LeakageEnabled {
 		s.leakMaskW(w, d, s.leakS[int(s.leakQ[d])*BlockWords+w].next()&tail)
 		s.leakMaskW(w, p, s.leakS[int(s.leakQ[p])*BlockWords+w].next()&tail)
@@ -696,7 +700,9 @@ func (s *Wide) roundStartNoise() {
 		cd := int(s.depolQ[q]) * BlockWords
 		if !n.LeakageEnabled {
 			for w := 0; w < BlockWords; w++ {
-				s.depolarize1MaskW(w, q, s.depolS[cd+w].next())
+				if m := s.depolS[cd+w].next(); m != 0 {
+					s.depolarize1MaskW(w, q, m)
+				}
 			}
 			continue
 		}
@@ -711,7 +717,9 @@ func (s *Wide) roundStartNoise() {
 			// further round-start noise, as in the scalar simulator.
 			lm := s.leakS[cl+w].next() &^ lkw
 			s.leakMaskW(w, q, lm)
-			s.depolarize1MaskW(w, q, s.depolS[cd+w].next()&^(lkw|lm))
+			if m := s.depolS[cd+w].next() &^ (lkw | lm); m != 0 {
+				s.depolarize1MaskW(w, q, m)
+			}
 		}
 	}
 }

@@ -5,6 +5,33 @@ import (
 	"testing"
 )
 
+// TestGeometricLnMatchesGeometric: the cached-log entry point returns
+// Geometric's gaps value for value, and both keep the original
+// log(u)/log1p(-p) formula every stored tally was drawn with.
+func TestGeometricLnMatchesGeometric(t *testing.T) {
+	ref := func(r *RNG, p float64) int {
+		u := 1 - r.Float64()
+		g := math.Log(u) / math.Log1p(-p)
+		if g >= GeometricNever {
+			return GeometricNever
+		}
+		return int(g)
+	}
+	for _, p := range []float64{1e-300, 1e-6, 1e-4, 1e-3, 0.05, 0.5, 0.999} {
+		r0, r1, r2 := NewRNG(5, 9), NewRNG(5, 9), NewRNG(5, 9)
+		lnq := math.Log1p(-p)
+		for i := 0; i < 100000; i++ {
+			want := ref(r0, p)
+			if g := r1.Geometric(p); g != want {
+				t.Fatalf("p=%v draw %d: Geometric = %d, want %d", p, i, g, want)
+			}
+			if g := r2.GeometricLn(lnq); g != want {
+				t.Fatalf("p=%v draw %d: GeometricLn = %d, want %d", p, i, g, want)
+			}
+		}
+	}
+}
+
 // TestGeometricEdges: p <= 0 means "never", p >= 1 means "immediately".
 func TestGeometricEdges(t *testing.T) {
 	r := NewRNG(1, 1)

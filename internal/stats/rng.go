@@ -74,8 +74,15 @@ func (r *RNG) Geometric(p float64) int {
 	if p <= 0 {
 		return GeometricNever
 	}
+	return r.GeometricLn(math.Log1p(-p))
+}
+
+// GeometricLn is Geometric for 0 < p < 1 with lnq = math.Log1p(-p)
+// precomputed by the caller, for skip samplers that draw many gaps at one
+// rate. It consumes the same draw and returns the same gap as Geometric(p).
+func (r *RNG) GeometricLn(lnq float64) int {
 	u := 1 - r.Float64() // uniform in (0, 1]
-	g := math.Log(u) / math.Log1p(-p)
+	g := math.Log(u) / lnq
 	if g >= GeometricNever {
 		return GeometricNever
 	}
