@@ -639,39 +639,6 @@ func BenchmarkLanePoliciesD7(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
 }
 
-// BenchmarkWideVsNarrow measures the end-to-end unit-range throughput of the
-// 256-lane wide engine against the 64-lane narrow path it replaces (the
-// ForceNarrow opt-out runs the identical workload, bit-exactly, one unit at
-// a time). "static" exercises the shared-plan worker, "adaptive" the
-// lane-masked ERASER worker; ns/shot is the comparable figure.
-func BenchmarkWideVsNarrow(b *testing.B) {
-	for _, tc := range []struct {
-		name string
-		pol  core.Kind
-	}{
-		{"static", core.PolicyAlways},
-		{"adaptive", core.PolicyEraser},
-	} {
-		cfg := experiment.Config{Distance: 7, Cycles: 7, P: 1e-3, Seed: 11,
-			Policy: tc.pol, Workers: 1}
-		units := 8 * experiment.BlockUnits
-		shots := units * cfg.UnitShots()
-		run := func(b *testing.B, c experiment.Config) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				experiment.RunUnits(c, 0, units)
-			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*shots), "ns/shot")
-		}
-		b.Run(tc.name+"/wide", func(b *testing.B) { run(b, cfg) })
-		b.Run(tc.name+"/narrow", func(b *testing.B) {
-			c := cfg
-			c.ForceNarrow = true
-			run(b, c)
-		})
-	}
-}
-
 // ------------------------------------------------- result store warm vs cold
 
 // BenchmarkStoreWarmVsCold measures the Figure 14 sweep served through the

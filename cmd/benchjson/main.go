@@ -2,12 +2,10 @@
 // machine-readable JSON report, so CI can publish benchmark numbers as a
 // build artifact instead of burying them in a log.
 //
-//	go test -run XXX -bench 'BenchmarkWideVsNarrow|BenchmarkFigure14$' -benchmem . | benchjson -out BENCH_10.json
+//	go test -run XXX -bench 'BenchmarkBatchRoundD7Wide$|BenchmarkFigure14$' -benchmem . | benchjson -out BENCH_10.json
 //
 // Every benchmark line is captured with all its metrics (ns/op, custom
-// b.ReportMetric units like ns/shot, B/op, allocs/op). When the wide-vs-narrow
-// engine pair is present the report also carries the derived speedup ratios,
-// which is what the PR-level perf tracking diffs between commits.
+// b.ReportMetric units like ns/shot, B/op, allocs/op).
 //
 // With -prior, the report is diffed against a previous run's JSON
 // (benchmarks matched by name with the GOMAXPROCS suffix stripped): every
@@ -43,13 +41,12 @@ type Benchmark struct {
 
 // Report is the emitted JSON document.
 type Report struct {
-	Goos       string             `json:"goos,omitempty"`
-	Goarch     string             `json:"goarch,omitempty"`
-	Pkg        string             `json:"pkg,omitempty"`
-	CPU        string             `json:"cpu,omitempty"`
-	Benchmarks []Benchmark        `json:"benchmarks"`
-	Derived    map[string]float64 `json:"derived,omitempty"`
-	Diff       *DiffReport        `json:"diff,omitempty"`
+	Goos       string      `json:"goos,omitempty"`
+	Goarch     string      `json:"goarch,omitempty"`
+	Pkg        string      `json:"pkg,omitempty"`
+	CPU        string      `json:"cpu,omitempty"`
+	Benchmarks []Benchmark `json:"benchmarks"`
+	Diff       *DiffReport `json:"diff,omitempty"`
 }
 
 // Delta is one benchmark metric's change against the prior report. DeltaPct
@@ -149,7 +146,6 @@ func Parse(r io.Reader) (*Report, error) {
 	if err := sc.Err(); err != nil {
 		return nil, err
 	}
-	rep.Derived = derive(rep.Benchmarks)
 	return rep, nil
 }
 
@@ -175,30 +171,6 @@ func parseLine(line string) (Benchmark, bool) {
 	return b, true
 }
 
-// derive computes cross-benchmark ratios the report consumers watch: the
-// wide/narrow engine speedups on the static and adaptive end-to-end paths
-// (narrow ns/shot over wide ns/shot; >1 means the wide engine is faster).
-func derive(bs []Benchmark) map[string]float64 {
-	shot := map[string]float64{}
-	for _, b := range bs {
-		if v, ok := b.Metrics["ns/shot"]; ok && v > 0 {
-			shot[benchBase(b.Name)] = v
-		}
-	}
-	d := map[string]float64{}
-	for _, sched := range []string{"static", "adaptive"} {
-		wide, okW := shot["BenchmarkWideVsNarrow/"+sched+"/wide"]
-		narrow, okN := shot["BenchmarkWideVsNarrow/"+sched+"/narrow"]
-		if okW && okN && wide > 0 {
-			d[sched+"_speedup_x"] = narrow / wide
-		}
-	}
-	if len(d) == 0 {
-		return nil
-	}
-	return d
-}
-
 // benchBase strips the -N GOMAXPROCS suffix go test appends to benchmark
 // names ("BenchmarkFoo-8" -> "BenchmarkFoo"), including on sub-benchmarks.
 func benchBase(name string) string {
@@ -211,9 +183,8 @@ func benchBase(name string) string {
 }
 
 // diffMetrics are the lower-is-better metrics Compare diffs; growth beyond
-// the threshold is a regression. Custom higher-is-better metrics (speedup
-// ratios, eraser_improvement_x) are tracked through Derived, not flagged
-// here.
+// the threshold is a regression. Custom higher-is-better metrics (such as
+// eraser_improvement_x) are reported but not flagged here.
 var diffMetrics = []string{"ns/op", "ns/shot", "B/op", "allocs/op"}
 
 // Compare diffs cur against prior: benchmarks are matched by base name (the

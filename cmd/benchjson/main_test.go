@@ -42,20 +42,6 @@ func TestParse(t *testing.T) {
 	}
 }
 
-func TestDerivedSpeedups(t *testing.T) {
-	rep, err := Parse(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	within := func(got, want float64) bool { return got > want-0.001 && got < want+0.001 }
-	if got := rep.Derived["static_speedup_x"]; !within(got, 44872.0/47661.0) {
-		t.Fatalf("static speedup %v", got)
-	}
-	if got := rep.Derived["adaptive_speedup_x"]; !within(got, 53061.0/48629.0) {
-		t.Fatalf("adaptive speedup %v", got)
-	}
-}
-
 func TestCompareFlagsRegressions(t *testing.T) {
 	prior := &Report{Benchmarks: []Benchmark{
 		{Name: "BenchmarkBatchRoundD7-8", Metrics: map[string]float64{
@@ -130,8 +116,5 @@ func TestParseSkipsMalformedLines(t *testing.T) {
 	}
 	if len(rep.Benchmarks) != 1 || rep.Benchmarks[0].Name != "BenchmarkOK" {
 		t.Fatalf("malformed line handling wrong: %+v", rep.Benchmarks)
-	}
-	if rep.Derived != nil {
-		t.Fatalf("no engine pair present, derived should be nil: %+v", rep.Derived)
 	}
 }

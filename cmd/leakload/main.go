@@ -217,7 +217,7 @@ func printServerReport(before, after *metrics.Snapshot, elapsed time.Duration) {
 	narrow, _ := diff.Value("leak_sched_units_by_width_total", "width", "64")
 	scalar, _ := diff.Value("leak_sched_units_by_width_total", "width", "1")
 	if units > 0 {
-		fmt.Printf("leakload: server: engine width: %.1f%% wide-256 (%d units), %d narrow-64, %d scalar\n",
+		fmt.Printf("leakload: server: engine width: %.1f%% whole-block-256 (%d units), %d partial-block, %d scalar\n",
 			100*wide/units, int64(wide), int64(narrow), int64(scalar))
 	}
 	if hits+misses > 0 {

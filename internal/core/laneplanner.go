@@ -41,21 +41,20 @@ type LaneRoundInfo struct {
 // data qubits: a surface-code data qubit has 2 to 4 neighboring checks.
 const maxSpecThreshold = 2
 
-// LanePolicies runs one scheduling policy over a configurable number of
-// batch-simulator lanes at once — 64 in front of the single-word engine,
-// batch.BlockLanes in front of the wide one — so adaptive policies whose
-// plans react to per-shot observations can drive the word-parallel engines.
-// The adaptive kinds (ERASER, ERASER+M, Optimal) are bit-sliced: the
-// Leakage Tracking Table and the PUTT are lane-word planes, Observe runs the
-// LSB's "at least ⌈n/2⌉ neighboring checks flipped" rule as word ops over
-// all lanes, and PlanRound runs the DLI's primary/backup SWAP-lookup under
-// per-parity-qubit usage words — the combinational form of the paper's
-// hardware blocks, producing for every lane exactly the plan a scalar Policy
-// instance would. The static kinds (NoLRC, Always) keep one scalar instance
-// and broadcast its plan to every active lane. PlanRound exposes the
-// per-lane plans (for circuit.Builder.MaskedRound) together with
-// per-data-qubit planned-lane words and the total LRC count (for the
-// harness accounting).
+// LanePolicies runs one adaptive scheduling policy (ERASER, ERASER+M or
+// Optimal) over a configurable number of batch-simulator lanes at once —
+// batch.BlockLanes in front of the wide engine — so policies whose plans
+// react to per-shot observations can drive the word-parallel engines. It is
+// bit-sliced: the Leakage Tracking Table and the PUTT are lane-word planes,
+// Observe runs the LSB's "at least ⌈n/2⌉ neighboring checks flipped" rule
+// as word ops over all lanes, and PlanRound runs the DLI's primary/backup
+// SWAP-lookup under per-parity-qubit usage words — the combinational form of
+// the paper's hardware blocks, producing for every lane exactly the plan a
+// scalar Policy instance would. PlanRound exposes the per-lane plans (for
+// circuit.Builder.MaskedRound) together with per-data-qubit planned-lane
+// words and the total LRC count (for the harness accounting). The static
+// kinds (NoLRC, Always) plan the same for every lane, so one scalar Policy
+// serves a whole batch and NewLanePolicies rejects them.
 //
 // Every per-qubit plane uses the engines' flat layout: qubit q's word for
 // sub-word w sits at index q*words+w.
@@ -66,7 +65,6 @@ type LanePolicies struct {
 	lanes  int
 	words  int
 	plans  []circuit.Plan
-	static Policy // NoLRC / Always: one instance serves every lane
 
 	threshold []int    // [NumData] LSB speculation cutoff
 	usePUTT   bool     // DLI parity-qubit cooldown (off for DQLR and Optimal)
@@ -79,13 +77,16 @@ type LanePolicies struct {
 	lrcTotal    int64    // LRCs planned this round, summed over active lanes
 }
 
-// NewLanePolicies builds a planner for lanes shots of the given policy kind.
-// lanes must be a positive multiple of circuit.WordLanes no larger than
-// circuit.MaxLanes.
+// NewLanePolicies builds a planner for lanes shots of the given adaptive
+// policy kind. lanes must be a positive multiple of circuit.WordLanes no
+// larger than circuit.MaxLanes.
 func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lanes int) *LanePolicies {
 	if lanes <= 0 || lanes > circuit.MaxLanes || lanes%circuit.WordLanes != 0 {
 		panic(fmt.Sprintf("core: lane count %d not a multiple of %d in (0, %d]",
 			lanes, circuit.WordLanes, circuit.MaxLanes))
+	}
+	if k == PolicyNone || k == PolicyAlways {
+		panic(fmt.Sprintf("core: %v is a static policy; plan it with one Policy for all lanes", k))
 	}
 	words := lanes / circuit.WordLanes
 	ref := NewPolicy(k, l, proto)
@@ -97,10 +98,6 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 		words:       words,
 		plans:       make([]circuit.Plan, lanes),
 		plannedWord: make([]uint64, l.NumData*words),
-	}
-	if k == PolicyNone || k == PolicyAlways {
-		lp.static = ref
-		return lp
 	}
 	lp.threshold = make([]int, l.NumData)
 	for q := range lp.threshold {
@@ -125,9 +122,6 @@ func (lp *LanePolicies) Lanes() int { return lp.lanes }
 
 // Reset prepares every lane for a new batch of shots.
 func (lp *LanePolicies) Reset() {
-	if lp.static != nil {
-		lp.static.Reset()
-	}
 	clear(lp.ltt)
 	clear(lp.putt)
 	clear(lp.plannedWord)
@@ -150,10 +144,6 @@ func (lp *LanePolicies) clearPlans() {
 // PlanRound returns the per-lane plans for the upcoming round (aliased;
 // valid until the next call). Inactive lanes get empty plans.
 func (lp *LanePolicies) PlanRound(round int, active circuit.LaneMask) []circuit.Plan {
-	if lp.static != nil {
-		lp.broadcast(lp.static.PlanRound(round), active)
-		return lp.plans
-	}
 	lp.clearPlans()
 	clear(lp.used)
 	lp.lrcTotal = 0
@@ -203,31 +193,6 @@ func (lp *LanePolicies) appendLRCs(w int, m uint64, lrc circuit.LRC) {
 	}
 }
 
-// broadcast hands the static policy's plan to every active lane.
-func (lp *LanePolicies) broadcast(plan circuit.Plan, active circuit.LaneMask) {
-	words := lp.words
-	clear(lp.plannedWord)
-	n := 0
-	for w := 0; w < words; w++ {
-		n += bits.OnesCount64(active[w])
-	}
-	lp.lrcTotal = int64(len(plan.LRCs) * n)
-	for _, lrc := range plan.LRCs {
-		copy(lp.plannedWord[lrc.Data*words:(lrc.Data+1)*words], active[:words])
-	}
-	for i := range lp.plans {
-		if active[i>>6]&(1<<uint(i&63)) != 0 {
-			lp.plans[i] = plan
-		} else {
-			lp.plans[i] = circuit.Plan{}
-		}
-	}
-}
-
-// PlannedWord returns the first 64 lanes whose current plan schedules an LRC
-// on data qubit q (the whole answer for a 64-lane planner).
-func (lp *LanePolicies) PlannedWord(q int) uint64 { return lp.plannedWord[q*lp.words] }
-
 // PlannedWords returns all planned-lane words of data qubit q, one per
 // 64-lane sub-word (aliased; valid until the next PlanRound).
 func (lp *LanePolicies) PlannedWords(q int) []uint64 {
@@ -241,7 +206,6 @@ func (lp *LanePolicies) LRCTotal() int64 { return lp.lrcTotal }
 // Observe updates the active lanes' Leakage Tracking Table from the round's
 // packed classical record: detection events (and, for ERASER+M, the
 // multi-level is-leak planes) for ERASER, ground-truth leakage for Optimal.
-// Static policies ignore observations.
 func (lp *LanePolicies) Observe(info LaneRoundInfo) {
 	l, words := lp.layout, lp.words
 	switch lp.kind {
@@ -262,17 +226,20 @@ func (lp *LanePolicies) Observe(info LaneRoundInfo) {
 			for w := 0; w < words; w++ {
 				// atLeast[j] collects the lanes with more than j flipped
 				// neighboring checks so far: a carry chain that stops at the
-				// threshold, since only "at least k" matters.
+				// threshold, since only "at least k" matters. A sub-word with
+				// no active lane (absent from a partial block) skips it.
 				var atLeast [maxSpecThreshold]uint64
 				var mlLeak uint64
-				for _, s := range stabs {
-					e := info.Events[s*words+w]
-					for j := k - 1; j > 0; j-- {
-						atLeast[j] |= atLeast[j-1] & e
-					}
-					atLeast[0] |= e
-					if ml != nil {
-						mlLeak |= ml[s*words+w]
+				if info.Active[w] != 0 {
+					for _, s := range stabs {
+						e := info.Events[s*words+w]
+						for j := k - 1; j > 0; j-- {
+							atLeast[j] |= atLeast[j-1] & e
+						}
+						atLeast[0] |= e
+						if ml != nil {
+							mlLeak |= ml[s*words+w]
+						}
 					}
 				}
 				// A qubit that just had an LRC is cleared and not

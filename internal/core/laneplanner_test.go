@@ -14,9 +14,13 @@ import (
 // TestLanePoliciesMatchScalar drives the bit-sliced planner and one scalar
 // Policy per lane with the same seeded random event, multi-level and truth
 // planes, and requires every lane's plan, the planned-lane words and the LRC
-// total to agree each round — over every policy kind, both protocols, both
-// planner widths, full and partial active masks, two code distances, and a
-// Reset between two batches.
+// total to agree each round — over every adaptive policy kind, both
+// protocols, both planner widths, full and partial active masks (the
+// smallest leaves whole sub-words of the wide planner idle), two code
+// distances, and a Reset between two batches. The static kinds have no
+// bit-sliced planner; for them it checks instead that one shared Policy
+// plans exactly what a per-lane instance does, which is what lets the batch
+// worker serve every lane of a static schedule from one instance.
 func TestLanePoliciesMatchScalar(t *testing.T) {
 	kinds := []Kind{PolicyNone, PolicyAlways, PolicyEraser, PolicyEraserM, PolicyOptimal}
 	for _, d := range []int{3, 5} {
@@ -24,9 +28,13 @@ func TestLanePoliciesMatchScalar(t *testing.T) {
 		for _, k := range kinds {
 			for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
 				for _, lanes := range []int{circuit.WordLanes, circuit.MaxLanes} {
-					for _, activeLanes := range []int{lanes, lanes - 37} {
+					for _, activeLanes := range []int{lanes, lanes - 37, lanes/2 - 27} {
 						name := fmt.Sprintf("d%d/%v/%v/%d/active%d", d, k, proto, lanes, activeLanes)
 						t.Run(name, func(t *testing.T) {
+							if k == PolicyNone || k == PolicyAlways {
+								checkSharedStaticPolicy(t, l, k, proto, lanes, circuit.LaneMaskFor(activeLanes))
+								return
+							}
 							checkLanePoliciesMatchScalar(t, l, k, proto, lanes, circuit.LaneMaskFor(activeLanes))
 						})
 					}
@@ -36,8 +44,10 @@ func TestLanePoliciesMatchScalar(t *testing.T) {
 	}
 }
 
-func checkLanePoliciesMatchScalar(t *testing.T, l *surfacecode.Layout, k Kind, proto circuit.Protocol,
-	lanes int, active circuit.LaneMask) {
+// laneRecords returns a generator of seeded random per-lane round records for
+// a lanes-wide planner, and the scalar RoundInfo of one lane of a record.
+func laneRecords(l *surfacecode.Layout, k Kind, proto circuit.Protocol, lanes int) (
+	next func(r int, active circuit.LaneMask) LaneRoundInfo, lane func(info LaneRoundInfo, i int) RoundInfo) {
 	words := lanes / circuit.WordLanes
 	rng := rand.New(rand.NewPCG(uint64(l.Distance), uint64(k)<<8|uint64(proto)<<4|uint64(words)))
 	// plane fills n words with bits set at density 2^-sparsity.
@@ -52,7 +62,46 @@ func checkLanePoliciesMatchScalar(t *testing.T, l *surfacecode.Layout, k Kind, p
 		return p
 	}
 	laneBit := func(p []uint64, e, i int) bool { return p[e*words+i>>6]>>uint(i&63)&1 == 1 }
+	events := make([]uint8, l.NumParity)
+	mlPar := make([]sim.MLClass, l.NumParity)
+	truth := make([]bool, l.NumData)
 
+	next = func(r int, active circuit.LaneMask) LaneRoundInfo {
+		return LaneRoundInfo{
+			Round:          r,
+			Active:         active,
+			Events:         plane(l.NumParity, 3),
+			MLParityLeak:   plane(l.NumParity, 5),
+			MLParityVal:    plane(l.NumParity, 1),
+			TrueLeakedData: plane(l.NumData, 4),
+		}
+	}
+	lane = func(info LaneRoundInfo, i int) RoundInfo {
+		for s := range events {
+			events[s] = 0
+			if laneBit(info.Events, s, i) {
+				events[s] = 1
+			}
+			switch {
+			case laneBit(info.MLParityLeak, s, i):
+				mlPar[s] = sim.MLLeak
+			case laneBit(info.MLParityVal, s, i):
+				mlPar[s] = sim.ML1
+			default:
+				mlPar[s] = sim.ML0
+			}
+		}
+		for q := range truth {
+			truth[q] = laneBit(info.TrueLeakedData, q, i)
+		}
+		return RoundInfo{Round: info.Round, Events: events, MLParity: mlPar, TrueLeakedData: truth}
+	}
+	return next, lane
+}
+
+func checkLanePoliciesMatchScalar(t *testing.T, l *surfacecode.Layout, k Kind, proto circuit.Protocol,
+	lanes int, active circuit.LaneMask) {
+	next, lane := laneRecords(l, k, proto, lanes)
 	lp := NewLanePolicies(k, l, proto, lanes)
 	pols := make([]Policy, lanes)
 	for i := range pols {
@@ -61,9 +110,6 @@ func checkLanePoliciesMatchScalar(t *testing.T, l *surfacecode.Layout, k Kind, p
 	if lp.Name() != pols[0].Name() {
 		t.Fatalf("Name() = %q, want %q", lp.Name(), pols[0].Name())
 	}
-	events := make([]uint8, l.NumParity)
-	mlPar := make([]sim.MLClass, l.NumParity)
-	truth := make([]bool, l.NumData)
 
 	for batch := 0; batch < 2; batch++ {
 		lp.Reset()
@@ -103,37 +149,64 @@ func checkLanePoliciesMatchScalar(t *testing.T, l *surfacecode.Layout, k Kind, p
 				}
 			}
 
-			info := LaneRoundInfo{
-				Round:          r,
-				Active:         active,
-				Events:         plane(l.NumParity, 3),
-				MLParityLeak:   plane(l.NumParity, 5),
-				MLParityVal:    plane(l.NumParity, 1),
-				TrueLeakedData: plane(l.NumData, 4),
-			}
+			info := next(r, active)
 			lp.Observe(info)
+			for i, p := range pols {
+				if active[i>>6]>>uint(i&63)&1 == 1 {
+					p.Observe(lane(info, i))
+				}
+			}
+		}
+	}
+}
+
+// checkSharedStaticPolicy: NewLanePolicies rejects a static kind, and one
+// shared instance of it, observing nothing, plans every round exactly as a
+// per-lane instance fed that lane's random round records does.
+func checkSharedStaticPolicy(t *testing.T, l *surfacecode.Layout, k Kind, proto circuit.Protocol,
+	lanes int, active circuit.LaneMask) {
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatalf("NewLanePolicies(%v) did not panic", k)
+			}
+		}()
+		NewLanePolicies(k, l, proto, lanes)
+	}()
+
+	next, lane := laneRecords(l, k, proto, lanes)
+	shared := NewPolicy(k, l, proto)
+	pols := make([]Policy, lanes)
+	for i := range pols {
+		pols[i] = NewPolicy(k, l, proto)
+	}
+	for batch := 0; batch < 2; batch++ {
+		shared.Reset()
+		for _, p := range pols {
+			p.Reset()
+		}
+		for r := 1; r <= 30; r++ {
+			want := shared.PlanRound(r)
 			for i, p := range pols {
 				if active[i>>6]>>uint(i&63)&1 == 0 {
 					continue
 				}
-				for s := range events {
-					events[s] = 0
-					if laneBit(info.Events, s, i) {
-						events[s] = 1
-					}
-					switch {
-					case laneBit(info.MLParityLeak, s, i):
-						mlPar[s] = sim.MLLeak
-					case laneBit(info.MLParityVal, s, i):
-						mlPar[s] = sim.ML1
-					default:
-						mlPar[s] = sim.ML0
+				got := p.PlanRound(r)
+				if !slices.Equal(got.LRCs, want.LRCs) || got.Protocol != want.Protocol || got.CondReturn != want.CondReturn {
+					t.Fatalf("batch %d round %d lane %d: plan %+v, shared %+v", batch, r, i, got, want)
+				}
+				for q := 0; q < l.NumData; q++ {
+					if p.PlannedLRC(q) != shared.PlannedLRC(q) {
+						t.Fatalf("batch %d round %d lane %d: planned(q%d) = %v, shared %v",
+							batch, r, i, q, p.PlannedLRC(q), shared.PlannedLRC(q))
 					}
 				}
-				for q := range truth {
-					truth[q] = laneBit(info.TrueLeakedData, q, i)
+			}
+			info := next(r, active)
+			for i, p := range pols {
+				if active[i>>6]>>uint(i&63)&1 == 1 {
+					p.Observe(lane(info, i))
 				}
-				p.Observe(RoundInfo{Round: r, Events: events, MLParity: mlPar, TrueLeakedData: truth})
 			}
 		}
 	}
@@ -166,8 +239,8 @@ func TestLanePoliciesIndependentLanes(t *testing.T) {
 	if len(plans[7].LRCs) == 0 {
 		t.Fatal("lane 7 planned no LRCs after its syndrome flips")
 	}
-	if got := lp.PlannedWord(4); got != 1<<7 {
-		t.Fatalf("PlannedWord(4) = %b, want lane 7", got)
+	if got := lp.PlannedWords(4)[0]; got != 1<<7 {
+		t.Fatalf("PlannedWords(4)[0] = %b, want lane 7", got)
 	}
 	if lp.LRCTotal() != int64(len(plans[7].LRCs)) {
 		t.Fatalf("LRCTotal = %d, want %d", lp.LRCTotal(), len(plans[7].LRCs))
@@ -187,8 +260,8 @@ func TestLanePoliciesOptimalReadsTruthWords(t *testing.T) {
 	lp.Observe(LaneRoundInfo{Round: 1, Active: circuit.LaneMask{^uint64(0)}, TrueLeakedData: truth})
 
 	lp.PlanRound(2, circuit.LaneMask{^uint64(0)})
-	if got := lp.PlannedWord(0); got != 1<<2|1<<9 {
-		t.Fatalf("PlannedWord(0) = %b, want lanes 2 and 9", got)
+	if got := lp.PlannedWords(0)[0]; got != 1<<2|1<<9 {
+		t.Fatalf("PlannedWords(0)[0] = %b, want lanes 2 and 9", got)
 	}
 	if lp.LRCTotal() != 2 {
 		t.Fatalf("LRCTotal = %d, want 2", lp.LRCTotal())
@@ -213,8 +286,8 @@ func TestLanePoliciesInactiveLanes(t *testing.T) {
 	if len(plans[5].LRCs) != 0 {
 		t.Fatal("inactive lane 5 produced a plan")
 	}
-	if got := lp.PlannedWord(0); got != 1<<1 {
-		t.Fatalf("PlannedWord(0) = %b, want lane 1 only", got)
+	if got := lp.PlannedWords(0)[0]; got != 1<<1 {
+		t.Fatalf("PlannedWords(0)[0] = %b, want lane 1 only", got)
 	}
 	if lp.LRCTotal() != 1 {
 		t.Fatalf("LRCTotal = %d, want 1", lp.LRCTotal())
@@ -255,9 +328,6 @@ func TestLanePoliciesWideWords(t *testing.T) {
 		if got[w] != want[w] {
 			t.Fatalf("PlannedWords(0)[%d] = %b, want %b", w, got[w], want[w])
 		}
-	}
-	if lp.PlannedWord(0) != 1<<2 {
-		t.Fatalf("PlannedWord(0) = %b, want sub-word 0 only", lp.PlannedWord(0))
 	}
 	if lp.LRCTotal() != 3 {
 		t.Fatalf("LRCTotal = %d, want 3", lp.LRCTotal())

@@ -77,24 +77,16 @@ func (c *BatchCollector) Add(word uint64, z, round int) {
 	}
 }
 
-// AddWords fans one round's detection-event words out to the lanes: for
+// AddWideWords fans one round's detection-event words out to the lanes: for
 // every mapped stabilizer whose word has active bits, the corresponding
-// kind-ordinal event is appended to each set lane. This is the single
-// extraction point shared by the batch workers for both the per-round and
-// final detector layers.
-func (c *BatchCollector) AddWords(words []uint64, m []StabMap, round int, active uint64) {
-	for _, ks := range m {
-		if word := words[ks.Idx] & active; word != 0 {
-			c.Add(word, int(ks.Ord), round)
-		}
-	}
-}
-
-// AddWideWords is AddWords for the wide engine's flat stride-`stride` event
-// planes: it fans out sub-word `sub` (the 64 lanes of one work unit) of each
-// mapped stabilizer, reading words[Idx*stride+sub]. Collectors stay one per
-// 64-lane unit, so everything downstream of the sim→decode boundary is
-// untouched by block width.
+// kind-ordinal event is appended to each set lane. The words are the wide
+// engine's flat stride-`stride` event planes, and the collector takes
+// sub-word `sub` (the 64 lanes of one work unit) of each mapped stabilizer,
+// reading words[Idx*stride+sub]; stride 1, sub-word 0 reads a single-word
+// engine's planes. Collectors stay one per 64-lane unit, so everything
+// downstream of the sim→decode boundary is untouched by block width. This
+// is the single extraction point of the batch worker, for both the
+// per-round and final detector layers.
 func (c *BatchCollector) AddWideWords(words []uint64, stride, sub int, m []StabMap, round int, active uint64) {
 	for _, ks := range m {
 		if word := words[int(ks.Idx)*stride+sub] & active; word != 0 {

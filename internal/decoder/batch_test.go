@@ -45,45 +45,48 @@ func TestBatchCollectorReuse(t *testing.T) {
 
 // TestBatchCollectorAddWords: the word fan-out must reproduce, per lane,
 // exactly the syndrome a scalar loop over (stabilizer, lane) bits builds —
-// including masking by the active-lane word.
+// including masking by the active-lane word — from single-word planes
+// (stride 1) and from one sub-word of the wide engine's flat planes.
 func TestBatchCollectorAddWords(t *testing.T) {
 	m := []StabMap{{Idx: 2, Ord: 0}, {Idx: 5, Ord: 1}, {Idx: 0, Ord: 2}}
-	words := make([]uint64, 6)
-	rng := stats.NewRNG(11, 0)
-	for i := range words {
-		words[i] = rng.Uint64()
-	}
 	const active = uint64(0x0fff_ffff_ffff_fff0) // drop lanes 0-3 and 60-63
-
-	c := NewBatchCollector()
-	c.AddWords(words, m, 4, active)
-
-	var want [BatchLanes][]Event
-	for lane := 0; lane < BatchLanes; lane++ {
-		if active&(1<<uint(lane)) == 0 {
-			continue
+	for _, sh := range []struct{ stride, sub int }{{1, 0}, {4, 2}} {
+		words := make([]uint64, 6*sh.stride)
+		rng := stats.NewRNG(11, 0)
+		for i := range words {
+			words[i] = rng.Uint64()
 		}
-		for _, ks := range m {
-			if words[ks.Idx]&(1<<uint(lane)) != 0 {
-				want[lane] = append(want[lane], Event{Z: int(ks.Ord), Round: 4})
+
+		c := NewBatchCollector()
+		c.AddWideWords(words, sh.stride, sh.sub, m, 4, active)
+
+		var want [BatchLanes][]Event
+		for lane := 0; lane < BatchLanes; lane++ {
+			if active&(1<<uint(lane)) == 0 {
+				continue
+			}
+			for _, ks := range m {
+				if words[int(ks.Idx)*sh.stride+sh.sub]&(1<<uint(lane)) != 0 {
+					want[lane] = append(want[lane], Event{Z: int(ks.Ord), Round: 4})
+				}
 			}
 		}
-	}
-	for lane := 0; lane < BatchLanes; lane++ {
-		got := c.Lane(lane)
-		if len(got) != len(want[lane]) {
-			t.Fatalf("lane %d: %d events, want %d", lane, len(got), len(want[lane]))
-		}
-		for i := range got {
-			if got[i] != want[lane][i] {
-				t.Fatalf("lane %d event %d = %v, want %v", lane, i, got[i], want[lane][i])
+		for lane := 0; lane < BatchLanes; lane++ {
+			got := c.Lane(lane)
+			if len(got) != len(want[lane]) {
+				t.Fatalf("stride %d sub %d lane %d: %d events, want %d", sh.stride, sh.sub, lane, len(got), len(want[lane]))
+			}
+			for i := range got {
+				if got[i] != want[lane][i] {
+					t.Fatalf("stride %d sub %d lane %d event %d = %v, want %v", sh.stride, sh.sub, lane, i, got[i], want[lane][i])
+				}
 			}
 		}
 	}
 }
 
 // TestBatchCollectorReuseAllocs: once lane buffers have grown, a
-// Reset+AddWords cycle allocates nothing.
+// Reset+AddWideWords cycle allocates nothing.
 func TestBatchCollectorReuseAllocs(t *testing.T) {
 	m := []StabMap{{Idx: 0, Ord: 0}, {Idx: 1, Ord: 1}, {Idx: 2, Ord: 2}}
 	words := []uint64{0xdead_beef_cafe_f00d, 0x0123_4567_89ab_cdef, ^uint64(0)}
@@ -91,13 +94,13 @@ func TestBatchCollectorReuseAllocs(t *testing.T) {
 	for i := 0; i < 3; i++ { // warm the lane buffers to steady-state capacity
 		c.Reset()
 		for r := 1; r <= 8; r++ {
-			c.AddWords(words, m, r, ^uint64(0))
+			c.AddWideWords(words, 1, 0, m, r, ^uint64(0))
 		}
 	}
 	allocs := testing.AllocsPerRun(100, func() {
 		c.Reset()
 		for r := 1; r <= 8; r++ {
-			c.AddWords(words, m, r, ^uint64(0))
+			c.AddWideWords(words, 1, 0, m, r, ^uint64(0))
 		}
 	})
 	if allocs != 0 {

@@ -74,12 +74,6 @@ type Config struct {
 	// eligible static policies; benchmarks and engine-agreement tests use it
 	// to pit the two simulators against each other.
 	ForceScalar bool
-	// ForceNarrow keeps the batch path on the single-word (64-lane) engine,
-	// disabling the 256-lane wide blocks. Units are bit-identical either way
-	// — the wide engine runs 4 units on 4 independent per-unit RNG streams —
-	// so ForceNarrow does not enter Config.Key or the RNG stream; benchmarks
-	// and the wide/narrow agreement tests use it to compare the engines.
-	ForceNarrow bool
 }
 
 // BlockUnits is the number of consecutive 64-lane work units one wide block
@@ -87,13 +81,13 @@ type Config struct {
 const BlockUnits = batch.BlockWords
 
 // UnitAlign returns the unit-range alignment the config's engine prefers:
-// BlockUnits on the wide batch path — schedulers that round chunk bounds to
-// multiples of it keep every block whole, so no unit falls back to the
-// single-word engine mid-range — and 1 when only single-unit paths run.
-// Alignment is a throughput hint, not a correctness requirement: unaligned
-// ranges run the stray units on the narrow engine with identical results.
+// BlockUnits on the batch path — schedulers that round chunk bounds to
+// multiples of it keep every block whole — and 1 on the scalar path.
+// Alignment is a throughput hint, not a correctness requirement: an
+// unaligned range runs its edge units in partial blocks, with identical
+// results at a higher cost per unit.
 func (c Config) UnitAlign() int {
-	if batchEligible(c) && !c.ForceNarrow {
+	if batchEligible(c) {
 		return BlockUnits
 	}
 	return 1
@@ -101,7 +95,7 @@ func (c Config) UnitAlign() int {
 
 // batchEligible reports whether the experiment can run on the word-parallel
 // batch simulator. Since the lane-masked op engine, every policy qualifies:
-// static NoLRC/Always schedules share one unmasked op sequence across all 64
+// static NoLRC/Always schedules share one unmasked op sequence across all
 // lanes, and the adaptive ERASER/ERASER+M/Optimal policies run on the
 // word-level planner (core.LanePolicies), whose per-lane plans are merged
 // into one masked op sequence per round (circuit.Builder.MaskedRound). Only
@@ -229,8 +223,9 @@ type Metrics struct {
 	DecodeNS int64
 
 	// WideUnits, NarrowUnits and ScalarUnits count the executed work units by
-	// the engine width that ran them: 256-lane wide blocks (4 units each),
-	// the single-word 64-lane engine, and the scalar per-shot simulator.
+	// how they ran: in whole 256-lane blocks (4 full units each), in partial
+	// blocks (range edges and shot-capped units), and on the scalar per-shot
+	// simulator.
 	WideUnits   int64
 	NarrowUnits int64
 	ScalarUnits int64
@@ -288,7 +283,7 @@ func RunUnitsMeteredCtx(ctx context.Context, cfg Config, lo, hi int) (*Tally, Me
 // runUnitRange simulates units [lo, hi), with total shot count clamped to
 // shotsCap (the last unit runs fewer lanes when shotsCap cuts into it).
 //
-// On the batch paths with more than one worker, execution is a two-stage
+// On the batch path with more than one worker, execution is a two-stage
 // pipeline: sim workers run the rounds of a unit and hand the filled event
 // collector off to a pool of decode workers, where the unit's 64 lanes are
 // decoded concurrently as lane-range tasks. Logical errors are pure integer
@@ -346,7 +341,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	}
 
 	useBatch := batchEligible(cfg)
-	// Workers stride over schedulable items: 4-unit blocks on the wide batch
+	// Workers stride over schedulable items: 4-unit blocks on the batch
 	// path, single units otherwise.
 	items := hi - lo
 	if align := cfg.UnitAlign(); align > 1 {
@@ -376,12 +371,9 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		go func(w int) {
 			defer wg.Done()
 			sink := newDecodeSink(pipe, newEngine)
-			switch {
-			case useBatch && staticPlans(cfg.Policy):
+			if useBatch {
 				runBatchWorker(ctx, cfg, layout, sink, rounds, np, rates, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
-			case useBatch:
-				runBatchLaneWorker(ctx, cfg, layout, sink, rounds, np, rates, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
-			default:
+			} else {
 				runWorker(ctx, cfg, layout, newEngine(), rounds, np, rates, seeds, lo, hi, w, workers, acc, &workerMetrics[w])
 			}
 			workerMetrics[w].SimNS += sink.simNS
@@ -528,13 +520,13 @@ func (p *decodePipeline) close() {
 	p.wg.Wait()
 }
 
-// decodeSink is a sim worker's hand-off point to the decode stage. In
-// pipelined mode units go to the shared decode pool; in inline mode (single
-// worker, or scalar fallback ineligible for batching) the worker decodes
-// its own units with its own engine and arenas. A sink holds up to
-// BlockUnits units in flight — one slot per sub-word of a wide block — so a
-// wide sim step fans out to per-unit collectors while everything downstream
-// of the sim→decode boundary stays 64-lane.
+// decodeSink is a batch worker's hand-off point to the decode stage. In
+// pipelined mode units go to the shared decode pool; in inline mode (a
+// single worker) the worker decodes its own units with its own engine and
+// arenas. A sink holds up to BlockUnits units in flight — one slot per
+// sub-word of a block — so a block's sim step fans out to per-unit
+// collectors while everything downstream of the sim→decode boundary stays
+// 64-lane.
 type decodeSink struct {
 	pipe *decodePipeline
 	cur  [BlockUnits]*unitTask
@@ -553,9 +545,6 @@ func newDecodeSink(pipe *decodePipeline, newEngine func() decoder.BatchDecoder) 
 	return &decodeSink{eng: newEngine()}
 }
 
-// begin returns the empty collector for the next (single) unit.
-func (sk *decodeSink) begin() *decoder.BatchCollector { return sk.beginSlot(0) }
-
 // beginSlot returns the empty collector for the unit in slot i.
 func (sk *decodeSink) beginSlot(i int) *decoder.BatchCollector {
 	if sk.pipe != nil {
@@ -569,14 +558,11 @@ func (sk *decodeSink) beginSlot(i int) *decoder.BatchCollector {
 	return sk.cols[i]
 }
 
-// finish completes a single unit whose collector holds every detector layer:
+// finishSlot completes the unit in slot i, whose collector holds every
+// detector layer and whose shots fill the low lanes set in active:
 // pipelined units are handed off, inline units decode immediately into acc.
-func (sk *decodeSink) finish(obs, active uint64, lanes int, acc *Tally) {
-	sk.finishSlot(0, obs, active, lanes, acc)
-}
-
-// finishSlot is finish for the unit in slot i.
-func (sk *decodeSink) finishSlot(i int, obs, active uint64, lanes int, acc *Tally) {
+func (sk *decodeSink) finishSlot(i int, obs, active uint64, acc *Tally) {
+	lanes := bits.OnesCount64(active)
 	if sk.pipe != nil {
 		ut := sk.cur[i]
 		sk.cur[i] = nil
@@ -694,311 +680,142 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 	return ks
 }
 
-// blockRange clamps block blk's unit range to [lo, hi).
-func blockRange(blk, align, lo, hi int) (a, bnd int) {
-	a, bnd = blk*align, (blk+1)*align
-	if a < lo {
-		a = lo
-	}
-	if bnd > hi {
-		bnd = hi
-	}
-	return a, bnd
-}
-
-// runBatchWorker is runWorker's word-parallel counterpart: each work unit is
-// a batch of up to 64 shots running through the bit-packed simulator, with
-// detection events fanned out to per-lane lists for decoding. Static
-// policies plan identically for every lane, so one plan and one op sequence
-// per round serve the whole batch. Workers stride over 4-unit blocks: a
-// whole block at full width runs on the 256-lane wide engine (4 independent
-// per-unit RNG streams, bit-identical to 4 serial narrow units), while
-// partial blocks at range or shot-cap edges fall back unit by unit to the
-// single-word engine. Decoding goes through the sink: inline on
-// single-worker runs, pipelined to the decode pool otherwise.
+// runBatchWorker is runWorker's word-parallel counterpart. Workers stride
+// over 4-unit blocks, and every block runs on the 256-lane wide engine with
+// one independent per-unit RNG stream per 64-lane sub-word, so a block is
+// bit-identical to its units run one at a time. A partial block — fewer than
+// 4 units at a range edge, or a last unit cut by the shot cap — leaves the
+// missing units' sub-words absent (nil RNG) and counts only the active lanes
+// of a cut unit. Static and adaptive policies differ in three steps only:
+//   - plan: one core.Policy serves every lane of a static schedule; the
+//     bit-sliced core.LanePolicies plans each lane of an adaptive one;
+//   - round: static plans run the builder's memoized unmasked op sequence,
+//     adaptive ones the per-round merge of the lane plans under lane masks;
+//   - observe: only the adaptive planner reads the round's outcome words.
+//
+// Decoding goes through the sink: inline on single-worker runs, pipelined to
+// the decode pool otherwise.
 func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, sink *decodeSink,
-	rounds int, np noise.Params, rates *device.Rates, batchSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
+	rounds int, np noise.Params, rates *device.Rates, unitSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
 
 	builder := circuit.NewBuilder(layout)
-	pol := core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
 	kstabs := kindStabs(layout, cfg.Basis)
-	var bs *batch.Simulator // narrow engine, built on first partial block
-	var ws *batch.Wide      // wide engine, built on first whole block
-
-	align := 1
-	if !cfg.ForceNarrow {
-		align = BlockUnits
+	ws := batch.NewWide(layout, np, cfg.Basis)
+	ws.UseRates(rates)
+	ws.TrackML = cfg.Policy == core.PolicyEraserM
+	var pol core.Policy       // static plans: one instance serves every lane
+	var lp *core.LanePolicies // adaptive plans: one bit-sliced lane per shot
+	if staticPlans(cfg.Policy) {
+		pol = core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
+	} else {
+		lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.BlockLanes)
 	}
-	for blk := lo/align + w; blk < (hi+align-1)/align; blk += stride {
+	var cols [BlockUnits]*decoder.BatchCollector
+
+	for blk := lo/BlockUnits + w; blk*BlockUnits < hi; blk += stride {
 		if ctx.Err() != nil {
 			return
 		}
-		a, bnd := blockRange(blk, align, lo, hi)
-		if bnd-a == BlockUnits && shotsCap >= bnd*batch.Lanes {
-			u0 := time.Now()
-			if ws == nil {
-				ws = batch.NewWide(layout, np, cfg.Basis)
-				ws.UseRates(rates)
+		u0 := time.Now()
+		var rngs [BlockUnits]*stats.RNG
+		var active batch.Block // the lanes holding real shots; 0 on absent sub-words
+		n, units := 0, 0
+		for j := range rngs {
+			b := blk*BlockUnits + j
+			if b < lo || b >= hi {
+				continue
 			}
-			var rngs [batch.BlockWords]*stats.RNG
-			var cols [BlockUnits]*decoder.BatchCollector
-			for j := 0; j < BlockUnits; j++ {
-				b := a + j
-				acc.Covered.Add(b)
-				rngs[j] = stats.NewRNG(batchSeeds[b-lo], uint64(b))
-				cols[j] = sink.beginSlot(j)
-			}
-			acc.Shots += batch.BlockLanes
-			ws.Reset(rngs)
-			pol.Reset()
-
-			for r := 1; r <= rounds; r++ {
-				plan := pol.PlanRound(r)
-				acc.LRCs += int64(len(plan.LRCs)) * int64(batch.BlockLanes)
-				for q := 0; q < layout.NumData; q++ {
-					lk := ws.LeakedBlock(q)
-					leakedCnt := int64(bits.OnesCount64(lk[0]) + bits.OnesCount64(lk[1]) +
-						bits.OnesCount64(lk[2]) + bits.OnesCount64(lk[3]))
-					if pol.PlannedLRC(q) {
-						acc.TruePos += leakedCnt
-						acc.FalsePos += int64(batch.BlockLanes) - leakedCnt
-					} else {
-						acc.FalseNeg += leakedCnt
-						acc.TrueNeg += int64(batch.BlockLanes) - leakedCnt
-					}
-				}
-
-				events := ws.RunRound(builder.Round(plan))
-				for j := 0; j < BlockUnits; j++ {
-					cols[j].AddWideWords(events, batch.BlockWords, j, kstabs, r, batch.AllLanes)
-				}
-				dleak, pleak := ws.LeakedCounts(batch.BlockMask(batch.BlockLanes))
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-			}
-
-			fdet, obs := ws.FinalRound(builder.FinalMeasurement())
-			for j := 0; j < BlockUnits; j++ {
-				cols[j].AddWideWords(fdet, batch.BlockWords, j, kstabs, rounds+1, batch.AllLanes)
-			}
-			sink.simNS += time.Since(u0).Nanoseconds()
-			for j := 0; j < BlockUnits; j++ {
-				sink.finishSlot(j, obs[j], batch.AllLanes, batch.Lanes, acc)
-			}
-			m.WideUnits += int64(BlockUnits)
-			continue
-		}
-
-		for b := a; b < bnd; b++ {
-			if ctx.Err() != nil {
-				return
-			}
-			u0 := time.Now()
-			if bs == nil {
-				bs = batch.New(layout, np, cfg.Basis)
-				bs.UseRates(rates)
-			}
-			lanes := batch.Lanes
-			if rem := shotsCap - b*batch.Lanes; rem < lanes {
-				lanes = rem
-			}
+			lanes := min(batch.Lanes, shotsCap-b*batch.Lanes)
+			active[j] = batch.LaneMask(lanes)
+			n += lanes
+			units++
+			rngs[j] = stats.NewRNG(unitSeeds[b-lo], uint64(b))
+			cols[j] = sink.beginSlot(j)
 			acc.Covered.Add(b)
-			acc.Shots += lanes
-			active := batch.LaneMask(lanes)
-			bs.Reset(stats.NewRNG(batchSeeds[b-lo], uint64(b)))
+		}
+		acc.Shots += n
+		ws.Reset(rngs)
+		if lp != nil {
+			lp.Reset()
+		} else {
 			pol.Reset()
-			col := sink.begin()
-
-			for r := 1; r <= rounds; r++ {
-				plan := pol.PlanRound(r)
-				acc.LRCs += int64(len(plan.LRCs)) * int64(lanes)
-				// Decision accounting against the leakage state at the end of
-				// the previous round, as in the scalar path.
-				for q := 0; q < layout.NumData; q++ {
-					leakedCnt := int64(bits.OnesCount64(bs.LeakedWord(q) & active))
-					if pol.PlannedLRC(q) {
-						acc.TruePos += leakedCnt
-						acc.FalsePos += int64(lanes) - leakedCnt
-					} else {
-						acc.FalseNeg += leakedCnt
-						acc.TrueNeg += int64(lanes) - leakedCnt
-					}
-				}
-
-				events := bs.RunRound(builder.Round(plan))
-				col.AddWords(events, kstabs, r, active)
-				dleak, pleak := bs.LeakedCounts(active)
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-			}
-
-			fdet, obs := bs.FinalRound(builder.FinalMeasurement())
-			col.AddWords(fdet, kstabs, rounds+1, active)
-			sink.simNS += time.Since(u0).Nanoseconds()
-			sink.finish(obs, active, lanes, acc)
-			m.NarrowUnits++
 		}
-	}
-}
 
-// runBatchLaneWorker is the adaptive policies' word-parallel counterpart of
-// runBatchWorker: each work unit is a batch of up to 64 shots whose lanes
-// are planned independently by the word-level planner (core.LanePolicies).
-// Per round the per-lane plans are merged into one lane-masked op sequence —
-// every lane shares the syndrome-extraction skeleton, only the LRC ops
-// differ by lane — and the engine's event, readout and ground-truth words
-// feed the planner's LTT update directly as word ops. Whole 4-unit blocks
-// run a 256-lane planner against the wide engine; partial blocks fall back
-// unit by unit to the 64-lane engine and a 64-lane planner. Decoding goes
-// through the sink: inline on single-worker runs, pipelined to the decode
-// pool otherwise.
-func runBatchLaneWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, sink *decodeSink,
-	rounds int, np noise.Params, rates *device.Rates, batchSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
-
-	builder := circuit.NewBuilder(layout)
-	kstabs := kindStabs(layout, cfg.Basis)
-	trackML := cfg.Policy == core.PolicyEraserM
-	var bs *batch.Simulator // narrow engine + 64 lane policies (partial blocks)
-	var lp *core.LanePolicies
-	var ws *batch.Wide // wide engine + 256 lane policies (whole blocks)
-	var lpw *core.LanePolicies
-
-	align := 1
-	if !cfg.ForceNarrow {
-		align = BlockUnits
-	}
-	for blk := lo/align + w; blk < (hi+align-1)/align; blk += stride {
-		if ctx.Err() != nil {
-			return
-		}
-		a, bnd := blockRange(blk, align, lo, hi)
-		if bnd-a == BlockUnits && shotsCap >= bnd*batch.Lanes {
-			u0 := time.Now()
-			if ws == nil {
-				ws = batch.NewWide(layout, np, cfg.Basis)
-				ws.UseRates(rates)
-				ws.TrackML = trackML
-				lpw = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.BlockLanes)
+		for r := 1; r <= rounds; r++ {
+			var plan circuit.Plan
+			var plans []circuit.Plan
+			if lp != nil {
+				plans = lp.PlanRound(r, active)
+				acc.LRCs += lp.LRCTotal()
+			} else {
+				plan = pol.PlanRound(r)
+				acc.LRCs += int64(len(plan.LRCs)) * int64(n)
 			}
-			var rngs [batch.BlockWords]*stats.RNG
-			var cols [BlockUnits]*decoder.BatchCollector
-			for j := 0; j < BlockUnits; j++ {
-				b := a + j
-				acc.Covered.Add(b)
-				rngs[j] = stats.NewRNG(batchSeeds[b-lo], uint64(b))
-				cols[j] = sink.beginSlot(j)
+			// Decision accounting against the leakage state at the end of
+			// the previous round, as in the scalar path.
+			for q := 0; q < layout.NumData; q++ {
+				var planned batch.Block
+				if lp != nil {
+					planned = batch.Block(lp.PlannedWords(q))
+				} else if pol.PlannedLRC(q) {
+					planned = active
+				}
+				leaked := ws.LeakedBlock(q)
+				var tp, fp, fn int64
+				for j := range planned {
+					lk := leaked[j] & active[j]
+					tp += int64(bits.OnesCount64(planned[j] & lk))
+					fp += int64(bits.OnesCount64(planned[j] &^ lk))
+					fn += int64(bits.OnesCount64(lk &^ planned[j]))
+				}
+				acc.TruePos += tp
+				acc.FalsePos += fp
+				acc.FalseNeg += fn
+				acc.TrueNeg += int64(n) - tp - fp - fn
 			}
-			acc.Shots += batch.BlockLanes
-			ws.Reset(rngs)
-			lpw.Reset()
-			activeB := batch.BlockMask(batch.BlockLanes)
 
-			for r := 1; r <= rounds; r++ {
-				plans := lpw.PlanRound(r, activeB)
-				acc.LRCs += lpw.LRCTotal()
-				for q := 0; q < layout.NumData; q++ {
-					planned := lpw.PlannedWords(q)
-					leaked := ws.LeakedBlock(q)
-					var tp, fp, fn int64
-					for j := 0; j < batch.BlockWords; j++ {
-						tp += int64(bits.OnesCount64(planned[j] & leaked[j]))
-						fp += int64(bits.OnesCount64(planned[j] &^ leaked[j]))
-						fn += int64(bits.OnesCount64(leaked[j] &^ planned[j]))
-					}
-					acc.TruePos += tp
-					acc.FalsePos += fp
-					acc.FalseNeg += fn
-					acc.TrueNeg += int64(batch.BlockLanes) - tp - fp - fn
+			var events []uint64
+			if lp != nil {
+				events = ws.RunRoundMasked(builder.MaskedRound(plans, active))
+			} else {
+				events = ws.RunRound(builder.Round(plan))
+			}
+			for j, col := range cols {
+				if active[j] != 0 {
+					col.AddWideWords(events, batch.BlockWords, j, kstabs, r, active[j])
 				}
+			}
+			dleak, pleak := ws.LeakedCounts(active)
+			acc.LPRDataNum[r-1] += int64(dleak)
+			acc.LPRParityNum[r-1] += int64(pleak)
 
-				events := ws.RunRoundMasked(builder.MaskedRound(plans, activeB))
-				for j := 0; j < BlockUnits; j++ {
-					cols[j].AddWideWords(events, batch.BlockWords, j, kstabs, r, batch.AllLanes)
-				}
-				dleak, pleak := ws.LeakedCounts(activeB)
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-
-				lpw.Observe(core.LaneRoundInfo{
+			if lp != nil {
+				lp.Observe(core.LaneRoundInfo{
 					Round:          r,
-					Active:         activeB,
+					Active:         active,
 					Events:         events,
 					MLParityLeak:   ws.MLParityLeak(),
 					TrueLeakedData: ws.LeakedDataWords(),
 				})
 			}
-
-			fdet, obs := ws.FinalRound(builder.FinalMeasurement())
-			for j := 0; j < BlockUnits; j++ {
-				cols[j].AddWideWords(fdet, batch.BlockWords, j, kstabs, rounds+1, batch.AllLanes)
-			}
-			sink.simNS += time.Since(u0).Nanoseconds()
-			for j := 0; j < BlockUnits; j++ {
-				sink.finishSlot(j, obs[j], batch.AllLanes, batch.Lanes, acc)
-			}
-			m.WideUnits += int64(BlockUnits)
-			continue
 		}
 
-		for b := a; b < bnd; b++ {
-			if ctx.Err() != nil {
-				return
+		fdet, obs := ws.FinalRound(builder.FinalMeasurement())
+		for j, col := range cols {
+			if active[j] != 0 {
+				col.AddWideWords(fdet, batch.BlockWords, j, kstabs, rounds+1, active[j])
 			}
-			u0 := time.Now()
-			if bs == nil {
-				bs = batch.New(layout, np, cfg.Basis)
-				bs.UseRates(rates)
-				bs.TrackML = trackML
-				lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.Lanes)
+		}
+		sink.simNS += time.Since(u0).Nanoseconds()
+		for j := range cols {
+			if active[j] != 0 {
+				sink.finishSlot(j, obs[j], active[j], acc)
 			}
-			lanes := batch.Lanes
-			if rem := shotsCap - b*batch.Lanes; rem < lanes {
-				lanes = rem
-			}
-			acc.Covered.Add(b)
-			acc.Shots += lanes
-			active := batch.LaneMask(lanes)
-			bs.Reset(stats.NewRNG(batchSeeds[b-lo], uint64(b)))
-			lp.Reset()
-			col := sink.begin()
-
-			for r := 1; r <= rounds; r++ {
-				plans := lp.PlanRound(r, circuit.LaneMask{active})
-				acc.LRCs += lp.LRCTotal()
-				// Decision accounting against the leakage state at the end of
-				// the previous round, as in the scalar path.
-				for q := 0; q < layout.NumData; q++ {
-					planned := lp.PlannedWord(q)
-					leaked := bs.LeakedWord(q) & active
-					tp := int64(bits.OnesCount64(planned & leaked))
-					fp := int64(bits.OnesCount64(planned &^ leaked))
-					fn := int64(bits.OnesCount64(leaked &^ planned))
-					acc.TruePos += tp
-					acc.FalsePos += fp
-					acc.FalseNeg += fn
-					acc.TrueNeg += int64(lanes) - tp - fp - fn
-				}
-
-				events := bs.RunRoundMasked(builder.MaskedRound(plans, circuit.LaneMask{active}))
-				col.AddWords(events, kstabs, r, active)
-				dleak, pleak := bs.LeakedCounts(active)
-				acc.LPRDataNum[r-1] += int64(dleak)
-				acc.LPRParityNum[r-1] += int64(pleak)
-
-				lp.Observe(core.LaneRoundInfo{
-					Round:          r,
-					Active:         circuit.LaneMask{active},
-					Events:         events,
-					MLParityLeak:   bs.MLParityLeak(),
-					TrueLeakedData: bs.LeakedDataWords(),
-				})
-			}
-
-			fdet, obs := bs.FinalRound(builder.FinalMeasurement())
-			col.AddWords(fdet, kstabs, rounds+1, active)
-			sink.simNS += time.Since(u0).Nanoseconds()
-			sink.finish(obs, active, lanes, acc)
-			m.NarrowUnits++
+		}
+		if n == batch.BlockLanes {
+			m.WideUnits += int64(units)
+		} else {
+			m.NarrowUnits += int64(units)
 		}
 	}
 }

@@ -10,8 +10,8 @@ import (
 )
 
 // mergeSingleUnits runs units [lo, hi) one at a time — a single unit never
-// fills a 4-unit block, so each run takes the narrow 64-lane path by
-// construction — and merges the tallies.
+// fills a 4-unit block, so each run is a partial block with three absent
+// sub-words by construction — and merges the tallies.
 func mergeSingleUnits(t *testing.T, cfg Config, lo, hi int) *Tally {
 	t.Helper()
 	merged := RunUnits(cfg, lo, lo+1)
@@ -23,12 +23,12 @@ func mergeSingleUnits(t *testing.T, cfg Config, lo, hi int) *Tally {
 	return merged
 }
 
-// TestWideBitExactAllPolicies: a 256-lane wide run over an aligned 4-unit
-// block produces a Tally bit-identical to the merge of four independent
-// 64-lane unit runs, for every policy and for uniform and heterogeneous
+// TestWideBitExactAllPolicies: a 256-lane run over an aligned 4-unit block
+// produces a Tally bit-identical to the merge of four single-unit runs, each
+// a partial block, for every policy and for uniform and heterogeneous
 // (hotspot, drift) device profiles. This is the end-to-end statement of the
-// wide engine's contract: the work unit stays 64 lanes, so stored tallies,
-// covered-unit bitsets and config keys are unchanged by engine width.
+// block engine's contract: the work unit stays 64 lanes, so stored tallies
+// and covered-unit bitsets do not depend on how units group into blocks.
 func TestWideBitExactAllPolicies(t *testing.T) {
 	hotspot, err := device.Hotspot(3, 2e-3, 2, 6)
 	if err != nil {
@@ -57,49 +57,21 @@ func TestWideBitExactAllPolicies(t *testing.T) {
 				t.Fatal(err)
 			}
 			if m.WideUnits != 4 || m.NarrowUnits != 0 {
-				t.Fatalf("%v/%s: aligned block ran %d wide + %d narrow units, want 4 + 0",
+				t.Fatalf("%v/%s: aligned block ran %d whole-block + %d partial-block units, want 4 + 0",
 					pol, pr.name, m.WideUnits, m.NarrowUnits)
 			}
-			narrow := mergeSingleUnits(t, cfg, 0, 4)
-			if !reflect.DeepEqual(wide, narrow) {
-				t.Fatalf("%v/%s: wide tally differs from merged narrow units:\nwide   %+v\nnarrow %+v",
-					pol, pr.name, wide, narrow)
-			}
-
-			// ForceNarrow opts the same range out of the wide engine and must
-			// change nothing but the width metrics — including the config key,
-			// which deliberately ignores it.
-			nc := cfg
-			nc.ForceNarrow = true
-			forced, fm, err := RunUnitsMeteredCtx(context.Background(), nc, 0, 4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if fm.WideUnits != 0 || fm.NarrowUnits != 4 {
-				t.Fatalf("%v/%s: ForceNarrow ran %d wide + %d narrow units, want 0 + 4",
-					pol, pr.name, fm.WideUnits, fm.NarrowUnits)
-			}
-			if !reflect.DeepEqual(wide, forced) {
-				t.Fatalf("%v/%s: ForceNarrow tally differs from wide", pol, pr.name)
-			}
-			wk, err := cfg.Key()
-			if err != nil {
-				t.Fatal(err)
-			}
-			nk, err := nc.Key()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if nk != wk {
-				t.Fatalf("%v/%s: ForceNarrow changed the config key", pol, pr.name)
+			single := mergeSingleUnits(t, cfg, 0, 4)
+			if !reflect.DeepEqual(wide, single) {
+				t.Fatalf("%v/%s: block tally differs from merged single units:\nblock  %+v\nsingle %+v",
+					pol, pr.name, wide, single)
 			}
 		}
 	}
 }
 
 // TestWidePartialBlockRange: a unit range that is not block-aligned at either
-// end runs its full interior blocks wide and the ragged edges narrow, and the
-// combined tally still matches the merge of single-unit runs.
+// end runs its full interior blocks whole and its ragged edges as partial
+// blocks, and the combined tally still matches the merge of single-unit runs.
 func TestWidePartialBlockRange(t *testing.T) {
 	cfg := Config{Distance: 3, Cycles: 3, P: 2e-3, Seed: 9,
 		Policy: core.PolicyEraser, Workers: 1}
@@ -110,12 +82,12 @@ func TestWidePartialBlockRange(t *testing.T) {
 		t.Fatal(err)
 	}
 	if m.WideUnits != 8 || m.NarrowUnits != 2 {
-		t.Fatalf("partial range ran %d wide + %d narrow units, want 8 + 2",
+		t.Fatalf("partial range ran %d whole-block + %d partial-block units, want 8 + 2",
 			m.WideUnits, m.NarrowUnits)
 	}
-	narrow := mergeSingleUnits(t, cfg, 2, 12)
-	if !reflect.DeepEqual(wide, narrow) {
-		t.Fatalf("partial-range tally differs from merged narrow units:\nwide   %+v\nnarrow %+v",
-			wide, narrow)
+	single := mergeSingleUnits(t, cfg, 2, 12)
+	if !reflect.DeepEqual(wide, single) {
+		t.Fatalf("partial-range tally differs from merged single units:\nrange  %+v\nsingle %+v",
+			wide, single)
 	}
 }

@@ -85,18 +85,18 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 	reg.CounterFunc("leak_sched_units_total",
 		"simulation units executed (64 lanes each); rate() of this is units/sec",
 		func() int64 { return s.units.Load() })
-	// Companion series splitting the unit total by the engine width that ran
-	// each unit. The unlabeled total above stays the source of truth (its
-	// contract — equal to UnitsExecuted — is asserted in tests); these let a
-	// dashboard watch the wide-block occupancy ratio.
+	// Companion series splitting the unit total by how each unit ran. The
+	// unlabeled total above stays the source of truth (its contract — equal
+	// to UnitsExecuted — is asserted in tests); these let a dashboard watch
+	// the whole-block occupancy ratio.
 	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed by engine width (lanes advanced per simulator step)",
+		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block, 1 on the scalar path",
 		func() int64 { return s.wideUnits.Load() }, "width", "256")
 	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed by engine width (lanes advanced per simulator step)",
+		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block, 1 on the scalar path",
 		func() int64 { return s.narrowUnits.Load() }, "width", "64")
 	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed by engine width (lanes advanced per simulator step)",
+		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block, 1 on the scalar path",
 		func() int64 { return s.scalarUnits.Load() }, "width", "1")
 	reg.GaugeFunc("leak_sched_queue_depth",
 		"admitted cold jobs not yet finished",

@@ -203,9 +203,9 @@ type Scheduler struct {
 	log *slog.Logger
 
 	units atomic.Int64
-	// wideUnits/narrowUnits/scalarUnits split the executed-unit total by the
-	// engine width that ran them (256-lane wide blocks, 64-lane narrow words,
-	// scalar). Width is a throughput property, never a correctness one — the
+	// wideUnits/narrowUnits/scalarUnits split the executed-unit total by how
+	// the units ran (whole 256-lane blocks, partial blocks, scalar). Block
+	// occupancy is a throughput property, never a correctness one — the
 	// totals feed observability only.
 	wideUnits   atomic.Int64
 	narrowUnits atomic.Int64
@@ -329,8 +329,9 @@ func (s *Scheduler) StageNanos() (simNS, decodeNS int64) {
 	return s.simNS.Load(), s.decodeNS.Load()
 }
 
-// UnitsByWidth splits UnitsExecuted by the engine width that ran each unit:
-// 256-lane wide blocks, 64-lane narrow words, and the scalar path.
+// UnitsByWidth splits UnitsExecuted by how each unit ran: in a whole
+// 256-lane block, in a partial block (range edges, shot-capped units), or on
+// the scalar path.
 func (s *Scheduler) UnitsByWidth() (wide, narrow, scalar int64) {
 	return s.wideUnits.Load(), s.narrowUnits.Load(), s.scalarUnits.Load()
 }
@@ -981,11 +982,11 @@ func needUnits(cfg experiment.Config, prec Precision, t *experiment.Tally) int {
 		next = maxShots - t.Shots
 	}
 	units := (next + us - 1) / us
-	// Round adaptive growth up to the wide engine's block size so chunks run
-	// as full 4-unit blocks instead of stranding ragged narrow tails — unless
-	// the extra units would bust the shot budget, where the ragged (narrow)
-	// tail is the correct trade. Fixed-count mode is never rounded: it must
-	// cover exactly NumUnits.
+	// Round adaptive growth up to the engine's block size so chunks run as
+	// whole 4-unit blocks instead of ending in a partial block, which costs
+	// more per unit — unless the extra units would bust the shot budget,
+	// where the partial block is the correct trade. Fixed-count mode is
+	// never rounded: it must cover exactly NumUnits.
 	if align := cfg.UnitAlign(); align > 1 {
 		if aligned := (units + align - 1) / align * align; t.Shots+aligned*us <= maxShots {
 			units = aligned
@@ -1007,10 +1008,10 @@ func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi 
 	if parts > n {
 		parts = n
 	}
-	// Interior split points floor to the wide engine's block boundaries so a
+	// Interior split points floor to the engine's block boundaries so a
 	// chunk fanned across the pool doesn't shred its 4-unit blocks into
-	// narrow fragments; the chunk's own ends stay ragged if the caller's
-	// range is (alignment only redistributes work, never changes results).
+	// partial blocks; the chunk's own ends stay ragged if the caller's range
+	// is (alignment only redistributes work, never changes results).
 	align := cfg.UnitAlign()
 	bound := func(i int) int {
 		r := lo + i*n/parts

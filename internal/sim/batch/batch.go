@@ -32,6 +32,11 @@
 // swap-back, which reads the multi-level classification of the LRC data
 // measurement — requires TrackML, which maintains the classifications as
 // two bit-planes per stabilizer ("is-leak" and "value").
+//
+// The package has two engines over these primitives. Wide, the 256-lane
+// block engine, runs every batch unit at runtime: 4 units side by side, each
+// on its own RNG stream. Simulator, the 64-lane engine described above, is
+// the reference Wide is tested against bit for bit, one unit at a time.
 package batch
 
 import (

@@ -18,8 +18,11 @@ import (
 // word ops: Go's compiler does not auto-vectorize, so a block amortizes op
 // dispatch and index arithmetic over 256 lanes, not instruction width.
 //
-// The work unit stays 64 lanes. A Wide block carries 4 consecutive units,
-// and sub-word w draws every random number from unit w's own RNG: samplers
+// Wide is the runtime engine of every batch unit; the single-word Simulator
+// stays as the reference it is tested against, bit for bit.
+//
+// The work unit stays 64 lanes. A Wide block carries up to 4 consecutive
+// units, and sub-word w draws every random number from unit w's own RNG: samplers
 // are instantiated per sub-word (4 independent geometric skip streams per
 // rate class, sharing one classTables), and every per-op sampling step is
 // guarded per sub-word exactly like the single-word engine's applyMasked
@@ -29,6 +32,11 @@ import (
 // Together with circuit.Builder.MaskedRound's canonical per-stabilizer entry
 // order, that makes a wide block bit-exact with 4 serial Simulator units:
 // same events, same readouts, same final measurements, per sub-word.
+//
+// A block with fewer than 4 units (a range edge) leaves the missing units'
+// sub-words absent: Reset gets a nil RNG for them, and an absent sub-word
+// draws nothing and stays all zero — frame, leakage, events and final
+// detectors — so every present sub-word still matches its narrow unit.
 //
 // Plane layout is flat with stride BlockWords: word w of qubit q's X plane
 // is x[q*BlockWords+w]. All exported slices alias internal buffers in this
@@ -42,6 +50,9 @@ type Wide struct {
 	TrackML bool
 
 	rng [BlockWords]*stats.RNG
+	// live is AllLanes on the sub-words Reset bound an RNG to and 0 on the
+	// absent ones; RunRound applies its ops under it.
+	live Block
 
 	x, z   []uint64 // [NumQubits*BlockWords] Pauli frame planes
 	leaked []uint64 // [NumQubits*BlockWords] leakage plane
@@ -119,7 +130,11 @@ func (s *Wide) buildClasses() {
 // Reset clears all frame state and rebinds the per-sub-word random sources
 // for a fresh block. rngs[w] must be unit w's dedicated RNG — the same one
 // the single-word engine would receive for that unit — and the sampler reset
-// order per stream matches Simulator.Reset exactly.
+// order per stream matches Simulator.Reset exactly. A nil rngs[w] marks
+// sub-word w absent for the block: its samplers are not reset, and it takes
+// no round-start noise, no RunRound op and no final measurement. Masked op
+// sequences must leave it out of every mask, as MaskedRound does for a
+// sub-word its active mask leaves zero.
 func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 	s.rng = rngs
 	s.round = 0
@@ -131,8 +146,12 @@ func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 		s.mlParLeak[i], s.mlParVal[i] = 0, 0
 		s.mlDataLeak[i], s.mlDataVal[i] = 0, 0
 	}
-	for w := 0; w < BlockWords; w++ {
-		rng := rngs[w]
+	for w, rng := range rngs {
+		s.live[w] = 0
+		if rng == nil {
+			continue
+		}
+		s.live[w] = AllLanes
 		for i := range s.depolV {
 			s.depolS[i*BlockWords+w].reset(s.depolV[i], rng)
 		}
@@ -191,14 +210,14 @@ func (s *Wide) LeakedCounts(active Block) (data, parity int) {
 }
 
 // RunRound applies round-start noise and executes one syndrome extraction
-// round on the whole block; every op applies to every lane (static
-// schedules). The returned slice holds the flat stride-BlockWords detection
-// event planes and aliases an internal buffer valid until the next call.
+// round on the block; every op applies to every lane of every present
+// sub-word (static schedules). The returned slice holds the flat
+// stride-BlockWords detection event planes and aliases an internal buffer
+// valid until the next call.
 func (s *Wide) RunRound(ops []circuit.Op) []uint64 {
 	s.beginRound()
-	full := Block{AllLanes, AllLanes, AllLanes, AllLanes}
 	for _, op := range ops {
-		s.applyMasked(op, full)
+		s.applyMasked(op, s.live)
 	}
 	return s.finishRound()
 }
@@ -329,6 +348,10 @@ func (s *Wide) FinalMeasure(ops []circuit.Op) []uint64 {
 			continue
 		}
 		for w := 0; w < BlockWords; w++ {
+			if s.live[w] == 0 {
+				s.finalData[op.Q0*BlockWords+w] = 0
+				continue
+			}
 			if s.Basis == surfacecode.KindX {
 				s.finalData[op.Q0*BlockWords+w] = s.measureXWordW(w, op.Q0, AllLanes)
 			} else {
@@ -700,6 +723,9 @@ func (s *Wide) roundStartNoise() {
 		cd := int(s.depolQ[q]) * BlockWords
 		if !n.LeakageEnabled {
 			for w := 0; w < BlockWords; w++ {
+				if s.live[w] == 0 {
+					continue
+				}
 				if m := s.depolS[cd+w].next(); m != 0 {
 					s.depolarize1MaskW(w, q, m)
 				}
@@ -709,6 +735,9 @@ func (s *Wide) roundStartNoise() {
 		cs, cl := int(s.seepQ[q])*BlockWords, int(s.leakQ[q])*BlockWords
 		lk := blk(s.leaked, q)
 		for w := 0; w < BlockWords; w++ {
+			if s.live[w] == 0 {
+				continue
+			}
 			lkw := lk[w]
 			if lkw != 0 {
 				s.unleakMaskW(w, q, s.seepS[cs+w].next()&lkw)

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -15,18 +16,32 @@ import (
 // after every round: detection events, leakage planes, ML planes, final
 // detectors and observable flips. planFor assigns each (round, global lane)
 // its plan; masked selects RunRoundMasked vs the static RunRound path (the
-// latter requires planFor to ignore the lane).
+// latter requires planFor to ignore the lane). The absent sub-words get a
+// nil RNG and no lanes: they have no narrow counterpart, and their frame,
+// leakage, event, ML and final words must stay zero throughout.
 func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
-	trackML, masked bool, rounds int, active Block, planFor func(r, lane int) circuit.Plan) {
+	trackML, masked bool, rounds int, active Block, absent []int, planFor func(r, lane int) circuit.Plan) {
 	t.Helper()
 	l := surfacecode.MustNew(d)
 
 	ws := NewWide(l, n, surfacecode.KindZ)
 	ws.TrackML = trackML
 	ws.UseRates(rates)
+	// A throwaway full block first: Reset must clear all of its state, and
+	// an absent sub-word must not draw from its stale streams.
+	var warm [BlockWords]*stats.RNG
+	for w := range warm {
+		warm[w] = stats.NewRNG(7, uint64(w))
+	}
+	ws.Reset(warm)
+	ws.RunRound(circuit.NewBuilder(l).Round(circuit.Plan{}))
 	var rngs [BlockWords]*stats.RNG
-	ns := make([]*Simulator, BlockWords)
+	ns := make([]*Simulator, BlockWords) // nil on absent sub-words
 	for w := 0; w < BlockWords; w++ {
+		if slices.Contains(absent, w) {
+			active[w] = 0
+			continue
+		}
 		rngs[w] = stats.NewRNG(1000+uint64(w), uint64(w))
 		ns[w] = New(l, n, surfacecode.KindZ)
 		ns[w].TrackML = trackML
@@ -49,6 +64,9 @@ func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
 			}
 			evW = ws.RunRoundMasked(wb.MaskedRound(widePlans, active))
 			for w := 0; w < BlockWords; w++ {
+				if ns[w] == nil {
+					continue
+				}
 				for i := range narrowPlans {
 					narrowPlans[i] = planFor(r, w*Lanes+i)
 				}
@@ -59,12 +77,22 @@ func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
 			plan := planFor(r, 0)
 			evW = ws.RunRound(wb.Round(plan))
 			for w := 0; w < BlockWords; w++ {
+				if ns[w] == nil {
+					continue
+				}
 				ev := ns[w].RunRound(nb.Round(plan))
 				evN[w] = append([]uint64(nil), ev...)
 			}
 		}
 		for i := range l.Stabilizers {
 			for w := 0; w < BlockWords; w++ {
+				j := i*BlockWords + w
+				if ns[w] == nil {
+					if evW[j]|ws.MLParityLeak()[j]|ws.MLParityVal()[j] != 0 {
+						t.Fatalf("round %d absent sub-word %d stab %d: event or ML words set", r, w, i)
+					}
+					continue
+				}
 				if evW[i*BlockWords+w] != evN[w][i] {
 					t.Fatalf("round %d sub-word %d stab %d: wide events %b, narrow %b",
 						r, w, i, evW[i*BlockWords+w], evN[w][i])
@@ -82,6 +110,12 @@ func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
 		for q := 0; q < l.NumQubits; q++ {
 			lk := ws.LeakedBlock(q)
 			for w := 0; w < BlockWords; w++ {
+				if ns[w] == nil {
+					if j := q*BlockWords + w; lk[w]|ws.x[j]|ws.z[j] != 0 {
+						t.Fatalf("round %d absent sub-word %d qubit %d: frame or leakage set", r, w, q)
+					}
+					continue
+				}
 				if lk[w] != ns[w].LeakedWord(q) {
 					t.Fatalf("round %d sub-word %d qubit %d: wide leaked %b, narrow %b",
 						r, w, q, lk[w], ns[w].LeakedWord(q))
@@ -92,6 +126,17 @@ func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
 
 	fdetW, obsW := ws.FinalRound(wb.FinalMeasurement())
 	for w := 0; w < BlockWords; w++ {
+		if ns[w] == nil {
+			for i := range l.Stabilizers {
+				if fdetW[i*BlockWords+w] != 0 {
+					t.Fatalf("absent sub-word %d final detector %d set", w, i)
+				}
+			}
+			if obsW[w] != 0 {
+				t.Fatalf("absent sub-word %d observable set", w)
+			}
+			continue
+		}
 		fdetN, obsN := ns[w].FinalRound(nb.FinalMeasurement())
 		for i := range l.Stabilizers {
 			if fdetW[i*BlockWords+w] != fdetN[i] {
@@ -118,7 +163,7 @@ func TestWideMatchesNarrowStatic(t *testing.T) {
 			{Data: 12, Stab: l.SwapPrimary[12]}}},
 		{LRCs: []circuit.LRC{{Data: 7, Stab: l.SwapPrimary[7]}}, Protocol: circuit.ProtocolDQLR},
 	}
-	compareWideNarrow(t, 5, noise.Standard(4e-3), nil, false, false, 9, fullBlock(),
+	compareWideNarrow(t, 5, noise.Standard(4e-3), nil, false, false, 9, fullBlock(), nil,
 		func(r, _ int) circuit.Plan { return plans[(r-1)%len(plans)] })
 }
 
@@ -127,7 +172,7 @@ func TestWideMatchesNarrowStatic(t *testing.T) {
 // (TrackML), stays bit-exact with the narrow engine.
 func TestWideMatchesNarrowMasked(t *testing.T) {
 	l := surfacecode.MustNew(5)
-	compareWideNarrow(t, 5, noise.Standard(4e-3), nil, true, true, 9, fullBlock(),
+	compareWideNarrow(t, 5, noise.Standard(4e-3), nil, true, true, 9, fullBlock(), nil,
 		func(r, lane int) circuit.Plan {
 			if (lane+r)%3 != 0 {
 				return circuit.Plan{}
@@ -161,7 +206,7 @@ func TestWideMatchesNarrowProfile(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			compareWideNarrow(t, 5, p.Base, rates, false, true, 7, fullBlock(),
+			compareWideNarrow(t, 5, p.Base, rates, false, true, 7, fullBlock(), nil,
 				func(r, lane int) circuit.Plan {
 					if (lane+r)%4 != 0 {
 						return circuit.Plan{}
@@ -178,7 +223,7 @@ func TestWideMatchesNarrowProfile(t *testing.T) {
 func TestWideMatchesNarrowPartialMask(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	active := Block{AllLanes, LaneMask(17), 0, LaneMask(63)}
-	compareWideNarrow(t, 3, noise.Standard(5e-3), nil, false, true, 6, active,
+	compareWideNarrow(t, 3, noise.Standard(5e-3), nil, false, true, 6, active, nil,
 		func(r, lane int) circuit.Plan {
 			if (lane+r)%5 != 0 {
 				return circuit.Plan{}
@@ -186,4 +231,38 @@ func TestWideMatchesNarrowPartialMask(t *testing.T) {
 			q := (lane + r) % l.NumData
 			return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
 		})
+}
+
+// TestWideMatchesNarrowAbsentSubWords: a block whose sub-words 1 and 3 are
+// absent (nil RNG, as at a range edge) keeps sub-words 0 and 2 bit-exact with
+// their narrow units on the static and the masked path, and leaves the absent
+// ones untouched. Leakage rates are raised so leaked-operand handling, which
+// draws per lane, runs in every round.
+func TestWideMatchesNarrowAbsentSubWords(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	n := noise.Standard(4e-3)
+	n.PLeak *= 10
+	absent := []int{1, 3}
+	t.Run("static", func(t *testing.T) {
+		plans := []circuit.Plan{
+			{LRCs: []circuit.LRC{{Data: 3, Stab: l.SwapPrimary[3]}}},
+			{LRCs: []circuit.LRC{{Data: 9, Stab: l.SwapPrimary[9]}}, Protocol: circuit.ProtocolDQLR},
+		}
+		compareWideNarrow(t, 5, n, nil, false, false, 8, fullBlock(), absent,
+			func(r, _ int) circuit.Plan { return plans[r%len(plans)] })
+	})
+	t.Run("masked", func(t *testing.T) {
+		active := Block{LaneMask(40), AllLanes, AllLanes, AllLanes}
+		compareWideNarrow(t, 5, n, nil, true, true, 8, active, absent,
+			func(r, lane int) circuit.Plan {
+				if (lane+r)%3 != 0 {
+					return circuit.Plan{}
+				}
+				q := (lane*7 + r) % l.NumData
+				return circuit.Plan{
+					LRCs:       []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
+					CondReturn: true,
+				}
+			})
+	})
 }
