@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"context"
+	"math"
 	"slices"
 	"testing"
 
@@ -374,19 +375,12 @@ func BenchmarkAblationMatcher(b *testing.B) {
 	for i := range xs {
 		xs[i], ys[i] = rng.Float64()*10, rng.Float64()*10
 	}
-	inst := matching.Instance{
-		N: n,
-		PairWeight: func(i, j int) float64 {
-			dx, dy := xs[i]-xs[j], ys[i]-ys[j]
-			if dx < 0 {
-				dx = -dx
-			}
-			if dy < 0 {
-				dy = -dy
-			}
-			return dx + dy
-		},
-		BoundaryWeight: func(i int) float64 { return 3 + xs[i]/10 },
+	inst := matching.Instance{N: n, Pair: make([]float64, n*n), Boundary: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		inst.Boundary[i] = 3 + xs[i]/10
+		for j := 0; j < n; j++ {
+			inst.Pair[i*n+j] = math.Abs(xs[i]-xs[j]) + math.Abs(ys[i]-ys[j])
+		}
 	}
 	var exact, refined matching.Result
 	for i := 0; i < b.N; i++ {
@@ -696,7 +690,10 @@ func BenchmarkStoreWarmVsCold(b *testing.B) {
 //   - "decode-steady" times the batched decode of one pre-filled 64-lane
 //     collector on warmed arenas. It must report 0 allocs/op — CI greps the
 //     -benchmem output, so the warm-up happens before ResetTimer to keep the
-//     figure exact even at -benchtime 2x.
+//     figure exact even at -benchtime 2x. The mwpm and unionfind units are
+//     sparse (d=5, ~3 events per lane); "decode-steady/mwpm-dense" decodes
+//     one simulated d=7 Always unit at p=1e-3 (denseUnitD7), whose leak
+//     chains reach greedy matching and full-size exact DP tables.
 func BenchmarkDecodeVsSim(b *testing.B) {
 	b.Run("stages", func(b *testing.B) {
 		cfg := experiment.Config{Distance: 5, Cycles: 4, P: 1e-3, Shots: 1024,
@@ -762,6 +759,52 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 				"decode_ns/shot")
 		})
 	}
+	b.Run("decode-steady/mwpm-dense", func(b *testing.B) {
+		l, col := denseUnitD7()
+		dec := decoder.New(l, decoder.DefaultConfig())
+		for i := 0; i < 3; i++ { // grow arenas to steady state
+			dec.DecodeBatch(col)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec.DecodeBatch(col)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*decoder.BatchLanes),
+			"decode_ns/shot")
+	})
+}
+
+// denseUnitD7 simulates one 64-shot unit of the decode-bound Figure-14
+// point, Always LRCs at d=7, 7 cycles (49 rounds), p=1e-3, and returns its
+// detection events in a collector, as the runner collects them. Leaked
+// parity qubits fill its lanes with time chains: dozens of events per lane
+// and clusters past matching.DefaultMaxExact.
+func denseUnitD7() (*surfacecode.Layout, *decoder.BatchCollector) {
+	l := surfacecode.MustNew(7)
+	const rounds = 49
+	ws := batch.NewWide(l, noise.Standard(1e-3), surfacecode.KindZ)
+	var rngs [batch.BlockWords]*stats.RNG
+	for w := range rngs {
+		rngs[w] = stats.NewRNG(2023, uint64(w))
+	}
+	ws.Reset(rngs)
+	var ks []decoder.StabMap
+	for i := range l.Stabilizers {
+		if l.Stabilizers[i].Kind == surfacecode.KindZ {
+			ks = append(ks, decoder.StabMap{Idx: int32(i), Ord: int32(l.ZOrdinal(i))})
+		}
+	}
+	pol := core.NewPolicy(core.PolicyAlways, l, circuit.ProtocolSwap)
+	builder := circuit.NewBuilder(l)
+	col := decoder.NewBatchCollector()
+	for r := 1; r <= rounds; r++ {
+		col.AddWideWords(ws.RunRound(builder.Round(pol.PlanRound(r))), batch.BlockWords, 0, ks, r, batch.AllLanes)
+	}
+	fdet, _ := ws.FinalRound(builder.FinalMeasurement())
+	col.AddWideWords(fdet, batch.BlockWords, 0, ks, rounds+1, batch.AllLanes)
+	return l, col
 }
 
 // -------------------------------------------------------- substrate micro
@@ -777,19 +820,23 @@ func BenchmarkSimRoundD7(b *testing.B) {
 	}
 }
 
+// BenchmarkDecodeD7 decodes the densest shot of denseUnitD7: one lane of a
+// simulated d=7 Always unit at p=1e-3, leak chains included.
 func BenchmarkDecodeD7(b *testing.B) {
-	l := surfacecode.MustNew(7)
+	l, col := denseUnitD7()
 	dec := decoder.New(l, decoder.DefaultConfig())
-	rng := stats.NewRNG(2, 2)
-	// A representative flooded shot: 40 events across 70 rounds.
-	events := make([]decoder.Event, 40)
-	for i := range events {
-		events[i] = decoder.Event{Z: rng.IntN(l.NumZ()), Round: 1 + rng.IntN(70)}
+	var events []decoder.Event
+	for lane := 0; lane < decoder.BatchLanes; lane++ {
+		if ev := col.Lane(lane); len(ev) > len(events) {
+			events = ev
+		}
 	}
+	dec.Decode(events)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		dec.Decode(events)
 	}
+	b.ReportMetric(float64(len(events)), "events")
 }
 
 func BenchmarkQuditCNOT(b *testing.B) {

@@ -14,6 +14,7 @@ package decoder
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"sync"
 
@@ -55,6 +56,53 @@ type Config struct {
 // DefaultConfig returns unit space/time weights.
 func DefaultConfig() Config { return Config{SpaceWeight: 1, TimeWeight: 1} }
 
+// MaxExactLimit is the largest Config.MaxExact a decoder accepts: the exact
+// matcher's tables are indexed by subset, 2^MaxExact entries.
+const MaxExactLimit = 20
+
+// Validate reports whether the config builds a working decoder for the
+// distance-d layout: every weight, scalar or per site, finite and
+// non-negative; per-site vectors, when set, exactly one weight per data
+// qubit (SpaceWeights) or per stabilizer (TimeWeights); and MaxExact in
+// [0, MaxExactLimit], where 0 means the default. The layout is built only
+// to check vector lengths, so configs without per-site vectors stay cheap
+// to validate.
+func (c Config) Validate(d int) error {
+	if badWeight(c.SpaceWeight) || badWeight(c.TimeWeight) {
+		return fmt.Errorf("decoder: space/time weights %g/%g, want finite and >= 0", c.SpaceWeight, c.TimeWeight)
+	}
+	if c.MaxExact < 0 || c.MaxExact > MaxExactLimit {
+		return fmt.Errorf("decoder: MaxExact %d outside [0, %d]", c.MaxExact, MaxExactLimit)
+	}
+	if c.SpaceWeights == nil && c.TimeWeights == nil {
+		return nil
+	}
+	l, err := surfacecode.New(d)
+	if err != nil {
+		return fmt.Errorf("decoder: %w", err)
+	}
+	if c.SpaceWeights != nil && len(c.SpaceWeights) != l.NumData {
+		return fmt.Errorf("decoder: %d space weights for %d data qubits", len(c.SpaceWeights), l.NumData)
+	}
+	for q, w := range c.SpaceWeights {
+		if badWeight(w) {
+			return fmt.Errorf("decoder: space weight of data qubit %d is %g, want finite and >= 0", q, w)
+		}
+	}
+	if c.TimeWeights != nil && len(c.TimeWeights) != len(l.Stabilizers) {
+		return fmt.Errorf("decoder: %d time weights for %d stabilizers", len(c.TimeWeights), len(l.Stabilizers))
+	}
+	for i, w := range c.TimeWeights {
+		if badWeight(w) {
+			return fmt.Errorf("decoder: time weight of stabilizer %d is %g, want finite and >= 0", i, w)
+		}
+	}
+	return nil
+}
+
+// badWeight reports a negative, infinite or NaN weight.
+func badWeight(w float64) bool { return !(w >= 0) || math.IsInf(w, 1) }
+
 // Event is one detection event at (kind-ordinal, round); Z holds the dense
 // ordinal of the stabilizer among its kind (surfacecode.Layout.KindOrdinal).
 // The final transversal-measurement detector layer uses round = rounds+1.
@@ -69,15 +117,23 @@ type Event struct {
 // decoder instances via a content-keyed cache, so they must never be
 // mutated after construction.
 type spaceTable struct {
-	// dist[a][b] is the shortest space-graph distance between Z ordinals a
-	// and b; index nz is the boundary node.
-	dist [][]float64
-	// cross[a][b] is 1 when the shortest path crosses the logical-Z support
-	// an odd number of times.
-	cross [][]uint8
+	// dist[a*stride+b] is the shortest space-graph distance between Z
+	// ordinals a and b (stride = nz+1); ordinal nz is the boundary node.
+	// Row a is Dijkstra from a, so with non-uniform weights dist[a][b] and
+	// dist[b][a] can differ in the last bit: the sums run in different
+	// orders.
+	dist []float64
+	// cross[a*stride+b] is 1 when the shortest path crosses the logical-Z
+	// support an odd number of times.
+	cross []uint8
 	// tw[a] is the time-edge weight of kind-ordinal a (uniformly
 	// cfg.TimeWeight unless cfg.TimeWeights is set).
 	tw []float64
+	// twMin is the smallest time weight. scanCut is set when every time
+	// weight and distance is non-negative, so a pair's weight is at least
+	// its time cost, which Decode's cluster pass uses to end its scans.
+	twMin   float64
+	scanCut bool
 }
 
 var spaceTables sync.Map // string key -> *spaceTable
@@ -142,8 +198,11 @@ type Decoder struct {
 	root   []int32
 	done   []bool
 	sub    []int32
-	ws     matching.Workspace
-	inst   matching.Instance // prebuilt closures over events/sub/bw
+	// pair and bound are the current cluster's matching.Instance tables,
+	// grown to the high-water cluster size.
+	pair  []float64
+	bound []float64
+	ws    matching.Workspace
 }
 
 // New builds the memory-Z decoder for a layout.
@@ -164,18 +223,6 @@ func NewForKind(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *Decod
 	}
 	d := &Decoder{cfg: cfg, layout: l, kind: kind, nz: l.NumKind(kind)}
 	d.tab = sharedSpaceTable(l, cfg, kind)
-	// The matching instance's closures are built once here — not per
-	// cluster — so the per-shot matching setup is allocation-free. They
-	// read the current cluster through d.sub/d.events/d.bw.
-	d.inst = matching.Instance{
-		MaxExact: cfg.MaxExact,
-		PairWeight: func(i, j int) float64 {
-			return d.pairWeight(int(d.sub[i]), int(d.sub[j]))
-		},
-		BoundaryWeight: func(i int) float64 {
-			return d.bw[d.sub[i]]
-		},
-	}
 	return d
 }
 
@@ -228,10 +275,20 @@ func buildSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *
 		}
 	}
 
-	t.dist = make([][]float64, n)
-	t.cross = make([][]uint8, n)
+	t.dist = make([]float64, 0, n*n)
+	t.cross = make([]uint8, 0, n*n)
 	for src := 0; src < n; src++ {
-		t.dist[src], t.cross[src] = dijkstra(adj, src)
+		dist, cross := dijkstra(adj, src)
+		t.dist = append(t.dist, dist...)
+		t.cross = append(t.cross, cross...)
+	}
+	t.twMin = math.Inf(1)
+	for _, w := range t.tw {
+		t.twMin = min(t.twMin, w) // NaN-propagating
+	}
+	t.scanCut = t.twMin >= 0
+	for _, v := range t.dist {
+		t.scanCut = t.scanCut && v >= 0
 	}
 	return t
 }
@@ -270,23 +327,29 @@ func dijkstra(adj [][]spaceEdge, src int) ([]float64, []uint8) {
 }
 
 // SpaceDistance exposes the precomputed Z-ordinal space distance (tests).
-func (d *Decoder) SpaceDistance(a, b int) float64 { return d.tab.dist[a][b] }
+func (d *Decoder) SpaceDistance(a, b int) float64 { return d.tab.dist[a*(d.nz+1)+b] }
 
 // BoundaryDistance exposes the distance from Z ordinal a to the boundary.
-func (d *Decoder) BoundaryDistance(a int) float64 { return d.tab.dist[a][d.nz] }
+func (d *Decoder) BoundaryDistance(a int) float64 { return d.tab.dist[a*(d.nz+1)+d.nz] }
 
 // pairWeight is the space+time cost of matching events i and j of the
 // current shot.
 func (d *Decoder) pairWeight(i, j int) float64 {
 	a, b := d.events[i], d.events[j]
+	return d.tab.dist[a.Z*(d.nz+1)+b.Z] + timeCost(d.tab.tw, a, b)
+}
+
+// timeCost is the time part of the cost of matching events a and b: the
+// per-ordinal time weights, averaged over the pair, per round of
+// separation. With uniform weights (w+w)/2 == w exactly, so this is
+// bit-identical to the historical TimeWeight*dt cost; it is symmetric in a
+// and b, bit for bit, since float addition commutes.
+func timeCost(tw []float64, a, b Event) float64 {
 	dt := a.Round - b.Round
 	if dt < 0 {
 		dt = -dt
 	}
-	// Per-ordinal time weights, averaged over the pair; with uniform
-	// weights (w+w)/2 == w exactly, so this is bit-identical to the
-	// historical TimeWeight*dt cost.
-	return d.tab.dist[a.Z][b.Z] + (d.tab.tw[a.Z]+d.tab.tw[b.Z])/2*float64(dt)
+	return (tw[a.Z] + tw[b.Z]) / 2 * float64(dt)
 }
 
 // Decode matches the detection events and returns the predicted logical
@@ -310,24 +373,29 @@ func (d *Decoder) Decode(events []Event) uint8 {
 		return 0
 	}
 	d.events = events
-	tab := d.tab
+	stride, bnd := d.nz+1, d.nz
+	dist, cross, tw := d.tab.dist, d.tab.cross, d.tab.tw
 	// Allocation-free fast paths for the one- and two-event shots that
 	// dominate at low physical error rates.
 	if n == 1 {
-		return tab.cross[events[0].Z][d.nz]
+		return cross[events[0].Z*stride+bnd]
 	}
 	if n == 2 {
-		b0, b1 := tab.dist[events[0].Z][d.nz], tab.dist[events[1].Z][d.nz]
-		if d.pairWeight(0, 1) < b0+b1 {
-			return tab.cross[events[0].Z][events[1].Z]
+		z0, z1 := events[0].Z, events[1].Z
+		if d.pairWeight(0, 1) < dist[z0*stride+bnd]+dist[z1*stride+bnd] {
+			return cross[z0*stride+z1]
 		}
-		return tab.cross[events[0].Z][d.nz] ^ tab.cross[events[1].Z][d.nz]
+		return cross[z0*stride+bnd] ^ cross[z1*stride+bnd]
 	}
 	d.grow(n)
 	bw := d.bw[:n]
+	bwMax, sorted := math.Inf(-1), true
 	for i, e := range events {
-		bw[i] = tab.dist[e.Z][d.nz]
+		bw[i] = dist[e.Z*stride+bnd]
+		bwMax = max(bwMax, bw[i])
+		sorted = sorted && (i == 0 || e.Round >= events[i-1].Round)
 	}
+	scanCut := sorted && d.tab.scanCut
 
 	// Union-find over the edges that can participate in an optimal matching.
 	parent := d.parent[:n]
@@ -341,9 +409,22 @@ func (d *Decoder) Decode(events []Event) uint8 {
 		}
 		return v
 	}
-	for i := 0; i < n; i++ {
+	for i, a := range events {
+		row := dist[a.Z*stride : a.Z*stride+stride]
+		// With events in round order, the scan from i can stop at the first
+		// event whose time cost alone reaches bw[i]+max(bw): no later pair
+		// is lighter than boundary-matching both of its events. The cut is
+		// exact, so the clusters are those of the full scan.
+		endRound := math.MaxInt
+		if scanCut {
+			endRound = a.Round + cutRounds((tw[a.Z]+d.tab.twMin)/2, bw[i]+bwMax)
+		}
 		for j := i + 1; j < n; j++ {
-			if d.pairWeight(i, j) < bw[i]+bw[j] {
+			b := events[j]
+			if b.Round >= endRound {
+				break
+			}
+			if row[b.Z]+timeCost(tw, a, b) < bw[i]+bw[j] {
 				if ri, rj := find(int32(i)), find(int32(j)); ri != rj {
 					parent[ri] = rj
 				}
@@ -377,21 +458,72 @@ func (d *Decoder) Decode(events []Event) uint8 {
 		d.sub = sub
 		if len(sub) == 1 {
 			// A lone event always boundary-matches.
-			flip ^= tab.cross[events[sub[0]].Z][d.nz]
+			flip ^= cross[events[sub[0]].Z*stride+bnd]
 			continue
 		}
-		d.inst.N = len(sub)
-		res := d.ws.Solve(d.inst)
+		res := d.ws.Solve(d.instance(sub))
 		for i, j := range res.Mate {
+			za := events[sub[i]].Z
 			switch {
 			case j == matching.Boundary:
-				flip ^= tab.cross[events[sub[i]].Z][d.nz]
+				flip ^= cross[za*stride+bnd]
 			case j > i:
-				flip ^= tab.cross[events[sub[i]].Z][events[sub[j]].Z]
+				flip ^= cross[za*stride+events[sub[j]].Z]
 			}
 		}
 	}
 	return flip
+}
+
+// cutRounds returns a round separation k such that h*dt >= lim, in float64
+// arithmetic, for every dt >= k. With h = (tw[a.Z]+twMin)/2, every event
+// at least k rounds after a has a time cost, and so a pair weight, of at
+// least lim (float rounding is monotone). It returns MaxInt/2 when no
+// useful k exists, which leaves the scan uncut.
+func cutRounds(h, lim float64) int {
+	q := lim / h
+	if !(h > 0 && q < 1<<30) {
+		return math.MaxInt / 2
+	}
+	k := max(int(math.Ceil(q)), 0)
+	for float64(k)*h < lim {
+		k++
+	}
+	return k
+}
+
+// instance fills the matching tables of the cluster sub (event indices of
+// the current shot) and returns them as an instance.
+//
+// Every entry holds pairWeight(sub[a], sub[b]) for its own ordered pair,
+// not a mirrored copy of the upper triangle. Under device-profile priors
+// the Dijkstra table is not exactly symmetric: at d=7 a drift profile's
+// dist[a][b] and dist[b][a] differ in the last bit in 64-130 of the 625
+// entries (20 seeds checked). The 2-opt pass reads both orientations,
+// so a mirrored table would move its tie decisions, and with them
+// predicted flips. The time cost is symmetric bit for bit and is computed
+// once per pair.
+func (d *Decoder) instance(sub []int32) matching.Instance {
+	m := len(sub)
+	if cap(d.bound) < m {
+		d.bound = make([]float64, m)
+	}
+	if cap(d.pair) < m*m {
+		d.pair = make([]float64, m*m)
+	}
+	pair, bound := d.pair[:m*m], d.bound[:m]
+	stride, dist, tw := d.nz+1, d.tab.dist, d.tab.tw
+	for a, ia := range sub {
+		ea := d.events[ia]
+		bound[a] = d.bw[ia]
+		for b := a + 1; b < m; b++ {
+			eb := d.events[sub[b]]
+			t := timeCost(tw, ea, eb)
+			pair[a*m+b] = dist[ea.Z*stride+eb.Z] + t
+			pair[b*m+a] = dist[eb.Z*stride+ea.Z] + t
+		}
+	}
+	return matching.Instance{N: m, Pair: pair, Boundary: bound, MaxExact: d.cfg.MaxExact}
 }
 
 // grow sizes the scratch arenas for an n-event shot.

@@ -1,15 +1,27 @@
 package experiment
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/decoder"
 	"repro/internal/device"
+	"repro/internal/surfacecode"
 )
 
 func uniformProfile(t *testing.T, d int, p float64) *device.Profile {
 	t.Helper()
 	prof, err := device.Uniform(d, p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prof
+}
+
+func driftProfile(t *testing.T, d int, p, sigma float64, seed uint64) *device.Profile {
+	t.Helper()
+	prof, err := device.Drift(d, p, sigma, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,5 +208,82 @@ func TestProfileValidation(t *testing.T) {
 	cfg.Profile.P[0] = 2 // not a probability
 	if err := cfg.Validate(); err == nil {
 		t.Error("invalid profile rate passed Validate")
+	}
+}
+
+// TestValidateDecoderConfig: Validate rejects decoder settings that would
+// crash a worker (a per-site weight vector of the wrong length), mis-key a
+// run (a negative MaxExact runs as the default but keys differently) or
+// allocate 2^MaxExact tables past the limit, plus negative and non-finite
+// weights; the defaults, explicit per-site priors of the right shape and
+// heterogeneous-profile configs still validate.
+func TestValidateDecoderConfig(t *testing.T) {
+	const d = 5
+	l := surfacecode.MustNew(d)
+	ones := func(n int) []float64 {
+		w := make([]float64, n)
+		for i := range w {
+			w[i] = 1
+		}
+		return w
+	}
+	with := func(i int, v float64, w []float64) []float64 {
+		w[i] = v
+		return w
+	}
+	rates, err := hotspotProfile(t, d, 1e-3, 2, 6).Resolve(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	space, timeW := rates.DecoderPriors(l)
+	base := Config{Distance: d, Cycles: 2, P: 1e-3, Shots: 64, Seed: 1, Policy: core.PolicyEraser}
+
+	bad := map[string]decoder.Config{
+		"space weights short":      {SpaceWeights: ones(l.NumData - 1)},
+		"space weights long":       {SpaceWeights: ones(l.NumData + 1)},
+		"space weights empty":      {SpaceWeights: []float64{}},
+		"time weights short":       {TimeWeights: ones(len(l.Stabilizers) - 1)},
+		"time weights long":        {TimeWeights: ones(len(l.Stabilizers) + 1)},
+		"space weight negative":    {SpaceWeights: with(3, -1, ones(l.NumData))},
+		"space weight NaN":         {SpaceWeights: with(0, math.NaN(), ones(l.NumData))},
+		"space weight +Inf":        {SpaceWeights: with(l.NumData-1, math.Inf(1), ones(l.NumData))},
+		"time weight negative":     {TimeWeights: with(2, -0.5, ones(len(l.Stabilizers)))},
+		"time weight NaN":          {TimeWeights: with(1, math.NaN(), ones(len(l.Stabilizers)))},
+		"scalar space negative":    {SpaceWeight: -1, TimeWeight: 1},
+		"scalar space NaN":         {SpaceWeight: math.NaN(), TimeWeight: 1},
+		"scalar time +Inf":         {SpaceWeight: 1, TimeWeight: math.Inf(1)},
+		"scalar time -Inf":         {SpaceWeight: 1, TimeWeight: math.Inf(-1)},
+		"MaxExact negative":        {MaxExact: -1},
+		"MaxExact above the limit": {MaxExact: decoder.MaxExactLimit + 1},
+		"MaxExact 64":              {MaxExact: 64},
+	}
+	for name, dc := range bad {
+		cfg := base
+		cfg.Decoder = dc
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s: passed Validate", name)
+		}
+	}
+
+	good := map[string]func(*Config){
+		"zero decoder config":   func(*Config) {},
+		"default decoder":       func(c *Config) { c.Decoder = decoder.DefaultConfig() },
+		"zero space weight":     func(c *Config) { c.Decoder = decoder.Config{SpaceWeight: 0, TimeWeight: 1} },
+		"MaxExact 12":           func(c *Config) { c.Decoder.MaxExact = 12 },
+		"MaxExact at the limit": func(c *Config) { c.Decoder.MaxExact = decoder.MaxExactLimit },
+		"explicit priors":       func(c *Config) { c.Decoder = decoder.Config{SpaceWeights: space, TimeWeights: timeW} },
+		"hotspot profile":       func(c *Config) { c.Profile = hotspotProfile(t, d, 1e-3, 2, 6) },
+		"drift profile":         func(c *Config) { c.Profile = driftProfile(t, d, 1e-3, 0.5, 11) },
+		"profile and priors": func(c *Config) {
+			c.Profile = hotspotProfile(t, d, 1e-3, 2, 6)
+			c.Decoder = decoder.Config{SpaceWeights: space, TimeWeights: timeW}
+		},
+	}
+	for name, set := range good {
+		cfg := base
+		set(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
 	}
 }

@@ -244,12 +244,16 @@ func CheckDistance(d int) error {
 }
 
 // Validate reports whether the config describes a runnable experiment:
-// representable distance, known policy/protocol/basis ordinals, valid noise
-// parameters, and (when set) a device profile whose shape and rates check
-// out for the config's distance. Run panics on invalid configs; front ends
-// call this first to fail requests gracefully instead.
+// representable distance, known policy/protocol/basis ordinals, decoder
+// settings that build a working decoder (decoder.Config.Validate), valid
+// noise parameters, and (when set) a device profile whose shape and rates
+// check out for the config's distance. Run panics on invalid configs; front
+// ends call this first to fail requests gracefully instead.
 func (c Config) Validate() error {
 	if err := CheckDistance(c.Distance); err != nil {
+		return err
+	}
+	if err := c.Decoder.Validate(c.Distance); err != nil {
 		return err
 	}
 	if c.Policy > core.PolicyOptimal {

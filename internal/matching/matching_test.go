@@ -7,26 +7,30 @@ import (
 	"testing/quick"
 )
 
-// randomInstance builds an instance with symmetric random weights.
-func randomInstance(rng *rand.Rand, n int) (Instance, [][]float64, []float64) {
-	pair := make([][]float64, n)
-	for i := range pair {
-		pair[i] = make([]float64, n)
-	}
-	bound := make([]float64, n)
+// tableInstance tabulates a symmetric weight function into an instance.
+func tableInstance(n int, pair func(i, j int) float64, bound func(i int) float64) Instance {
+	inst := Instance{N: n, Pair: make([]float64, n*n), Boundary: make([]float64, n)}
 	for i := 0; i < n; i++ {
-		bound[i] = rng.Float64() * 4
+		inst.Boundary[i] = bound(i)
 		for j := i + 1; j < n; j++ {
-			w := rng.Float64() * 4
-			pair[i][j], pair[j][i] = w, w
+			w := pair(i, j)
+			inst.Pair[i*n+j], inst.Pair[j*n+i] = w, w
 		}
 	}
-	inst := Instance{
-		N:              n,
-		PairWeight:     func(i, j int) float64 { return pair[i][j] },
-		BoundaryWeight: func(i int) float64 { return bound[i] },
+	return inst
+}
+
+// randomInstance builds an instance with symmetric random weights.
+func randomInstance(rng *rand.Rand, n int) Instance {
+	inst := Instance{N: n, Pair: make([]float64, n*n), Boundary: make([]float64, n)}
+	for i := 0; i < n; i++ {
+		inst.Boundary[i] = rng.Float64() * 4
+		for j := i + 1; j < n; j++ {
+			w := rng.Float64() * 4
+			inst.Pair[i*n+j], inst.Pair[j*n+i] = w, w
+		}
 	}
-	return inst, pair, bound
+	return inst
 }
 
 // bruteForce enumerates every matching recursively (n <= 8).
@@ -44,10 +48,10 @@ func bruteForce(inst Instance) float64 {
 		for mask&(1<<i) == 0 {
 			i++
 		}
-		best := inst.BoundaryWeight(i) + rec(mask&^(1<<i))
+		best := inst.Boundary[i] + rec(mask&^(1<<i))
 		for j := i + 1; j < inst.N; j++ {
 			if mask&(1<<j) != 0 {
-				if w := inst.PairWeight(i, j) + rec(mask&^(1<<i)&^(1<<j)); w < best {
+				if w := inst.Pair[i*inst.N+j] + rec(mask&^(1<<i)&^(1<<j)); w < best {
 					best = w
 				}
 			}
@@ -77,7 +81,7 @@ func TestExactMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewPCG(1, 2))
 	for trial := 0; trial < 200; trial++ {
 		n := rng.IntN(9)
-		inst, _, _ := randomInstance(rng, n)
+		inst := randomInstance(rng, n)
 		got := Exact(inst)
 		validMatching(t, inst, got)
 		want := bruteForce(inst)
@@ -91,7 +95,7 @@ func TestGreedyAndRefineBounds(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 4))
 	for trial := 0; trial < 100; trial++ {
 		n := rng.IntN(13)
-		inst, _, _ := randomInstance(rng, n)
+		inst := randomInstance(rng, n)
 		exact := Exact(inst)
 		greedy := Greedy(inst)
 		refined := Refine(inst, greedy, 16)
@@ -114,11 +118,9 @@ func TestGreedyAndRefineBounds(t *testing.T) {
 func TestRefineFixesCrossedPairs(t *testing.T) {
 	// Events on a line at 0, 1, 2, 3; pair cost = distance; boundary = 100.
 	pos := []float64{0, 1, 2, 3}
-	inst := Instance{
-		N:              4,
-		PairWeight:     func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) },
-		BoundaryWeight: func(i int) float64 { return 100 },
-	}
+	inst := tableInstance(4,
+		func(i, j int) float64 { return math.Abs(pos[i] - pos[j]) },
+		func(i int) float64 { return 100 })
 	// Force a bad start: (0,2) and (1,3) cost 4; optimal (0,1),(2,3) cost 2.
 	bad := Result{Mate: []int{2, 3, 0, 1}, Weight: 4}
 	ref := Refine(inst, bad, 8)
@@ -129,7 +131,7 @@ func TestRefineFixesCrossedPairs(t *testing.T) {
 
 func TestSolveSmallUsesExact(t *testing.T) {
 	rng := rand.New(rand.NewPCG(5, 6))
-	inst, _, _ := randomInstance(rng, 10)
+	inst := randomInstance(rng, 10)
 	if got, want := Solve(inst).Weight, Exact(inst).Weight; math.Abs(got-want) > 1e-9 {
 		t.Fatalf("Solve weight %v, exact %v", got, want)
 	}
@@ -137,7 +139,7 @@ func TestSolveSmallUsesExact(t *testing.T) {
 
 func TestSolveLargeIsValidAndReasonable(t *testing.T) {
 	rng := rand.New(rand.NewPCG(7, 8))
-	inst, _, _ := randomInstance(rng, 60)
+	inst := randomInstance(rng, 60)
 	res := Solve(inst)
 	validMatching(t, inst, res)
 	greedy := Greedy(inst)
@@ -150,11 +152,8 @@ func TestEmptyAndSingle(t *testing.T) {
 	if r := Solve(Instance{N: 0}); len(r.Mate) != 0 || r.Weight != 0 {
 		t.Fatal("empty instance mishandled")
 	}
-	inst := Instance{
-		N:              1,
-		PairWeight:     func(i, j int) float64 { panic("no pairs possible") },
-		BoundaryWeight: func(i int) float64 { return 2.5 },
-	}
+	// The diagonal is never read, so a NaN there cannot reach the weight.
+	inst := Instance{N: 1, Pair: []float64{math.NaN()}, Boundary: []float64{2.5}}
 	r := Solve(inst)
 	if r.Mate[0] != Boundary || math.Abs(r.Weight-2.5) > 1e-12 {
 		t.Fatalf("single event mishandled: %+v", r)
@@ -164,11 +163,7 @@ func TestEmptyAndSingle(t *testing.T) {
 // TestExactPairBeatsBoundary: two nearby events pair up rather than each
 // paying a large boundary cost.
 func TestExactPairBeatsBoundary(t *testing.T) {
-	inst := Instance{
-		N:              2,
-		PairWeight:     func(i, j int) float64 { return 1 },
-		BoundaryWeight: func(i int) float64 { return 10 },
-	}
+	inst := Instance{N: 2, Pair: []float64{0, 1, 1, 0}, Boundary: []float64{10, 10}}
 	r := Exact(inst)
 	if r.Mate[0] != 1 || r.Mate[1] != 0 || r.Weight != 1 {
 		t.Fatalf("expected pairing, got %+v", r)
@@ -177,11 +172,7 @@ func TestExactPairBeatsBoundary(t *testing.T) {
 
 // TestExactBoundaryBeatsPair: two far-apart events each take the boundary.
 func TestExactBoundaryBeatsPair(t *testing.T) {
-	inst := Instance{
-		N:              2,
-		PairWeight:     func(i, j int) float64 { return 10 },
-		BoundaryWeight: func(i int) float64 { return 1 },
-	}
+	inst := Instance{N: 2, Pair: []float64{0, 10, 10, 0}, Boundary: []float64{1, 1}}
 	r := Exact(inst)
 	if r.Mate[0] != Boundary || r.Mate[1] != Boundary || r.Weight != 2 {
 		t.Fatalf("expected double boundary, got %+v", r)
@@ -195,7 +186,7 @@ func TestQuickExactOptimality(t *testing.T) {
 	f := func(seed uint64, nRaw uint8) bool {
 		n := int(nRaw % 9)
 		rng := rand.New(rand.NewPCG(seed, 99))
-		inst, _, _ := randomInstance(rng, n)
+		inst := randomInstance(rng, n)
 		opt := Exact(inst).Weight
 		for trial := 0; trial < 50; trial++ {
 			mate := randomValidMatching(rng, n)

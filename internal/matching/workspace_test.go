@@ -13,7 +13,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 	var ws Workspace
 	for trial := 0; trial < 40; trial++ {
 		n := rng.IntN(16) // crosses the exact/greedy boundary both ways
-		inst, _, _ := randomInstance(rng, n)
+		inst := randomInstance(rng, n)
 		got := ws.Solve(inst)
 		validMatching(t, inst, got)
 		want := Solve(inst)
@@ -35,7 +35,7 @@ func TestWorkspaceReuseMatchesFresh(t *testing.T) {
 func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 	rng := rand.New(rand.NewPCG(3, 9))
 	for _, n := range []int{8, 20} { // exact path, then greedy+refine path
-		inst, _, _ := randomInstance(rng, n)
+		inst := randomInstance(rng, n)
 		var ws Workspace
 		ws.Solve(inst)
 		allocs := testing.AllocsPerRun(100, func() { ws.Solve(inst) })
@@ -53,7 +53,7 @@ func TestInstanceMaxExact(t *testing.T) {
 		t.Fatalf("DefaultMaxExact = %d, want 12", DefaultMaxExact)
 	}
 	rng := rand.New(rand.NewPCG(21, 4))
-	inst, _, _ := randomInstance(rng, 8)
+	inst := randomInstance(rng, 8)
 
 	inst.MaxExact = 8
 	if got, want := Solve(inst).Weight, bruteForce(inst); got != want {
