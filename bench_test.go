@@ -416,9 +416,10 @@ func BenchmarkHeterogeneitySweep(b *testing.B) {
 	b.ReportMetric(100*s.FNR[2][last], "eraser_FNR_pct_at_10x")
 }
 
-// BenchmarkBatchRoundD7Profile is BenchmarkBatchRoundD7 on a heterogeneous
-// drift profile: every qubit in its own rate class, so it bounds the cost of
-// per-site class lookups and ~200 extra geometric streams.
+// BenchmarkBatchRoundD7Profile is BenchmarkBatchRoundD7Wide on a
+// heterogeneous drift profile: every qubit and coupler in its own rate
+// class, so it bounds the cost of per-site class lookups and of ~460 shared
+// countdowns over ~1,800 geometric streams.
 func BenchmarkBatchRoundD7Profile(b *testing.B) {
 	l := surfacecode.MustNew(7)
 	prof, err := device.Drift(7, 1e-3, 0.3, 11)
@@ -429,9 +430,13 @@ func BenchmarkBatchRoundD7Profile(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	s := batch.New(l, noise.Standard(1e-3), surfacecode.KindZ)
+	s := batch.NewWide(l, noise.Standard(1e-3), surfacecode.KindZ)
 	s.UseRates(rates)
-	s.Reset(stats.NewRNG(1, 1))
+	var rngs [batch.BlockWords]*stats.RNG
+	for w := range rngs {
+		rngs[w] = stats.NewRNG(1, uint64(w))
+	}
+	s.Reset(rngs)
 	builder := circuit.NewBuilder(l)
 	ops := builder.Round(circuit.Plan{})
 	b.ReportAllocs()
@@ -439,6 +444,7 @@ func BenchmarkBatchRoundD7Profile(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s.RunRound(ops)
 	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
 }
 
 // ------------------------------------------------- batch fast path vs scalar
@@ -539,6 +545,60 @@ func BenchmarkBatchRoundD7Wide(b *testing.B) {
 		s.RunRound(ops)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
+}
+
+// BenchmarkBatchBlockD7Wide times whole static blocks on the wide engine:
+// Reset, the 49 rounds of a d=7, 7-cycle Always schedule and FinalRound, as
+// the runner's static worker runs them. always-p1e-4 is uniform noise at the
+// frame-simulation-bound point; always-drift-p1e-3 runs a drift profile,
+// where every qubit and coupler has its own rate class. The same four RNGs
+// serve every block and one block runs before the timer, so the CI
+// allocation gate can hold both to 0 allocs/op.
+func BenchmarkBatchBlockD7Wide(b *testing.B) {
+	l := surfacecode.MustNew(7)
+	drift, err := device.Drift(7, 1e-3, 0.3, 11)
+	if err != nil {
+		b.Fatal(err)
+	}
+	driftRates, err := drift.Resolve(l)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, bc := range []struct {
+		name  string
+		p     float64
+		rates *device.Rates
+	}{
+		{"always-p1e-4", 1e-4, nil},
+		{"always-drift-p1e-3", 1e-3, driftRates},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := batch.NewWide(l, noise.Standard(bc.p), surfacecode.KindZ)
+			s.UseRates(bc.rates)
+			var rngs [batch.BlockWords]*stats.RNG
+			for w := range rngs {
+				rngs[w] = stats.NewRNG(1, uint64(w))
+			}
+			pol := core.NewPolicy(core.PolicyAlways, l, circuit.ProtocolSwap)
+			builder := circuit.NewBuilder(l)
+			rounds := experiment.Config{Distance: 7, Cycles: 7}.NumRounds()
+			block := func() {
+				s.Reset(rngs)
+				pol.Reset()
+				for r := 1; r <= rounds; r++ {
+					s.RunRound(builder.Round(pol.PlanRound(r)))
+				}
+				s.FinalRound(builder.FinalMeasurement())
+			}
+			block()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				block()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
+		})
+	}
 }
 
 // BenchmarkBatchMaskedRoundD7Wide is the wide counterpart of

@@ -162,6 +162,12 @@ func (t *Tally) Merge(o *Tally) error {
 	if t.UnitShots != o.UnitShots {
 		return fmt.Errorf("tally merge: unit widths differ (%d vs %d)", t.UnitShots, o.UnitShots)
 	}
+	if err := t.checkLPR(); err != nil {
+		return fmt.Errorf("tally merge: %w", err)
+	}
+	if err := o.checkLPR(); err != nil {
+		return fmt.Errorf("tally merge: %w", err)
+	}
 	if t.Covered.Intersects(&o.Covered) {
 		return fmt.Errorf("tally merge: unit sets overlap")
 	}
@@ -177,6 +183,39 @@ func (t *Tally) Merge(o *Tally) error {
 		t.LPRParityNum[r] += o.LPRParityNum[r]
 	}
 	t.Covered.Union(&o.Covered)
+	return nil
+}
+
+// Validate reports whether t has the shape of a tally the runner produces:
+// at least one round, at least one shot per unit, one LPR numerator per
+// round in each series, and no negative count. The result store applies it
+// to every entry it reads back, so a malformed entry whose checksum still
+// matches is a detected miss, not a panic in Merge or ResultFor.
+func (t *Tally) Validate() error {
+	if t.Rounds < 1 || t.UnitShots < 1 {
+		return fmt.Errorf("tally: %d rounds of %d-shot units", t.Rounds, t.UnitShots)
+	}
+	if err := t.checkLPR(); err != nil {
+		return err
+	}
+	if min(int64(t.Shots), int64(t.LogicalErrors), t.LRCs,
+		t.TruePos, t.FalsePos, t.TrueNeg, t.FalseNeg) < 0 {
+		return fmt.Errorf("tally: negative count")
+	}
+	for r := range t.LPRDataNum {
+		if t.LPRDataNum[r] < 0 || t.LPRParityNum[r] < 0 {
+			return fmt.Errorf("tally: negative LPR numerator in round %d", r+1)
+		}
+	}
+	return nil
+}
+
+// checkLPR reports whether both LPR series hold one numerator per round.
+func (t *Tally) checkLPR() error {
+	if len(t.LPRDataNum) != t.Rounds || len(t.LPRParityNum) != t.Rounds {
+		return fmt.Errorf("tally: %d rounds but %d data and %d parity LPR numerators",
+			t.Rounds, len(t.LPRDataNum), len(t.LPRParityNum))
+	}
 	return nil
 }
 

@@ -128,6 +128,41 @@ func TestTallyMergeRejectsOverlapAndShapeMismatch(t *testing.T) {
 	}
 }
 
+// TestTallyMergeRejectsMalformedLPR: LPR series whose length differs from
+// Rounds, on either side of a merge, are an error rather than an index
+// panic, and leave the receiver's series untouched.
+func TestTallyMergeRejectsMalformedLPR(t *testing.T) {
+	cfg := tallyCfg(core.PolicyAlways, 2*64, false)
+	a := RunUnits(cfg, 0, 1)
+	b := RunUnits(cfg, 1, 2)
+	for _, tc := range []struct {
+		name      string
+		recv, arg func(*Tally)
+	}{
+		{name: "short-arg", arg: func(t *Tally) { t.LPRDataNum = t.LPRDataNum[:2] }},
+		{name: "long-arg", arg: func(t *Tally) { t.LPRParityNum = append(t.LPRParityNum, 1) }},
+		{name: "short-receiver", recv: func(t *Tally) { t.LPRParityNum = t.LPRParityNum[:1] }},
+		{name: "nil-receiver", recv: func(t *Tally) { t.LPRDataNum = nil }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			recv, arg := a.Clone(), b.Clone()
+			if tc.recv != nil {
+				tc.recv(recv)
+			}
+			if tc.arg != nil {
+				tc.arg(arg)
+			}
+			before := recv.Clone()
+			if err := recv.Merge(arg); err == nil {
+				t.Fatal("malformed LPR series merged without error")
+			}
+			if !reflect.DeepEqual(before, recv) {
+				t.Fatal("failed merge modified the receiver")
+			}
+		})
+	}
+}
+
 func TestTallyJSONRoundTrip(t *testing.T) {
 	cfg := tallyCfg(core.PolicyAlways, 2*64, false)
 	orig := RunUnits(cfg, 0, 2)

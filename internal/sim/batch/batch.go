@@ -35,8 +35,11 @@
 //
 // The package has two engines over these primitives. Wide, the 256-lane
 // block engine, runs every batch unit at runtime: 4 units side by side, each
-// on its own RNG stream. Simulator, the 64-lane engine described above, is
-// the reference Wide is tested against bit for bit, one unit at a time.
+// on its own RNG stream. In its static rounds every noise site calls its rate
+// class on all 4 units at once, so the class steps one countdown shared by
+// the units instead of one sampler countdown per unit, without moving a
+// draw. Simulator, the 64-lane engine described above, is the reference
+// Wide is tested against bit for bit, one unit at a time.
 package batch
 
 import (

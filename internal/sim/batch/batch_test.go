@@ -290,6 +290,85 @@ func TestSamplerMatchesReference(t *testing.T) {
 	}
 }
 
+// TestCountdownMatchesSamplers: one rate class driven through its shared
+// countdown — whole-block calls, the firings among them, and settles with
+// per-sub-word calls before the re-arm — returns on every live sub-word the
+// word that a reference sampler on an identically seeded stream returns
+// when stepped with next on every call. Every stream ends at the same
+// position, and absent sub-words are never touched.
+func TestCountdownMatchesSamplers(t *testing.T) {
+	for _, p := range []float64{0, 1e-6, 1e-4, 1e-3, 0.05, 0.5, 1} {
+		for _, live := range []Block{
+			{AllLanes, AllLanes, AllLanes, AllLanes},
+			{AllLanes, 0, AllLanes, 0},
+			{0, 0, 0, AllLanes},
+		} {
+			var got, ref [BlockWords]sampler
+			var gotRNG, refRNG [BlockWords]*stats.RNG
+			for w := 0; w < BlockWords; w++ {
+				if live[w] != 0 {
+					gotRNG[w], refRNG[w] = stats.NewRNG(3, uint64(w)), stats.NewRNG(3, uint64(w))
+					got[w].reset(p, gotRNG[w])
+					ref[w].reset(p, refRNG[w])
+				}
+			}
+			check := func(i int, m Block) {
+				t.Helper()
+				for w := 0; w < BlockWords; w++ {
+					var want uint64
+					if live[w] != 0 {
+						want = ref[w].next()
+					}
+					if m[w] != want {
+						t.Fatalf("p=%v live=%x call %d sub-word %d: word %#x, want %#x", p, live, i, w, m[w], want)
+					}
+				}
+			}
+			var c countdown
+			c.arm(&got, &live)
+			script := stats.NewRNG(4, 0)
+			for i := 0; i < 40000; i++ {
+				if script.IntN(32) != 0 {
+					var m Block
+					if !c.quiet() {
+						m = c.fire(&got, &live)
+					}
+					check(i, m)
+					continue
+				}
+				// A per-sub-word op: settle, up to three calls on every live
+				// sub-word's own sampler, re-arm.
+				c.settle(&got, &live)
+				for n := script.IntN(4); n > 0; n-- {
+					var m Block
+					for w := 0; w < BlockWords; w++ {
+						if live[w] != 0 {
+							m[w] = got[w].next()
+						}
+					}
+					check(i, m)
+				}
+				c.arm(&got, &live)
+			}
+			c.settle(&got, &live)
+			for w := 0; w < BlockWords; w++ {
+				if live[w] == 0 {
+					if got[w] != (sampler{}) {
+						t.Fatalf("p=%v live=%x: absent sub-word %d sampler touched", p, live, w)
+					}
+					continue
+				}
+				if got[w].skip != ref[w].skip {
+					t.Fatalf("p=%v live=%x sub-word %d: settled skip %d, want %d", p, live, w, got[w].skip, ref[w].skip)
+				}
+				if gotRNG[w].Uint64() != refRNG[w].Uint64() {
+					t.Fatalf("p=%v live=%x sub-word %d: stream position differs", p, live, w)
+				}
+			}
+		}
+	}
+}
+
 // TestMaskedLRCTouchesOnlyMaskedLanes: the heart of the lane-masked engine —
 // an LRC masked to a subset of lanes removes leakage exactly there, while
 // unmasked lanes (whose plan had no LRC) keep both their leakage and their

@@ -2,6 +2,7 @@ package batch
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"repro/internal/circuit"
@@ -32,6 +33,12 @@ import (
 // Together with circuit.Builder.MaskedRound's canonical per-stabilizer entry
 // order, that makes a wide block bit-exact with 4 serial Simulator units:
 // same events, same readouts, same final measurements, per sub-word.
+//
+// RunRound's ops call every rate class on all live sub-words at once, so a
+// static round steps one countdown per class instead of four (see
+// countdown). A countdown only defers the subtraction a sub-word's sampler
+// would make on a call that draws nothing; every fill, and so every draw,
+// still happens at the same call on the same stream.
 //
 // A block with fewer than 4 units (a range edge) leaves the missing units'
 // sub-words absent: Reset gets a nil RNG for them, and an absent sub-word
@@ -81,6 +88,13 @@ type Wide struct {
 	leakS  []sampler
 	seepS  []sampler
 	mlS    []sampler
+	// Shared countdowns, one per depol, leak and ML class, that RunRound
+	// steps in place of the class's live sub-word samplers. armed reports
+	// whether they are in use: RunRound arms them, and RunRoundMasked and
+	// FinalMeasure settle them back into the samplers first. Seepage is
+	// drawn only on leaked lanes, so its samplers stay per sub-word.
+	depolCD, leakCD, mlCD []countdown
+	armed                 bool
 }
 
 // NewWide returns a wide-block simulator for the layout. Call Reset with the
@@ -125,6 +139,10 @@ func (s *Wide) buildClasses() {
 	s.leakS = make([]sampler, len(s.leakV)*BlockWords)
 	s.seepS = make([]sampler, len(s.seepV)*BlockWords)
 	s.mlS = make([]sampler, len(s.mlV)*BlockWords)
+	s.depolCD = make([]countdown, len(s.depolV))
+	s.leakCD = make([]countdown, len(s.leakV))
+	s.mlCD = make([]countdown, len(s.mlV))
+	s.armed = false
 }
 
 // Reset clears all frame state and rebinds the per-sub-word random sources
@@ -138,6 +156,7 @@ func (s *Wide) buildClasses() {
 func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 	s.rng = rngs
 	s.round = 0
+	s.armed = false
 	for i := range s.x {
 		s.x[i], s.z[i], s.leaked[i] = 0, 0, 0
 	}
@@ -211,22 +230,44 @@ func (s *Wide) LeakedCounts(active Block) (data, parity int) {
 
 // RunRound applies round-start noise and executes one syndrome extraction
 // round on the block; every op applies to every lane of every present
-// sub-word (static schedules). The returned slice holds the flat
-// stride-BlockWords detection event planes and aliases an internal buffer
-// valid until the next call.
+// sub-word (static schedules). It runs on the shared countdowns, arming them
+// at the first static round after Reset or a masked round. The returned
+// slice holds the flat stride-BlockWords detection event planes and aliases
+// an internal buffer valid until the next call.
 func (s *Wide) RunRound(ops []circuit.Op) []uint64 {
+	if !s.armed {
+		s.arm()
+	}
 	s.beginRound()
-	for _, op := range ops {
-		s.applyMasked(op, s.live)
+	s.roundStartAll()
+	for i := range ops {
+		op := &ops[i]
+		switch op.Kind {
+		case circuit.OpCNOT:
+			s.cnotAll(op.Q0, op.Q1)
+		case circuit.OpH:
+			s.hadamardAll(op.Q0)
+		case circuit.OpMeasure:
+			s.measureAll(op)
+		case circuit.OpReset:
+			s.resetAll(op.Q0)
+		case circuit.OpSwapReturn:
+			s.cnotAll(op.Q0, op.Q1)
+			s.cnotAll(op.Q1, op.Q0)
+		default:
+			s.perSubWord(*op)
+		}
 	}
 	return s.finishRound()
 }
 
 // RunRoundMasked is RunRound for a lane-masked op sequence produced by
 // circuit.Builder.MaskedRound with up to BlockLanes plans: word w of each
-// op's mask drives sub-word w.
+// op's mask drives sub-word w. Its gates step the samplers per sub-word.
 func (s *Wide) RunRoundMasked(ops []circuit.MaskedOp) []uint64 {
+	s.settle()
 	s.beginRound()
+	s.roundStartNoise()
 	for _, op := range ops {
 		s.applyMasked(op.Op, op.Mask)
 	}
@@ -240,7 +281,6 @@ func (s *Wide) beginRound() {
 			s.mlDataLeak[i], s.mlDataVal[i] = 0, 0
 		}
 	}
-	s.roundStartNoise()
 }
 
 func (s *Wide) finishRound() []uint64 {
@@ -343,6 +383,7 @@ func (s *Wide) applyMasked(op circuit.Op, mask Block) {
 // FinalMeasure performs the transversal data measurement in the memory basis
 // and returns the flat outcome-flip planes (aliasing an internal buffer).
 func (s *Wide) FinalMeasure(ops []circuit.Op) []uint64 {
+	s.settle()
 	for _, op := range ops {
 		if op.Kind != circuit.OpMeasure {
 			continue
@@ -437,9 +478,9 @@ func (s *Wide) InjectLeak(q int, lanes Block) {
 
 // ------------------------------------------------------------ primitives --
 
-// depolCouplerClass returns the index of sub-word 0's depolarizing sampler
-// of the (a, b) coupler in depolS (sub-word w's is w further on), falling
-// back to the base class for non-coupler pairs.
+// depolCouplerClass returns the depolarizing rate class of the (a, b)
+// coupler, falling back to the base class for non-coupler pairs. Sub-word
+// w's sampler of class k is depolS[k*BlockWords+w].
 func (s *Wide) depolCouplerClass(a, b int) int {
 	cls := s.depolBase
 	if s.rates != nil {
@@ -447,7 +488,7 @@ func (s *Wide) depolCouplerClass(a, b int) int {
 			cls = s.depolC[i]
 		}
 	}
-	return int(cls) * BlockWords
+	return int(cls)
 }
 
 // transportAt returns the leakage-transport probability of the (a, b)
@@ -539,7 +580,16 @@ func (s *Wide) depolarize2MaskW(w, a, b int, m uint64) {
 func (s *Wide) classifyMLW(w, q int, out, mask uint64) (leak, val uint64) {
 	leak = s.leaked[q*BlockWords+w] & mask
 	val = out &^ leak
-	for errm := s.mlS[int(s.mlQ[q])*BlockWords+w].next() & mask; errm != 0; errm &= errm - 1 {
+	if errm := s.mlS[int(s.mlQ[q])*BlockWords+w].next() & mask; errm != 0 {
+		leak, val = s.misreadW(w, leak, val, errm)
+	}
+	return leak, val
+}
+
+// misreadW moves each lane of errm on sub-word w from its classification in
+// (leak, val) to one of the two wrong ones, uniformly.
+func (s *Wide) misreadW(w int, leak, val, errm uint64) (uint64, uint64) {
+	for ; errm != 0; errm &= errm - 1 {
 		bit := errm & -errm
 		switch {
 		case leak&bit != 0: // |L> misread as |0> or |1>
@@ -593,7 +643,7 @@ func (s *Wide) hadamard(q int, mask Block) {
 func (s *Wide) cnot(c, t int, mask Block) {
 	xc, zc, lkc := blk(s.x, c), blk(s.z, c), blk(s.leaked, c)
 	xt, zt, lkt := blk(s.x, t), blk(s.z, t), blk(s.leaked, t)
-	cd := s.depolCouplerClass(c, t)
+	cd := s.depolCouplerClass(c, t) * BlockWords
 	cc, ct := int(s.leakQ[c])*BlockWords, int(s.leakQ[t])*BlockWords
 	leakOn := s.Noise.LeakageEnabled
 	for w := 0; w < BlockWords; w++ {
@@ -678,7 +728,7 @@ func (s *Wide) leakISWAPW(w, d, p int, mask uint64) {
 			}
 		}
 	}
-	s.depolarize2MaskW(w, d, p, s.depolS[s.depolCouplerClass(d, p)+w].next()&tail)
+	s.depolarize2MaskW(w, d, p, s.depolS[s.depolCouplerClass(d, p)*BlockWords+w].next()&tail)
 	if n.LeakageEnabled {
 		s.leakMaskW(w, d, s.leakS[int(s.leakQ[d])*BlockWords+w].next()&tail)
 		s.leakMaskW(w, p, s.leakS[int(s.leakQ[p])*BlockWords+w].next()&tail)
@@ -748,6 +798,336 @@ func (s *Wide) roundStartNoise() {
 			s.leakMaskW(w, q, lm)
 			if m := s.depolS[cd+w].next() &^ (lkw | lm); m != 0 {
 				s.depolarize1MaskW(w, q, m)
+			}
+		}
+	}
+}
+
+// ----------------------------------------------------- shared countdowns --
+
+// countdown is one rate class's sampler countdown shared by the block's live
+// sub-words. In a static round every call of a class is a whole-block call:
+// it steps each live sub-word's sampler once. Sub-word w's sampler fires
+// (fills a non-zero word) on the floor(skip_w/Lanes)-th call from now, so
+// until the earliest of those every call returns zero on every sub-word and
+// only has to subtract Lanes from each skip. A countdown counts those calls
+// once for the block instead of four times. The first call it cannot cover
+// pays the owed subtractions into each skip and steps the samplers with
+// next, exactly as the per-sub-word gates would, so every fill and every
+// draw stays at the same call of the same stream.
+type countdown struct {
+	left  int // whole-block calls left before one on which a live sub-word fires
+	armed int // left when last armed; armed-left calls are owed to every live sub-word
+}
+
+// arm sets c from the exact skips of ss, the class's sub-word samplers.
+func (c *countdown) arm(ss *[BlockWords]sampler, live *Block) {
+	low := math.MaxInt
+	for w := 0; w < BlockWords; w++ {
+		if live[w] != 0 {
+			low = min(low, ss[w].skip)
+		}
+	}
+	c.left, c.armed = low/Lanes, low/Lanes
+}
+
+// settle pays the owed calls into every live sub-word's skip, leaving the
+// samplers exact for per-sub-word calls. Re-arm c after those.
+func (c *countdown) settle(ss *[BlockWords]sampler, live *Block) {
+	owed := (c.armed - c.left) * Lanes
+	for w := 0; w < BlockWords; w++ {
+		if live[w] != 0 {
+			ss[w].skip -= owed
+		}
+	}
+	c.armed = c.left
+}
+
+// fire is the whole-block call on which c has run out: it settles, steps
+// every live sub-word's sampler and re-arms. It returns each live sub-word's
+// word, zero on the absent ones.
+func (c *countdown) fire(ss *[BlockWords]sampler, live *Block) (m Block) {
+	owed := c.armed * Lanes
+	low := math.MaxInt
+	for w := 0; w < BlockWords; w++ {
+		if live[w] == 0 {
+			continue
+		}
+		sw := &ss[w]
+		sw.skip -= owed
+		m[w] = sw.next()
+		low = min(low, sw.skip)
+	}
+	c.left, c.armed = low/Lanes, low/Lanes
+	return m
+}
+
+// arm arms every shared countdown from the live sub-words' samplers.
+func (s *Wide) arm() {
+	for k := range s.depolCD {
+		s.depolCD[k].arm(subWords(s.depolS, k), &s.live)
+	}
+	for k := range s.leakCD {
+		s.leakCD[k].arm(subWords(s.leakS, k), &s.live)
+	}
+	for k := range s.mlCD {
+		s.mlCD[k].arm(subWords(s.mlS, k), &s.live)
+	}
+	s.armed = true
+}
+
+// settle hands the samplers back to per-sub-word calls if RunRound armed the
+// shared countdowns.
+func (s *Wide) settle() {
+	if !s.armed {
+		return
+	}
+	for k := range s.depolCD {
+		s.depolCD[k].settle(subWords(s.depolS, k), &s.live)
+	}
+	for k := range s.leakCD {
+		s.leakCD[k].settle(subWords(s.leakS, k), &s.live)
+	}
+	for k := range s.mlCD {
+		s.mlCD[k].settle(subWords(s.mlS, k), &s.live)
+	}
+	s.armed = false
+}
+
+// quiet takes one whole-block call off c and reports whether it is one of
+// the calls that return zero on every live sub-word. It inlines at every
+// static noise site; on false, the site calls fire.
+func (c *countdown) quiet() bool {
+	if c.left > 0 {
+		c.left--
+		return true
+	}
+	return false
+}
+
+// subWords returns the sub-word samplers of class k in the class-major ss.
+func subWords(ss []sampler, k int) *[BlockWords]sampler {
+	return (*[BlockWords]sampler)(ss[k*BlockWords:])
+}
+
+// depolFire, leakFire and mlFire are fire on class k of their kind.
+func (s *Wide) depolFire(k int) Block { return s.depolCD[k].fire(subWords(s.depolS, k), &s.live) }
+func (s *Wide) leakFire(k int) Block  { return s.leakCD[k].fire(subWords(s.leakS, k), &s.live) }
+func (s *Wide) mlFire(k int) Block    { return s.mlCD[k].fire(subWords(s.mlS, k), &s.live) }
+
+// ---------------------------------------------------------- static gates --
+
+// perSubWord runs an op that RunRound has no block gate for through
+// applyMasked under the live mask. A DQLR LeakageISWAP or a conditional
+// return steps its classes per sub-word, so the countdowns of exactly the
+// classes it calls are settled before it and re-armed after it: the
+// coupler's depol and both operands' leak classes, plus Q0's depol for the
+// return's reset.
+func (s *Wide) perSubWord(op circuit.Op) {
+	depol := [2]int{s.depolCouplerClass(op.Q0, op.Q1), int(s.depolQ[op.Q0])}
+	leak := [2]int{int(s.leakQ[op.Q0]), int(s.leakQ[op.Q1])}
+	nd := 1
+	if op.Kind == circuit.OpCondReturn {
+		nd = 2
+	}
+	for _, k := range depol[:nd] {
+		s.depolCD[k].settle(subWords(s.depolS, k), &s.live)
+	}
+	for _, k := range leak {
+		s.leakCD[k].settle(subWords(s.leakS, k), &s.live)
+	}
+	s.applyMasked(op, s.live)
+	for _, k := range depol[:nd] {
+		s.depolCD[k].arm(subWords(s.depolS, k), &s.live)
+	}
+	for _, k := range leak {
+		s.leakCD[k].arm(subWords(s.leakS, k), &s.live)
+	}
+}
+
+// The block gates below are hadamard, cnot, measureZWordW, resetW and
+// roundStartNoise on every live lane. Frame algebra runs over all four
+// words (an absent sub-word has a zero live word, so nothing changes
+// there); each class is called once for the block; and per-lane handlers
+// run per sub-word on non-zero masks, in the same per-stream order as the
+// per-sub-word gates.
+
+func (s *Wide) hadamardAll(q int) {
+	xq, zq, lk := blk(s.x, q), blk(s.z, q), blk(s.leaked, q)
+	var sw Block
+	for w := 0; w < BlockWords; w++ {
+		sw[w] = s.live[w] &^ lk[w]
+		x, z := xq[w], zq[w]
+		xq[w] = (z & sw[w]) | (x &^ sw[w])
+		zq[w] = (x & sw[w]) | (z &^ sw[w])
+	}
+	if k := int(s.depolQ[q]); !s.depolCD[k].quiet() {
+		m := s.depolFire(k)
+		for w := 0; w < BlockWords; w++ {
+			if mw := m[w] & sw[w]; mw != 0 {
+				s.depolarize1MaskW(w, q, mw)
+			}
+		}
+	}
+}
+
+func (s *Wide) cnotAll(c, t int) {
+	xc, zc, lkc := blk(s.x, c), blk(s.z, c), blk(s.leaked, c)
+	xt, zt, lkt := blk(s.x, t), blk(s.z, t), blk(s.leaked, t)
+	// both: the lanes with no leaked operand; one is non-zero if some lane
+	// has exactly one.
+	live := s.live
+	var both Block
+	var one uint64
+	for w := 0; w < BlockWords; w++ {
+		b := live[w] &^ (lkc[w] | lkt[w])
+		xt[w] ^= xc[w] & b
+		zc[w] ^= zt[w] & b
+		both[w] = b
+		one |= (lkc[w] ^ lkt[w]) & live[w]
+	}
+	if k := s.depolCouplerClass(c, t); !s.depolCD[k].quiet() {
+		m := s.depolFire(k)
+		for w := 0; w < BlockWords; w++ {
+			if mw := m[w] & both[w]; mw != 0 {
+				s.depolarize2MaskW(w, c, t, mw)
+			}
+		}
+	}
+	if s.Noise.LeakageEnabled {
+		if k := int(s.leakQ[c]); !s.leakCD[k].quiet() {
+			s.injectLeak(c, s.leakFire(k), &both)
+		}
+		if k := int(s.leakQ[t]); !s.leakCD[k].quiet() {
+			s.injectLeak(t, s.leakFire(k), &both)
+		}
+	}
+	if one != 0 {
+		// Injection leaked only lanes of both, so outside both the leakage
+		// planes still hold the operands' states from before the gate.
+		for w := 0; w < BlockWords; w++ {
+			lc, lt := lkc[w]&live[w]&^both[w], lkt[w]&live[w]&^both[w]
+			if m := lc ^ lt; m != 0 {
+				s.leakedOperandsW(w, c, t, lt, m)
+			}
+		}
+	}
+}
+
+// injectLeak leaks q's lanes in m&mask.
+func (s *Wide) injectLeak(q int, m Block, mask *Block) {
+	for w := 0; w < BlockWords; w++ {
+		s.leakMaskW(w, q, m[w]&mask[w])
+	}
+}
+
+func (s *Wide) measureAll(op *circuit.Op) {
+	q := op.Q0
+	xq, lkq := blk(s.x, q), blk(s.leaked, q)
+	var lk, out Block
+	for w := 0; w < BlockWords; w++ {
+		lk[w] = lkq[w] & s.live[w]
+		out[w] = xq[w] & s.live[w] &^ lk[w]
+		if lk[w] != 0 {
+			out[w] |= s.rng[w].Uint64() & lk[w]
+		}
+	}
+	if k := int(s.depolQ[q]); !s.depolCD[k].quiet() {
+		m := s.depolFire(k)
+		for w := 0; w < BlockWords; w++ {
+			out[w] ^= m[w] & s.live[w] &^ lk[w]
+		}
+	}
+	if op.Stab < 0 {
+		return
+	}
+	sy := blk(s.syndrome, op.Stab)
+	for w := 0; w < BlockWords; w++ {
+		sy[w] = (sy[w] &^ s.live[w]) | out[w]
+	}
+	if s.TrackML {
+		s.classifyMLAll(op, &lk, &out)
+	}
+}
+
+// classifyMLAll is classifyMLW on every live sub-word, writing the
+// stabilizer's classification planes as applyMasked does.
+func (s *Wide) classifyMLAll(op *circuit.Op, lk, out *Block) {
+	var errs Block
+	if k := int(s.mlQ[op.Q0]); !s.mlCD[k].quiet() {
+		errs = s.mlFire(k)
+	}
+	pl, pv := blk(s.mlParLeak, op.Stab), blk(s.mlParVal, op.Stab)
+	dl, dv := blk(s.mlDataLeak, op.Stab), blk(s.mlDataVal, op.Stab)
+	for w := 0; w < BlockWords; w++ {
+		mw := s.live[w]
+		leak, val := lk[w], out[w]&^lk[w]
+		if e := errs[w] & mw; e != 0 {
+			leak, val = s.misreadW(w, leak, val, e)
+		}
+		pl[w] = (pl[w] &^ mw) | leak
+		pv[w] = (pv[w] &^ mw) | val
+		if op.DataWire {
+			dl[w] = (dl[w] &^ mw) | leak
+			dv[w] = (dv[w] &^ mw) | val
+		}
+	}
+}
+
+func (s *Wide) resetAll(q int) {
+	xq, zq, lk := blk(s.x, q), blk(s.z, q), blk(s.leaked, q)
+	// Initialization error: |1> instead of |0> on live lanes.
+	var m Block
+	if k := int(s.depolQ[q]); !s.depolCD[k].quiet() {
+		m = s.depolFire(k)
+	}
+	for w := 0; w < BlockWords; w++ {
+		lk[w] &^= s.live[w]
+		zq[w] &^= s.live[w]
+		xq[w] = (xq[w] &^ s.live[w]) | (m[w] & s.live[w])
+	}
+}
+
+func (s *Wide) roundStartAll() {
+	nd := s.Layout.NumData
+	for q := 0; q < nd; q++ {
+		cd := int(s.depolQ[q])
+		if !s.Noise.LeakageEnabled {
+			if !s.depolCD[cd].quiet() {
+				m := s.depolFire(cd)
+				for w := 0; w < BlockWords; w++ {
+					if m[w] != 0 {
+						s.depolarize1MaskW(w, q, m[w])
+					}
+				}
+			}
+			continue
+		}
+		// Lanes leaked at round start (even if they seep now) take no
+		// further round-start noise, as in the scalar simulator.
+		lk := *blk(s.leaked, q)
+		if lk != (Block{}) {
+			cs := int(s.seepQ[q]) * BlockWords
+			for w := 0; w < BlockWords; w++ {
+				if s.live[w] != 0 && lk[w] != 0 {
+					s.unleakMaskW(w, q, s.seepS[cs+w].next()&lk[w])
+				}
+			}
+		}
+		var lm Block
+		if k := int(s.leakQ[q]); !s.leakCD[k].quiet() {
+			m := s.leakFire(k)
+			for w := 0; w < BlockWords; w++ {
+				lm[w] = m[w] &^ lk[w]
+				s.leakMaskW(w, q, lm[w])
+			}
+		}
+		if !s.depolCD[cd].quiet() {
+			m := s.depolFire(cd)
+			for w := 0; w < BlockWords; w++ {
+				if mw := m[w] &^ (lk[w] | lm[w]); mw != 0 {
+					s.depolarize1MaskW(w, q, mw)
+				}
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 package batch
 
 import (
+	"fmt"
 	"slices"
 	"testing"
 
@@ -21,6 +22,17 @@ import (
 // leakage, event, ML and final words must stay zero throughout.
 func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
 	trackML, masked bool, rounds int, active Block, absent []int, planFor func(r, lane int) circuit.Plan) {
+	t.Helper()
+	compareWideNarrowRounds(t, d, n, rates, trackML, func(int) bool { return masked },
+		rounds, active, absent, planFor)
+}
+
+// compareWideNarrowRounds is compareWideNarrow with the path chosen per
+// round: round r runs through RunRoundMasked if maskedRound(r), else
+// through RunRound.
+func compareWideNarrowRounds(t *testing.T, d int, n noise.Params, rates *device.Rates,
+	trackML bool, maskedRound func(r int) bool, rounds int, active Block, absent []int,
+	planFor func(r, lane int) circuit.Plan) {
 	t.Helper()
 	l := surfacecode.MustNew(d)
 
@@ -58,7 +70,7 @@ func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
 	for r := 1; r <= rounds; r++ {
 		var evW []uint64
 		evN := make([][]uint64, BlockWords)
-		if masked {
+		if maskedRound(r) {
 			for i := range widePlans {
 				widePlans[i] = planFor(r, i)
 			}
@@ -265,4 +277,86 @@ func TestWideMatchesNarrowAbsentSubWords(t *testing.T) {
 				}
 			})
 	})
+}
+
+// TestWideMatchesNarrowProfileStatic: static rounds under heterogeneous
+// profiles, where every qubit and coupler can have its own shared
+// countdown, stay bit-exact with the narrow engine. The rounds cycle
+// through a plain round, two SWAP LRCs and two DQLR LRCs, whose
+// LeakageISWAPs step their classes per sub-word between a settle and a
+// re-arm; TrackML adds the per-qubit ML classes. Leakage is raised so
+// leaked operands occur in every round, and absent sub-words vary.
+func TestWideMatchesNarrowProfileStatic(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	plans := []circuit.Plan{
+		{},
+		{LRCs: []circuit.LRC{{Data: 3, Stab: l.SwapPrimary[3]}, {Data: 16, Stab: l.SwapPrimary[16]}}},
+		{LRCs: []circuit.LRC{{Data: 9, Stab: l.SwapPrimary[9]}, {Data: 20, Stab: l.SwapPrimary[20]}},
+			Protocol: circuit.ProtocolDQLR},
+	}
+	for _, tc := range []struct {
+		name    string
+		profile func() (*device.Profile, error)
+	}{
+		{"hotspot", func() (*device.Profile, error) { return device.Hotspot(5, 3e-3, 3, 8) }},
+		{"drift", func() (*device.Profile, error) { return device.Drift(5, 3e-3, 0.4, 99) }},
+	} {
+		p, err := tc.profile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := range p.PLeak {
+			p.PLeak[q] *= 10
+		}
+		rates, err := p.Resolve(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, absent := range [][]int{nil, {1, 3}, {0}} {
+			t.Run(fmt.Sprintf("%s/absent=%v", tc.name, absent), func(t *testing.T) {
+				compareWideNarrow(t, 5, p.Base, rates, true, false, 9, fullBlock(), absent,
+					func(r, _ int) circuit.Plan { return plans[(r-1)%len(plans)] })
+			})
+		}
+	}
+}
+
+// TestWideMatchesNarrowMixedRounds: a block that switches between static
+// and masked rounds hands its samplers between the shared countdowns and
+// the per-sub-word gates without moving a draw: RunRoundMasked and
+// FinalMeasure settle what RunRound armed. Its static rounds carry ERASER+M
+// conditional returns, which run per sub-word inside a static round, on a
+// drift profile so that the return's reset has a class of its own.
+func TestWideMatchesNarrowMixedRounds(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	p, err := device.Drift(5, 4e-3, 0.4, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range p.PLeak {
+		p.PLeak[q] *= 10
+	}
+	rates, err := p.Resolve(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	static := circuit.Plan{CondReturn: true}
+	for q := 0; q < l.NumData; q += 2 {
+		static.LRCs = append(static.LRCs, circuit.LRC{Data: q, Stab: l.SwapPrimary[q]})
+	}
+	for _, absent := range [][]int{nil, {2}} {
+		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
+			compareWideNarrowRounds(t, 5, p.Base, rates, true, func(r int) bool { return r%3 == 0 }, 12,
+				fullBlock(), absent, func(r, lane int) circuit.Plan {
+					if r%3 != 0 {
+						return static
+					}
+					if lane%5 != 0 {
+						return circuit.Plan{}
+					}
+					q := (lane + r) % l.NumData
+					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: true}
+				})
+		})
+	}
 }

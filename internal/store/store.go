@@ -182,9 +182,10 @@ func (s *Store) load(key string) (*experiment.Tally, error) {
 	s.ctr.bytesRead.Add(int64(len(data)))
 	t, ok := decodeEntry(data)
 	if !ok {
-		// A corrupt entry — zero bytes, truncated JSON, checksum mismatch —
-		// is a *detected* miss: the service recomputes and the next Merge
-		// repairs the file in place (counted as a repair then).
+		// A corrupt entry — zero bytes, truncated JSON, checksum mismatch,
+		// a malformed tally — is a *detected* miss: the service recomputes
+		// and the next Merge repairs the file in place (counted as a repair
+		// then).
 		s.ctr.corruptDetected.Add(1)
 		s.corrupt[key] = true
 		s.missing[key] = true
@@ -195,7 +196,8 @@ func (s *Store) load(key string) (*experiment.Tally, error) {
 }
 
 // decodeEntry parses and checksum-verifies a persisted entry, returning
-// ok=false for any form of corruption.
+// ok=false for any form of corruption, including a tally whose checksum
+// matches but whose shape is wrong (experiment.Tally.Validate).
 func decodeEntry(data []byte) (*experiment.Tally, bool) {
 	var e Entry
 	if err := json.Unmarshal(data, &e); err != nil || len(e.Tally) == 0 {
@@ -206,7 +208,7 @@ func decodeEntry(data []byte) (*experiment.Tally, bool) {
 		return nil, false
 	}
 	var t experiment.Tally
-	if err := json.Unmarshal(e.Tally, &t); err != nil {
+	if err := json.Unmarshal(e.Tally, &t); err != nil || t.Validate() != nil {
 		return nil, false
 	}
 	return &t, true

@@ -2,6 +2,9 @@ package store
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -249,4 +252,108 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	if s.Get(key) == nil {
 		t.Fatal("overwritten entry not served")
 	}
+}
+
+// entryBytes is persist's file format for t: the compact tally JSON and its
+// checksum, so a test can write an entry whose checksum matches whatever
+// tally it holds.
+func entryBytes(t testing.TB, key string, tl *experiment.Tally) []byte {
+	t.Helper()
+	tb, err := json.Marshal(tl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum := sha256.Sum256(tb)
+	data, err := json.Marshal(Entry{Key: key, Tally: tb, Sum: hex.EncodeToString(sum[:])})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
+// TestStoreMalformedTallyIsACorruptMiss: an entry whose checksum matches but
+// whose tally has the wrong shape is treated exactly like a checksum miss —
+// counted as a detected corruption, recomputed, and repaired by the next
+// Merge — instead of being served and panicking in Merge or ResultFor.
+func TestStoreMalformedTallyIsACorruptMiss(t *testing.T) {
+	cfg := storeCfg()
+	key := mustKey(t, cfg)
+	full := experiment.RunUnits(cfg, 0, 2)
+	for _, tc := range []struct {
+		name   string
+		mutate func(*experiment.Tally)
+	}{
+		{"short-lpr", func(tl *experiment.Tally) { tl.LPRDataNum = tl.LPRDataNum[:2]; tl.LPRParityNum = tl.LPRParityNum[:2] }},
+		{"long-parity-lpr", func(tl *experiment.Tally) { tl.LPRParityNum = append(tl.LPRParityNum, 0) }},
+		{"nil-lpr", func(tl *experiment.Tally) { tl.LPRDataNum, tl.LPRParityNum = nil, nil }},
+		{"rounds-above-lpr", func(tl *experiment.Tally) { tl.Rounds++ }},
+		{"zero-rounds", func(tl *experiment.Tally) { tl.Rounds, tl.LPRDataNum, tl.LPRParityNum = 0, nil, nil }},
+		{"negative-rounds", func(tl *experiment.Tally) { tl.Rounds = -3 }},
+		{"zero-unit-shots", func(tl *experiment.Tally) { tl.UnitShots = 0 }},
+		{"negative-shots", func(tl *experiment.Tally) { tl.Shots = -1 }},
+		{"negative-errors", func(tl *experiment.Tally) { tl.LogicalErrors = -1 }},
+		{"negative-lrcs", func(tl *experiment.Tally) { tl.LRCs = -1 }},
+		{"negative-fn", func(tl *experiment.Tally) { tl.FalseNeg = -1 }},
+		{"negative-lpr", func(tl *experiment.Tally) { tl.LPRParityNum[1] = -1 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := full.Clone()
+			tc.mutate(bad)
+			if _, ok := decodeEntry(entryBytes(t, key, bad)); ok {
+				t.Fatal("decodeEntry accepted a malformed tally")
+			}
+			dir := t.TempDir()
+			if err := os.WriteFile(filepath.Join(dir, key+".json"), entryBytes(t, key, bad), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			s, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := s.Get(key); got != nil {
+				t.Fatalf("malformed entry served as a hit: %+v", got)
+			}
+			if _, err := s.Merge(key, cfg.Describe(), full.Clone()); err != nil {
+				t.Fatal(err)
+			}
+			if c := s.Counters(); c.CorruptionsDetected != 1 || c.CorruptionsRepaired != 1 {
+				t.Fatalf("corruptions detected/repaired = %d/%d, want 1/1",
+					c.CorruptionsDetected, c.CorruptionsRepaired)
+			}
+			cold, err := Open(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cold.Get(key); !reflect.DeepEqual(full, got) {
+				t.Fatalf("repaired entry differs:\nwant %+v\ngot  %+v", full, got)
+			}
+		})
+	}
+}
+
+// FuzzDecodeEntry: every persisted entry is either rejected, or its tally
+// merges with a disjoint tally of the same shape, derives a Result and
+// survives a persist/decode round trip, all without a panic. The seed
+// corpus in testdata/fuzz holds a valid entry, a malformed tally under a
+// matching checksum (LPR series shorter than rounds, which once crashed
+// Merge), a negative round count, a checksum miss and truncated JSON.
+func FuzzDecodeEntry(f *testing.F) {
+	cfg := storeCfg()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tl, ok := decodeEntry(data)
+		if !ok {
+			return
+		}
+		delta := tl.Clone()
+		delta.Covered = experiment.UnitSet{}
+		merged := tl.Clone()
+		if err := merged.Merge(delta); err != nil {
+			t.Fatalf("accepted tally does not merge with its own shape: %v", err)
+		}
+		merged.ResultFor(cfg)
+		back, ok := decodeEntry(entryBytes(t, "k", tl))
+		if !ok || !reflect.DeepEqual(tl, back) {
+			t.Fatalf("accepted tally does not round-trip:\nin   %+v\nback %+v", tl, back)
+		}
+	})
 }
