@@ -95,6 +95,14 @@ func realMain() int {
 	if err := noise.Standard(*p).Validate(); err != nil {
 		usageExit("-p: %v", err)
 	}
+	// Negative counts would crash the first sweep (cycles) or print a table
+	// of zeros (shots); 0 keeps its "paper default" meaning.
+	if *cycles < 0 {
+		usageExit("-cycles: %d is negative", *cycles)
+	}
+	if *shots < 0 {
+		usageExit("-shots: %d is negative", *shots)
+	}
 	var profSpec *device.Spec
 	if *profile != "" {
 		profSpec, err = device.ParseSpec(*profile)

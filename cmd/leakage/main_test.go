@@ -19,9 +19,9 @@ func buildLeakage(t *testing.T) string {
 	return bin
 }
 
-// TestInvalidFlagsExitTwoWithUsage: invalid rates, profiles and experiment
-// names are rejected up front with exit code 2 and a usage hint, before any
-// sweep runs.
+// TestInvalidFlagsExitTwoWithUsage: invalid rates, profiles, experiment
+// names and negative cycle or shot counts are rejected up front with exit
+// code 2 and a usage hint, before any sweep runs.
 func TestInvalidFlagsExitTwoWithUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: builds the binary")
@@ -37,6 +37,8 @@ func TestInvalidFlagsExitTwoWithUsage(t *testing.T) {
 		"bad experiment": {[]string{"-exp", "fig99"}, "valid experiments"},
 		"bad distance":   {[]string{"-d", "4", "-exp", "fig5"}, "-d:"},
 		"bad profile":    {[]string{"-profile", "hotspot:oops", "-exp", "fig5"}, "-profile:"},
+		"neg cycles":     {[]string{"-exp", "fig14", "-cycles", "-1", "-shots", "64", "-d", "3"}, "-cycles:"},
+		"neg shots":      {[]string{"-exp", "fig14", "-shots", "-5", "-d", "3"}, "-shots:"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		out, err := cmd.CombinedOutput()

@@ -498,7 +498,7 @@ func (c *Campaign) telemetry(p *point, st service.Status, now time.Time) Event {
 func (c *Campaign) progress(p *point, st service.Status) (converged bool, shotsToTarget int) {
 	if p.Prec.Adaptive() {
 		target := p.Prec.TargetCIHalfWidth
-		minShots, maxShots := adaptiveBounds(p.Prec, p.unitShots)
+		minShots, maxShots := p.Prec.Bounds(p.unitShots)
 		if st.Shots >= minShots && st.CIHalfWidth <= target {
 			return true, 0
 		}
@@ -530,23 +530,6 @@ func (c *Campaign) progress(p *point, st service.Status) (converged bool, shotsT
 		return true, 0
 	}
 	return false, budget - st.Shots
-}
-
-// adaptiveBounds mirrors the scheduler's Precision defaulting (two full
-// units minimum, DefaultMaxShots cap).
-func adaptiveBounds(prec service.Precision, unitShots int) (minShots, maxShots int) {
-	minShots = prec.MinShots
-	if minShots <= 0 {
-		minShots = 2 * unitShots
-	}
-	maxShots = prec.MaxShots
-	if maxShots <= 0 {
-		maxShots = service.DefaultMaxShots
-	}
-	if maxShots < minShots {
-		maxShots = minShots
-	}
-	return minShots, maxShots
 }
 
 // appendLocked adds one event to the bounded log and wakes every stream

@@ -1,6 +1,7 @@
 package campaign
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -101,4 +102,76 @@ func TestFigure14Manifest(t *testing.T) {
 	if len(pts) != 8 {
 		t.Fatalf("figure-14 manifest expands to %d points, want 2 distances x 4 policies = 8", len(pts))
 	}
+}
+
+// fuzzMaxDistance and fuzzMaxPoints bound what the fuzz harness expands.
+// Larger distances are a known, open resource defect rather than a
+// finding: validation builds the distance-d layout before it checks any
+// array length, and a valid point at a large distance or cycle count makes
+// its job allocate without bound. Large grids only cost time.
+const (
+	fuzzMaxDistance = 15
+	fuzzMaxPoints   = 64
+)
+
+// FuzzManifestExpand: a POST /v1/campaign manifest is either rejected, or
+// every expanded point validates, resolves to at least one round, carries a
+// label and its config's content key, and no two points share a key. The
+// seed corpus in testdata/fuzz holds Figure 14, explicit points with a
+// precision override, a duplicate point, negative cycle and round counts,
+// and inputs over the size bounds.
+func FuzzManifestExpand(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m Manifest
+		if json.Unmarshal(data, &m) != nil || !fuzzSized(m) {
+			return
+		}
+		pts, err := m.Expand()
+		if err != nil {
+			return
+		}
+		seen := make(map[string]string, len(pts))
+		for _, p := range pts {
+			if err := p.Config.Validate(); err != nil {
+				t.Fatalf("point %q does not validate: %v", p.Label, err)
+			}
+			if n := p.Config.NumRounds(); n < 1 {
+				t.Fatalf("point %q resolves to %d rounds", p.Label, n)
+			}
+			if p.Label == "" {
+				t.Fatalf("point %+v has no label", p.Spec)
+			}
+			if k, err := p.Config.Key(); err != nil || k != p.Key {
+				t.Fatalf("point %q keyed %q, its config keys to %q (%v)", p.Label, p.Key, k, err)
+			}
+			if prev, dup := seen[p.Key]; dup {
+				t.Fatalf("points %q and %q share key %s", prev, p.Label, p.Key)
+			}
+			seen[p.Key] = p.Label
+		}
+	})
+}
+
+// fuzzSized reports whether the manifest is within the harness bounds.
+func fuzzSized(m Manifest) bool {
+	grid := 1 // an empty axis keeps the base value: one point
+	for _, n := range []int{len(m.Distances), len(m.Policies), len(m.Ps)} {
+		grid *= max(n, 1)
+		if grid > fuzzMaxPoints {
+			return false
+		}
+	}
+	if grid+len(m.Points) > fuzzMaxPoints {
+		return false
+	}
+	ds := append([]int{m.Base.Distance}, m.Distances...)
+	for _, p := range m.Points {
+		ds = append(ds, p.Config.Distance)
+	}
+	for _, d := range ds {
+		if d > fuzzMaxDistance {
+			return false
+		}
+	}
+	return true
 }

@@ -2,6 +2,7 @@ package device
 
 import (
 	"bytes"
+	"encoding/json"
 	"math"
 	"path/filepath"
 	"testing"
@@ -325,4 +326,60 @@ func TestHashDiscriminates(t *testing.T) {
 	if a.Hash() != d.Hash() {
 		t.Error("renaming a profile changed its hash")
 	}
+}
+
+// fuzzMaxDistance bounds the profiles the fuzz harness reads. Larger ones
+// are a known, open resource defect rather than a finding: Validate builds
+// the distance-d layout before it checks any array length, so the 36-byte
+// profile {"distance":1001,"base":{"P":0.001}} allocates ~1.1 GB before it
+// is rejected.
+const fuzzMaxDistance = 15
+
+// FuzzReadProfile: a profile file is either rejected by ReadJSON, or it
+// resolves against its layout, derives positive finite decoder priors of
+// the layout's shape, and survives a WriteJSON/ReadJSON round trip with its
+// content hash unchanged. The seed corpus in testdata/fuzz holds hotspot,
+// drift and uniform profiles, an out-of-range rate, short arrays and an
+// oversized distance.
+func FuzzReadProfile(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var peek struct {
+			Distance int `json:"distance"`
+		}
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&peek) == nil && peek.Distance > fuzzMaxDistance {
+			return
+		}
+		p, err := ReadJSON(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		l, err := surfacecode.New(p.Distance)
+		if err != nil {
+			t.Fatalf("validated profile has no layout: %v", err)
+		}
+		r, err := p.Resolve(l)
+		if err != nil {
+			t.Fatalf("validated profile does not resolve: %v", err)
+		}
+		space, timeW := r.DecoderPriors(l)
+		if len(space) != l.NumData || len(timeW) != len(l.Stabilizers) {
+			t.Fatalf("priors have %d/%d weights, want %d/%d", len(space), len(timeW), l.NumData, len(l.Stabilizers))
+		}
+		for _, w := range append(space, timeW...) {
+			if !(w > 0) || math.IsInf(w, 1) {
+				t.Fatalf("prior weight %g is not positive and finite", w)
+			}
+		}
+		var buf bytes.Buffer
+		if err := p.WriteJSON(&buf); err != nil {
+			t.Fatalf("accepted profile does not encode: %v", err)
+		}
+		back, err := ReadJSON(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded profile is rejected: %v", err)
+		}
+		if back.Hash() != p.Hash() {
+			t.Fatalf("round trip changed the hash: %s -> %s", p.HashHex(), back.HashHex())
+		}
+	})
 }

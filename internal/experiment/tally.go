@@ -283,14 +283,28 @@ func CheckDistance(d int) error {
 }
 
 // Validate reports whether the config describes a runnable experiment:
-// representable distance, known policy/protocol/basis ordinals, decoder
-// settings that build a working decoder (decoder.Config.Validate), valid
-// noise parameters, and (when set) a device profile whose shape and rates
-// check out for the config's distance. Run panics on invalid configs; front
-// ends call this first to fail requests gracefully instead.
+// representable distance, non-negative Cycles, Rounds and Shots (zero keeps
+// its meaning: the 10-cycle default, "derive from Cycles" and no fixed shot
+// count) with a Cycles × Distance product that fits in an int, so that
+// NumRounds() >= 1, known policy/protocol/basis ordinals, decoder settings
+// that build a working decoder (decoder.Config.Validate), valid noise
+// parameters, and (when set) a device profile whose shape and rates check
+// out for the config's distance. Run panics on invalid configs; front ends
+// call this first to fail requests gracefully instead.
 func (c Config) Validate() error {
 	if err := CheckDistance(c.Distance); err != nil {
 		return err
+	}
+	for _, f := range []struct {
+		name string
+		v    int
+	}{{"cycles", c.Cycles}, {"rounds", c.Rounds}, {"shots", c.Shots}} {
+		if f.v < 0 {
+			return fmt.Errorf("%s %d is negative", f.name, f.v)
+		}
+	}
+	if c.Rounds == 0 && c.Cycles > math.MaxInt/c.Distance {
+		return fmt.Errorf("cycles %d × distance %d overflows the round count", c.Cycles, c.Distance)
 	}
 	if err := c.Decoder.Validate(c.Distance); err != nil {
 		return err

@@ -2,8 +2,10 @@ package experiment
 
 import (
 	"encoding/json"
+	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -246,5 +248,51 @@ func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
 
 	if _, err := (Config{Distance: 3, Tune: func(core.Policy) {}}).Key(); err == nil {
 		t.Fatal("Tune-carrying config must have no content key")
+	}
+}
+
+// TestValidateCounts: negative cycle, round and shot counts, and cycle
+// counts whose product with the distance overflows int, are rejected with
+// the field named, instead of crashing a worker (a negative round count
+// reaches NewTally) or silently running the 10-cycle default (a negative
+// Rounds). Zero keeps its defaulting meaning.
+func TestValidateCounts(t *testing.T) {
+	base := tallyCfg(core.PolicyEraser, 64, false)
+	bad := map[string]struct {
+		set  func(*Config)
+		want string
+	}{
+		"negative cycles":               {func(c *Config) { c.Cycles = -1 }, "cycles"},
+		"negative rounds":               {func(c *Config) { c.Rounds = -5 }, "rounds"},
+		"negative rounds, zero cycles":  {func(c *Config) { c.Rounds, c.Cycles = -1, 0 }, "rounds"},
+		"negative cycles under rounds":  {func(c *Config) { c.Rounds, c.Cycles = 6, -1 }, "cycles"},
+		"negative shots":                {func(c *Config) { c.Shots = -5 }, "shots"},
+		"cycles x distance wraps below": {func(c *Config) { c.Cycles = math.MaxInt/3 + 1 }, "overflows"},
+		"cycles x distance wraps above": {func(c *Config) { c.Cycles = math.MaxInt }, "overflows"},
+	}
+	for name, tc := range bad {
+		cfg := base
+		tc.set(&cfg)
+		err := cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: Validate() = %v, want an error naming %q", name, err, tc.want)
+		}
+	}
+	good := map[string]func(*Config){
+		"zero cycles (10-cycle default)": func(c *Config) { c.Cycles = 0 },
+		"zero shots":                     func(c *Config) { c.Shots = 0 },
+		"rounds override":                func(c *Config) { c.Rounds = 7 },
+		"largest cycle count":            func(c *Config) { c.Cycles = math.MaxInt / 3 },
+		"huge rounds ignore cycles":      func(c *Config) { c.Rounds, c.Cycles = math.MaxInt, math.MaxInt },
+	}
+	for name, set := range good {
+		cfg := base
+		set(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("%s: %v", name, err)
+		}
+		if cfg.NumRounds() < 1 {
+			t.Errorf("%s: valid config resolves to %d rounds", name, cfg.NumRounds())
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"bytes"
 	"math"
 	"strings"
 	"sync"
@@ -247,4 +248,39 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	if c.Value() != 5 {
 		t.Errorf("got %d want 5", c.Value())
 	}
+}
+
+// FuzzParseText: a /metrics scrape is either rejected, or every parsed
+// sample is found again by Value under its own labels, and Quantile and
+// Sub run on the snapshot without a panic. The seed corpus in
+// testdata/fuzz holds a scheduler's scrape after one job, a registry
+// exercising label and HELP escapes, duplicate +Inf and NaN buckets, and an
+// unterminated label block.
+func FuzzParseText(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		snap, err := ParseText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, sm := range snap.Samples {
+			var kv, noLE []string
+			for k, v := range sm.Labels {
+				kv = append(kv, k, v)
+				if k != "le" {
+					noLE = append(noLE, k, v)
+				}
+			}
+			if _, ok := snap.Value(sm.Name, kv...); !ok {
+				t.Fatalf("sample %s%v is not found by its own labels", sm.Name, sm.Labels)
+			}
+			if family, ok := strings.CutSuffix(sm.Name, "_bucket"); ok {
+				for _, q := range []float64{0, 0.5, 0.99, 1} {
+					snap.Quantile(family, q)
+					snap.Quantile(family, q, noLE...)
+				}
+			}
+		}
+		snap.Sub(snap)
+		snap.Sub(&Snapshot{})
+	})
 }

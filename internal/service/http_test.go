@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -152,18 +153,28 @@ func TestServerStreamDeliversInterimAndFinal(t *testing.T) {
 
 func TestServerRejectsBadRequests(t *testing.T) {
 	srv, _ := newTestServer(t)
-	for name, body := range map[string]string{
-		"policy":   `{"config": {"distance": 3, "p": 1e-3, "shots": 64, "policy": "nope"}}`,
-		"distance": `{"config": {"distance": 4, "p": 1e-3, "shots": 64, "policy": "eraser"}}`,
-		"json":     `{nope`,
+	for name, tc := range map[string]struct{ body, want string }{
+		"policy":   {`{"config": {"distance": 3, "p": 1e-3, "shots": 64, "policy": "nope"}}`, "policy"},
+		"distance": {`{"config": {"distance": 4, "p": 1e-3, "shots": 64, "policy": "eraser"}}`, "distance"},
+		"json":     {`{nope`, "bad request body"},
+		// Negative counts are refused up front. Unchecked, cycles crash the
+		// job in NewTally, rounds run (and key) the 10-cycle default, and
+		// shots slip past the fixed-count check under a precision target.
+		"cycles": {`{"config": {"distance": 3, "cycles": -1, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "cycles"},
+		"rounds": {`{"config": {"distance": 3, "rounds": -5, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "rounds"},
+		"shots": {`{"config": {"distance": 3, "p": 1e-3, "shots": -5, "policy": "nolrc"},
+			"precision": {"target_ci_half_width": 0.05}}`, "shots"},
 	} {
-		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(body))
+		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != http.StatusBadRequest {
-			t.Fatalf("%s: status %d, want 400", name, resp.StatusCode)
+			t.Errorf("%s: status %d, want 400: %s", name, resp.StatusCode, msg)
+		} else if !strings.Contains(string(msg), tc.want) {
+			t.Errorf("%s: error does not name %q: %s", name, tc.want, msg)
 		}
 	}
 	resp, err := http.Get(srv.URL + "/v1/result?job=j999")
@@ -344,6 +355,59 @@ func TestConfigSpecRoundTrip(t *testing.T) {
 	if _, err := cfg.Key(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// fuzzMaxDistance bounds the distances the fuzz harness resolves. Larger
+// ones are a known, open resource defect rather than a finding: validation
+// builds the distance-d layout before it checks any array length (a
+// 36-byte profile at d=1001 allocates ~1.1 GB before it is rejected), and a
+// valid config at a large distance or cycle count makes the job itself
+// allocate without bound.
+const fuzzMaxDistance = 15
+
+// FuzzConfigSpec: a /v1/run config spec is either rejected — by the JSON
+// decoder, ConfigSpec.Config or Config.Validate — or it resolves to at
+// least one round, has a content key, and keeps that key when the spec is
+// re-encoded and decoded. The seed corpus in testdata/fuzz holds the
+// negative-cycles and negative-rounds requests that once passed validation,
+// an overflowing cycle count, inline and generated profiles, and malformed
+// specs.
+func FuzzConfigSpec(f *testing.F) {
+	key := func(t *testing.T, spec ConfigSpec) (string, bool) {
+		cfg, err := spec.Config()
+		if err != nil || cfg.Validate() != nil {
+			return "", false
+		}
+		if n := cfg.NumRounds(); n < 1 {
+			t.Fatalf("validated config resolves to %d rounds", n)
+		}
+		k, err := cfg.Key()
+		if err != nil {
+			t.Fatalf("validated config has no key: %v", err)
+		}
+		return k, true
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var spec ConfigSpec
+		if json.Unmarshal(data, &spec) != nil || spec.Distance > fuzzMaxDistance {
+			return
+		}
+		k, ok := key(t, spec)
+		if !ok {
+			return
+		}
+		enc, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatalf("accepted spec does not encode: %v", err)
+		}
+		var back ConfigSpec
+		if err := json.Unmarshal(enc, &back); err != nil {
+			t.Fatalf("re-encoded spec does not decode: %v\n%s", err, enc)
+		}
+		if k2, ok := key(t, back); !ok || k2 != k {
+			t.Fatalf("re-encoded spec keys to %q (accepted %v), want %q\n%s", k2, ok, k, enc)
+		}
+	})
 }
 
 // TestHealthzStageCounters: after a job has executed real units, the

@@ -70,7 +70,11 @@ func (p Precision) Adaptive() bool { return p.TargetCIHalfWidth > 0 }
 // target half-width to ever satisfy it.
 const DefaultMaxShots = 1 << 20
 
-func (p Precision) bounds(unitShots int) (minShots, maxShots int) {
+// Bounds resolves the adaptive stopping rule's shot window for units of
+// unitShots shots: MinShots defaults to two full units, MaxShots to
+// DefaultMaxShots, and MaxShots is raised to MinShots when it is smaller.
+// The scheduler and the campaign layer's progress estimates share it.
+func (p Precision) Bounds(unitShots int) (minShots, maxShots int) {
 	minShots = p.MinShots
 	if minShots <= 0 {
 		minShots = 2 * unitShots
@@ -962,7 +966,7 @@ func needUnits(cfg experiment.Config, prec Precision, t *experiment.Tally) int {
 		}
 		return 0
 	}
-	minShots, maxShots := prec.bounds(us)
+	minShots, maxShots := prec.Bounds(us)
 	if t.Shots >= maxShots {
 		return 0
 	}
