@@ -254,13 +254,14 @@ func BenchmarkFigure21(b *testing.B) {
 
 // ------------------------------------------------------------- Ablations
 
-// runAblation measures the LER of a tuned ERASER variant.
+// runAblation measures the LER of a tuned ERASER variant on the scalar
+// engine, the only one whose policy has tuning knobs.
 func runAblation(b *testing.B, tune func(core.Policy)) float64 {
 	b.Helper()
-	res := experiment.Run(experiment.Config{
+	res := experiment.RunScalar(experiment.Config{
 		Distance: 5, Cycles: 4, P: 1e-3, Shots: 150, Seed: 31,
-		Policy: core.PolicyEraser, Tune: tune,
-	})
+		Policy: core.PolicyEraser,
+	}, tune)
 	return res.LER
 }
 
@@ -472,11 +473,9 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 		cfg := base
 		cfg.Policy = pol.kind
 		b.Run(pol.name+"/scalar", func(b *testing.B) {
-			c := cfg
-			c.ForceScalar = true
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				experiment.Run(c)
+				experiment.RunScalar(cfg, nil)
 			}
 		})
 		b.Run(pol.name+"/batch", func(b *testing.B) {
@@ -783,7 +782,7 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 		mk   func(l *surfacecode.Layout, rounds int) decoder.BatchDecoder
 	}{
 		{"decode-steady/mwpm", func(l *surfacecode.Layout, rounds int) decoder.BatchDecoder {
-			return decoder.New(l, decoder.DefaultConfig())
+			return decoder.New(l, decoder.Config{})
 		}},
 		{"decode-steady/unionfind", func(l *surfacecode.Layout, rounds int) decoder.BatchDecoder {
 			return decoder.NewUnionFind(l, surfacecode.KindZ, rounds)
@@ -807,12 +806,12 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 				}
 			}
 			for i := 0; i < 3; i++ { // grow arenas to steady state
-				dec.DecodeBatch(col)
+				dec.DecodeLanes(col, 0, decoder.BatchLanes)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				dec.DecodeBatch(col)
+				dec.DecodeLanes(col, 0, decoder.BatchLanes)
 			}
 			b.StopTimer()
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*decoder.BatchLanes),
@@ -821,14 +820,14 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 	}
 	b.Run("decode-steady/mwpm-dense", func(b *testing.B) {
 		l, col := denseUnitD7()
-		dec := decoder.New(l, decoder.DefaultConfig())
+		dec := decoder.New(l, decoder.Config{})
 		for i := 0; i < 3; i++ { // grow arenas to steady state
-			dec.DecodeBatch(col)
+			dec.DecodeLanes(col, 0, decoder.BatchLanes)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			dec.DecodeBatch(col)
+			dec.DecodeLanes(col, 0, decoder.BatchLanes)
 		}
 		b.StopTimer()
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*decoder.BatchLanes),
@@ -884,7 +883,7 @@ func BenchmarkSimRoundD7(b *testing.B) {
 // simulated d=7 Always unit at p=1e-3, leak chains included.
 func BenchmarkDecodeD7(b *testing.B) {
 	l, col := denseUnitD7()
-	dec := decoder.New(l, decoder.DefaultConfig())
+	dec := decoder.New(l, decoder.Config{})
 	var events []decoder.Event
 	for lane := 0; lane < decoder.BatchLanes; lane++ {
 		if ev := col.Lane(lane); len(ev) > len(events) {

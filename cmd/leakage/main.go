@@ -19,6 +19,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -33,6 +34,7 @@ import (
 	"repro/internal/qudit"
 	"repro/internal/service"
 	"repro/internal/store"
+	"repro/internal/surfacecode"
 )
 
 // allExperiments is the expansion of -exp all, in presentation order.
@@ -86,7 +88,7 @@ func realMain() int {
 		usageExit("%v", err)
 	}
 	if *distance != 0 {
-		if err := checkDistance(*distance); err != nil {
+		if err := surfacecode.CheckDistance(*distance); err != nil {
 			usageExit("-distance: %v", err)
 		}
 	}
@@ -99,6 +101,16 @@ func realMain() int {
 	// of zeros (shots); 0 keeps its "paper default" meaning.
 	if *cycles < 0 {
 		usageExit("-cycles: %d is negative", *cycles)
+	}
+	// Every point runs cycles × d rounds. Per-round figures run at -distance,
+	// or at their paper default of up to 11 when it is 0.
+	perRound := *distance
+	if perRound == 0 {
+		perRound = 11
+	}
+	maxD := slices.Max(append([]int{perRound}, ds...))
+	if *cycles > experiment.MaxRounds/maxD {
+		usageExit("-cycles: %d cycles at d=%d exceed %d rounds", *cycles, maxD, experiment.MaxRounds)
 	}
 	if *shots < 0 {
 		usageExit("-shots: %d is negative", *shots)
@@ -356,12 +368,6 @@ func max(xs []float64) float64 {
 	return m
 }
 
-// checkDistance rejects distances the surface-code layout cannot represent;
-// before this guard a bad -d list failed late (mid-sweep, via panic) or not
-// at all. The rule itself lives in experiment.CheckDistance, shared with
-// the service's request validation.
-func checkDistance(d int) error { return experiment.CheckDistance(d) }
-
 func parseDistances(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -373,7 +379,7 @@ func parseDistances(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("-d: bad distance %q: %v", part, err)
 		}
-		if err := checkDistance(d); err != nil {
+		if err := surfacecode.CheckDistance(d); err != nil {
 			return nil, fmt.Errorf("-d: %v", err)
 		}
 		out = append(out, d)

@@ -20,8 +20,9 @@ func buildLeakage(t *testing.T) string {
 }
 
 // TestInvalidFlagsExitTwoWithUsage: invalid rates, profiles, experiment
-// names and negative cycle or shot counts are rejected up front with exit
-// code 2 and a usage hint, before any sweep runs.
+// names, negative cycle or shot counts, and distances or cycle counts above
+// the caps (surfacecode.MaxDistance, experiment.MaxRounds) are rejected up
+// front with exit code 2 and a usage hint, before any sweep runs.
 func TestInvalidFlagsExitTwoWithUsage(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode: builds the binary")
@@ -39,6 +40,10 @@ func TestInvalidFlagsExitTwoWithUsage(t *testing.T) {
 		"bad profile":    {[]string{"-profile", "hotspot:oops", "-exp", "fig5"}, "-profile:"},
 		"neg cycles":     {[]string{"-exp", "fig14", "-cycles", "-1", "-shots", "64", "-d", "3"}, "-cycles:"},
 		"neg shots":      {[]string{"-exp", "fig14", "-shots", "-5", "-d", "3"}, "-shots:"},
+		"d above cap":    {[]string{"-exp", "fig14", "-d", "3,27"}, "-d:"},
+		"distance cap":   {[]string{"-exp", "fig5", "-distance", "1001"}, "-distance:"},
+		"cycles cap":     {[]string{"-exp", "fig14", "-d", "3", "-distance", "3", "-cycles", "334"}, "-cycles:"},
+		"cycles x 11":    {[]string{"-exp", "fig5", "-d", "3", "-cycles", "91"}, "-cycles:"},
 	} {
 		cmd := exec.Command(bin, tc.args...)
 		out, err := cmd.CombinedOutput()

@@ -215,10 +215,9 @@ func printServerReport(before, after *metrics.Snapshot, elapsed time.Duration) {
 		jobs/elapsed.Seconds(), int64(sheds))
 	wide, _ := diff.Value("leak_sched_units_by_width_total", "width", "256")
 	narrow, _ := diff.Value("leak_sched_units_by_width_total", "width", "64")
-	scalar, _ := diff.Value("leak_sched_units_by_width_total", "width", "1")
 	if units > 0 {
-		fmt.Printf("leakload: server: engine width: %.1f%% whole-block-256 (%d units), %d partial-block, %d scalar\n",
-			100*wide/units, int64(wide), int64(narrow), int64(scalar))
+		fmt.Printf("leakload: server: engine width: %.1f%% whole-block-256 (%d units), %d partial-block\n",
+			100*wide/units, int64(wide), int64(narrow))
 	}
 	if hits+misses > 0 {
 		fmt.Printf("leakload: server: cache hit rate %.1f%% (%d hits, %d misses)\n",

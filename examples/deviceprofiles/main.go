@@ -45,16 +45,14 @@ func main() {
 		Seed: 2023, Policy: core.PolicyEraser}
 	withProf := plain
 	withProf.Profile = uniform
-	kPlain, _ := plain.Key()
-	kUniform, _ := withProf.Key()
-	fmt.Printf("\nuniform profile shares the scalar key: %v\n", kPlain == kUniform)
+	kPlain := plain.Key()
+	fmt.Printf("\nuniform profile shares the scalar key: %v\n", kPlain == withProf.Key())
 	a, b := experiment.Run(plain), experiment.Run(withProf)
 	fmt.Printf("identical results: LER %g == %g, leakage %g == %g\n",
 		a.LER, b.LER, a.MeanLPR(), b.MeanLPR())
 	hotCfg := plain
 	hotCfg.Profile = hot
-	kHot, _ := hotCfg.Key()
-	fmt.Printf("hotspot profile keys separately: %v\n", kHot != kPlain)
+	fmt.Printf("hotspot profile keys separately: %v\n", hotCfg.Key() != kPlain)
 
 	// 3. JSON round trip — ship calibrations as files and load them with
 	// `leakage -profile path.json` or device.Load.

@@ -86,10 +86,7 @@ func (m Manifest) Expand() ([]Point, error) {
 		if err := cfg.Validate(); err != nil {
 			return fmt.Errorf("campaign: point %d: %w", len(pts), err)
 		}
-		key, err := cfg.Key()
-		if err != nil {
-			return fmt.Errorf("campaign: point %d: %w", len(pts), err)
-		}
+		key := cfg.Key()
 		if label == "" {
 			label = fmt.Sprintf("d=%d/%s/p=%g", cfg.Distance, spec.Policy, cfg.P)
 		}

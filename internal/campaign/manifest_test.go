@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/experiment"
 	"repro/internal/service"
 )
 
@@ -104,22 +105,17 @@ func TestFigure14Manifest(t *testing.T) {
 	}
 }
 
-// fuzzMaxDistance and fuzzMaxPoints bound what the fuzz harness expands.
-// Larger distances are a known, open resource defect rather than a
-// finding: validation builds the distance-d layout before it checks any
-// array length, and a valid point at a large distance or cycle count makes
-// its job allocate without bound. Large grids only cost time.
-const (
-	fuzzMaxDistance = 15
-	fuzzMaxPoints   = 64
-)
+// fuzzMaxPoints bounds the grids the fuzz harness expands: large grids only
+// cost time.
+const fuzzMaxPoints = 64
 
 // FuzzManifestExpand: a POST /v1/campaign manifest is either rejected, or
-// every expanded point validates, resolves to at least one round, carries a
-// label and its config's content key, and no two points share a key. The
-// seed corpus in testdata/fuzz holds Figure 14, explicit points with a
-// precision override, a duplicate point, negative cycle and round counts,
-// and inputs over the size bounds.
+// every expanded point validates, resolves to between 1 and
+// experiment.MaxRounds rounds, carries a label and its config's content
+// key, and no two points share a key. The seed corpus in testdata/fuzz
+// holds Figure 14, explicit points with a precision override, a duplicate
+// point, negative cycle and round counts, a distance above the cap, and a
+// grid over the size bound.
 func FuzzManifestExpand(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var m Manifest
@@ -135,14 +131,14 @@ func FuzzManifestExpand(f *testing.F) {
 			if err := p.Config.Validate(); err != nil {
 				t.Fatalf("point %q does not validate: %v", p.Label, err)
 			}
-			if n := p.Config.NumRounds(); n < 1 {
+			if n := p.Config.NumRounds(); n < 1 || n > experiment.MaxRounds {
 				t.Fatalf("point %q resolves to %d rounds", p.Label, n)
 			}
 			if p.Label == "" {
 				t.Fatalf("point %+v has no label", p.Spec)
 			}
-			if k, err := p.Config.Key(); err != nil || k != p.Key {
-				t.Fatalf("point %q keyed %q, its config keys to %q (%v)", p.Label, p.Key, k, err)
+			if k := p.Config.Key(); k != p.Key {
+				t.Fatalf("point %q keyed %q, its config keys to %q", p.Label, p.Key, k)
 			}
 			if prev, dup := seen[p.Key]; dup {
 				t.Fatalf("points %q and %q share key %s", prev, p.Label, p.Key)
@@ -161,17 +157,5 @@ func fuzzSized(m Manifest) bool {
 			return false
 		}
 	}
-	if grid+len(m.Points) > fuzzMaxPoints {
-		return false
-	}
-	ds := append([]int{m.Base.Distance}, m.Distances...)
-	for _, p := range m.Points {
-		ds = append(ds, p.Config.Distance)
-	}
-	for _, d := range ds {
-		if d > fuzzMaxDistance {
-			return false
-		}
-	}
-	return true
+	return grid+len(m.Points) <= fuzzMaxPoints
 }

@@ -11,11 +11,12 @@ import (
 // package circuit so this package does not import the simulator.
 const BatchLanes = circuit.WordLanes
 
-// BatchDecoder is the batched counterpart of Engine, implemented by both the
-// MWPM and union-find decoders: decode all (or a range of) the lanes of a
-// collector in one call, returning the predicted logical-flip bits packed
-// one per lane — the same layout the batch simulator's ObservableFlip uses,
-// so batched prediction and ground truth compare with one XOR.
+// BatchDecoder is the interface of both decoding engines, MWPM (Decoder)
+// and union-find (UnionFind). Decode maps one shot's detection events to
+// the predicted logical-observable flip; DecodeLanes decodes a range of the
+// lanes of a collector, returning the predictions packed one per lane — the
+// same layout the batch simulator's observable words use, so batched
+// prediction and ground truth compare with one XOR.
 //
 // Implementations reuse per-instance scratch arenas, so a BatchDecoder is
 // not safe for concurrent calls on one instance; to decode disjoint lane
@@ -23,14 +24,13 @@ const BatchLanes = circuit.WordLanes
 // instance (construction is cheap — the heavy precompute is cached and
 // shared).
 type BatchDecoder interface {
-	Engine
-	// DecodeBatch decodes every lane, lane i's prediction in bit i.
-	DecodeBatch(c *BatchCollector) uint64
-	// DecodeLanes decodes lanes [lo, hi) only; bits outside the range are 0.
+	Decode(events []Event) uint8
+	// DecodeLanes decodes lanes [lo, hi) only, lane i's prediction in bit
+	// i; bits outside the range are 0.
 	DecodeLanes(c *BatchCollector, lo, hi int) uint64
 }
 
-// Compile-time checks that both engines implement the batched interface.
+// Compile-time checks that both engines implement the interface.
 var (
 	_ BatchDecoder = (*Decoder)(nil)
 	_ BatchDecoder = (*UnionFind)(nil)

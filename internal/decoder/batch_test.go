@@ -128,15 +128,15 @@ func randomBatch(rng *stats.RNG, nz, rounds int, density float64) (*BatchCollect
 	return c, serial
 }
 
-// TestDecodeBatchMatchesSerial: for both engines, DecodeBatch on a shared
-// collector must equal, bit for bit, the serial Decode of each lane's event
-// list — on the same (arena-reusing) instance and on a fresh one. Also
-// checks DecodeLanes masks bits outside its range.
+// TestDecodeBatchMatchesSerial: for both engines, DecodeLanes over all
+// lanes of a shared collector must equal, bit for bit, the serial Decode of
+// each lane's event list — on the same (arena-reusing) instance and on a
+// fresh one. Also checks DecodeLanes masks bits outside its range.
 func TestDecodeBatchMatchesSerial(t *testing.T) {
 	l := surfacecode.MustNew(5)
 	const rounds = 6
 	for name, mk := range map[string]func() BatchDecoder{
-		"mwpm":      func() BatchDecoder { return New(l, DefaultConfig()) },
+		"mwpm":      func() BatchDecoder { return New(l, Config{}) },
 		"unionfind": func() BatchDecoder { return NewUnionFind(l, surfacecode.KindZ, rounds) },
 	} {
 		t.Run(name, func(t *testing.T) {
@@ -149,8 +149,8 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 				for lane := 0; lane < BatchLanes; lane++ {
 					want |= uint64(ref.Decode(serial[lane])) << uint(lane)
 				}
-				if got := eng.DecodeBatch(c); got != want {
-					t.Fatalf("trial %d: DecodeBatch = %#x, want %#x (xor %#x)",
+				if got := eng.DecodeLanes(c, 0, BatchLanes); got != want {
+					t.Fatalf("trial %d: DecodeLanes = %#x, want %#x (xor %#x)",
 						trial, got, want, got^want)
 				}
 				// Interleave serial decodes on the same instance, then batch
@@ -160,8 +160,8 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 						t.Fatalf("trial %d: serial re-decode lane %d diverged", trial, lane)
 					}
 				}
-				if got := eng.DecodeBatch(c); got != want {
-					t.Fatalf("trial %d: DecodeBatch after serial interleave = %#x, want %#x",
+				if got := eng.DecodeLanes(c, 0, BatchLanes); got != want {
+					t.Fatalf("trial %d: DecodeLanes after serial interleave = %#x, want %#x",
 						trial, got, want)
 				}
 				mask := (uint64(1)<<48 - 1) &^ (uint64(1)<<16 - 1)
@@ -182,16 +182,16 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 	rng := stats.NewRNG(5, 3)
 	c, _ := randomBatch(rng, l.NumZ(), rounds, 0.04)
 	for name, eng := range map[string]BatchDecoder{
-		"mwpm":      New(l, DefaultConfig()),
+		"mwpm":      New(l, Config{}),
 		"unionfind": NewUnionFind(l, surfacecode.KindZ, rounds),
 	} {
 		t.Run(name, func(t *testing.T) {
 			for i := 0; i < 3; i++ { // grow arenas to steady state
-				eng.DecodeBatch(c)
+				eng.DecodeLanes(c, 0, BatchLanes)
 			}
-			allocs := testing.AllocsPerRun(50, func() { eng.DecodeBatch(c) })
+			allocs := testing.AllocsPerRun(50, func() { eng.DecodeLanes(c, 0, BatchLanes) })
 			if allocs != 0 {
-				t.Fatalf("%s: steady-state DecodeBatch allocates %v per batch, want 0",
+				t.Fatalf("%s: steady-state DecodeLanes allocates %v per batch, want 0",
 					name, allocs)
 			}
 		})

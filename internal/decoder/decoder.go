@@ -22,58 +22,28 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// Engine is the interface shared by the MWPM and union-find decoders: map
-// a shot's detection events to the predicted logical observable flip.
-type Engine interface {
-	Decode(events []Event) uint8
-}
-
-// Config tunes the decoder.
+// Config tunes the decoder's matching graph with per-site priors; the zero
+// value weighs every space and time edge 1, the standard choice for
+// hardware MWPM decoders.
 type Config struct {
-	// SpaceWeight and TimeWeight scale the per-edge costs of spatial (data
-	// qubit) and temporal (measurement) error mechanisms. The defaults are
-	// uniform weights, the standard choice for hardware MWPM decoders.
-	SpaceWeight, TimeWeight float64
 	// SpaceWeights, when non-nil, gives each space edge its own weight,
-	// indexed by the data qubit the edge represents; it overrides
-	// SpaceWeight. Device profiles install -log-likelihood priors here so
-	// the matcher prefers explanations through a device's noisy regions.
+	// indexed by the data qubit the edge represents. Device profiles install
+	// -log-likelihood priors here so the matcher prefers explanations
+	// through a device's noisy regions.
 	SpaceWeights []float64
 	// TimeWeights, when non-nil, gives each stabilizer its own time-edge
-	// weight, indexed by stabilizer index; it overrides TimeWeight. The time
-	// cost between two events is the mean of their stabilizers' weights per
-	// round of separation, which reduces exactly to TimeWeight*dt in the
-	// uniform case.
+	// weight, indexed by stabilizer index. The time cost between two events
+	// is the mean of their stabilizers' weights per round of separation,
+	// which reduces exactly to dt in the uniform case.
 	TimeWeights []float64
-	// MaxExact caps the cluster size handed to the exact O(2^N * N) matcher;
-	// larger clusters fall back to greedy-plus-2-opt. 0 means the default
-	// (matching.MaxExact, normally 12). This replaces the former mutable
-	// package-level matching.MaxExact knob, which was a latent data race
-	// with decoders running concurrently across workers.
-	MaxExact int
 }
 
-// DefaultConfig returns unit space/time weights.
-func DefaultConfig() Config { return Config{SpaceWeight: 1, TimeWeight: 1} }
-
-// MaxExactLimit is the largest Config.MaxExact a decoder accepts: the exact
-// matcher's tables are indexed by subset, 2^MaxExact entries.
-const MaxExactLimit = 20
-
 // Validate reports whether the config builds a working decoder for the
-// distance-d layout: every weight, scalar or per site, finite and
-// non-negative; per-site vectors, when set, exactly one weight per data
-// qubit (SpaceWeights) or per stabilizer (TimeWeights); and MaxExact in
-// [0, MaxExactLimit], where 0 means the default. The layout is built only
-// to check vector lengths, so configs without per-site vectors stay cheap
-// to validate.
+// distance-d layout: per-site vectors, when set, hold exactly one finite,
+// non-negative weight per data qubit (SpaceWeights) or per stabilizer
+// (TimeWeights). The layout is built only to check vector lengths, so
+// configs without per-site vectors stay cheap to validate.
 func (c Config) Validate(d int) error {
-	if badWeight(c.SpaceWeight) || badWeight(c.TimeWeight) {
-		return fmt.Errorf("decoder: space/time weights %g/%g, want finite and >= 0", c.SpaceWeight, c.TimeWeight)
-	}
-	if c.MaxExact < 0 || c.MaxExact > MaxExactLimit {
-		return fmt.Errorf("decoder: MaxExact %d outside [0, %d]", c.MaxExact, MaxExactLimit)
-	}
 	if c.SpaceWeights == nil && c.TimeWeights == nil {
 		return nil
 	}
@@ -126,8 +96,8 @@ type spaceTable struct {
 	// cross[a*stride+b] is 1 when the shortest path crosses the logical-Z
 	// support an odd number of times.
 	cross []uint8
-	// tw[a] is the time-edge weight of kind-ordinal a (uniformly
-	// cfg.TimeWeight unless cfg.TimeWeights is set).
+	// tw[a] is the time-edge weight of kind-ordinal a (uniformly 1 unless
+	// cfg.TimeWeights is set).
 	tw []float64
 	// twMin is the smallest time weight. scanCut is set when every time
 	// weight and distance is non-negative, so a pair's weight is at least
@@ -139,7 +109,7 @@ type spaceTable struct {
 var spaceTables sync.Map // string key -> *spaceTable
 
 // spaceTableKey builds the exact content key of a table: code distance,
-// stabilizer kind, and every weight datum at full float64 precision. Two
+// stabilizer kind, and every per-site weight at full float64 precision. Two
 // configs share a table iff they would build byte-identical tables.
 func spaceTableKey(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) string {
 	b := make([]byte, 0, 32+8*(len(cfg.SpaceWeights)+len(cfg.TimeWeights)))
@@ -148,8 +118,6 @@ func spaceTableKey(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) str
 	}
 	put(uint64(l.Distance))
 	put(uint64(kind))
-	put(math.Float64bits(cfg.SpaceWeight))
-	put(math.Float64bits(cfg.TimeWeight))
 	put(uint64(len(cfg.SpaceWeights)))
 	for _, w := range cfg.SpaceWeights {
 		put(math.Float64bits(w))
@@ -185,7 +153,6 @@ func sharedSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) 
 // heavy precompute lives in a shared immutable table, so constructing one
 // decoder per worker is cheap (O(cache lookup) after the first).
 type Decoder struct {
-	cfg    Config
 	layout *surfacecode.Layout
 	kind   surfacecode.Kind
 	nz     int
@@ -214,16 +181,7 @@ func New(l *surfacecode.Layout, cfg Config) *Decoder {
 // kind (KindZ decodes X-type errors against the logical Z, KindX decodes
 // Z-type errors against the logical X).
 func NewForKind(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *Decoder {
-	if cfg.SpaceWeight == 0 && cfg.TimeWeight == 0 {
-		def := DefaultConfig()
-		cfg.SpaceWeight, cfg.TimeWeight = def.SpaceWeight, def.TimeWeight
-	}
-	if cfg.MaxExact == 0 {
-		cfg.MaxExact = matching.MaxExact
-	}
-	d := &Decoder{cfg: cfg, layout: l, kind: kind, nz: l.NumKind(kind)}
-	d.tab = sharedSpaceTable(l, cfg, kind)
-	return d
+	return &Decoder{layout: l, kind: kind, nz: l.NumKind(kind), tab: sharedSpaceTable(l, cfg, kind)}
 }
 
 type spaceEdge struct {
@@ -236,7 +194,7 @@ func buildSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *
 	nz := l.NumKind(kind)
 	t := &spaceTable{tw: make([]float64, nz)}
 	for i := range t.tw {
-		t.tw[i] = cfg.TimeWeight
+		t.tw[i] = 1
 	}
 	if cfg.TimeWeights != nil {
 		for stab, w := range cfg.TimeWeights {
@@ -258,7 +216,7 @@ func buildSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *
 		if isLogical[q] {
 			c = 1
 		}
-		w := cfg.SpaceWeight
+		w := 1.0
 		if cfg.SpaceWeights != nil {
 			w = cfg.SpaceWeights[q]
 		}
@@ -342,7 +300,7 @@ func (d *Decoder) pairWeight(i, j int) float64 {
 // timeCost is the time part of the cost of matching events a and b: the
 // per-ordinal time weights, averaged over the pair, per round of
 // separation. With uniform weights (w+w)/2 == w exactly, so this is
-// bit-identical to the historical TimeWeight*dt cost; it is symmetric in a
+// bit-identical to the historical uniform dt cost; it is symmetric in a
 // and b, bit for bit, since float addition commutes.
 func timeCost(tw []float64, a, b Event) float64 {
 	dt := a.Round - b.Round
@@ -523,7 +481,7 @@ func (d *Decoder) instance(sub []int32) matching.Instance {
 			pair[b*m+a] = dist[eb.Z*stride+ea.Z] + t
 		}
 	}
-	return matching.Instance{N: m, Pair: pair, Boundary: bound, MaxExact: d.cfg.MaxExact}
+	return matching.Instance{N: m, Pair: pair, Boundary: bound}
 }
 
 // grow sizes the scratch arenas for an n-event shot.
@@ -535,12 +493,6 @@ func (d *Decoder) grow(n int) {
 		d.done = make([]bool, n)
 		d.sub = make([]int32, 0, n)
 	}
-}
-
-// DecodeBatch decodes every lane of the collector and returns the predicted
-// logical-flip bits packed one per lane, lane i in bit i.
-func (d *Decoder) DecodeBatch(c *BatchCollector) uint64 {
-	return d.DecodeLanes(c, 0, BatchLanes)
 }
 
 // DecodeLanes decodes lanes [lo, hi) of the collector, returning the

@@ -15,7 +15,7 @@ import (
 func runWithErrors(t *testing.T, d, rounds int, errs map[int]int) (uint8, uint8) {
 	t.Helper()
 	l := surfacecode.MustNew(d)
-	dec := New(l, DefaultConfig())
+	dec := New(l, Config{})
 	s := sim.New(l, noise.Standard(0), stats.NewRNG(1, 1))
 	b := circuit.NewBuilder(l)
 	var events []Event
@@ -33,7 +33,7 @@ func runWithErrors(t *testing.T, d, rounds int, errs map[int]int) (uint8, uint8)
 		}
 	}
 	final := s.FinalMeasure(b.FinalMeasurement())
-	for i, e := range s.FinalZDetectors(final) {
+	for i, e := range s.FinalDetectors(final) {
 		if e != 0 {
 			events = append(events, Event{Z: l.ZOrdinal(i), Round: rounds + 1})
 		}
@@ -44,7 +44,7 @@ func runWithErrors(t *testing.T, d, rounds int, errs map[int]int) (uint8, uint8)
 // TestDecodeNoEvents returns no correction.
 func TestDecodeNoEvents(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	dec := New(l, DefaultConfig())
+	dec := New(l, Config{})
 	if dec.Decode(nil) != 0 {
 		t.Fatal("empty decode predicted a flip")
 	}
@@ -137,7 +137,7 @@ func TestLogicalChainFailsSilently(t *testing.T) {
 // distance 1; boundary distances are shortest row-paths.
 func TestSpaceDistances(t *testing.T) {
 	l := surfacecode.MustNew(5)
-	dec := New(l, DefaultConfig())
+	dec := New(l, Config{})
 	for q := 0; q < l.NumData; q++ {
 		zs := l.DataZStabs[q]
 		if len(zs) == 2 {
@@ -209,13 +209,5 @@ func TestMonteCarloBelowHalfDistance(t *testing.T) {
 		if pred != actual {
 			t.Fatalf("trial %d: %v misdecoded", trial, errs)
 		}
-	}
-}
-
-func TestZeroConfigDefaults(t *testing.T) {
-	l := surfacecode.MustNew(3)
-	dec := New(l, Config{})
-	if dec.cfg.SpaceWeight != 1 || dec.cfg.TimeWeight != 1 {
-		t.Fatal("zero config did not default to unit weights")
 	}
 }

@@ -46,7 +46,7 @@ var flipPriors = []struct {
 	name string
 	cfg  func(t *testing.T, l *surfacecode.Layout) Config
 }{
-	{"uniform", func(*testing.T, *surfacecode.Layout) Config { return DefaultConfig() }},
+	{"uniform", func(*testing.T, *surfacecode.Layout) Config { return Config{} }},
 	{"hotspot", func(t *testing.T, l *surfacecode.Layout) Config {
 		return profilePriors(t, l, func() (*device.Profile, error) { return device.Hotspot(l.Distance, 1e-3, 2, 6) })
 	}},

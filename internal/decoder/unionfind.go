@@ -21,22 +21,13 @@ import (
 // makes steady-state decoding allocation-free — and therefore a UnionFind
 // instance must NOT be shared by concurrent goroutines; give each worker its
 // own (cheap) instance.
-//
-// DecodeBatch/DecodeLanes additionally batch the first growth pass over lane
-// words: the pass-1 edge-support state of all 64 lanes is computed once with
-// word-parallel and/or masks over the per-vertex defect words (the same
-// trick the batch simulator uses in RunRoundMasked), and each lane's decode
-// then reads its bit out of the shared planes instead of recomputing
-// support. Later growth passes run per lane; at the paper's error rates most
-// clusters close after pass 1, so the shared pass covers the bulk of the
-// grow/merge work.
 type UnionFind struct {
 	g *ufGraph
 
-	// Per-lane decode state, valid when the matching stamp equals epoch.
+	// Per-decode state, valid when the matching stamp equals epoch.
 	epoch  uint32
 	vstamp []uint32 // per vertex
-	estamp []uint32 // per edge: support[] authoritative for this lane
+	estamp []uint32 // per edge: support[] authoritative for this decode
 
 	parent   []int32
 	size     []int32
@@ -59,17 +50,6 @@ type UnionFind struct {
 	parentOf []int32
 	pdef     []bool
 	order    []treeEdge
-
-	// Word-batched pass-1 planes, valid when the matching stamp equals
-	// wepoch (bumped per DecodeLanes call, and per serial Decode to
-	// invalidate). curBit selects the lane being decoded.
-	wepoch  uint32
-	wvstamp []uint32 // per vertex: defectW valid
-	westamp []uint32 // per edge: suppA/suppB valid
-	defectW []uint64
-	suppA   []uint64 // lanes with >= 1 defect endpoint (support 1 after pass 1)
-	suppB   []uint64 // lanes with both endpoints defect (support 2 after pass 1)
-	curBit  uint64
 }
 
 type treeEdge struct {
@@ -174,11 +154,6 @@ func NewUnionFind(l *surfacecode.Layout, kind surfacecode.Kind, rounds int) *Uni
 		pstamp:   make([]uint32, g.nV),
 		parentOf: make([]int32, g.nV),
 		pdef:     make([]bool, g.nV),
-		wvstamp:  make([]uint32, g.nV),
-		westamp:  make([]uint32, nE),
-		defectW:  make([]uint64, g.nV),
-		suppA:    make([]uint64, nE),
-		suppB:    make([]uint64, nE),
 	}
 }
 
@@ -229,20 +204,11 @@ func (u *UnionFind) defectOf(v int32) bool {
 	return u.vstamp[v] == u.epoch && u.defect[v]
 }
 
-// supportOf returns edge id's growth support for the lane being decoded:
-// authoritative per-lane writes first, then the word-batched pass-1 planes,
-// then zero.
+// supportOf returns edge id's growth support in the current decode, zero
+// for an edge not written since the epoch began.
 func (u *UnionFind) supportOf(id int32) uint8 {
 	if u.estamp[id] == u.epoch {
 		return u.support[id]
-	}
-	if u.westamp[id] == u.wepoch {
-		if u.suppB[id]&u.curBit != 0 {
-			return 2
-		}
-		if u.suppA[id]&u.curBit != 0 {
-			return 1
-		}
 	}
 	return 0
 }
@@ -252,7 +218,7 @@ func (u *UnionFind) setSupport(id int32, s uint8) {
 	u.support[id] = s
 }
 
-// bumpEpoch starts a fresh per-lane decode; on uint32 wraparound the stamp
+// bumpEpoch starts a fresh decode; on uint32 wraparound the stamp
 // arrays are cleared so stale stamps can never collide.
 func (u *UnionFind) bumpEpoch() {
 	u.epoch++
@@ -273,28 +239,15 @@ func (u *UnionFind) beginMark() {
 	}
 }
 
-// bumpWordEpoch invalidates the pass-1 planes (serial decodes must not see a
-// previous batch's planes).
-func (u *UnionFind) bumpWordEpoch() {
-	u.wepoch++
-	if u.wepoch == 0 {
-		clear(u.wvstamp)
-		clear(u.westamp)
-		u.wepoch = 1
-	}
-}
-
 // Decode grows clusters around the detection events and peels a correction.
 // It reuses the instance's arenas and is NOT safe for concurrent calls.
 func (u *UnionFind) Decode(events []Event) uint8 {
 	if len(events) == 0 {
 		return 0
 	}
-	u.bumpWordEpoch() // no planes for serial decodes
-	u.curBit = 0
 	u.bumpEpoch()
 	active := u.loadDefects(events)
-	active = u.growClusters(active, false)
+	active = u.growClusters(active)
 	return u.peelAll(active)
 }
 
@@ -323,25 +276,14 @@ func (u *UnionFind) loadDefects(events []Event) []int32 {
 
 // growClusters runs the growth loop: every odd, non-boundary cluster grows
 // all frontier edges by a half step; fully grown edges merge clusters or
-// attach the boundary. When seeded is true the first pass's support state
-// already came from the word-batched planes and only the fully grown edge
-// list needs processing per lane (see decodeLane).
-func (u *UnionFind) growClusters(active []int32, seeded bool) []int32 {
+// attach the boundary.
+func (u *UnionFind) growClusters(active []int32) []int32 {
 	for iter := 0; iter < 4*u.g.nV; iter++ {
 		odd := u.odds(active)
 		if len(odd) == 0 {
 			break
 		}
-		var grown []int32
-		var advanced bool
-		if iter == 0 && seeded {
-			grown = u.pass1Grown(odd)
-			// Pass 1 starts from zero support, and every vertex has at
-			// least one incident edge, so an odd cluster always advances.
-			advanced = true
-		} else {
-			grown, advanced = u.grownEdges(odd)
-		}
+		grown, advanced := u.grownEdges(odd)
 		if !advanced {
 			break // defensive; cannot happen while boundary edges exist
 		}
@@ -394,35 +336,6 @@ func (u *UnionFind) grownEdges(odd []int32) (grown []int32, advanced bool) {
 	}
 	u.grown = out
 	return out, advanced
-}
-
-// pass1Grown replays the first growth pass for the current lane from the
-// word-batched planes: an edge is fully grown after pass 1 iff both its
-// endpoints are defects (the suppB plane bit), and the canonical grown order
-// — matching grownEdges on a fresh support array — appends the edge when its
-// second endpoint is scanned. Support values are not written back per edge;
-// supportOf falls through to the planes for everything pass 1 touched.
-func (u *UnionFind) pass1Grown(odd []int32) []int32 {
-	out := u.grown[:0]
-	u.beginMark()
-	for _, v := range odd {
-		for _, id := range u.g.vertexEdges[v] {
-			if u.suppB[id]&u.curBit == 0 || u.westamp[id] != u.wepoch {
-				continue
-			}
-			e := u.g.edges[id]
-			w := e.u
-			if w == v {
-				w = e.v
-			}
-			if w >= 0 && u.mark[w] == u.mepoch {
-				out = append(out, id)
-			}
-		}
-		u.mark[v] = u.mepoch
-	}
-	u.grown = out
-	return out
 }
 
 // processGrown merges the endpoints of fully grown edges and records
@@ -528,78 +441,16 @@ func (u *UnionFind) peel(root int32) uint8 {
 	return flip
 }
 
-// DecodeBatch decodes every lane of the collector, returning the predicted
-// logical-flip bits packed one per lane.
-func (u *UnionFind) DecodeBatch(c *BatchCollector) uint64 {
-	return u.DecodeLanes(c, 0, BatchLanes)
-}
-
-// DecodeLanes decodes lanes [lo, hi) of the collector. The first growth
-// pass of all lanes in the range is computed once over lane words; each
-// lane's decode is bit-identical to a serial Decode of its event list.
-// Disjoint lane ranges may be decoded concurrently by different instances.
+// DecodeLanes decodes lanes [lo, hi) of the collector, returning the
+// predicted flips in the corresponding bits. Disjoint lane ranges of one
+// collector may be decoded concurrently — by different instances; a single
+// instance's arenas are single-threaded.
 func (u *UnionFind) DecodeLanes(c *BatchCollector, lo, hi int) uint64 {
-	u.buildPlanes(c, lo, hi)
 	var out uint64
 	for lane := lo; lane < hi; lane++ {
-		events := c.lanes[lane]
-		if len(events) == 0 {
-			continue
-		}
-		u.curBit = 1 << uint(lane)
-		u.bumpEpoch()
-		active := u.loadDefects(events)
-		active = u.growClusters(active, true)
-		if u.peelAll(active) != 0 {
+		if u.Decode(c.lanes[lane]) != 0 {
 			out |= 1 << uint(lane)
 		}
 	}
-	u.curBit = 0
 	return out
-}
-
-// buildPlanes computes the word-batched pass-1 state for lanes [lo, hi):
-// per-vertex defect words (event toggles XOR, so duplicate events cancel
-// exactly as in loadDefects), then per-edge support planes — suppA has a
-// lane's bit when at least one endpoint is a defect (support 1 after pass
-// 1), suppB when both are (support 2, i.e. fully grown). One pass of word
-// ops replaces 64 per-lane support recomputations.
-func (u *UnionFind) buildPlanes(c *BatchCollector, lo, hi int) {
-	u.bumpWordEpoch()
-	touched := u.active[:0] // borrow; loadDefects reclaims it later
-	for lane := lo; lane < hi; lane++ {
-		bit := uint64(1) << uint(lane)
-		for _, e := range c.lanes[lane] {
-			v := int32((e.Round-1)*u.g.nz + e.Z)
-			if u.wvstamp[v] != u.wepoch {
-				u.wvstamp[v] = u.wepoch
-				u.defectW[v] = 0
-				touched = append(touched, v)
-			}
-			u.defectW[v] ^= bit
-		}
-	}
-	for _, v := range touched {
-		dv := u.defectW[v]
-		if dv == 0 {
-			continue
-		}
-		for _, id := range u.g.vertexEdges[v] {
-			if u.westamp[id] == u.wepoch {
-				continue
-			}
-			u.westamp[id] = u.wepoch
-			e := u.g.edges[id]
-			var du, dw uint64
-			if u.wvstamp[e.u] == u.wepoch {
-				du = u.defectW[e.u]
-			}
-			if e.v >= 0 && u.wvstamp[e.v] == u.wepoch {
-				dw = u.defectW[e.v]
-			}
-			u.suppA[id] = du | dw
-			u.suppB[id] = du & dw
-		}
-	}
-	u.active = touched[:0]
 }

@@ -32,7 +32,7 @@ func runUF(t *testing.T, d, rounds int, errs map[int]int) (uint8, uint8) {
 		}
 	}
 	final := s.FinalMeasure(b.FinalMeasurement())
-	for i, e := range s.FinalZDetectors(final) {
+	for i, e := range s.FinalDetectors(final) {
 		if e != 0 {
 			events = append(events, Event{Z: l.ZOrdinal(i), Round: rounds + 1})
 		}
@@ -101,7 +101,7 @@ func TestUnionFindMeasurementError(t *testing.T) {
 func TestUnionFindAgreesWithMWPMOnNoise(t *testing.T) {
 	const d, rounds, shots = 5, 15, 150
 	l := surfacecode.MustNew(d)
-	mwpm := New(l, DefaultConfig())
+	mwpm := New(l, Config{})
 	uf := NewUnionFind(l, surfacecode.KindZ, rounds)
 	b := circuit.NewBuilder(l)
 	rng := stats.NewRNG(42, 0)
@@ -119,7 +119,7 @@ func TestUnionFindAgreesWithMWPMOnNoise(t *testing.T) {
 			}
 		}
 		final := s.FinalMeasure(b.FinalMeasurement())
-		for i, e := range s.FinalZDetectors(final) {
+		for i, e := range s.FinalDetectors(final) {
 			if e != 0 {
 				events = append(events, Event{Z: l.ZOrdinal(i), Round: rounds + 1})
 			}

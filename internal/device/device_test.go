@@ -2,9 +2,11 @@ package device
 
 import (
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"math"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/noise"
@@ -158,6 +160,26 @@ func TestValidateRejectsBadRates(t *testing.T) {
 	p.PTransport[2] = 1.5
 	if err := p.Validate(); err == nil {
 		t.Error("rate > 1 passed validation")
+	}
+}
+
+// TestReadJSONRejectsOversizedDistance: a profile above
+// surfacecode.MaxDistance is an error, reached before any layout is built.
+// Unchecked, the 36-byte d=1001 profile allocated over 1 GB before its
+// array lengths were rejected, and d=100000001 panicked in makeslice.
+func TestReadJSONRejectsOversizedDistance(t *testing.T) {
+	for _, d := range []int{100000001, 1001, surfacecode.MaxDistance + 2} {
+		data := fmt.Sprintf(`{"distance":%d,"base":{"P":0.001}}`, d)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadJSON(strings.NewReader(data))
+		runtime.ReadMemStats(&after)
+		if err == nil {
+			t.Errorf("d=%d: profile accepted", d)
+		}
+		if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+			t.Errorf("d=%d: rejection allocated %d bytes", d, n)
+		}
 	}
 }
 
@@ -328,13 +350,6 @@ func TestHashDiscriminates(t *testing.T) {
 	}
 }
 
-// fuzzMaxDistance bounds the profiles the fuzz harness reads. Larger ones
-// are a known, open resource defect rather than a finding: Validate builds
-// the distance-d layout before it checks any array length, so the 36-byte
-// profile {"distance":1001,"base":{"P":0.001}} allocates ~1.1 GB before it
-// is rejected.
-const fuzzMaxDistance = 15
-
 // FuzzReadProfile: a profile file is either rejected by ReadJSON, or it
 // resolves against its layout, derives positive finite decoder priors of
 // the layout's shape, and survives a WriteJSON/ReadJSON round trip with its
@@ -343,12 +358,6 @@ const fuzzMaxDistance = 15
 // oversized distance.
 func FuzzReadProfile(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
-		var peek struct {
-			Distance int `json:"distance"`
-		}
-		if json.NewDecoder(bytes.NewReader(data)).Decode(&peek) == nil && peek.Distance > fuzzMaxDistance {
-			return
-		}
 		p, err := ReadJSON(bytes.NewReader(data))
 		if err != nil {
 			return

@@ -10,35 +10,6 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// TestBatchEligibility: every policy rides the word-parallel fast path —
-// static schedules through the shared-plan worker and adaptive ones through
-// the lane-masked worker — unless the config opts out.
-func TestBatchEligibility(t *testing.T) {
-	for _, tc := range []struct {
-		cfg  Config
-		want bool
-	}{
-		{Config{Policy: core.PolicyNone}, true},
-		{Config{Policy: core.PolicyAlways}, true},
-		{Config{Policy: core.PolicyAlways, Protocol: circuit.ProtocolDQLR}, true},
-		{Config{Policy: core.PolicyEraser}, true},
-		{Config{Policy: core.PolicyEraserM}, true},
-		{Config{Policy: core.PolicyOptimal}, true},
-		{Config{Policy: core.PolicyNone, ForceScalar: true}, false},
-		{Config{Policy: core.PolicyEraser, ForceScalar: true}, false},
-		{Config{Policy: core.PolicyNone, Tune: func(core.Policy) {}}, false},
-		{Config{Policy: core.PolicyEraser, Tune: func(core.Policy) {}}, false},
-	} {
-		if got := batchEligible(tc.cfg); got != tc.want {
-			t.Errorf("batchEligible(policy=%v, forceScalar=%v) = %v, want %v",
-				tc.cfg.Policy, tc.cfg.ForceScalar, got, tc.want)
-		}
-	}
-	if !staticPlans(core.PolicyAlways) || staticPlans(core.PolicyEraser) {
-		t.Error("staticPlans misclassifies policies")
-	}
-}
-
 // TestBatchDeterministicAcrossWorkers: the batch path's integer accumulators
 // are identical for any worker count and across repeated runs, including a
 // partial final batch (shots not a multiple of 64), for both the shared-plan
@@ -148,8 +119,7 @@ func TestBatchMatchesScalarStatistically(t *testing.T) {
 		cfg := Config{Distance: 3, Cycles: 4, P: 3e-3, Shots: 4000, Seed: 42,
 			Policy: tc.pol, Protocol: tc.proto}
 		bat := Run(cfg)
-		cfg.ForceScalar = true
-		sca := Run(cfg)
+		sca := RunScalar(cfg, nil)
 		t.Logf("%s: batch LER %.4f [%.4f, %.4f], scalar LER %.4f [%.4f, %.4f]",
 			tc.name, bat.LER, bat.LERLow, bat.LERHigh, sca.LER, sca.LERLow, sca.LERHigh)
 		t.Logf("%s: batch LPR %.5f, scalar LPR %.5f", tc.name, bat.MeanLPR(), sca.MeanLPR())
@@ -189,8 +159,7 @@ func TestBatchSpeculationCountersMatchScalar(t *testing.T) {
 	for _, pol := range []core.Kind{core.PolicyEraser, core.PolicyEraserM, core.PolicyOptimal} {
 		cfg := Config{Distance: 3, Cycles: 4, P: 3e-3, Shots: 3000, Seed: 27, Policy: pol}
 		bat := Run(cfg)
-		cfg.ForceScalar = true
-		sca := Run(cfg)
+		sca := RunScalar(cfg, nil)
 		t.Logf("%v: batch acc=%.4f fpr=%.5f fnr=%.4f lrcs=%.4f | scalar acc=%.4f fpr=%.5f fnr=%.4f lrcs=%.4f",
 			pol, bat.Accuracy(), bat.FPR(), bat.FNR(), bat.LRCsPerRound,
 			sca.Accuracy(), sca.FPR(), sca.FNR(), sca.LRCsPerRound)

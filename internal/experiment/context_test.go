@@ -9,13 +9,14 @@ import (
 	"repro/internal/core"
 )
 
-// TestRunUnitsCtxAlreadyCancelled: a dead context runs nothing and reports
-// its error; the empty tally is still well-formed and mergeable.
+// TestRunUnitsCtxAlreadyCancelled: a dead context runs nothing and
+// RunUnitsMeteredCtx reports its error; the empty tally is still
+// well-formed and mergeable.
 func TestRunUnitsCtxAlreadyCancelled(t *testing.T) {
 	cfg := Config{Distance: 3, Cycles: 2, P: 2e-3, Seed: 5, Policy: core.PolicyAlways}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	partial, err := RunUnitsCtx(ctx, cfg, 0, 8)
+	partial, _, err := RunUnitsMeteredCtx(ctx, cfg, 0, 8)
 	if err == nil {
 		t.Fatal("cancelled run returned no error")
 	}
@@ -46,7 +47,7 @@ func TestRunUnitsCtxPartialMergeExact(t *testing.T) {
 	// sensitive for correctness.
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Millisecond)
 	defer cancel()
-	partial, _ := RunUnitsCtx(ctx, cfg, 0, units)
+	partial, _, _ := RunUnitsMeteredCtx(ctx, cfg, 0, units)
 
 	merged := partial.Clone()
 	for u := 0; u < units; u++ {

@@ -58,38 +58,31 @@ func resultsEqual(t *testing.T, name string, a, b Result) {
 // device profile must reproduce the profile-free scalar-Params path bit for
 // bit at matched seeds — same Config.Key, same RNG streams, identical
 // tallies — on all three engine paths (shared-plan batch, lane-masked batch,
-// scalar).
+// and RunScalar).
 func TestUniformProfileBitExact(t *testing.T) {
+	scalar := func(cfg Config) Result { return RunScalar(cfg, nil) }
 	for _, tc := range []struct {
-		name        string
-		pol         core.Kind
-		forceScalar bool
+		name string
+		pol  core.Kind
+		run  func(Config) Result
 	}{
-		{"always-batch", core.PolicyAlways, false},
-		{"none-batch", core.PolicyNone, false},
-		{"eraser-lane-masked", core.PolicyEraser, false},
-		{"eraserM-lane-masked", core.PolicyEraserM, false},
-		{"optimal-lane-masked", core.PolicyOptimal, false},
-		{"eraser-scalar", core.PolicyEraser, true},
-		{"always-scalar", core.PolicyAlways, true},
+		{"always-batch", core.PolicyAlways, Run},
+		{"none-batch", core.PolicyNone, Run},
+		{"eraser-lane-masked", core.PolicyEraser, Run},
+		{"eraserM-lane-masked", core.PolicyEraserM, Run},
+		{"optimal-lane-masked", core.PolicyOptimal, Run},
+		{"eraser-scalar", core.PolicyEraser, scalar},
+		{"always-scalar", core.PolicyAlways, scalar},
 	} {
 		plain := Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 200, Seed: 11,
-			Policy: tc.pol, ForceScalar: tc.forceScalar, Workers: 2}
+			Policy: tc.pol, Workers: 2}
 		prof := plain
 		prof.Profile = uniformProfile(t, 3, 2e-3)
 
-		kp, err := plain.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		kf, err := prof.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if kp != kf {
+		if kp, kf := plain.Key(), prof.Key(); kp != kf {
 			t.Fatalf("%s: uniform profile changed Config.Key: %s vs %s", tc.name, kp, kf)
 		}
-		resultsEqual(t, tc.name, Run(plain), Run(prof))
+		resultsEqual(t, tc.name, tc.run(plain), tc.run(prof))
 	}
 }
 
@@ -102,18 +95,14 @@ func TestHeterogeneousProfileSeparates(t *testing.T) {
 	hot := plain
 	hot.Profile = hotspotProfile(t, 3, 2e-3, 2, 10)
 
-	kp, _ := plain.Key()
-	kh, err := hot.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	kp, kh := plain.Key(), hot.Key()
 	if kp == kh {
 		t.Fatal("hotspot profile did not change Config.Key")
 	}
 	// Distinct factors key separately too.
 	hot2 := plain
 	hot2.Profile = hotspotProfile(t, 3, 2e-3, 2, 5)
-	k2, _ := hot2.Key()
+	k2 := hot2.Key()
 	if k2 == kh || k2 == kp {
 		t.Fatal("hotspot factors alias in Config.Key")
 	}
@@ -144,8 +133,7 @@ func TestProfileEngineAgreement(t *testing.T) {
 			Policy: pol}
 		cfg.Profile = hotspotProfile(t, 3, 3e-3, 2, 6)
 		bat := Run(cfg)
-		cfg.ForceScalar = true
-		sca := Run(cfg)
+		sca := RunScalar(cfg, nil)
 		t.Logf("%v: batch LER %.4f [%.4f, %.4f], scalar LER %.4f [%.4f, %.4f]",
 			pol, bat.LER, bat.LERLow, bat.LERHigh, sca.LER, sca.LERLow, sca.LERHigh)
 		if !overlap(bat.LERLow, bat.LERHigh, sca.LERLow, sca.LERHigh) {
@@ -212,11 +200,9 @@ func TestProfileValidation(t *testing.T) {
 }
 
 // TestValidateDecoderConfig: Validate rejects decoder settings that would
-// crash a worker (a per-site weight vector of the wrong length), mis-key a
-// run (a negative MaxExact runs as the default but keys differently) or
-// allocate 2^MaxExact tables past the limit, plus negative and non-finite
-// weights; the defaults, explicit per-site priors of the right shape and
-// heterogeneous-profile configs still validate.
+// crash a worker (a per-site weight vector of the wrong length) and
+// negative or non-finite weights; the zero config, explicit per-site priors
+// of the right shape and heterogeneous-profile configs still validate.
 func TestValidateDecoderConfig(t *testing.T) {
 	const d = 5
 	l := surfacecode.MustNew(d)
@@ -239,23 +225,16 @@ func TestValidateDecoderConfig(t *testing.T) {
 	base := Config{Distance: d, Cycles: 2, P: 1e-3, Shots: 64, Seed: 1, Policy: core.PolicyEraser}
 
 	bad := map[string]decoder.Config{
-		"space weights short":      {SpaceWeights: ones(l.NumData - 1)},
-		"space weights long":       {SpaceWeights: ones(l.NumData + 1)},
-		"space weights empty":      {SpaceWeights: []float64{}},
-		"time weights short":       {TimeWeights: ones(len(l.Stabilizers) - 1)},
-		"time weights long":        {TimeWeights: ones(len(l.Stabilizers) + 1)},
-		"space weight negative":    {SpaceWeights: with(3, -1, ones(l.NumData))},
-		"space weight NaN":         {SpaceWeights: with(0, math.NaN(), ones(l.NumData))},
-		"space weight +Inf":        {SpaceWeights: with(l.NumData-1, math.Inf(1), ones(l.NumData))},
-		"time weight negative":     {TimeWeights: with(2, -0.5, ones(len(l.Stabilizers)))},
-		"time weight NaN":          {TimeWeights: with(1, math.NaN(), ones(len(l.Stabilizers)))},
-		"scalar space negative":    {SpaceWeight: -1, TimeWeight: 1},
-		"scalar space NaN":         {SpaceWeight: math.NaN(), TimeWeight: 1},
-		"scalar time +Inf":         {SpaceWeight: 1, TimeWeight: math.Inf(1)},
-		"scalar time -Inf":         {SpaceWeight: 1, TimeWeight: math.Inf(-1)},
-		"MaxExact negative":        {MaxExact: -1},
-		"MaxExact above the limit": {MaxExact: decoder.MaxExactLimit + 1},
-		"MaxExact 64":              {MaxExact: 64},
+		"space weights short":   {SpaceWeights: ones(l.NumData - 1)},
+		"space weights long":    {SpaceWeights: ones(l.NumData + 1)},
+		"space weights empty":   {SpaceWeights: []float64{}},
+		"time weights short":    {TimeWeights: ones(len(l.Stabilizers) - 1)},
+		"time weights long":     {TimeWeights: ones(len(l.Stabilizers) + 1)},
+		"space weight negative": {SpaceWeights: with(3, -1, ones(l.NumData))},
+		"space weight NaN":      {SpaceWeights: with(0, math.NaN(), ones(l.NumData))},
+		"space weight +Inf":     {SpaceWeights: with(l.NumData-1, math.Inf(1), ones(l.NumData))},
+		"time weight negative":  {TimeWeights: with(2, -0.5, ones(len(l.Stabilizers)))},
+		"time weight NaN":       {TimeWeights: with(1, math.NaN(), ones(len(l.Stabilizers)))},
 	}
 	for name, dc := range bad {
 		cfg := base
@@ -266,14 +245,10 @@ func TestValidateDecoderConfig(t *testing.T) {
 	}
 
 	good := map[string]func(*Config){
-		"zero decoder config":   func(*Config) {},
-		"default decoder":       func(c *Config) { c.Decoder = decoder.DefaultConfig() },
-		"zero space weight":     func(c *Config) { c.Decoder = decoder.Config{SpaceWeight: 0, TimeWeight: 1} },
-		"MaxExact 12":           func(c *Config) { c.Decoder.MaxExact = 12 },
-		"MaxExact at the limit": func(c *Config) { c.Decoder.MaxExact = decoder.MaxExactLimit },
-		"explicit priors":       func(c *Config) { c.Decoder = decoder.Config{SpaceWeights: space, TimeWeights: timeW} },
-		"hotspot profile":       func(c *Config) { c.Profile = hotspotProfile(t, d, 1e-3, 2, 6) },
-		"drift profile":         func(c *Config) { c.Profile = driftProfile(t, d, 1e-3, 0.5, 11) },
+		"zero decoder config": func(*Config) {},
+		"explicit priors":     func(c *Config) { c.Decoder = decoder.Config{SpaceWeights: space, TimeWeights: timeW} },
+		"hotspot profile":     func(c *Config) { c.Profile = hotspotProfile(t, d, 1e-3, 2, 6) },
+		"drift profile":       func(c *Config) { c.Profile = driftProfile(t, d, 1e-3, 0.5, 11) },
 		"profile and priors": func(c *Config) {
 			c.Profile = hotspotProfile(t, d, 1e-3, 2, 6)
 			c.Decoder = decoder.Config{SpaceWeights: space, TimeWeights: timeW}

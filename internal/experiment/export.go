@@ -99,9 +99,8 @@ func formatFloat(f float64) string {
 
 // ------------------------------------------------------------------ JSON --
 
-// ResultJSON is the JSON view of a Result. Result itself cannot marshal
-// directly (Config carries a function-valued Tune hook), so the view
-// flattens the identifying fields next to the derived statistics.
+// ResultJSON is the JSON view of a Result: the identifying fields of its
+// Config flattened next to the derived statistics.
 type ResultJSON struct {
 	Policy        string    `json:"policy"`
 	Distance      int       `json:"distance"`

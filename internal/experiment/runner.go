@@ -23,7 +23,6 @@ import (
 	"repro/internal/decoder"
 	"repro/internal/device"
 	"repro/internal/noise"
-	"repro/internal/sim"
 	"repro/internal/sim/batch"
 	"repro/internal/stats"
 	"repro/internal/surfacecode"
@@ -68,43 +67,14 @@ type Config struct {
 	// Workers bounds shot-level parallelism; 0 means GOMAXPROCS, 1 forces
 	// fully deterministic serial accumulation.
 	Workers int
-	// Tune optionally adjusts the policy after construction (ablations).
-	Tune func(core.Policy)
-	// ForceScalar disables the word-parallel batch fast path even for
-	// eligible static policies; benchmarks and engine-agreement tests use it
-	// to pit the two simulators against each other.
-	ForceScalar bool
 }
 
 // BlockUnits is the number of consecutive 64-lane work units one wide block
-// advances together.
+// advances together. Schedulers that round chunk bounds to multiples of it
+// keep every block whole. Alignment is a throughput hint, not a correctness
+// requirement: an unaligned range runs its edge units in partial blocks,
+// with identical results at a higher cost per unit.
 const BlockUnits = batch.BlockWords
-
-// UnitAlign returns the unit-range alignment the config's engine prefers:
-// BlockUnits on the batch path — schedulers that round chunk bounds to
-// multiples of it keep every block whole — and 1 on the scalar path.
-// Alignment is a throughput hint, not a correctness requirement: an
-// unaligned range runs its edge units in partial blocks, with identical
-// results at a higher cost per unit.
-func (c Config) UnitAlign() int {
-	if batchEligible(c) {
-		return BlockUnits
-	}
-	return 1
-}
-
-// batchEligible reports whether the experiment can run on the word-parallel
-// batch simulator. Since the lane-masked op engine, every policy qualifies:
-// static NoLRC/Always schedules share one unmasked op sequence across all
-// lanes, and the adaptive ERASER/ERASER+M/Optimal policies run on the
-// word-level planner (core.LanePolicies), whose per-lane plans are merged
-// into one masked op sequence per round (circuit.Builder.MaskedRound). Only
-// ForceScalar (the benchmark and engine-agreement opt-out) and Tune (which
-// mutates a single scalar policy instance; the word-level planner has no
-// tuning knobs) keep an experiment on the scalar simulator.
-func batchEligible(cfg Config) bool {
-	return !cfg.ForceScalar && cfg.Tune == nil
-}
 
 // staticPlans reports whether the policy's round plans depend only on the
 // round number, so one unmasked op sequence serves every lane of a batch.
@@ -195,17 +165,11 @@ func (r *Result) FNR() float64 {
 // MeanLPR averages the total leakage population ratio over all rounds.
 func (r *Result) MeanLPR() float64 { return stats.Mean(r.LPRTotal) }
 
-// UnitShots returns the number of shots per work unit: a whole 64-lane batch
-// on the word-parallel path, a single shot on the scalar path. Units are the
-// quantum of scheduling, caching and merging — each carries its own
-// pre-drawn seed, so any subset of units can run anywhere, in any order, and
-// tally exactly.
-func (c Config) UnitShots() int {
-	if batchEligible(c) {
-		return batch.Lanes
-	}
-	return 1
-}
+// UnitShots returns the number of shots per work unit, one 64-lane word.
+// Units are the quantum of scheduling, caching and merging — each carries
+// its own pre-drawn seed, so any subset of units can run anywhere, in any
+// order, and tally exactly.
+func (c Config) UnitShots() int { return batch.Lanes }
 
 // NumUnits returns the number of units needed to cover Config.Shots.
 func (c Config) NumUnits() int {
@@ -222,13 +186,11 @@ type Metrics struct {
 	SimNS    int64
 	DecodeNS int64
 
-	// WideUnits, NarrowUnits and ScalarUnits count the executed work units by
-	// how they ran: in whole 256-lane blocks (4 full units each), in partial
-	// blocks (range edges and shot-capped units), and on the scalar per-shot
-	// simulator.
+	// WideUnits and NarrowUnits count the executed work units by how they
+	// ran: in whole 256-lane blocks (4 full units each), or in partial
+	// blocks (range edges and shot-capped units).
 	WideUnits   int64
 	NarrowUnits int64
-	ScalarUnits int64
 }
 
 // Add accumulates other into m.
@@ -237,7 +199,6 @@ func (m *Metrics) Add(other Metrics) {
 	m.DecodeNS += other.DecodeNS
 	m.WideUnits += other.WideUnits
 	m.NarrowUnits += other.NarrowUnits
-	m.ScalarUnits += other.ScalarUnits
 }
 
 // Run executes the experiment at its configured shot count and derives the
@@ -259,74 +220,83 @@ func RunUnits(cfg Config, lo, hi int) *Tally {
 	return t
 }
 
-// RunUnitsCtx is RunUnits with cooperative cancellation at unit boundaries:
-// when ctx is cancelled (deadline, Job.Cancel, server drain), workers stop
-// before starting their next unit and the partial tally — covering exactly
-// the units that finished — is returned alongside ctx's error. Partial
-// tallies keep the merge-exactness contract (their covered-unit bitset is a
-// subset of [lo, hi)), so the service can checkpoint them into the store and
-// a later run re-issues only the remainder. Units are never abandoned
-// mid-flight: a unit either completes and is covered, or never starts.
-func RunUnitsCtx(ctx context.Context, cfg Config, lo, hi int) (*Tally, error) {
-	t, _, err := RunUnitsMeteredCtx(ctx, cfg, lo, hi)
-	return t, err
-}
-
-// RunUnitsMeteredCtx is RunUnitsCtx plus stage timing: the returned Metrics
-// report how many worker-nanoseconds the range spent simulating versus
-// decoding. The tally is bit-identical to the unmetered entry points.
+// RunUnitsMeteredCtx is RunUnits with cooperative cancellation at unit
+// boundaries, plus stage timing. When ctx is cancelled (deadline,
+// Job.Cancel, server drain), workers stop before starting their next unit
+// and the partial tally — covering exactly the units that finished — is
+// returned alongside ctx's error. Partial tallies keep the merge-exactness
+// contract (their covered-unit bitset is a subset of [lo, hi)), so the
+// service can checkpoint them into the store and a later run re-issues only
+// the remainder. Units are never abandoned mid-flight: a unit either
+// completes and is covered, or never starts. The returned Metrics report
+// how many worker-nanoseconds the range spent simulating versus decoding;
+// the tally is bit-identical to RunUnits'.
 func RunUnitsMeteredCtx(ctx context.Context, cfg Config, lo, hi int) (*Tally, Metrics, error) {
 	t, m := runUnitRange(ctx, cfg, lo, hi, hi*cfg.UnitShots())
 	return t, m, ctx.Err()
 }
 
+// runSetup is what every worker of one run shares: the layout, the noise
+// model, the resolved per-site rates (nil without a profile) and a factory
+// for per-worker decoders.
+type runSetup struct {
+	layout *surfacecode.Layout
+	rounds int
+	np     noise.Params
+	rates  *device.Rates
+	// newDecoder builds one worker's decoder. Decoder instances own
+	// reusable scratch arenas and must not be shared across goroutines;
+	// the heavy precompute (distance tables, detector graphs) is cached and
+	// shared inside package decoder, so construction is O(lookup).
+	newDecoder func() decoder.BatchDecoder
+}
+
+// newRunSetup resolves the config into the shared state of a run; it
+// panics on an invalid noise model or profile.
+func newRunSetup(cfg Config) *runSetup {
+	e := &runSetup{layout: surfacecode.MustNew(cfg.Distance), rounds: cfg.rounds(), np: cfg.noiseParams()}
+	if err := e.np.Validate(); err != nil {
+		panic(fmt.Sprintf("experiment: %v", err))
+	}
+	if cfg.Profile != nil {
+		r, err := cfg.Profile.Resolve(e.layout)
+		if err != nil {
+			panic(fmt.Sprintf("experiment: %v", err))
+		}
+		e.rates = r
+	}
+	dcfg := cfg.Decoder
+	if e.rates != nil && !e.rates.Uniform && dcfg.SpaceWeights == nil && dcfg.TimeWeights == nil {
+		// Heterogeneous profiles supply matching-graph priors from the local
+		// rates; explicit per-site Decoder weights win when set.
+		dcfg.SpaceWeights, dcfg.TimeWeights = e.rates.DecoderPriors(e.layout)
+	}
+	e.newDecoder = func() decoder.BatchDecoder {
+		if cfg.UseUnionFind {
+			return decoder.NewUnionFind(e.layout, cfg.Basis, e.rounds)
+		}
+		return decoder.NewForKind(e.layout, dcfg, cfg.Basis)
+	}
+	return e
+}
+
 // runUnitRange simulates units [lo, hi), with total shot count clamped to
 // shotsCap (the last unit runs fewer lanes when shotsCap cuts into it).
 //
-// On the batch path with more than one worker, execution is a two-stage
-// pipeline: sim workers run the rounds of a unit and hand the filled event
-// collector off to a pool of decode workers, where the unit's 64 lanes are
-// decoded concurrently as lane-range tasks. Logical errors are pure integer
-// counts, so accumulating them from the decode stage with atomic adds keeps
-// tallies bit-identical to the serial path for any worker count.
+// With more than one worker, execution is a two-stage pipeline: sim workers
+// run the rounds of a block and hand each unit's filled event collector off
+// to a pool of decode workers, where the unit's 64 lanes are decoded
+// concurrently as lane-range tasks. Logical errors are pure integer counts,
+// so accumulating them from the decode stage with atomic adds keeps tallies
+// bit-identical to the serial path for any worker count.
 func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally, Metrics) {
-	rounds := cfg.rounds()
-	unitShots := cfg.UnitShots()
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("experiment: invalid unit range [%d, %d)", lo, hi))
 	}
 	if hi == lo {
-		return NewTally(rounds, unitShots), Metrics{}
+		return NewTally(cfg.rounds(), batch.Lanes), Metrics{}
 	}
-	layout := surfacecode.MustNew(cfg.Distance)
-	np := cfg.noiseParams()
-	if err := np.Validate(); err != nil {
-		panic(fmt.Sprintf("experiment: %v", err))
-	}
-	var rates *device.Rates
-	if cfg.Profile != nil {
-		r, err := cfg.Profile.Resolve(layout)
-		if err != nil {
-			panic(fmt.Sprintf("experiment: %v", err))
-		}
-		rates = r
-	}
-	dcfg := cfg.Decoder
-	if rates != nil && !rates.Uniform && dcfg.SpaceWeights == nil && dcfg.TimeWeights == nil {
-		// Heterogeneous profiles supply matching-graph priors from the local
-		// rates; explicit per-site Decoder weights win when set.
-		dcfg.SpaceWeights, dcfg.TimeWeights = rates.DecoderPriors(layout)
-	}
-	// Decoder instances own reusable scratch arenas and must not be shared
-	// across goroutines; each worker builds its own through this factory.
-	// The heavy precompute (distance tables, detector graphs) is cached and
-	// shared inside package decoder, so construction is O(lookup).
-	newEngine := func() decoder.BatchDecoder {
-		if cfg.UseUnionFind {
-			return decoder.NewUnionFind(layout, cfg.Basis, rounds)
-		}
-		return decoder.NewForKind(layout, dcfg, cfg.Basis)
-	}
+	rs := newRunSetup(cfg)
 	// One pre-drawn seed per unit, a deterministic function of the config
 	// identity and the unit index alone, so results are identical for any
 	// worker count and any partition of the unit range across runs. Unit u's
@@ -340,13 +310,8 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		seeds[i] = root.Uint64()
 	}
 
-	useBatch := batchEligible(cfg)
-	// Workers stride over schedulable items: 4-unit blocks on the batch
-	// path, single units otherwise.
-	items := hi - lo
-	if align := cfg.UnitAlign(); align > 1 {
-		items = (hi+align-1)/align - lo/align
-	}
+	// Workers stride over 4-unit blocks.
+	items := (hi+BlockUnits-1)/BlockUnits - lo/BlockUnits
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -358,24 +323,20 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		workers = 1
 	}
 	var pipe *decodePipeline
-	if useBatch && workers > 1 {
-		pipe = newDecodePipeline(workers, newEngine)
+	if workers > 1 {
+		pipe = newDecodePipeline(workers, rs.newDecoder)
 	}
 	accums := make([]*Tally, workers)
 	workerMetrics := make([]Metrics, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
-		acc := NewTally(rounds, unitShots)
+		acc := NewTally(rs.rounds, batch.Lanes)
 		accums[w] = acc
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sink := newDecodeSink(pipe, newEngine)
-			if useBatch {
-				runBatchWorker(ctx, cfg, layout, sink, rounds, np, rates, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
-			} else {
-				runWorker(ctx, cfg, layout, newEngine(), rounds, np, rates, seeds, lo, hi, w, workers, acc, &workerMetrics[w])
-			}
+			sink := newDecodeSink(pipe, rs.newDecoder)
+			runBatchWorker(ctx, cfg, rs, sink, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
 			workerMetrics[w].SimNS += sink.simNS
 			workerMetrics[w].DecodeNS += sink.decodeNS
 		}(w)
@@ -441,7 +402,7 @@ type decodePipeline struct {
 // the pool.
 const pipelineFan = 4
 
-func newDecodePipeline(workers int, newEngine func() decoder.BatchDecoder) *decodePipeline {
+func newDecodePipeline(workers int, newDecoder func() decoder.BatchDecoder) *decodePipeline {
 	fan := pipelineFan
 	if workers < fan {
 		fan = workers
@@ -453,18 +414,18 @@ func newDecodePipeline(workers int, newEngine func() decoder.BatchDecoder) *deco
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
-		go p.decodeWorker(newEngine)
+		go p.decodeWorker(newDecoder)
 	}
 	return p
 }
 
-func (p *decodePipeline) decodeWorker(newEngine func() decoder.BatchDecoder) {
+func (p *decodePipeline) decodeWorker(newDecoder func() decoder.BatchDecoder) {
 	defer p.wg.Done()
-	eng := newEngine()
+	dec := newDecoder()
 	var errs, ns int64
 	for t := range p.tasks {
 		t0 := time.Now()
-		pred := eng.DecodeLanes(t.u.col, t.lo, t.hi)
+		pred := dec.DecodeLanes(t.u.col, t.lo, t.hi)
 		ns += time.Since(t0).Nanoseconds()
 		mask := batch.LaneMask(t.hi) &^ batch.LaneMask(t.lo)
 		errs += int64(bits.OnesCount64((pred ^ t.u.obs) & t.u.active & mask))
@@ -522,7 +483,7 @@ func (p *decodePipeline) close() {
 
 // decodeSink is a batch worker's hand-off point to the decode stage. In
 // pipelined mode units go to the shared decode pool; in inline mode (a
-// single worker) the worker decodes its own units with its own engine and
+// single worker) the worker decodes its own units with its own decoder and
 // arenas. A sink holds up to BlockUnits units in flight — one slot per
 // sub-word of a block — so a block's sim step fans out to per-unit
 // collectors while everything downstream of the sim→decode boundary stays
@@ -531,18 +492,18 @@ type decodeSink struct {
 	pipe *decodePipeline
 	cur  [BlockUnits]*unitTask
 
-	eng  decoder.BatchDecoder
+	dec  decoder.BatchDecoder
 	cols [BlockUnits]*decoder.BatchCollector
 
 	simNS    int64
 	decodeNS int64
 }
 
-func newDecodeSink(pipe *decodePipeline, newEngine func() decoder.BatchDecoder) *decodeSink {
+func newDecodeSink(pipe *decodePipeline, newDecoder func() decoder.BatchDecoder) *decodeSink {
 	if pipe != nil {
 		return &decodeSink{pipe: pipe}
 	}
-	return &decodeSink{eng: newEngine()}
+	return &decodeSink{dec: newDecoder()}
 }
 
 // beginSlot returns the empty collector for the unit in slot i.
@@ -571,101 +532,9 @@ func (sk *decodeSink) finishSlot(i int, obs, active uint64, acc *Tally) {
 		return
 	}
 	t0 := time.Now()
-	pred := sk.eng.DecodeLanes(sk.cols[i], 0, lanes)
+	pred := sk.dec.DecodeLanes(sk.cols[i], 0, lanes)
 	sk.decodeNS += time.Since(t0).Nanoseconds()
 	acc.LogicalErrors += bits.OnesCount64((pred ^ obs) & active)
-}
-
-func runWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, dec decoder.Engine,
-	rounds int, np noise.Params, rates *device.Rates, shotSeeds []uint64, lo, hi, w, stride int, acc *Tally, m *Metrics) {
-
-	builder := circuit.NewBuilder(layout)
-	pol := core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
-	if cfg.Tune != nil {
-		cfg.Tune(pol)
-	}
-	truth := make([]bool, layout.NumData)
-	prevTruth := make([]bool, layout.NumData)
-	events := make([]decoder.Event, 0, 64)
-	var s *sim.Simulator
-
-	for shot := lo + w; shot < hi; shot += stride {
-		// Cancellation is checked only between units: a unit either runs to
-		// completion and is covered, or never starts.
-		if ctx.Err() != nil {
-			return
-		}
-		u0 := time.Now()
-		acc.Covered.Add(shot)
-		acc.Shots++
-		rng := stats.NewRNG(shotSeeds[shot-lo], uint64(shot))
-		if s == nil {
-			s = sim.NewMemory(layout, np, rng, cfg.Basis)
-			s.UseRates(rates)
-		} else {
-			s.Reset(rng)
-		}
-		pol.Reset()
-		for i := range prevTruth {
-			prevTruth[i] = false
-		}
-		events = events[:0]
-
-		for r := 1; r <= rounds; r++ {
-			plan := pol.PlanRound(r)
-			acc.LRCs += int64(len(plan.LRCs))
-			for q := 0; q < layout.NumData; q++ {
-				switch planned, leaked := pol.PlannedLRC(q), prevTruth[q]; {
-				case planned && leaked:
-					acc.TruePos++
-				case planned && !leaked:
-					acc.FalsePos++
-				case !planned && leaked:
-					acc.FalseNeg++
-				default:
-					acc.TrueNeg++
-				}
-			}
-
-			ops := builder.Round(plan)
-			rr := s.RunRound(ops)
-
-			for i := range layout.Stabilizers {
-				if rr.Events[i] != 0 && layout.Stabilizers[i].Kind == cfg.Basis {
-					events = append(events, decoder.Event{Z: layout.KindOrdinal(cfg.Basis, i), Round: r})
-				}
-			}
-			dleak, pleak := s.LeakedCounts()
-			acc.LPRDataNum[r-1] += int64(dleak)
-			acc.LPRParityNum[r-1] += int64(pleak)
-
-			s.SnapshotLeakedData(truth)
-			pol.Observe(core.RoundInfo{
-				Round:          r,
-				Events:         rr.Events,
-				MLParity:       rr.MLParity,
-				MLData:         rr.MLData,
-				TrueLeakedData: truth,
-			})
-			prevTruth, truth = truth, prevTruth
-		}
-
-		final := s.FinalMeasure(builder.FinalMeasurement())
-		fdet := s.FinalDetectors(final)
-		for i, e := range fdet {
-			if e != 0 {
-				events = append(events, decoder.Event{Z: layout.KindOrdinal(cfg.Basis, i), Round: rounds + 1})
-			}
-		}
-		d0 := time.Now()
-		predicted := dec.Decode(events)
-		m.DecodeNS += time.Since(d0).Nanoseconds()
-		m.SimNS += d0.Sub(u0).Nanoseconds()
-		if predicted != s.ObservableFlip(final) {
-			acc.LogicalErrors++
-		}
-		m.ScalarUnits++
-	}
 }
 
 // kindStabs precomputes, once per worker, the stabilizer-index to decoder
@@ -680,7 +549,7 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 	return ks
 }
 
-// runBatchWorker is runWorker's word-parallel counterpart. Workers stride
+// runBatchWorker runs worker w's share of units [lo, hi). Workers stride
 // over 4-unit blocks, and every block runs on the 256-lane wide engine with
 // one independent per-unit RNG stream per 64-lane sub-word, so a block is
 // bit-identical to its units run one at a time. A partial block — fewer than
@@ -695,13 +564,14 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 //
 // Decoding goes through the sink: inline on single-worker runs, pipelined to
 // the decode pool otherwise.
-func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout, sink *decodeSink,
-	rounds int, np noise.Params, rates *device.Rates, unitSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
+func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, sink *decodeSink,
+	unitSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
 
+	layout, rounds := rs.layout, rs.rounds
 	builder := circuit.NewBuilder(layout)
 	kstabs := kindStabs(layout, cfg.Basis)
-	ws := batch.NewWide(layout, np, cfg.Basis)
-	ws.UseRates(rates)
+	ws := batch.NewWide(layout, rs.np, cfg.Basis)
+	ws.UseRates(rs.rates)
 	ws.TrackML = cfg.Policy == core.PolicyEraserM
 	var pol core.Policy       // static plans: one instance serves every lane
 	var lp *core.LanePolicies // adaptive plans: one bit-sliced lane per shot
@@ -752,7 +622,7 @@ func runBatchWorker(ctx context.Context, cfg Config, layout *surfacecode.Layout,
 				acc.LRCs += int64(len(plan.LRCs)) * int64(n)
 			}
 			// Decision accounting against the leakage state at the end of
-			// the previous round, as in the scalar path.
+			// the previous round, as in RunScalar.
 			for q := 0; q < layout.NumData; q++ {
 				var planned batch.Block
 				if lp != nil {

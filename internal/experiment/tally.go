@@ -10,8 +10,6 @@ import (
 
 	"repro/internal/circuit"
 	"repro/internal/core"
-	"repro/internal/decoder"
-	"repro/internal/matching"
 	"repro/internal/stats"
 	"repro/internal/surfacecode"
 )
@@ -107,8 +105,7 @@ func (s *UnitSet) Clone() UnitSet {
 type Tally struct {
 	// Rounds is the per-shot round count; tallies only merge when it matches.
 	Rounds int `json:"rounds"`
-	// UnitShots is the number of shots per full work unit: batch.Lanes on the
-	// word-parallel path, 1 on the scalar path.
+	// UnitShots is the number of shots per full work unit (Config.UnitShots).
 	UnitShots int `json:"unit_shots"`
 	// Shots is the total number of shots the tally covers.
 	Shots int `json:"shots"`
@@ -272,27 +269,28 @@ func (t *Tally) ResultFor(cfg Config) Result {
 // (Rounds, or Cycles*Distance with the 10-cycle default).
 func (c Config) NumRounds() int { return c.rounds() }
 
-// CheckDistance rejects code distances the surface-code layout cannot
-// represent. It is the single home of the "odd integer >= 3" rule, shared
-// by the CLI flag validation and the service's request validation.
-func CheckDistance(d int) error {
-	if d < 3 || d%2 == 0 {
-		return fmt.Errorf("distance %d is not an odd integer >= 3", d)
-	}
-	return nil
-}
+// MaxRounds caps the rounds per shot a config may resolve to; the paper's
+// largest point is d = 11 with 10 cycles, 110 rounds. A unit's size grows
+// with its rounds: a tally holds two LPR numerators per round and a
+// union-find detector graph one layer per round. At both caps, d =
+// surfacecode.MaxDistance and MaxRounds rounds, one MWPM table plus one
+// union-find graph took 130 ms and 105 MB to build on a 2-vCPU Xeon, and
+// one 64-shot union-find unit at p = 1e-3 ran in 1.3 s and allocated
+// 163 MB. The caps bound size, not time: MWPM decode time grows with the
+// events per shot, and one MWPM unit at d = 25 and 250 rounds took 83 s.
+const MaxRounds = 1000
 
 // Validate reports whether the config describes a runnable experiment:
-// representable distance, non-negative Cycles, Rounds and Shots (zero keeps
-// its meaning: the 10-cycle default, "derive from Cycles" and no fixed shot
-// count) with a Cycles × Distance product that fits in an int, so that
-// NumRounds() >= 1, known policy/protocol/basis ordinals, decoder settings
-// that build a working decoder (decoder.Config.Validate), valid noise
-// parameters, and (when set) a device profile whose shape and rates check
-// out for the config's distance. Run panics on invalid configs; front ends
-// call this first to fail requests gracefully instead.
+// representable distance (surfacecode.CheckDistance), non-negative Cycles,
+// Rounds and Shots (zero keeps its meaning: the 10-cycle default, "derive
+// from Cycles" and no fixed shot count) resolving to at most MaxRounds
+// rounds, known policy/protocol/basis ordinals, decoder settings that build
+// a working decoder (decoder.Config.Validate), valid noise parameters, and
+// (when set) a device profile whose shape and rates check out for the
+// config's distance. Run panics on invalid configs; front ends call this
+// first to fail requests gracefully instead.
 func (c Config) Validate() error {
-	if err := CheckDistance(c.Distance); err != nil {
+	if err := surfacecode.CheckDistance(c.Distance); err != nil {
 		return err
 	}
 	for _, f := range []struct {
@@ -303,8 +301,12 @@ func (c Config) Validate() error {
 			return fmt.Errorf("%s %d is negative", f.name, f.v)
 		}
 	}
-	if c.Rounds == 0 && c.Cycles > math.MaxInt/c.Distance {
-		return fmt.Errorf("cycles %d × distance %d overflows the round count", c.Cycles, c.Distance)
+	if c.Rounds > MaxRounds {
+		return fmt.Errorf("rounds %d exceed MaxRounds %d", c.Rounds, MaxRounds)
+	}
+	// Divide rather than multiply, so a huge cycle count cannot wrap.
+	if c.Rounds == 0 && c.Cycles > MaxRounds/c.Distance {
+		return fmt.Errorf("cycles %d × distance %d exceed MaxRounds %d", c.Cycles, c.Distance, MaxRounds)
 	}
 	if err := c.Decoder.Validate(c.Distance); err != nil {
 		return err
@@ -336,11 +338,8 @@ func (c Config) Validate() error {
 // their tallies are mergeable; fields that only choose *how much* or *how
 // fast* to run (Shots, Workers) are deliberately excluded, which is what
 // lets a higher-precision re-run extend a stored tally instead of redoing
-// it. Configs with a Tune hook have no canonical identity and are rejected.
-func (c Config) Key() (string, error) {
-	if c.Tune != nil {
-		return "", fmt.Errorf("experiment: config with Tune hook has no content key")
-	}
+// it.
+func (c Config) Key() string {
 	h := sha256.New()
 	buf := make([]byte, 8)
 	put := func(v uint64) {
@@ -354,19 +353,17 @@ func (c Config) Key() (string, error) {
 	put(uint64(c.Protocol))
 	put(uint64(c.Basis))
 	put(boolBit(c.UseUnionFind))
-	put(boolBit(c.ForceScalar)) // changes unit width and RNG consumption
+	// Schema v3 keyed four knobs that are gone: a scalar-engine flag here
+	// and, after the seed, the decoder's uniform space and time weights and
+	// its exact-matching cap. Their slots hold the only values production
+	// ever keyed (batch engine, unit weights, cap 12), so every v3 key stays
+	// valid.
+	put(0)
 	put(c.Seed)
+	put(math.Float64bits(1))
+	put(math.Float64bits(1))
+	put(12)
 	dec := c.Decoder
-	if dec.SpaceWeight == 0 && dec.TimeWeight == 0 {
-		def := decoder.DefaultConfig() // NewForKind applies the same default
-		dec.SpaceWeight, dec.TimeWeight = def.SpaceWeight, def.TimeWeight
-	}
-	if dec.MaxExact == 0 {
-		dec.MaxExact = matching.MaxExact // NewForKind applies the same default
-	}
-	put(math.Float64bits(dec.SpaceWeight))
-	put(math.Float64bits(dec.TimeWeight))
-	put(uint64(dec.MaxExact)) // changes which clusters solve exactly, hence predictions
 	put(uint64(len(dec.SpaceWeights)))
 	for _, w := range dec.SpaceWeights {
 		put(math.Float64bits(w))
@@ -394,7 +391,7 @@ func (c Config) Key() (string, error) {
 	} else {
 		put(0)
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Describe returns a short human-readable summary of the config for store

@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/surfacecode"
 )
 
 func jsonRoundTrip(in, out any) error {
@@ -21,9 +22,9 @@ func jsonRoundTrip(in, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-func tallyCfg(pol core.Kind, shots int, forceScalar bool) Config {
+func tallyCfg(pol core.Kind, shots int) Config {
 	return Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: shots, Seed: 11,
-		Policy: pol, Workers: 2, ForceScalar: forceScalar}
+		Policy: pol, Workers: 2}
 }
 
 // TestTallyMergePartition is the exact-merge property test: N partial runs
@@ -35,9 +36,8 @@ func TestTallyMergePartition(t *testing.T) {
 		name string
 		cfg  Config
 	}{
-		{"batch-static", tallyCfg(core.PolicyAlways, 4*64, false)},
-		{"batch-adaptive", tallyCfg(core.PolicyEraser, 4*64, false)},
-		{"scalar", tallyCfg(core.PolicyAlways, 24, true)},
+		{"batch-static", tallyCfg(core.PolicyAlways, 4*64)},
+		{"batch-adaptive", tallyCfg(core.PolicyEraser, 4*64)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -97,7 +97,7 @@ func TestRunUnitsFarRangeAllocation(t *testing.T) {
 // TestRunEqualsUnitTally: Run must be exactly the tally path at the
 // config's own shot count.
 func TestRunEqualsUnitTally(t *testing.T) {
-	cfg := tallyCfg(core.PolicyEraserM, 2*64, false)
+	cfg := tallyCfg(core.PolicyEraserM, 2*64)
 	res := Run(cfg)
 	unit := RunUnits(cfg, 0, cfg.NumUnits()).ResultFor(cfg)
 	if res.LogicalErrors != unit.LogicalErrors || res.Shots != unit.Shots ||
@@ -110,7 +110,7 @@ func TestRunEqualsUnitTally(t *testing.T) {
 }
 
 func TestTallyMergeRejectsOverlapAndShapeMismatch(t *testing.T) {
-	cfg := tallyCfg(core.PolicyAlways, 3*64, false)
+	cfg := tallyCfg(core.PolicyAlways, 3*64)
 	a := RunUnits(cfg, 0, 2)
 	b := RunUnits(cfg, 1, 3)
 	if err := a.Clone().Merge(b); err == nil {
@@ -122,10 +122,9 @@ func TestTallyMergeRejectsOverlapAndShapeMismatch(t *testing.T) {
 	if err := a.Clone().Merge(c); err == nil {
 		t.Fatal("mismatched round counts merged without error")
 	}
-	scalar := cfg
-	scalar.ForceScalar = true
-	d := RunUnits(scalar, 200, 201)
-	if err := a.Clone().Merge(d); err == nil {
+	narrow := NewTally(a.Rounds, 1)
+	narrow.Covered.Add(200)
+	if err := a.Clone().Merge(narrow); err == nil {
 		t.Fatal("mismatched unit widths merged without error")
 	}
 }
@@ -134,7 +133,7 @@ func TestTallyMergeRejectsOverlapAndShapeMismatch(t *testing.T) {
 // Rounds, on either side of a merge, are an error rather than an index
 // panic, and leave the receiver's series untouched.
 func TestTallyMergeRejectsMalformedLPR(t *testing.T) {
-	cfg := tallyCfg(core.PolicyAlways, 2*64, false)
+	cfg := tallyCfg(core.PolicyAlways, 2*64)
 	a := RunUnits(cfg, 0, 1)
 	b := RunUnits(cfg, 1, 2)
 	for _, tc := range []struct {
@@ -166,7 +165,7 @@ func TestTallyMergeRejectsMalformedLPR(t *testing.T) {
 }
 
 func TestTallyJSONRoundTrip(t *testing.T) {
-	cfg := tallyCfg(core.PolicyAlways, 2*64, false)
+	cfg := tallyCfg(core.PolicyAlways, 2*64)
 	orig := RunUnits(cfg, 0, 2)
 	var back Tally
 	if err := jsonRoundTrip(orig, &back); err != nil {
@@ -211,14 +210,8 @@ func TestUnitSetProperties(t *testing.T) {
 }
 
 func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
-	base := tallyCfg(core.PolicyEraser, 256, false)
-	key := func(c Config) string {
-		k, err := c.Key()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return k
-	}
+	base := tallyCfg(core.PolicyEraser, 256)
+	key := Config.Key
 	k0 := key(base)
 
 	// Shots and Workers choose how much/how fast, not what: same key.
@@ -236,7 +229,6 @@ func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
 		"policy":   func(c *Config) { c.Policy = core.PolicyAlways },
 		"seed":     func(c *Config) { c.Seed++ },
 		"p":        func(c *Config) { c.P = 3e-3 },
-		"scalar":   func(c *Config) { c.ForceScalar = true },
 		"uf":       func(c *Config) { c.UseUnionFind = true },
 	} {
 		c := base
@@ -245,30 +237,34 @@ func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
 			t.Fatalf("%s change did not change the content key", name)
 		}
 	}
-
-	if _, err := (Config{Distance: 3, Tune: func(core.Policy) {}}).Key(); err == nil {
-		t.Fatal("Tune-carrying config must have no content key")
-	}
 }
 
-// TestValidateCounts: negative cycle, round and shot counts, and cycle
-// counts whose product with the distance overflows int, are rejected with
-// the field named, instead of crashing a worker (a negative round count
-// reaches NewTally) or silently running the 10-cycle default (a negative
-// Rounds). Zero keeps its defaulting meaning.
+// TestValidateCounts: negative cycle, round and shot counts, round counts
+// above MaxRounds (directly or as cycles × distance, without wrapping) and
+// distances above surfacecode.MaxDistance are rejected with the field
+// named, instead of crashing a worker (a negative round count reaches
+// NewTally), silently running the 10-cycle default (a negative Rounds) or
+// allocating without bound (a 2^40-round tally, a d=1001 layout and
+// decoder). Zero keeps its defaulting meaning.
 func TestValidateCounts(t *testing.T) {
-	base := tallyCfg(core.PolicyEraser, 64, false)
+	base := tallyCfg(core.PolicyEraser, 64)
 	bad := map[string]struct {
 		set  func(*Config)
 		want string
 	}{
-		"negative cycles":               {func(c *Config) { c.Cycles = -1 }, "cycles"},
-		"negative rounds":               {func(c *Config) { c.Rounds = -5 }, "rounds"},
-		"negative rounds, zero cycles":  {func(c *Config) { c.Rounds, c.Cycles = -1, 0 }, "rounds"},
-		"negative cycles under rounds":  {func(c *Config) { c.Rounds, c.Cycles = 6, -1 }, "cycles"},
-		"negative shots":                {func(c *Config) { c.Shots = -5 }, "shots"},
-		"cycles x distance wraps below": {func(c *Config) { c.Cycles = math.MaxInt/3 + 1 }, "overflows"},
-		"cycles x distance wraps above": {func(c *Config) { c.Cycles = math.MaxInt }, "overflows"},
+		"negative cycles":              {func(c *Config) { c.Cycles = -1 }, "cycles"},
+		"negative rounds":              {func(c *Config) { c.Rounds = -5 }, "rounds"},
+		"negative rounds, zero cycles": {func(c *Config) { c.Rounds, c.Cycles = -1, 0 }, "rounds"},
+		"negative cycles under rounds": {func(c *Config) { c.Rounds, c.Cycles = 6, -1 }, "cycles"},
+		"negative shots":               {func(c *Config) { c.Shots = -5 }, "shots"},
+		"rounds above the cap":         {func(c *Config) { c.Rounds = MaxRounds + 1 }, "rounds"},
+		"2^40 rounds":                  {func(c *Config) { c.Rounds = 1 << 40 }, "rounds"},
+		"huge rounds and cycles":       {func(c *Config) { c.Rounds, c.Cycles = math.MaxInt, math.MaxInt }, "rounds"},
+		"cycles x distance above cap":  {func(c *Config) { c.Cycles = MaxRounds/3 + 1 }, "cycles"},
+		"cycles x distance would wrap": {func(c *Config) { c.Cycles = math.MaxInt/3 + 1 }, "cycles"},
+		"largest int cycle count":      {func(c *Config) { c.Cycles = math.MaxInt }, "cycles"},
+		"distance above the cap":       {func(c *Config) { c.Distance = surfacecode.MaxDistance + 2 }, "distance"},
+		"distance 1001, 10 cycles":     {func(c *Config) { c.Distance, c.Cycles = 1001, 10 }, "distance"},
 	}
 	for name, tc := range bad {
 		cfg := base
@@ -282,8 +278,10 @@ func TestValidateCounts(t *testing.T) {
 		"zero cycles (10-cycle default)": func(c *Config) { c.Cycles = 0 },
 		"zero shots":                     func(c *Config) { c.Shots = 0 },
 		"rounds override":                func(c *Config) { c.Rounds = 7 },
-		"largest cycle count":            func(c *Config) { c.Cycles = math.MaxInt / 3 },
-		"huge rounds ignore cycles":      func(c *Config) { c.Rounds, c.Cycles = math.MaxInt, math.MaxInt },
+		"rounds at the cap":              func(c *Config) { c.Rounds = MaxRounds },
+		"rounds override huge cycles":    func(c *Config) { c.Rounds, c.Cycles = 9, math.MaxInt },
+		"largest cycle count":            func(c *Config) { c.Cycles = MaxRounds / 3 },
+		"largest distance, default":      func(c *Config) { c.Distance, c.Cycles = surfacecode.MaxDistance, 0 },
 	}
 	for name, set := range good {
 		cfg := base

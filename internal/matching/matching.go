@@ -39,9 +39,9 @@ const DefaultMaxExact = 12
 // (Instance.MaxExact == 0).
 //
 // Deprecated: mutating this package-level knob is a data race once decoders
-// run concurrently across workers. Set decoder.Config.MaxExact (which flows
-// into Instance.MaxExact) instead; this variable remains only as the default
-// seed for zero-valued instances.
+// run concurrently across workers. Set Instance.MaxExact instead; this
+// variable remains only as the default for zero-valued instances, which are
+// what package decoder builds.
 var MaxExact = DefaultMaxExact
 
 // Instance describes a matching problem over N detection events.

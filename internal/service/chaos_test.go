@@ -313,10 +313,7 @@ func TestChaosCancelKeepsCheckpoint(t *testing.T) {
 	}
 	sched.SetFaults(nil)
 
-	key, err := cfg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := cfg.Key()
 	var checkpointed int
 	if tal := st.Get(key); tal != nil {
 		checkpointed = tal.Covered.Count()
@@ -402,10 +399,7 @@ func TestChaosGracefulShutdownCheckpoints(t *testing.T) {
 		t.Fatalf("post-drain submit returned %v, want ErrDraining", err)
 	}
 
-	key, err := cfg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
+	key := cfg.Key()
 	var checkpointed int
 	if tal := st.Get(key); tal != nil {
 		checkpointed = tal.Covered.Count()

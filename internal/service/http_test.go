@@ -12,6 +12,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/experiment"
 	"repro/internal/noise"
 	"repro/internal/store"
 )
@@ -164,6 +165,11 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		"rounds": {`{"config": {"distance": 3, "rounds": -5, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "rounds"},
 		"shots": {`{"config": {"distance": 3, "p": 1e-3, "shots": -5, "policy": "nolrc"},
 			"precision": {"target_ci_half_width": 0.05}}`, "shots"},
+		// Sizes above the caps are refused before any layout, decoder or
+		// tally is built for them.
+		"distance 1001": {`{"config": {"distance": 1001, "cycles": 10, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "distance"},
+		"rounds 2^40":   {`{"config": {"distance": 3, "rounds": 1099511627776, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "rounds"},
+		"cycles x d":    {`{"config": {"distance": 25, "cycles": 41, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "cycles"},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -352,44 +358,32 @@ func TestConfigSpecRoundTrip(t *testing.T) {
 	if cfg.Distance != 5 || cfg.Noise == nil || cfg.Noise.Transport != noise.TransportExchange {
 		t.Fatalf("spec resolved wrong: %+v", cfg)
 	}
-	if _, err := cfg.Key(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// fuzzMaxDistance bounds the distances the fuzz harness resolves. Larger
-// ones are a known, open resource defect rather than a finding: validation
-// builds the distance-d layout before it checks any array length (a
-// 36-byte profile at d=1001 allocates ~1.1 GB before it is rejected), and a
-// valid config at a large distance or cycle count makes the job itself
-// allocate without bound.
-const fuzzMaxDistance = 15
-
 // FuzzConfigSpec: a /v1/run config spec is either rejected — by the JSON
-// decoder, ConfigSpec.Config or Config.Validate — or it resolves to at
-// least one round, has a content key, and keeps that key when the spec is
-// re-encoded and decoded. The seed corpus in testdata/fuzz holds the
-// negative-cycles and negative-rounds requests that once passed validation,
-// an overflowing cycle count, inline and generated profiles, and malformed
-// specs.
+// decoder, ConfigSpec.Config or Config.Validate — or it resolves to
+// between 1 and experiment.MaxRounds rounds and keeps its content key when
+// the spec is re-encoded and decoded. The seed corpus in testdata/fuzz
+// holds the negative-cycles and negative-rounds requests that once passed
+// validation, an overflowing cycle count, a distance above the cap, inline
+// and generated profiles, and malformed specs.
 func FuzzConfigSpec(f *testing.F) {
 	key := func(t *testing.T, spec ConfigSpec) (string, bool) {
 		cfg, err := spec.Config()
 		if err != nil || cfg.Validate() != nil {
 			return "", false
 		}
-		if n := cfg.NumRounds(); n < 1 {
+		if n := cfg.NumRounds(); n < 1 || n > experiment.MaxRounds {
 			t.Fatalf("validated config resolves to %d rounds", n)
 		}
-		k, err := cfg.Key()
-		if err != nil {
-			t.Fatalf("validated config has no key: %v", err)
-		}
-		return k, true
+		return cfg.Key(), true
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var spec ConfigSpec
-		if json.Unmarshal(data, &spec) != nil || spec.Distance > fuzzMaxDistance {
+		if json.Unmarshal(data, &spec) != nil {
 			return
 		}
 		k, ok := key(t, spec)

@@ -90,14 +90,11 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 	// to UnitsExecuted — is asserted in tests); these let a dashboard watch
 	// the whole-block occupancy ratio.
 	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block, 1 on the scalar path",
+		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block",
 		func() int64 { return s.wideUnits.Load() }, "width", "256")
 	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block, 1 on the scalar path",
+		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block",
 		func() int64 { return s.narrowUnits.Load() }, "width", "64")
-	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block, 1 on the scalar path",
-		func() int64 { return s.scalarUnits.Load() }, "width", "1")
 	reg.GaugeFunc("leak_sched_queue_depth",
 		"admitted cold jobs not yet finished",
 		func() float64 { return float64(s.Pending()) })

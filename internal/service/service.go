@@ -207,13 +207,12 @@ type Scheduler struct {
 	log *slog.Logger
 
 	units atomic.Int64
-	// wideUnits/narrowUnits/scalarUnits split the executed-unit total by how
-	// the units ran (whole 256-lane blocks, partial blocks, scalar). Block
-	// occupancy is a throughput property, never a correctness one — the
-	// totals feed observability only.
+	// wideUnits/narrowUnits split the executed-unit total by how the units
+	// ran (whole 256-lane blocks, partial blocks). Block occupancy is a
+	// throughput property, never a correctness one — the totals feed
+	// observability only.
 	wideUnits   atomic.Int64
 	narrowUnits atomic.Int64
-	scalarUnits atomic.Int64
 	// simNS/decodeNS aggregate the per-chunk stage timing (experiment.Metrics)
 	// across every job, keeping the sim/decode balance observable on
 	// /v1/healthz without a metrics dependency; the finer-grained per-chunk
@@ -334,10 +333,9 @@ func (s *Scheduler) StageNanos() (simNS, decodeNS int64) {
 }
 
 // UnitsByWidth splits UnitsExecuted by how each unit ran: in a whole
-// 256-lane block, in a partial block (range edges, shot-capped units), or on
-// the scalar path.
-func (s *Scheduler) UnitsByWidth() (wide, narrow, scalar int64) {
-	return s.wideUnits.Load(), s.narrowUnits.Load(), s.scalarUnits.Load()
+// 256-lane block, or in a partial block (range edges, shot-capped units).
+func (s *Scheduler) UnitsByWidth() (wide, narrow int64) {
+	return s.wideUnits.Load(), s.narrowUnits.Load()
 }
 
 // Pending returns the number of admitted cold jobs not yet finished.
@@ -513,10 +511,7 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 		// misleading empty success (LER 0 from zero simulation).
 		return nil, fmt.Errorf("service: fixed-count request needs Shots > 0 (or set a precision target)")
 	}
-	key, err := cfg.Key()
-	if err != nil {
-		return nil, err
-	}
+	key := cfg.Key()
 	fp := fmt.Sprintf("%s|%d|%g|%d|%d|%d", key, cfg.Shots,
 		prec.TargetCIHalfWidth, prec.MinShots, prec.MaxShots, prec.TimeoutMS)
 	// Peek the store outside s.mu (it may hit the disk): a request the store
@@ -991,10 +986,9 @@ func needUnits(cfg experiment.Config, prec Precision, t *experiment.Tally) int {
 	// more per unit — unless the extra units would bust the shot budget,
 	// where the partial block is the correct trade. Fixed-count mode is
 	// never rounded: it must cover exactly NumUnits.
-	if align := cfg.UnitAlign(); align > 1 {
-		if aligned := (units + align - 1) / align * align; t.Shots+aligned*us <= maxShots {
-			units = aligned
-		}
+	const align = experiment.BlockUnits
+	if aligned := (units + align - 1) / align * align; t.Shots+aligned*us <= maxShots {
+		units = aligned
 	}
 	return units
 }
@@ -1016,10 +1010,10 @@ func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi 
 	// chunk fanned across the pool doesn't shred its 4-unit blocks into
 	// partial blocks; the chunk's own ends stay ragged if the caller's range
 	// is (alignment only redistributes work, never changes results).
-	align := cfg.UnitAlign()
+	const align = experiment.BlockUnits
 	bound := func(i int) int {
 		r := lo + i*n/parts
-		if align > 1 && r > lo && r < hi {
+		if r > lo && r < hi {
 			if f := r / align * align; f >= lo {
 				r = f
 			}
@@ -1083,7 +1077,6 @@ func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi 
 	s.decodeNS.Add(m.DecodeNS)
 	s.wideUnits.Add(m.WideUnits)
 	s.narrowUnits.Add(m.NarrowUnits)
-	s.scalarUnits.Add(m.ScalarUnits)
 	if total == nil && firstErr == nil {
 		firstErr = fmt.Errorf("service: empty chunk [%d, %d)", lo, hi)
 	}

@@ -29,14 +29,13 @@ func TestUnitsByWidth(t *testing.T) {
 	if _, err := sched.Run(cfg, Precision{}); err != nil {
 		t.Fatal(err)
 	}
-	wide, narrow, scalar := sched.UnitsByWidth()
-	if wide+narrow+scalar != sched.UnitsExecuted() {
-		t.Fatalf("width split %d+%d+%d does not sum to %d units",
-			wide, narrow, scalar, sched.UnitsExecuted())
+	wide, narrow := sched.UnitsByWidth()
+	if wide+narrow != sched.UnitsExecuted() {
+		t.Fatalf("width split %d+%d does not sum to %d units",
+			wide, narrow, sched.UnitsExecuted())
 	}
-	if wide != 8 || narrow != 0 || scalar != 0 {
-		t.Fatalf("aligned job ran wide=%d narrow=%d scalar=%d, want 8/0/0",
-			wide, narrow, scalar)
+	if wide != 8 || narrow != 0 {
+		t.Fatalf("aligned job ran wide=%d narrow=%d, want 8/0", wide, narrow)
 	}
 }
 
@@ -207,10 +206,6 @@ func TestSubmitRejectsInvalidConfigs(t *testing.T) {
 	if _, err := sched.Submit(experiment.Config{Distance: 3, P: 2, Shots: 64,
 		Policy: core.PolicyNone}, Precision{}); err == nil {
 		t.Fatal("invalid noise accepted")
-	}
-	if _, err := sched.Submit(experiment.Config{Distance: 3, P: 1e-3, Shots: 64,
-		Policy: core.PolicyNone, Tune: func(core.Policy) {}}, Precision{}); err == nil {
-		t.Fatal("Tune-carrying config accepted")
 	}
 	if _, err := sched.Submit(experiment.Config{Distance: 3, P: 1e-3,
 		Policy: core.PolicyNone}, Precision{}); err == nil {

@@ -285,12 +285,6 @@ func (s *Simulator) measureX(q int) uint8 {
 	return bit
 }
 
-// FinalZDetectors is FinalDetectors for the memory-Z basis, kept for
-// readability at call sites.
-func (s *Simulator) FinalZDetectors(finalData []uint8) []uint8 {
-	return s.FinalDetectors(finalData)
-}
-
 // FinalDetectors folds the transversal data measurement into one last layer
 // of detection events for the stabilizers matching the memory basis: the
 // parity of the measured data bits over each stabilizer's support, compared

@@ -42,7 +42,7 @@ func TestNoiselessRoundsAreQuiet(t *testing.T) {
 		}
 	}
 	final := s.FinalMeasure(b.FinalMeasurement())
-	for i, e := range s.FinalZDetectors(final) {
+	for i, e := range s.FinalDetectors(final) {
 		if e != 0 {
 			t.Fatalf("final detector %d fired without noise", i)
 		}

@@ -20,15 +20,6 @@ func storeCfg() experiment.Config {
 		Seed: 5, Policy: core.PolicyAlways, Workers: 1}
 }
 
-func mustKey(t *testing.T, cfg experiment.Config) string {
-	t.Helper()
-	key, err := cfg.Key()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return key
-}
-
 func TestStoreMergeExtendsAndPersists(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir)
@@ -36,7 +27,7 @@ func TestStoreMergeExtendsAndPersists(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 
 	if s.Get(key) != nil {
 		t.Fatal("empty store returned a tally")
@@ -79,7 +70,7 @@ func TestStoreRejectsOverlappingMerge(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	if _, err := s.Merge(key, "", experiment.RunUnits(cfg, 0, 2)); err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +82,7 @@ func TestStoreRejectsOverlappingMerge(t *testing.T) {
 func TestStoreGetReturnsCopy(t *testing.T) {
 	s, _ := Open("")
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	if _, err := s.Merge(key, "", experiment.RunUnits(cfg, 0, 1)); err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +100,7 @@ func TestStoreGetReturnsCopy(t *testing.T) {
 // a subsequent run repairs the entry in place.
 func TestStoreChaosCorruptionReadsAsMissAndRepairs(t *testing.T) {
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	full := experiment.RunUnits(cfg, 0, 2)
 
 	corrupt := map[string]func([]byte) []byte{
@@ -175,7 +166,7 @@ func TestStoreChaosCorruptionReadsAsMissAndRepairs(t *testing.T) {
 func TestStoreChaosInjectedFaults(t *testing.T) {
 	dir := t.TempDir()
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	full := experiment.RunUnits(cfg, 0, 2)
 
 	s, err := Open(dir)
@@ -238,7 +229,7 @@ func TestStoreCorruptEntryIsAMiss(t *testing.T) {
 	dir := t.TempDir()
 	s, _ := Open(dir)
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	if err := os.WriteFile(filepath.Join(dir, key+".json"), []byte("{not json"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +268,7 @@ func entryBytes(t testing.TB, key string, tl *experiment.Tally) []byte {
 // Merge — instead of being served and panicking in Merge or ResultFor.
 func TestStoreMalformedTallyIsACorruptMiss(t *testing.T) {
 	cfg := storeCfg()
-	key := mustKey(t, cfg)
+	key := cfg.Key()
 	full := experiment.RunUnits(cfg, 0, 2)
 	for _, tc := range []struct {
 		name   string

@@ -8,10 +8,13 @@ import (
 var testDistances = []int{3, 5, 7, 9, 11}
 
 func TestNewRejectsBadDistances(t *testing.T) {
-	for _, d := range []int{0, 1, 2, 4, 6, -3} {
+	for _, d := range []int{0, 1, 2, 4, 6, -3, MaxDistance + 1, MaxDistance + 2, 1001, 100000001} {
 		if _, err := New(d); err == nil {
 			t.Errorf("New(%d) should fail", d)
 		}
+	}
+	if _, err := New(MaxDistance); err != nil {
+		t.Errorf("New(MaxDistance): %v", err)
 	}
 }
 
