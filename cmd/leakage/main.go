@@ -335,37 +335,19 @@ func printStudy() {
 
 func printImprovements(s *experiment.DistanceSweep) {
 	// Series order from Figure14: ERASER, Always, ERASER+M, Optimal.
-	impE := s.Improvement(1, 0) // Always / ERASER
-	impM := s.Improvement(1, 2) // Always / ERASER+M
-	fmt.Printf("ERASER improvement over %s:   mean %.1fx  max %.1fx\n",
-		s.Names[1], mean(impE), max(impE))
-	fmt.Printf("ERASER+M improvement over %s: mean %.1fx  max %.1fx\n",
-		s.Names[1], mean(impM), max(impM))
+	fmt.Print(improvementLine("ERASER", s.Names[1], s.Improvement(1, 0)))   // Always / ERASER
+	fmt.Print(improvementLine("ERASER+M", s.Names[1], s.Improvement(1, 2))) // Always / ERASER+M
 }
 
-func mean(xs []float64) float64 {
-	var t float64
-	n := 0
-	for _, x := range xs {
-		if x > 0 {
-			t += x
-			n++
-		}
+// improvementLine summarizes one policy's improvement over a baseline. A
+// distance where either series had no logical errors contributes a bound,
+// and the summary is printed as one ("≥ 2.1x").
+func improvementLine(name, over string, rs []experiment.Ratio) string {
+	mean, max := experiment.MeanMax(rs)
+	if mean.Bound == experiment.Unresolved {
+		return fmt.Sprintf("%s improvement over %s: unresolved\n", name, over)
 	}
-	if n == 0 {
-		return 0
-	}
-	return t / float64(n)
-}
-
-func max(xs []float64) float64 {
-	var m float64
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
+	return fmt.Sprintf("%s improvement over %s: mean %s  max %s\n", name, over, mean, max)
 }
 
 func parseDistances(s string) ([]int, error) {

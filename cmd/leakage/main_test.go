@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/experiment"
 )
 
 // buildLeakage compiles the command once per test binary into a temp dir.
@@ -88,5 +90,33 @@ func TestHeteroSweepRunsAndExports(t *testing.T) {
 		if err != nil || len(data) == 0 {
 			t.Errorf("export %s missing or empty: %v", p, err)
 		}
+	}
+}
+
+// TestImprovementLinePrintsBounds: the Figure 14/17/20 improvement summary
+// prints a distance where the improved policy had no logical errors as a
+// bound ("≥"), never as 0.0x, and a sweep with no errors at all as
+// unresolved.
+func TestImprovementLinePrintsBounds(t *testing.T) {
+	s := &experiment.DistanceSweep{
+		Distances: []int{3, 5},
+		Names:     []string{"ERASER", "Always-LRCs"},
+		LER:       [][]float64{{0, 0.01}, {0.0469, 0.03}},
+		LERLow:    [][]float64{{0, 0.002}, {0.02, 0.01}},
+		LERHigh:   [][]float64{{0.029, 0.04}, {0.1, 0.07}},
+	}
+	got := improvementLine("ERASER", s.Names[1], s.Improvement(1, 0))
+	// d=3: ≥ 0.0469/0.029 = 1.62; d=5: 3.0. Mean ≥ 2.31, max ≥ 3.0.
+	want := "ERASER improvement over Always-LRCs: mean ≥ 2.3x  max ≥ 3.0x\n"
+	if got != want {
+		t.Errorf("got %q, want %q", got, want)
+	}
+	if strings.Contains(got, "0.0x") {
+		t.Errorf("zero-error point printed as 0.0x: %q", got)
+	}
+
+	s.LER = [][]float64{{0, 0}, {0, 0}}
+	if got := improvementLine("ERASER", s.Names[1], s.Improvement(1, 0)); got != "ERASER improvement over Always-LRCs: unresolved\n" {
+		t.Errorf("no errors anywhere: got %q", got)
 	}
 }

@@ -156,6 +156,11 @@ type Builder struct {
 	mops     []MaskedOp
 	laneLRCs [][]laneLRC
 	laneMask []LaneMask // union of LRC lane masks per stabilizer
+	// mops[:prefix] is the extraction skeleton's prefix (opening Hadamards
+	// and the four CNOT steps) under prefixActive, kept across MaskedRound
+	// calls; prefix is 0 until the first call builds it.
+	prefix       int
+	prefixActive LaneMask
 }
 
 // laneLRC is one merged (data qubit, lane set) LRC entry of a stabilizer.
@@ -362,7 +367,9 @@ func (b *Builder) round(ops []Op, plan Plan) []Op {
 // across active lanes that schedule LRCs (they are policy-level constants,
 // not per-shot decisions); lanes with empty plans carry no vote, so mixing
 // zero-valued idle plans with scheduling lanes is fine. The returned slice
-// aliases an internal buffer valid until the next call.
+// aliases an internal buffer valid until the next call, and must not be
+// modified: a call with the same active mask as the last keeps that call's
+// opening Hadamards and CNOT steps in place and re-emits only the rest.
 //
 // Per stabilizer, the merged (data qubit, lane set) entries are emitted in
 // ascending data-qubit order — a canonical order independent of which lanes
@@ -373,7 +380,6 @@ func (b *Builder) round(ops []Op, plan Plan) []Op {
 // identical call sequence.
 func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	l := b.layout
-	b.mops = b.mops[:0]
 	if b.laneLRCs == nil {
 		b.laneLRCs = make([][]laneLRC, l.NumParity)
 		b.laneMask = make([]LaneMask, l.NumParity)
@@ -425,29 +431,33 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	}
 	useSwap := proto == ProtocolSwap
 
-	// Hadamards opening X-stabilizer extraction.
-	for i := range l.Stabilizers {
-		s := &l.Stabilizers[i]
-		if s.Kind == surfacecode.KindX {
-			b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
-		}
-	}
-
-	// Four global CNOT steps, identical on every lane.
-	for step := 0; step < surfacecode.ExtractionSteps; step++ {
+	// The opening Hadamards and the four CNOT steps depend on active alone:
+	// keep the last call's when active is unchanged.
+	if b.prefix == 0 || active != b.prefixActive {
+		b.mops = b.mops[:0]
 		for i := range l.Stabilizers {
 			s := &l.Stabilizers[i]
-			d := s.Steps[step]
-			if d < 0 {
-				continue
-			}
-			if s.Kind == surfacecode.KindZ {
-				b.emitMasked(Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1}, active)
-			} else {
-				b.emitMasked(Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1}, active)
+			if s.Kind == surfacecode.KindX {
+				b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
 			}
 		}
+		for step := 0; step < surfacecode.ExtractionSteps; step++ {
+			for i := range l.Stabilizers {
+				s := &l.Stabilizers[i]
+				d := s.Steps[step]
+				if d < 0 {
+					continue
+				}
+				if s.Kind == surfacecode.KindZ {
+					b.emitMasked(Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1}, active)
+				} else {
+					b.emitMasked(Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1}, active)
+				}
+			}
+		}
+		b.prefix, b.prefixActive = len(b.mops), active
 	}
+	b.mops = b.mops[:b.prefix]
 
 	// Forward SWAPs, masked to the lanes that planned each pairing.
 	if useSwap {
@@ -461,23 +471,30 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 		}
 	}
 
-	// Closing Hadamards on whichever wire holds each X-stabilizer state.
+	// Closing Hadamards on whichever wire holds each X-stabilizer state. A
+	// stabilizer no lane swapped this round keeps it on the ancilla under
+	// the whole active mask.
+	anyActive := !laneMaskZero(active)
 	for i := range l.Stabilizers {
 		s := &l.Stabilizers[i]
 		if s.Kind != surfacecode.KindX {
 			continue
 		}
-		var swapped LaneMask
+		var lrcs []laneLRC
 		if useSwap {
-			swapped = b.laneMask[s.Index]
+			lrcs = b.laneLRCs[s.Index]
 		}
-		if rem := laneMaskAndNot(active, swapped); !laneMaskZero(rem) {
+		if len(lrcs) == 0 {
+			if anyActive {
+				b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
+			}
+			continue
+		}
+		if rem := laneMaskAndNot(active, b.laneMask[s.Index]); !laneMaskZero(rem) {
 			b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
 		}
-		if useSwap {
-			for _, e := range b.laneLRCs[s.Index] {
-				b.emitMasked(Op{Kind: OpH, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
-			}
+		for _, e := range lrcs {
+			b.emitMasked(Op{Kind: OpH, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
 		}
 	}
 
@@ -486,19 +503,24 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	// qubit untouched, exactly as in the scalar Round.
 	for i := range l.Stabilizers {
 		s := &l.Stabilizers[i]
-		var swapped LaneMask
+		var lrcs []laneLRC
 		if useSwap {
-			swapped = b.laneMask[s.Index]
+			lrcs = b.laneLRCs[s.Index]
 		}
-		if rem := laneMaskAndNot(active, swapped); !laneMaskZero(rem) {
+		if len(lrcs) == 0 {
+			if anyActive {
+				b.emitMasked(Op{Kind: OpMeasure, Q0: s.Ancilla, Q1: -1, Stab: s.Index}, active)
+				b.emitMasked(Op{Kind: OpReset, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
+			}
+			continue
+		}
+		if rem := laneMaskAndNot(active, b.laneMask[s.Index]); !laneMaskZero(rem) {
 			b.emitMasked(Op{Kind: OpMeasure, Q0: s.Ancilla, Q1: -1, Stab: s.Index}, rem)
 			b.emitMasked(Op{Kind: OpReset, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
 		}
-		if useSwap {
-			for _, e := range b.laneLRCs[s.Index] {
-				b.emitMasked(Op{Kind: OpMeasure, Q0: e.data, Q1: -1, Stab: s.Index, DataWire: true}, e.mask)
-				b.emitMasked(Op{Kind: OpReset, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
-			}
+		for _, e := range lrcs {
+			b.emitMasked(Op{Kind: OpMeasure, Q0: e.data, Q1: -1, Stab: s.Index, DataWire: true}, e.mask)
+			b.emitMasked(Op{Kind: OpReset, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
 		}
 	}
 

@@ -494,3 +494,67 @@ func TestMaskedRoundStaticPlanMatchesRound(t *testing.T) {
 		}
 	}
 }
+
+// TestMaskedRoundReuseMatchesFresh: a Builder that keeps its extraction
+// skeleton across MaskedRound calls returns, call for call, exactly what a
+// fresh Builder returns for the same plans and active mask, op for op and
+// mask for mask. The seeded call sequence changes the active mask between
+// full blocks, shot-capped masks and absent sub-words (often repeating it, so
+// the kept prefix is reused), mixes LRC-free rounds with sparse and dense
+// SWAP and DQLR rounds, and turns CondReturn on and off. Keeping the prefix
+// after active changes fails it.
+func TestMaskedRoundReuseMatchesFresh(t *testing.T) {
+	actives := []LaneMask{
+		LaneMaskFor(MaxLanes),
+		LaneMaskFor(150),
+		{^uint64(0), 0, ^uint64(0), 0},
+		{0, 0x00ff00ff00ff00ff, ^uint64(0), 1},
+		LaneMaskFor(37),
+	}
+	for _, d := range []int{3, 5, 7} {
+		l := surfacecode.MustNew(d)
+		reused := NewBuilder(l)
+		rng := rand.New(rand.NewPCG(uint64(d), 20))
+		plans := make([]Plan, MaxLanes)
+		active := actives[0]
+		for call := 0; call < 60; call++ {
+			if rng.IntN(3) == 0 {
+				active = actives[rng.IntN(len(actives))]
+			}
+			proto, condReturn := ProtocolSwap, rng.IntN(2) == 0
+			if rng.IntN(3) == 0 {
+				proto, condReturn = ProtocolDQLR, false
+			}
+			density := []int{0, 0, 8, 64}[rng.IntN(4)] // lanes per 256 planning an LRC
+			for i := range plans {
+				plans[i] = Plan{Protocol: proto, CondReturn: condReturn}
+				if rng.IntN(256) >= density {
+					continue
+				}
+				usedStab := map[int]bool{}
+				for _, q := range rng.Perm(l.NumData)[:1+rng.IntN(3)] {
+					stab := l.SwapPrimary[q]
+					if usedStab[stab] || rng.IntN(4) == 0 {
+						stab = l.SwapBackup[q]
+					}
+					if stab < 0 || usedStab[stab] {
+						continue
+					}
+					usedStab[stab] = true
+					plans[i].LRCs = append(plans[i].LRCs, LRC{Data: q, Stab: stab})
+				}
+			}
+			got := reused.MaskedRound(plans, active)
+			want := NewBuilder(l).MaskedRound(plans, active)
+			if len(got) != len(want) {
+				t.Fatalf("d=%d call %d: %d ops, fresh builder %d", d, call, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("d=%d call %d op %d: %+v mask %#x, fresh builder %+v mask %#x",
+						d, call, i, got[i].Op, got[i].Mask, want[i].Op, want[i].Mask)
+				}
+			}
+		}
+	}
+}

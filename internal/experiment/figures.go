@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"text/tabwriter"
 
@@ -348,16 +349,94 @@ func (s *DistanceSweep) String() string {
 	return b.String()
 }
 
+// Bound says what a Ratio's X is.
+type Bound uint8
+
+const (
+	// Exact: X is the ratio of the two point LERs.
+	Exact Bound = iota
+	// AtLeast: the denominator series had no logical errors, so X is the
+	// lower bound LER_a / LERHigh_b.
+	AtLeast
+	// AtMost: the numerator series had no logical errors, so X is the upper
+	// bound LERHigh_a / LER_b.
+	AtMost
+	// Unresolved: neither series had a logical error, so there is no ratio
+	// and X is 0.
+	Unresolved
+)
+
+// Ratio is an LER improvement factor. A series with no logical errors has a
+// point LER of 0 but a positive Wilson upper bound, so a ratio involving it
+// is a bound rather than 0 or infinite.
+type Ratio struct {
+	X     float64
+	Bound Bound
+}
+
+// String renders the ratio as "2.3x", "≥ 2.3x", "≤ 0.4x" or "unresolved".
+func (r Ratio) String() string {
+	switch r.Bound {
+	case AtLeast:
+		return fmt.Sprintf("≥ %.1fx", r.X)
+	case AtMost:
+		return fmt.Sprintf("≤ %.1fx", r.X)
+	case Unresolved:
+		return "unresolved"
+	}
+	return fmt.Sprintf("%.1fx", r.X)
+}
+
 // Improvement returns the ratio of series a's LER to series b's at each
-// distance (used for the "ERASER improves LER by up to 4.3x" summaries).
-func (s *DistanceSweep) Improvement(a, b int) []float64 {
-	out := make([]float64, len(s.Distances))
+// distance (used for the "ERASER improves LER by up to 4.3x" summaries). At
+// a distance where one series had no logical errors the ratio is a bound
+// through that series' Wilson upper bound; where neither had any, it is
+// Unresolved.
+func (s *DistanceSweep) Improvement(a, b int) []Ratio {
+	out := make([]Ratio, len(s.Distances))
 	for i := range s.Distances {
-		if s.LER[b][i] > 0 {
-			out[i] = s.LER[a][i] / s.LER[b][i]
+		la, lb := s.LER[a][i], s.LER[b][i]
+		switch {
+		case la > 0 && lb > 0:
+			out[i] = Ratio{la / lb, Exact}
+		case la > 0 && s.LERHigh[b][i] > 0:
+			out[i] = Ratio{la / s.LERHigh[b][i], AtLeast}
+		case lb > 0 && s.LERHigh[a][i] > 0:
+			out[i] = Ratio{s.LERHigh[a][i] / lb, AtMost}
+		default:
+			out[i] = Ratio{0, Unresolved}
 		}
 	}
 	return out
+}
+
+// MeanMax returns the mean and the maximum of the resolved ratios in rs.
+// Each is a lower bound if some of those ratios are and none is an upper
+// bound, and the reverse; it is Unresolved if rs mixes both kinds of bound
+// or resolves nowhere.
+func MeanMax(rs []Ratio) (mean, max Ratio) {
+	n := 0
+	var lower, upper bool
+	for _, r := range rs {
+		if r.Bound == Unresolved {
+			continue
+		}
+		mean.X += r.X
+		max.X = math.Max(max.X, r.X)
+		n++
+		lower = lower || r.Bound == AtLeast
+		upper = upper || r.Bound == AtMost
+	}
+	switch {
+	case n == 0 || lower && upper:
+		return Ratio{0, Unresolved}, Ratio{0, Unresolved}
+	case lower:
+		mean.Bound, max.Bound = AtLeast, AtLeast
+	case upper:
+		mean.Bound, max.Bound = AtMost, AtMost
+	}
+	mean.X /= float64(n)
+	return mean, max
 }
 
 // Figure14 reproduces Figure 14 (and, with overrides, Figures 17 and 20):

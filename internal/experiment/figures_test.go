@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"math"
 	"strconv"
 	"strings"
 	"testing"
@@ -194,5 +195,50 @@ func TestExchangeTransportRuns(t *testing.T) {
 	s := Figure14(o)
 	if len(s.LER) != 4 {
 		t.Fatal("exchange-transport sweep failed")
+	}
+}
+
+// TestImprovementBoundsZeroErrorPoints: a distance where one series had no
+// logical errors gets a bound through that series' Wilson upper bound
+// instead of a ratio of 0 (or of infinity), and a distance where neither
+// had any is unresolved.
+func TestImprovementBoundsZeroErrorPoints(t *testing.T) {
+	s := &DistanceSweep{
+		Distances: []int{3, 5, 7, 9},
+		Names:     []string{"ERASER", "Always-LRCs"},
+		// d=3 both series err, d=5 only Always, d=7 only ERASER, d=9 neither.
+		LER:     [][]float64{{0.02, 0, 0.01, 0}, {0.05, 0.04, 0, 0}},
+		LERLow:  [][]float64{{0.01, 0, 0.004, 0}, {0.03, 0.02, 0, 0}},
+		LERHigh: [][]float64{{0.04, 0.025, 0.03, 0.02}, {0.08, 0.07, 0.02, 0.02}},
+	}
+	got := s.Improvement(1, 0) // Always / ERASER
+	want := []Ratio{{0.05 / 0.02, Exact}, {0.04 / 0.025, AtLeast}, {0.02 / 0.01, AtMost}, {0, Unresolved}}
+	for i := range want {
+		if math.Abs(got[i].X-want[i].X) > 1e-12 || got[i].Bound != want[i].Bound {
+			t.Errorf("d=%d: got %+v, want %+v", s.Distances[i], got[i], want[i])
+		}
+	}
+	for i, w := range []string{"2.5x", "≥ 1.6x", "≤ 2.0x", "unresolved"} {
+		if str := got[i].String(); str != w {
+			t.Errorf("d=%d: renders %q, want %q", s.Distances[i], str, w)
+		}
+	}
+
+	for _, tc := range []struct {
+		name      string
+		rs        []Ratio
+		mean, max Ratio
+	}{
+		{"exact", got[:1], Ratio{2.5, Exact}, Ratio{2.5, Exact}},
+		{"lower bound", []Ratio{got[0], got[1], got[3]}, Ratio{(2.5 + 1.6) / 2, AtLeast}, Ratio{2.5, AtLeast}},
+		{"upper bound", []Ratio{got[0], got[2]}, Ratio{(2.5 + 2) / 2, AtMost}, Ratio{2.5, AtMost}},
+		{"both bounds", got, Ratio{0, Unresolved}, Ratio{0, Unresolved}},
+		{"none resolved", got[3:], Ratio{0, Unresolved}, Ratio{0, Unresolved}},
+	} {
+		mean, max := MeanMax(tc.rs)
+		if math.Abs(mean.X-tc.mean.X) > 1e-12 || mean.Bound != tc.mean.Bound ||
+			math.Abs(max.X-tc.max.X) > 1e-12 || max.Bound != tc.max.Bound {
+			t.Errorf("%s: MeanMax = %+v, %+v; want %+v, %+v", tc.name, mean, max, tc.mean, tc.max)
+		}
 	}
 }

@@ -36,7 +36,8 @@ import (
 //
 // RunRound's ops call every rate class on all live sub-words at once, so a
 // static round steps one countdown per class instead of four (see
-// countdown). A countdown only defers the subtraction a sub-word's sampler
+// countdown); so does a masked round's lead run, its leading ops under the
+// live mask. A countdown only defers the subtraction a sub-word's sampler
 // would make on a call that draws nothing; every fill, and so every draw,
 // still happens at the same call on the same stream.
 //
@@ -58,7 +59,8 @@ type Wide struct {
 
 	rng [BlockWords]*stats.RNG
 	// live is AllLanes on the sub-words Reset bound an RNG to and 0 on the
-	// absent ones; RunRound applies its ops under it.
+	// absent ones; RunRound applies its ops under it, and RunRoundMasked
+	// runs its leading ops under it on the block gates.
 	live Block
 
 	x, z   []uint64 // [NumQubits*BlockWords] Pauli frame planes
@@ -88,11 +90,12 @@ type Wide struct {
 	leakS  []sampler
 	seepS  []sampler
 	mlS    []sampler
-	// Shared countdowns, one per depol, leak and ML class, that RunRound
-	// steps in place of the class's live sub-word samplers. armed reports
-	// whether they are in use: RunRound arms them, and RunRoundMasked and
-	// FinalMeasure settle them back into the samplers first. Seepage is
-	// drawn only on leaked lanes, so its samplers stay per sub-word.
+	// Shared countdowns, one per depol, leak and ML class, that the block
+	// gates step in place of the class's live sub-word samplers. armed
+	// reports whether they are in use: RunRound and RunRoundMasked arm them,
+	// and RunRoundMasked's first per-sub-word op and FinalMeasure settle
+	// them back into the samplers first. Seepage is drawn only on leaked
+	// lanes, so its samplers stay per sub-word.
 	depolCD, leakCD, mlCD []countdown
 	armed                 bool
 }
@@ -263,13 +266,41 @@ func (s *Wide) RunRound(ops []circuit.Op) []uint64 {
 
 // RunRoundMasked is RunRound for a lane-masked op sequence produced by
 // circuit.Builder.MaskedRound with up to BlockLanes plans: word w of each
-// op's mask drives sub-word w. Its gates step the samplers per sub-word.
+// op's mask drives sub-word w. Round-start noise and the lead run — the
+// leading ops whose mask is the block's live mask and that RunRound has a
+// block gate for — run on the shared countdowns, exactly as in RunRound. In
+// a full block the lead run is the extraction skeleton; in a round where no
+// lane plans an LRC it is the whole round. The countdowns are settled once,
+// at the first op past the lead run, and the rest steps the samplers per
+// sub-word.
 func (s *Wide) RunRoundMasked(ops []circuit.MaskedOp) []uint64 {
-	s.settle()
+	if !s.armed {
+		s.arm()
+	}
 	s.beginRound()
-	s.roundStartNoise()
-	for _, op := range ops {
-		s.applyMasked(op.Op, op.Mask)
+	s.roundStartAll()
+	i := 0
+lead:
+	for ; i < len(ops) && ops[i].Mask == s.live; i++ {
+		op := &ops[i].Op
+		switch op.Kind {
+		case circuit.OpCNOT:
+			s.cnotAll(op.Q0, op.Q1)
+		case circuit.OpH:
+			s.hadamardAll(op.Q0)
+		case circuit.OpMeasure:
+			s.measureAll(op)
+		case circuit.OpReset:
+			s.resetAll(op.Q0)
+		default:
+			break lead
+		}
+	}
+	if i < len(ops) {
+		s.settle()
+		for _, op := range ops[i:] {
+			s.applyMasked(op.Op, op.Mask)
+		}
 	}
 	return s.finishRound()
 }
@@ -766,43 +797,6 @@ func (s *Wide) resetW(w, q int, mask uint64) {
 	s.x[i] = (s.x[i] &^ mask) | (s.depolS[int(s.depolQ[q])*BlockWords+w].next() & mask)
 }
 
-func (s *Wide) roundStartNoise() {
-	n := &s.Noise
-	nd := s.Layout.NumData
-	for q := 0; q < nd; q++ {
-		cd := int(s.depolQ[q]) * BlockWords
-		if !n.LeakageEnabled {
-			for w := 0; w < BlockWords; w++ {
-				if s.live[w] == 0 {
-					continue
-				}
-				if m := s.depolS[cd+w].next(); m != 0 {
-					s.depolarize1MaskW(w, q, m)
-				}
-			}
-			continue
-		}
-		cs, cl := int(s.seepQ[q])*BlockWords, int(s.leakQ[q])*BlockWords
-		lk := blk(s.leaked, q)
-		for w := 0; w < BlockWords; w++ {
-			if s.live[w] == 0 {
-				continue
-			}
-			lkw := lk[w]
-			if lkw != 0 {
-				s.unleakMaskW(w, q, s.seepS[cs+w].next()&lkw)
-			}
-			// Lanes leaked at round start (even if just seeped) take no
-			// further round-start noise, as in the scalar simulator.
-			lm := s.leakS[cl+w].next() &^ lkw
-			s.leakMaskW(w, q, lm)
-			if m := s.depolS[cd+w].next() &^ (lkw | lm); m != 0 {
-				s.depolarize1MaskW(w, q, m)
-			}
-		}
-	}
-}
-
 // ----------------------------------------------------- shared countdowns --
 
 // countdown is one rate class's sampler countdown shared by the block's live
@@ -876,20 +870,27 @@ func (s *Wide) arm() {
 	s.armed = true
 }
 
-// settle hands the samplers back to per-sub-word calls if RunRound armed the
-// shared countdowns.
+// settle hands the samplers back to per-sub-word calls if the shared
+// countdowns are armed. A countdown with no calls owed leaves its samplers
+// exact already and is skipped.
 func (s *Wide) settle() {
 	if !s.armed {
 		return
 	}
 	for k := range s.depolCD {
-		s.depolCD[k].settle(subWords(s.depolS, k), &s.live)
+		if c := &s.depolCD[k]; c.armed != c.left {
+			c.settle(subWords(s.depolS, k), &s.live)
+		}
 	}
 	for k := range s.leakCD {
-		s.leakCD[k].settle(subWords(s.leakS, k), &s.live)
+		if c := &s.leakCD[k]; c.armed != c.left {
+			c.settle(subWords(s.leakS, k), &s.live)
+		}
 	}
 	for k := range s.mlCD {
-		s.mlCD[k].settle(subWords(s.mlS, k), &s.live)
+		if c := &s.mlCD[k]; c.armed != c.left {
+			c.settle(subWords(s.mlS, k), &s.live)
+		}
 	}
 	s.armed = false
 }
@@ -945,8 +946,8 @@ func (s *Wide) perSubWord(op circuit.Op) {
 	}
 }
 
-// The block gates below are hadamard, cnot, measureZWordW, resetW and
-// roundStartNoise on every live lane. Frame algebra runs over all four
+// The block gates below are hadamard, cnot, measureZWordW and resetW on
+// every live lane, and round-start noise. Frame algebra runs over all four
 // words (an absent sub-word has a zero live word, so nothing changes
 // there); each class is called once for the block; and per-lane handlers
 // run per sub-word on non-zero masks, in the same per-stream order as the

@@ -360,3 +360,89 @@ func TestWideMatchesNarrowMixedRounds(t *testing.T) {
 		})
 	}
 }
+
+// The three tests below pin the single settle point of RunRoundMasked's lead
+// run: round-start noise and the leading ops under the live mask run on the
+// shared countdowns, and the countdowns are settled at the first op past
+// them. Settling one op late, or not settling at all, fails each of them.
+
+// TestWideMatchesNarrowLeadRunLRCFree: LRC-free masked rounds, where the
+// lead run is the whole round, alternate with dense ERASER+M rounds. Under
+// TrackML the LRC-free rounds run every measurement and its multi-level
+// classification on the block gates, and a dense round that follows starts
+// armed. Leakage is raised so leaked operands occur in every round; absent
+// sub-words vary.
+func TestWideMatchesNarrowLeadRunLRCFree(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	n := noise.Standard(4e-3)
+	n.PLeak *= 10
+	for _, absent := range [][]int{nil, {1}, {0, 2}} {
+		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
+			compareWideNarrow(t, 5, n, nil, true, true, 12, fullBlock(), absent,
+				func(r, lane int) circuit.Plan {
+					if r%2 == 1 || (lane+r)%2 != 0 {
+						return circuit.Plan{}
+					}
+					q := (lane*3 + r) % l.NumData
+					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: true}
+				})
+		})
+	}
+}
+
+// TestWideMatchesNarrowLeadRunDQLR: masked rounds that plan only DQLR
+// pairings keep every stabilizer's closing Hadamard and measure/reset on the
+// ancilla under the live mask, so the lead run covers the whole extraction
+// and ends at the first OpLeakISWAP, whose classes then step per sub-word.
+// In every third round all lanes plan the same pairing, so that first
+// LeakageISWAP calls its classes on every lane; other rounds plan sparse
+// pairings or none. At p=1e-3 the countdowns run long between firings and
+// the lead run leaves calls owed to the LeakageISWAP's classes.
+func TestWideMatchesNarrowLeadRunDQLR(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	n := noise.Standard(1e-3)
+	n.PLeak *= 10
+	for _, absent := range [][]int{nil, {3}} {
+		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
+			compareWideNarrow(t, 5, n, nil, false, true, 24, fullBlock(), absent,
+				func(r, lane int) circuit.Plan {
+					q := (lane*5 + r) % l.NumData
+					switch {
+					case r%3 == 0:
+						q = r % l.NumData
+					case r%3 == 1 || (lane+r)%4 != 0:
+						return circuit.Plan{}
+					}
+					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
+						Protocol: circuit.ProtocolDQLR}
+				})
+		})
+	}
+}
+
+// TestWideMatchesNarrowLeadRunDrift: on a d=7 drift profile every qubit and
+// coupler has its own rate class, so each masked round arms and settles
+// hundreds of shared countdowns. Sparse ERASER+M rounds alternate with
+// LRC-free ones.
+func TestWideMatchesNarrowLeadRunDrift(t *testing.T) {
+	l := surfacecode.MustNew(7)
+	p, err := device.Drift(7, 3e-3, 0.4, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for q := range p.PLeak {
+		p.PLeak[q] *= 10
+	}
+	rates, err := p.Resolve(l)
+	if err != nil {
+		t.Fatal(err)
+	}
+	compareWideNarrow(t, 7, p.Base, rates, true, true, 8, fullBlock(), nil,
+		func(r, lane int) circuit.Plan {
+			if r%3 == 0 || (lane+r)%7 != 0 {
+				return circuit.Plan{}
+			}
+			q := (lane*11 + r) % l.NumData
+			return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: true}
+		})
+}
