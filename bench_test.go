@@ -317,37 +317,6 @@ func BenchmarkAblationBackups(b *testing.B) {
 	b.ReportMetric(without, "LER_without_backup")
 }
 
-// BenchmarkAblationDecoder compares the MWPM and union-find decoding engines
-// end to end on identical experiments.
-func BenchmarkAblationDecoder(b *testing.B) {
-	var mwpm, uf float64
-	for i := 0; i < b.N; i++ {
-		cfg := experiment.Config{Distance: 5, Cycles: 4, P: 1e-3, Shots: 150,
-			Seed: 31, Policy: core.PolicyEraser}
-		mwpm = experiment.Run(cfg).LER
-		cfg.UseUnionFind = true
-		uf = experiment.Run(cfg).LER
-	}
-	b.ReportMetric(mwpm, "LER_mwpm")
-	b.ReportMetric(uf, "LER_unionfind")
-}
-
-// BenchmarkUnionFindDecodeD7 measures the union-find engine on a flooded
-// event set.
-func BenchmarkUnionFindDecodeD7(b *testing.B) {
-	l := surfacecode.MustNew(7)
-	dec := decoder.NewUnionFind(l, surfacecode.KindZ, 70)
-	rng := stats.NewRNG(2, 2)
-	events := make([]decoder.Event, 40)
-	for i := range events {
-		events[i] = decoder.Event{Z: rng.IntN(l.NumZ()), Round: 1 + rng.IntN(70)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		dec.Decode(events)
-	}
-}
-
 // BenchmarkMemoryXShot exercises the memory-X pipeline.
 func BenchmarkMemoryXShot(b *testing.B) {
 	cfg := experiment.Config{Distance: 5, Cycles: 5, P: 1e-3, Shots: 1, Seed: 4,
@@ -816,7 +785,7 @@ func BenchmarkStoreWarmVsCold(b *testing.B) {
 //   - "decode-steady" times the batched decode of one pre-filled 64-lane
 //     collector on warmed arenas. It must report 0 allocs/op — CI greps the
 //     -benchmem output, so the warm-up happens before ResetTimer to keep the
-//     figure exact even at -benchtime 2x. The mwpm and unionfind units are
+//     figure exact even at -benchtime 2x. The "decode-steady/mwpm" unit is
 //     sparse (d=5, ~3 events per lane); "decode-steady/mwpm-dense" decodes
 //     one simulated d=7 Always unit at p=1e-3 (denseUnitD7), whose leak
 //     chains reach greedy matching and full-size exact DP tables.
@@ -844,47 +813,35 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 				decPerShot, simPerShot)
 		}
 	})
-	for _, eng := range []struct {
-		name string
-		mk   func(l *surfacecode.Layout, rounds int) decoder.BatchDecoder
-	}{
-		{"decode-steady/mwpm", func(l *surfacecode.Layout, rounds int) decoder.BatchDecoder {
-			return decoder.New(l, decoder.Config{})
-		}},
-		{"decode-steady/unionfind", func(l *surfacecode.Layout, rounds int) decoder.BatchDecoder {
-			return decoder.NewUnionFind(l, surfacecode.KindZ, rounds)
-		}},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			l := surfacecode.MustNew(5)
-			const rounds = 5
-			dec := eng.mk(l, rounds)
-			// A representative 64-lane unit: ~4% detector density, the
-			// flooded end of the paper's operating points.
-			rng := stats.NewRNG(13, 5)
-			col := decoder.NewBatchCollector()
-			for lane := 0; lane < decoder.BatchLanes; lane++ {
-				for r := 1; r <= rounds+1; r++ {
-					for z := 0; z < l.NumZ(); z++ {
-						if rng.Float64() < 0.04 {
-							col.Add(1<<uint(lane), z, r)
-						}
+	b.Run("decode-steady/mwpm", func(b *testing.B) {
+		l := surfacecode.MustNew(5)
+		const rounds = 5
+		dec := decoder.New(l, decoder.Config{})
+		// A representative 64-lane unit: ~4% detector density, the flooded
+		// end of the paper's operating points.
+		rng := stats.NewRNG(13, 5)
+		col := decoder.NewBatchCollector()
+		for lane := 0; lane < decoder.BatchLanes; lane++ {
+			for r := 1; r <= rounds+1; r++ {
+				for z := 0; z < l.NumZ(); z++ {
+					if rng.Float64() < 0.04 {
+						col.Add(1<<uint(lane), z, r)
 					}
 				}
 			}
-			for i := 0; i < 3; i++ { // grow arenas to steady state
-				dec.DecodeLanes(col, 0, decoder.BatchLanes)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				dec.DecodeLanes(col, 0, decoder.BatchLanes)
-			}
-			b.StopTimer()
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*decoder.BatchLanes),
-				"decode_ns/shot")
-		})
-	}
+		}
+		for i := 0; i < 3; i++ { // grow arenas to steady state
+			dec.DecodeLanes(col, 0, decoder.BatchLanes)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			dec.DecodeLanes(col, 0, decoder.BatchLanes)
+		}
+		b.StopTimer()
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*decoder.BatchLanes),
+			"decode_ns/shot")
+	})
 	b.Run("decode-steady/mwpm-dense", func(b *testing.B) {
 		l, col := denseUnitD7()
 		dec := decoder.New(l, decoder.Config{})

@@ -1,7 +1,7 @@
 // Advanced: exercise the library extensions beyond the paper's evaluation —
-// a memory-X experiment (the X-stabilizer detector graph), the union-find
-// decoding engine side by side with MWPM, and the Section 2.4 post-selection
-// baseline that motivates real-time suppression in the first place.
+// a memory-X experiment (the X-stabilizer detector graph), the Section 2.4
+// post-selection baseline that motivates real-time suppression in the first
+// place, and an empirical Table 2.
 package main
 
 import (
@@ -25,20 +25,7 @@ func main() {
 			basis, res.LER, res.LERLow, res.LERHigh)
 	}
 
-	fmt.Println("\n2. Decoder engine: MWPM vs union-find on identical experiments")
-	for _, uf := range []bool{false, true} {
-		res := experiment.Run(experiment.Config{
-			Distance: d, Cycles: cycles, P: 1e-3, Shots: shots, Seed: 77,
-			Policy: core.PolicyEraser, UseUnionFind: uf,
-		})
-		name := "MWPM      "
-		if uf {
-			name = "union-find"
-		}
-		fmt.Printf("   %s LER = %.4f\n", name, res.LER)
-	}
-
-	fmt.Println("\n3. Post-selection (Section 2.4 prior work) vs real-time suppression")
+	fmt.Println("\n2. Post-selection (Section 2.4 prior work) vs real-time suppression")
 	ps := experiment.RunPostSelection(experiment.Config{
 		Distance: d, Cycles: cycles, P: 1e-3, Shots: shots, Seed: 77,
 	}, 2, 2)
@@ -51,7 +38,7 @@ func main() {
 	})
 	fmt.Printf("   ERASER+M, all shots:    LER = %.4f  (keeps every shot, works online)\n", er.LER)
 
-	fmt.Println("\n4. Empirical Table 2: how fast leakage becomes visible")
+	fmt.Println("\n3. Empirical Table 2: how fast leakage becomes visible")
 	v := experiment.MeasureVisibility(d, 30, 200, 2e-3, 77, 3)
 	pct := v.Percent()
 	fmt.Printf("   visible immediately %.0f%%, after 1 round %.0f%%, after 2 rounds %.0f%%\n",

@@ -74,7 +74,10 @@ func (m *Manager) handleCampaign(w http.ResponseWriter, r *http.Request) {
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)
 	var man Manifest
-	if err := json.NewDecoder(r.Body).Decode(&man); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// Unknown fields fail the request rather than silently changing a point.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&man); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			writeError(w, http.StatusRequestEntityTooLarge,

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -181,12 +182,20 @@ func TestCampaignHTTPErrors(t *testing.T) {
 	for _, tc := range []struct {
 		method, path, body string
 		want               int
+		names              string // the error must name it, when set
 	}{
-		{"GET", "/v1/campaign?id=c99", "", http.StatusNotFound},
-		{"GET", "/v1/campaign/stream?id=c99", "", http.StatusNotFound},
-		{"POST", "/v1/campaign", "{not json", http.StatusBadRequest},
-		{"POST", "/v1/campaign", `{"base":{}}`, http.StatusBadRequest},
-		{"DELETE", "/v1/campaign", "", http.StatusMethodNotAllowed},
+		{"GET", "/v1/campaign?id=c99", "", http.StatusNotFound, ""},
+		{"GET", "/v1/campaign/stream?id=c99", "", http.StatusNotFound, ""},
+		{"POST", "/v1/campaign", "{not json", http.StatusBadRequest, ""},
+		{"POST", "/v1/campaign", `{"base":{}}`, http.StatusBadRequest, ""},
+		{"DELETE", "/v1/campaign", "", http.StatusMethodNotAllowed, ""},
+		// Unknown fields are refused, not dropped, wherever they sit: a
+		// retired knob in a point's config, a misspelling in the base.
+		{"POST", "/v1/campaign", `{"base":{"distance":3,"cycles":1,"p":0.002,"shots":64,"policy":"eraser"},
+			"points":[{"config":{"distance":3,"cycles":1,"p":0.002,"shots":64,"policy":"always","use_union_find":true}}]}`,
+			http.StatusBadRequest, "use_union_find"},
+		{"POST", "/v1/campaign", `{"base":{"distance":3,"cycles":1,"p":0.002,"shots":64,"policy":"eraser","no_leakge":true}}`,
+			http.StatusBadRequest, "no_leakge"},
 	} {
 		req, err := http.NewRequest(tc.method, srv.URL+tc.path, strings.NewReader(tc.body))
 		if err != nil {
@@ -196,9 +205,12 @@ func TestCampaignHTTPErrors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		msg, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
 		if resp.StatusCode != tc.want {
-			t.Errorf("%s %s: %d, want %d", tc.method, tc.path, resp.StatusCode, tc.want)
+			t.Errorf("%s %s: %d, want %d: %s", tc.method, tc.path, resp.StatusCode, tc.want, msg)
+		} else if !strings.Contains(string(msg), tc.names) {
+			t.Errorf("%s %s: error does not name %q: %s", tc.method, tc.path, tc.names, msg)
 		}
 	}
 }

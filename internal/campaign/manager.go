@@ -338,7 +338,8 @@ type point struct {
 	firstShots int
 }
 
-// Done is closed when every point has finished (successfully or not).
+// Done is closed when every point has finished (successfully or not) and
+// the manager has retired the campaign into its retention window.
 func (c *Campaign) Done() <-chan struct{} { return c.done }
 
 // Finished reports whether every point has finished.
@@ -384,8 +385,10 @@ func (c *Campaign) monitor() {
 		}
 		time.Sleep(c.m.opts.Poll)
 	}
-	close(c.done)
+	// Retire first: a waiter woken by done must already see the campaign
+	// counted against the retention cap, and any eviction that caused.
 	c.m.retire(c.ID)
+	close(c.done)
 	errs := 0
 	for _, p := range c.points {
 		if p.state == "error" {

@@ -11,31 +11,6 @@ import (
 // package circuit so this package does not import the simulator.
 const BatchLanes = circuit.WordLanes
 
-// BatchDecoder is the interface of both decoding engines, MWPM (Decoder)
-// and union-find (UnionFind). Decode maps one shot's detection events to
-// the predicted logical-observable flip; DecodeLanes decodes a range of the
-// lanes of a collector, returning the predictions packed one per lane — the
-// same layout the batch simulator's observable words use, so batched
-// prediction and ground truth compare with one XOR.
-//
-// Implementations reuse per-instance scratch arenas, so a BatchDecoder is
-// not safe for concurrent calls on one instance; to decode disjoint lane
-// ranges of one collector concurrently, give each goroutine its own
-// instance (construction is cheap — the heavy precompute is cached and
-// shared).
-type BatchDecoder interface {
-	Decode(events []Event) uint8
-	// DecodeLanes decodes lanes [lo, hi) only, lane i's prediction in bit
-	// i; bits outside the range are 0.
-	DecodeLanes(c *BatchCollector, lo, hi int) uint64
-}
-
-// Compile-time checks that both engines implement the interface.
-var (
-	_ BatchDecoder = (*Decoder)(nil)
-	_ BatchDecoder = (*UnionFind)(nil)
-)
-
 // StabMap maps one stabilizer of the memory basis to its slot in the batch
 // simulator's event-word array: Idx is the stabilizer index (the word array
 // is indexed by stabilizer), Ord the dense kind ordinal decoders consume.
@@ -44,9 +19,9 @@ type StabMap struct {
 }
 
 // BatchCollector fans the batch simulator's per-stabilizer detection-event
-// words out into the per-lane event lists the decoding engines consume. It
-// owns one reusable event buffer per lane, so the steady-state experiment
-// loop performs no per-shot allocations while gathering events.
+// words out into the per-lane event lists the decoder consumes. It owns one
+// reusable event buffer per lane, so the steady-state experiment loop
+// performs no per-shot allocations while gathering events.
 type BatchCollector struct {
 	lanes [BatchLanes][]Event
 }

@@ -128,72 +128,61 @@ func randomBatch(rng *stats.RNG, nz, rounds int, density float64) (*BatchCollect
 	return c, serial
 }
 
-// TestDecodeBatchMatchesSerial: for both engines, DecodeLanes over all
-// lanes of a shared collector must equal, bit for bit, the serial Decode of
-// each lane's event list — on the same (arena-reusing) instance and on a
-// fresh one. Also checks DecodeLanes masks bits outside its range.
+// TestDecodeBatchMatchesSerial: DecodeLanes over all lanes of a shared
+// collector must equal, bit for bit, the serial Decode of each lane's event
+// list — on the same (arena-reusing) instance and on a fresh one. Also
+// checks DecodeLanes masks bits outside its range.
 func TestDecodeBatchMatchesSerial(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	const rounds = 6
-	for name, mk := range map[string]func() BatchDecoder{
-		"mwpm":      func() BatchDecoder { return New(l, Config{}) },
-		"unionfind": func() BatchDecoder { return NewUnionFind(l, surfacecode.KindZ, rounds) },
-	} {
-		t.Run(name, func(t *testing.T) {
-			rng := stats.NewRNG(99, 7)
-			eng := mk()
-			for trial := 0; trial < 8; trial++ {
-				c, serial := randomBatch(rng, l.NumZ(), rounds, 0.04)
-				var want uint64
-				ref := mk() // fresh instance: no arena state carried over
-				for lane := 0; lane < BatchLanes; lane++ {
-					want |= uint64(ref.Decode(serial[lane])) << uint(lane)
-				}
-				if got := eng.DecodeLanes(c, 0, BatchLanes); got != want {
-					t.Fatalf("trial %d: DecodeLanes = %#x, want %#x (xor %#x)",
-						trial, got, want, got^want)
-				}
-				// Interleave serial decodes on the same instance, then batch
-				// again: arena reuse must not leak state between modes.
-				for lane := 0; lane < 4; lane++ {
-					if got := eng.Decode(serial[lane]); got != uint8(want>>uint(lane))&1 {
-						t.Fatalf("trial %d: serial re-decode lane %d diverged", trial, lane)
-					}
-				}
-				if got := eng.DecodeLanes(c, 0, BatchLanes); got != want {
-					t.Fatalf("trial %d: DecodeLanes after serial interleave = %#x, want %#x",
-						trial, got, want)
-				}
-				mask := (uint64(1)<<48 - 1) &^ (uint64(1)<<16 - 1)
-				if got := eng.DecodeLanes(c, 16, 48); got != want&mask {
-					t.Fatalf("trial %d: DecodeLanes[16,48) = %#x, want %#x",
-						trial, got, want&mask)
+	t.Run("mwpm", func(t *testing.T) {
+		l := surfacecode.MustNew(5)
+		const rounds = 6
+		rng := stats.NewRNG(99, 7)
+		dec := New(l, Config{})
+		for trial := 0; trial < 8; trial++ {
+			c, serial := randomBatch(rng, l.NumZ(), rounds, 0.04)
+			var want uint64
+			ref := New(l, Config{}) // fresh instance: no arena state carried over
+			for lane := 0; lane < BatchLanes; lane++ {
+				want |= uint64(ref.Decode(serial[lane])) << uint(lane)
+			}
+			if got := dec.DecodeLanes(c, 0, BatchLanes); got != want {
+				t.Fatalf("trial %d: DecodeLanes = %#x, want %#x (xor %#x)",
+					trial, got, want, got^want)
+			}
+			// Interleave serial decodes on the same instance, then batch
+			// again: arena reuse must not leak state between modes.
+			for lane := 0; lane < 4; lane++ {
+				if got := dec.Decode(serial[lane]); got != uint8(want>>uint(lane))&1 {
+					t.Fatalf("trial %d: serial re-decode lane %d diverged", trial, lane)
 				}
 			}
-		})
-	}
+			if got := dec.DecodeLanes(c, 0, BatchLanes); got != want {
+				t.Fatalf("trial %d: DecodeLanes after serial interleave = %#x, want %#x",
+					trial, got, want)
+			}
+			mask := (uint64(1)<<48 - 1) &^ (uint64(1)<<16 - 1)
+			if got := dec.DecodeLanes(c, 16, 48); got != want&mask {
+				t.Fatalf("trial %d: DecodeLanes[16,48) = %#x, want %#x",
+					trial, got, want&mask)
+			}
+		}
+	})
 }
 
-// TestDecodeSteadyStateAllocs: after warm-up, both engines decode a full
+// TestDecodeSteadyStateAllocs: after warm-up, the decoder decodes a full
 // 64-lane batch with zero heap allocations.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	const rounds = 6
-	rng := stats.NewRNG(5, 3)
-	c, _ := randomBatch(rng, l.NumZ(), rounds, 0.04)
-	for name, eng := range map[string]BatchDecoder{
-		"mwpm":      New(l, Config{}),
-		"unionfind": NewUnionFind(l, surfacecode.KindZ, rounds),
-	} {
-		t.Run(name, func(t *testing.T) {
-			for i := 0; i < 3; i++ { // grow arenas to steady state
-				eng.DecodeLanes(c, 0, BatchLanes)
-			}
-			allocs := testing.AllocsPerRun(50, func() { eng.DecodeLanes(c, 0, BatchLanes) })
-			if allocs != 0 {
-				t.Fatalf("%s: steady-state DecodeLanes allocates %v per batch, want 0",
-					name, allocs)
-			}
-		})
-	}
+	t.Run("mwpm", func(t *testing.T) {
+		l := surfacecode.MustNew(5)
+		const rounds = 6
+		c, _ := randomBatch(stats.NewRNG(5, 3), l.NumZ(), rounds, 0.04)
+		dec := New(l, Config{})
+		for i := 0; i < 3; i++ { // grow arenas to steady state
+			dec.DecodeLanes(c, 0, BatchLanes)
+		}
+		allocs := testing.AllocsPerRun(50, func() { dec.DecodeLanes(c, 0, BatchLanes) })
+		if allocs != 0 {
+			t.Fatalf("steady-state DecodeLanes allocates %v per batch, want 0", allocs)
+		}
+	})
 }

@@ -495,10 +495,12 @@ func (d *Decoder) grow(n int) {
 	}
 }
 
-// DecodeLanes decodes lanes [lo, hi) of the collector, returning the
-// predicted flips in the corresponding bits. Disjoint lane ranges of one
-// collector may be decoded concurrently — by different Decoder instances;
-// a single instance's arenas are single-threaded.
+// DecodeLanes decodes lanes [lo, hi) of the collector, lane i's predicted
+// flip in bit i and bits outside the range 0 — the layout of the batch
+// simulator's observable words, so batched prediction and ground truth
+// compare with one XOR. Disjoint lane ranges of one collector may be
+// decoded concurrently — by different Decoder instances; a single
+// instance's arenas are single-threaded.
 func (d *Decoder) DecodeLanes(c *BatchCollector, lo, hi int) uint64 {
 	var out uint64
 	for lane := lo; lane < hi; lane++ {

@@ -10,57 +10,79 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// runWithErrors executes a noiseless memory experiment, injecting the given
-// X errors (qubit, beforeRound) and returns (decoderPrediction, actualFlip).
-func runWithErrors(t *testing.T, d, rounds int, errs map[int]int) (uint8, uint8) {
+// bases are the two memory experiments: memory-Z decodes the Z detectors,
+// memory-X the X detectors.
+var bases = []surfacecode.Kind{surfacecode.KindZ, surfacecode.KindX}
+
+// runWithErrors executes a noiseless memory experiment in the given basis,
+// injecting the given data-qubit errors (qubit, beforeRound) — X errors on
+// memory-Z, Z errors on memory-X, the ones its detectors see — and returns
+// (decoderPrediction, actualFlip).
+func runWithErrors(t *testing.T, basis surfacecode.Kind, d, rounds int, errs map[int]int) (uint8, uint8) {
 	t.Helper()
 	l := surfacecode.MustNew(d)
-	dec := New(l, Config{})
-	s := sim.New(l, noise.Standard(0), stats.NewRNG(1, 1))
+	dec := NewForKind(l, Config{}, basis)
+	s := sim.NewMemory(l, noise.Standard(0), stats.NewRNG(1, 1), basis)
+	inject := s.InjectX
+	if basis == surfacecode.KindX {
+		inject = s.InjectZ
+	}
 	b := circuit.NewBuilder(l)
 	var events []Event
 	for r := 1; r <= rounds; r++ {
 		for q, br := range errs {
 			if br == r {
-				s.InjectX(q)
+				inject(q)
 			}
 		}
 		res := s.RunRound(b.Round(circuit.Plan{}))
 		for i := range l.Stabilizers {
-			if res.Events[i] != 0 && l.Stabilizers[i].Kind == surfacecode.KindZ {
-				events = append(events, Event{Z: l.ZOrdinal(i), Round: r})
+			if res.Events[i] != 0 && l.Stabilizers[i].Kind == basis {
+				events = append(events, Event{Z: l.KindOrdinal(basis, i), Round: r})
 			}
 		}
 	}
 	final := s.FinalMeasure(b.FinalMeasurement())
 	for i, e := range s.FinalDetectors(final) {
 		if e != 0 {
-			events = append(events, Event{Z: l.ZOrdinal(i), Round: rounds + 1})
+			events = append(events, Event{Z: l.KindOrdinal(basis, i), Round: rounds + 1})
 		}
 	}
 	return dec.Decode(events), s.ObservableFlip(final)
 }
 
-// TestDecodeNoEvents returns no correction.
+// TestDecodeNoEvents: shots that need no correction decode to no flip in
+// either basis — the empty shot, and a measurement error (one detector's
+// events in two consecutive rounds) on every detector.
 func TestDecodeNoEvents(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	dec := New(l, Config{})
-	if dec.Decode(nil) != 0 {
-		t.Fatal("empty decode predicted a flip")
+	for _, basis := range bases {
+		dec := NewForKind(l, Config{}, basis)
+		if dec.Decode(nil) != 0 {
+			t.Fatalf("memory-%s: empty decode predicted a flip", basis)
+		}
+		for z := 0; z < l.NumKind(basis); z++ {
+			if flip := dec.Decode([]Event{{Z: z, Round: 2}, {Z: z, Round: 3}}); flip != 0 {
+				t.Fatalf("memory-%s: time pair on detector %d decoded with flip %d", basis, z, flip)
+			}
+		}
 	}
 }
 
-// TestSingleErrorsCorrected: every single data-qubit X error, injected
-// before any round, must decode without a logical error at d=3 and d=5.
+// TestSingleErrorsCorrected: every single data-qubit error, injected before
+// the first, second or last round, must decode without a logical error at
+// d=3, 5 and 7, for X errors on memory-Z and Z errors on memory-X.
 func TestSingleErrorsCorrected(t *testing.T) {
-	for _, d := range []int{3, 5} {
-		l := surfacecode.MustNew(d)
-		for q := 0; q < l.NumData; q++ {
-			for _, r := range []int{1, 2, d} {
-				pred, actual := runWithErrors(t, d, d, map[int]int{q: r})
-				if pred != actual {
-					t.Fatalf("d=%d: single X on %d before round %d misdecoded (pred %d, actual %d)",
-						d, q, r, pred, actual)
+	for _, basis := range bases {
+		for _, d := range []int{3, 5, 7} {
+			l := surfacecode.MustNew(d)
+			for q := 0; q < l.NumData; q++ {
+				for _, r := range []int{1, 2, d} {
+					pred, actual := runWithErrors(t, basis, d, d, map[int]int{q: r})
+					if pred != actual {
+						t.Fatalf("memory-%s d=%d: single error on %d before round %d misdecoded (pred %d, actual %d)",
+							basis, d, q, r, pred, actual)
+					}
 				}
 			}
 		}
@@ -77,7 +99,7 @@ func TestPairErrorsCorrectedD5(t *testing.T) {
 	l := surfacecode.MustNew(d)
 	for q1 := 0; q1 < l.NumData; q1++ {
 		for q2 := q1 + 1; q2 < l.NumData; q2++ {
-			pred, actual := runWithErrors(t, d, d, map[int]int{q1: 2, q2: 2})
+			pred, actual := runWithErrors(t, surfacecode.KindZ, d, d, map[int]int{q1: 2, q2: 2})
 			if pred != actual {
 				t.Fatalf("pair (%d,%d) misdecoded", q1, q2)
 			}
@@ -89,7 +111,7 @@ func TestPairErrorsCorrectedD5(t *testing.T) {
 			if q1 == q2 {
 				continue
 			}
-			pred, actual := runWithErrors(t, d, d, map[int]int{q1: 1, q2: 4})
+			pred, actual := runWithErrors(t, surfacecode.KindZ, d, d, map[int]int{q1: 1, q2: 4})
 			if pred != actual {
 				t.Fatalf("cross-round pair (%d,%d) misdecoded", q1, q2)
 			}
@@ -168,11 +190,11 @@ func TestCrossingParityTopVsBottom(t *testing.T) {
 	l := surfacecode.MustNew(d)
 	top := l.DataID(0, 2)
 	bottom := l.DataID(d-1, 2)
-	predT, actualT := runWithErrors(t, d, 3, map[int]int{top: 2})
+	predT, actualT := runWithErrors(t, surfacecode.KindZ, d, 3, map[int]int{top: 2})
 	if predT != 1 || actualT != 1 {
 		t.Fatalf("top-row error: pred %d actual %d, want 1 1", predT, actualT)
 	}
-	predB, actualB := runWithErrors(t, d, 3, map[int]int{bottom: 2})
+	predB, actualB := runWithErrors(t, surfacecode.KindZ, d, 3, map[int]int{bottom: 2})
 	if predB != 0 || actualB != 0 {
 		t.Fatalf("bottom-row error: pred %d actual %d, want 0 0", predB, actualB)
 	}
@@ -187,7 +209,7 @@ func TestHalfDistanceErrorsCorrected(t *testing.T) {
 		for k := 0; k < (d-1)/2; k++ {
 			errs[l.DataID(k, 0)] = 2
 		}
-		pred, actual := runWithErrors(t, d, d, errs)
+		pred, actual := runWithErrors(t, surfacecode.KindZ, d, d, errs)
 		if pred != actual {
 			t.Fatalf("d=%d: %d-error chain misdecoded", d, (d-1)/2)
 		}
@@ -205,7 +227,7 @@ func TestMonteCarloBelowHalfDistance(t *testing.T) {
 		for len(errs) < (d-1)/2 {
 			errs[rng.IntN(l.NumData)] = 1 + rng.IntN(d)
 		}
-		pred, actual := runWithErrors(t, d, d, errs)
+		pred, actual := runWithErrors(t, surfacecode.KindZ, d, d, errs)
 		if pred != actual {
 			t.Fatalf("trial %d: %v misdecoded", trial, errs)
 		}

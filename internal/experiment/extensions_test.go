@@ -121,21 +121,3 @@ func TestVisibilityPercentEmpty(t *testing.T) {
 		t.Fatal("NaN in empty percent")
 	}
 }
-
-// TestUnionFindEngineInRunner: the union-find decoding path produces sane,
-// deterministic results comparable to MWPM.
-func TestUnionFindEngineInRunner(t *testing.T) {
-	cfg := Config{Distance: 3, Cycles: 3, P: 1e-3, Shots: 200, Seed: 5,
-		Policy: core.PolicyEraser, UseUnionFind: true, Workers: 1}
-	a := Run(cfg)
-	b := Run(cfg)
-	if a.LogicalErrors != b.LogicalErrors {
-		t.Fatal("union-find runner not deterministic")
-	}
-	cfg.UseUnionFind = false
-	m := Run(cfg)
-	t.Logf("uf LER=%.4f mwpm LER=%.4f", a.LER, m.LER)
-	if a.LER > 3*m.LER+0.05 {
-		t.Errorf("union-find LER %v far above MWPM %v", a.LER, m.LER)
-	}
-}

@@ -55,7 +55,7 @@ var goldenProbes = []struct {
 }
 
 // goldenConfigs is the pinned grid: every policy × LRC protocol × device
-// profile × decoder × distance, at 2 cycles and p = 3e-3 on one worker.
+// profile × distance, at 2 cycles and p = 3e-3 on one worker.
 func goldenConfigs(t *testing.T) []Config {
 	t.Helper()
 	const p = 3e-3
@@ -73,10 +73,8 @@ func goldenConfigs(t *testing.T) []Config {
 			for _, pol := range []core.Kind{core.PolicyNone, core.PolicyAlways,
 				core.PolicyEraser, core.PolicyEraserM, core.PolicyOptimal} {
 				for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
-					for _, uf := range []bool{false, true} {
-						cfgs = append(cfgs, Config{Distance: d, Cycles: 2, P: p, Seed: 2023,
-							Policy: pol, Protocol: proto, Profile: prof, UseUnionFind: uf, Workers: 1})
-					}
+					cfgs = append(cfgs, Config{Distance: d, Cycles: 2, P: p, Seed: 2023,
+						Policy: pol, Protocol: proto, Profile: prof, Workers: 1})
 				}
 			}
 		}
@@ -103,7 +101,7 @@ func tallyHash(t *testing.T, tl *Tally) string {
 func TestGoldenTallies(t *testing.T) {
 	got := goldenFile{
 		KeySchema: 3,
-		Grid:      "5 policies x {swap, dqlr} x {uniform, hotspot, drift} x {mwpm, uf} x d{3,5}; 2 cycles, p=3e-3, seed 2023, 1 worker",
+		Grid:      "5 policies x {swap, dqlr} x {uniform, hotspot, drift} x d{3,5}; 2 cycles, p=3e-3, seed 2023, 1 worker",
 		Entries:   map[string]goldenEntry{},
 	}
 	for _, cfg := range goldenConfigs(t) {

@@ -62,8 +62,6 @@ type Config struct {
 	Protocol circuit.Protocol
 	// Decoder tunes matching weights; zero value uses defaults.
 	Decoder decoder.Config
-	// UseUnionFind decodes with the union-find engine instead of MWPM.
-	UseUnionFind bool
 	// Workers bounds shot-level parallelism; 0 means GOMAXPROCS, 1 forces
 	// fully deterministic serial accumulation.
 	Workers int
@@ -237,24 +235,22 @@ func RunUnitsMeteredCtx(ctx context.Context, cfg Config, lo, hi int) (*Tally, Me
 }
 
 // runSetup is what every worker of one run shares: the layout, the noise
-// model, the resolved per-site rates (nil without a profile) and a factory
-// for per-worker decoders.
+// model, the resolved per-site rates (nil without a profile) and the
+// decoder's basis and matching weights.
 type runSetup struct {
 	layout *surfacecode.Layout
 	rounds int
 	np     noise.Params
 	rates  *device.Rates
-	// newDecoder builds one worker's decoder. Decoder instances own
-	// reusable scratch arenas and must not be shared across goroutines;
-	// the heavy precompute (distance tables, detector graphs) is cached and
-	// shared inside package decoder, so construction is O(lookup).
-	newDecoder func() decoder.BatchDecoder
+	basis  surfacecode.Kind
+	dcfg   decoder.Config
 }
 
 // newRunSetup resolves the config into the shared state of a run; it
 // panics on an invalid noise model or profile.
 func newRunSetup(cfg Config) *runSetup {
-	e := &runSetup{layout: surfacecode.MustNew(cfg.Distance), rounds: cfg.rounds(), np: cfg.noiseParams()}
+	e := &runSetup{layout: surfacecode.MustNew(cfg.Distance), rounds: cfg.rounds(), np: cfg.noiseParams(),
+		basis: cfg.Basis, dcfg: cfg.Decoder}
 	if err := e.np.Validate(); err != nil {
 		panic(fmt.Sprintf("experiment: %v", err))
 	}
@@ -265,19 +261,20 @@ func newRunSetup(cfg Config) *runSetup {
 		}
 		e.rates = r
 	}
-	dcfg := cfg.Decoder
-	if e.rates != nil && !e.rates.Uniform && dcfg.SpaceWeights == nil && dcfg.TimeWeights == nil {
+	if e.rates != nil && !e.rates.Uniform && e.dcfg.SpaceWeights == nil && e.dcfg.TimeWeights == nil {
 		// Heterogeneous profiles supply matching-graph priors from the local
 		// rates; explicit per-site Decoder weights win when set.
-		dcfg.SpaceWeights, dcfg.TimeWeights = e.rates.DecoderPriors(e.layout)
-	}
-	e.newDecoder = func() decoder.BatchDecoder {
-		if cfg.UseUnionFind {
-			return decoder.NewUnionFind(e.layout, cfg.Basis, e.rounds)
-		}
-		return decoder.NewForKind(e.layout, dcfg, cfg.Basis)
+		e.dcfg.SpaceWeights, e.dcfg.TimeWeights = e.rates.DecoderPriors(e.layout)
 	}
 	return e
+}
+
+// decoder builds one worker's decoder. Decoder instances own reusable
+// scratch arenas and must not be shared across goroutines; the distance
+// tables are cached and shared inside package decoder, so construction is
+// O(lookup).
+func (e *runSetup) decoder() *decoder.Decoder {
+	return decoder.NewForKind(e.layout, e.dcfg, e.basis)
 }
 
 // runUnitRange simulates units [lo, hi), with total shot count clamped to
@@ -324,7 +321,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	}
 	var pipe *decodePipeline
 	if workers > 1 {
-		pipe = newDecodePipeline(workers, rs.newDecoder)
+		pipe = newDecodePipeline(workers, rs)
 	}
 	accums := make([]*Tally, workers)
 	workerMetrics := make([]Metrics, workers)
@@ -335,7 +332,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			sink := newDecodeSink(pipe, rs.newDecoder)
+			sink := newDecodeSink(pipe, rs)
 			runBatchWorker(ctx, cfg, rs, sink, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
 			workerMetrics[w].SimNS += sink.simNS
 			workerMetrics[w].DecodeNS += sink.decodeNS
@@ -402,7 +399,7 @@ type decodePipeline struct {
 // the pool.
 const pipelineFan = 4
 
-func newDecodePipeline(workers int, newDecoder func() decoder.BatchDecoder) *decodePipeline {
+func newDecodePipeline(workers int, rs *runSetup) *decodePipeline {
 	fan := pipelineFan
 	if workers < fan {
 		fan = workers
@@ -414,14 +411,13 @@ func newDecodePipeline(workers int, newDecoder func() decoder.BatchDecoder) *dec
 	}
 	for i := 0; i < workers; i++ {
 		p.wg.Add(1)
-		go p.decodeWorker(newDecoder)
+		go p.decodeWorker(rs.decoder())
 	}
 	return p
 }
 
-func (p *decodePipeline) decodeWorker(newDecoder func() decoder.BatchDecoder) {
+func (p *decodePipeline) decodeWorker(dec *decoder.Decoder) {
 	defer p.wg.Done()
-	dec := newDecoder()
 	var errs, ns int64
 	for t := range p.tasks {
 		t0 := time.Now()
@@ -492,18 +488,18 @@ type decodeSink struct {
 	pipe *decodePipeline
 	cur  [BlockUnits]*unitTask
 
-	dec  decoder.BatchDecoder
+	dec  *decoder.Decoder
 	cols [BlockUnits]*decoder.BatchCollector
 
 	simNS    int64
 	decodeNS int64
 }
 
-func newDecodeSink(pipe *decodePipeline, newDecoder func() decoder.BatchDecoder) *decodeSink {
+func newDecodeSink(pipe *decodePipeline, rs *runSetup) *decodeSink {
 	if pipe != nil {
 		return &decodeSink{pipe: pipe}
 	}
-	return &decodeSink{dec: newDecoder()}
+	return &decodeSink{dec: rs.decoder()}
 }
 
 // beginSlot returns the empty collector for the unit in slot i.
@@ -707,7 +703,9 @@ func configStream(cfg Config) uint64 {
 	mix(uint64(cfg.Policy))
 	mix(uint64(cfg.Protocol))
 	mix(uint64(cfg.Basis))
-	mix(boolBit(cfg.UseUnionFind))
+	// The retired union-find flag's slot, at its MWPM value. Mixing 0 is
+	// still an FNV step: dropping it would move every stream.
+	mix(0)
 	np := cfg.noiseParams()
 	mix(uint64(np.Transport))
 	mix(boolBit(np.LeakageEnabled))

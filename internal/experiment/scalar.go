@@ -19,7 +19,7 @@ import (
 func RunScalar(cfg Config, tune func(core.Policy)) Result {
 	rs := newRunSetup(cfg)
 	layout, rounds := rs.layout, rs.rounds
-	dec := rs.newDecoder()
+	dec := rs.decoder()
 	builder := circuit.NewBuilder(layout)
 	pol := core.NewPolicy(cfg.Policy, layout, cfg.Protocol)
 	if tune != nil {

@@ -13,9 +13,9 @@ import (
 
 // TestRunScalarPinned pins the scalar oracle bit for bit: the SHA-256 of
 // RunScalar's JSON result on every policy, DQLR, memory-X, a hotspot
-// profile, union-find and a threshold-1 ablation. The engine-agreement
-// tests that use RunScalar are statistical and would not notice a change
-// to its random streams or decisions. The hashes were computed with the
+// profile and a threshold-1 ablation. The engine-agreement tests that use
+// RunScalar are statistical and would not notice a change to its random
+// streams or decisions. The hashes were computed with the
 // scalar engine as it ran before RunScalar existed (Run with the config
 // fields that once forced the scalar engine and tuned its policy), for 1
 // and GOMAXPROCS workers alike.
@@ -49,8 +49,6 @@ func TestRunScalarPinned(t *testing.T) {
 			"806717443a5530839a25ca482d70f1d2964cda89278ef921e66d47c57e7efc9f"},
 		{"eraser-hotspot", with(func(c *Config) { c.Policy, c.Profile = core.PolicyEraser, hotspotProfile(t, 3, p, 2, 6) }), nil,
 			"c240c734b3b499b40689e4092e4c269a70735b958eca8b5f0495219500d78a1d"},
-		{"always-unionfind", with(func(c *Config) { c.Policy, c.UseUnionFind = core.PolicyAlways, true }), nil,
-			"ac2ab27225fd83ebe3946245589116a8eb08033ac69d277cb96f5387044df671"},
 		{"eraser-threshold1", with(func(c *Config) { c.Policy = core.PolicyEraser }),
 			func(p core.Policy) { p.(*core.Eraser).LSB().SetThreshold(1) },
 			"f50889d949fd764552779174fe3d3364fb10f865cd4fbdb58eb4e21e2e48916c"},

@@ -271,13 +271,10 @@ func (c Config) NumRounds() int { return c.rounds() }
 
 // MaxRounds caps the rounds per shot a config may resolve to; the paper's
 // largest point is d = 11 with 10 cycles, 110 rounds. A unit's size grows
-// with its rounds: a tally holds two LPR numerators per round and a
-// union-find detector graph one layer per round. At both caps, d =
-// surfacecode.MaxDistance and MaxRounds rounds, one MWPM table plus one
-// union-find graph took 130 ms and 105 MB to build on a 2-vCPU Xeon, and
-// one 64-shot union-find unit at p = 1e-3 ran in 1.3 s and allocated
-// 163 MB. The caps bound size, not time: MWPM decode time grows with the
-// events per shot, and one MWPM unit at d = 25 and 250 rounds took 83 s.
+// with its rounds: a tally holds two LPR numerators per round, and each
+// lane's event list grows with them. The caps bound size, not time: MWPM
+// decode time grows with the events per shot, and one MWPM unit at d = 25
+// and 250 rounds took 83 s.
 const MaxRounds = 1000
 
 // Validate reports whether the config describes a runnable experiment:
@@ -352,12 +349,12 @@ func (c Config) Key() string {
 	put(uint64(c.Policy))
 	put(uint64(c.Protocol))
 	put(uint64(c.Basis))
-	put(boolBit(c.UseUnionFind))
-	// Schema v3 keyed four knobs that are gone: a scalar-engine flag here
-	// and, after the seed, the decoder's uniform space and time weights and
-	// its exact-matching cap. Their slots hold the only values production
-	// ever keyed (batch engine, unit weights, cap 12), so every v3 key stays
-	// valid.
+	// Schema v3 keyed five knobs that are gone: the union-find selection
+	// and a scalar-engine flag here and, after the seed, the decoder's
+	// uniform space and time weights and its exact-matching cap. Their slots
+	// hold the values of the one configuration left (MWPM, batch engine,
+	// unit weights, cap 12), so every v3 key of an MWPM config stays valid.
+	put(0)
 	put(0)
 	put(c.Seed)
 	put(math.Float64bits(1))
@@ -398,8 +395,8 @@ func (c Config) Key() string {
 // metadata and logs.
 func (c Config) Describe() string {
 	np := c.noiseParams()
-	desc := fmt.Sprintf("d=%d rounds=%d policy=%s proto=%d basis=%d p=%g seed=%d uf=%v",
-		c.Distance, c.rounds(), c.Policy, c.Protocol, c.Basis, np.P, c.Seed, c.UseUnionFind)
+	desc := fmt.Sprintf("d=%d rounds=%d policy=%s proto=%d basis=%d p=%g seed=%d",
+		c.Distance, c.rounds(), c.Policy, c.Protocol, c.Basis, np.P, c.Seed)
 	if c.heterogeneous() {
 		name := c.Profile.Name
 		if name == "" {

@@ -229,7 +229,6 @@ func TestConfigKeySeparatesConfigsAndIgnoresVolume(t *testing.T) {
 		"policy":   func(c *Config) { c.Policy = core.PolicyAlways },
 		"seed":     func(c *Config) { c.Seed++ },
 		"p":        func(c *Config) { c.P = 3e-3 },
-		"uf":       func(c *Config) { c.UseUnionFind = true },
 	} {
 		c := base
 		mutate(&c)

@@ -27,18 +27,17 @@ const MaxRequestBytes = 1 << 20
 // ConfigSpec is the wire form of experiment.Config: names instead of enum
 // ordinals, and no function-valued fields, so it round-trips through JSON.
 type ConfigSpec struct {
-	Distance     int     `json:"distance"`
-	Cycles       int     `json:"cycles,omitempty"`
-	Rounds       int     `json:"rounds,omitempty"`
-	P            float64 `json:"p"`
-	Shots        int     `json:"shots,omitempty"`
-	Seed         uint64  `json:"seed,omitempty"`
-	Policy       string  `json:"policy"`
-	Protocol     string  `json:"protocol,omitempty"`  // "swap" (default) or "dqlr"
-	Basis        string  `json:"basis,omitempty"`     // "Z" (default) or "X"
-	Transport    string  `json:"transport,omitempty"` // "conservative" (default) or "exchange"
-	NoLeakage    bool    `json:"no_leakage,omitempty"`
-	UseUnionFind bool    `json:"use_union_find,omitempty"`
+	Distance  int     `json:"distance"`
+	Cycles    int     `json:"cycles,omitempty"`
+	Rounds    int     `json:"rounds,omitempty"`
+	P         float64 `json:"p"`
+	Shots     int     `json:"shots,omitempty"`
+	Seed      uint64  `json:"seed,omitempty"`
+	Policy    string  `json:"policy"`
+	Protocol  string  `json:"protocol,omitempty"`  // "swap" (default) or "dqlr"
+	Basis     string  `json:"basis,omitempty"`     // "Z" (default) or "X"
+	Transport string  `json:"transport,omitempty"` // "conservative" (default) or "exchange"
+	NoLeakage bool    `json:"no_leakage,omitempty"`
 	// Profile carries a full inline device profile (per-site calibrated
 	// rates); ProfileSpec a generator string ("hotspot:1e-3,3,8", see
 	// device.GeneratorSpecs) instantiated at Distance with the request's
@@ -76,14 +75,13 @@ func (cs ConfigSpec) Config() (experiment.Config, error) {
 		return cfg, err
 	}
 	cfg = experiment.Config{
-		Distance:     cs.Distance,
-		Cycles:       cs.Cycles,
-		Rounds:       cs.Rounds,
-		P:            cs.P,
-		Shots:        cs.Shots,
-		Seed:         cs.Seed,
-		Policy:       pol,
-		UseUnionFind: cs.UseUnionFind,
+		Distance: cs.Distance,
+		Cycles:   cs.Cycles,
+		Rounds:   cs.Rounds,
+		P:        cs.P,
+		Shots:    cs.Shots,
+		Seed:     cs.Seed,
+		Policy:   pol,
 	}
 	switch strings.ToLower(cs.Protocol) {
 	case "", "swap":
@@ -371,7 +369,11 @@ func (w *statusWriter) Flush() {
 func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	var req RunRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	dec := json.NewDecoder(r.Body)
+	// A field the spec does not know — a misspelling, or one since retired —
+	// would otherwise be dropped and a different experiment run.
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			httpError(w, http.StatusRequestEntityTooLarge,

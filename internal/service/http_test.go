@@ -170,6 +170,10 @@ func TestServerRejectsBadRequests(t *testing.T) {
 		"distance 1001": {`{"config": {"distance": 1001, "cycles": 10, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "distance"},
 		"rounds 2^40":   {`{"config": {"distance": 3, "rounds": 1099511627776, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "rounds"},
 		"cycles x d":    {`{"config": {"distance": 25, "cycles": 41, "p": 1e-3, "shots": 64, "policy": "nolrc"}}`, "cycles"},
+		// Unknown fields are refused, not dropped: a retired knob or a
+		// misspelling would otherwise run a different experiment.
+		"retired field":  {`{"config": {"distance": 3, "p": 1e-3, "shots": 64, "policy": "always", "use_union_find": true}}`, "use_union_find"},
+		"misspelt field": {`{"config": {"distance": 3, "p": 1e-3, "shots": 64, "policy": "nolrc", "no_leakge": true}}`, "no_leakge"},
 	} {
 		resp, err := http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(tc.body))
 		if err != nil {
