@@ -637,95 +637,123 @@ func BenchmarkBuilderRoundD7(b *testing.B) {
 	}
 }
 
+// recordEraserRounds runs blocks full 256-lane blocks of a d=7, 7-cycle
+// ERASER memory experiment at physical error rate p from a fixed seed, the
+// way the runner's batch worker runs them (core.LanePolicies planning,
+// Builder.MaskedRound merging, the wide engine executing), and records every
+// round: the lanes' plans (deep copies) and the detection-event planes
+// Observe then read. Replaying the events into a freshly Reset planner, block
+// by block, reproduces the recorded plans exactly.
+func recordEraserRounds(p float64, blocks int) (plans [][]circuit.Plan, events [][]uint64) {
+	l := surfacecode.MustNew(7)
+	ws := batch.NewWide(l, noise.Standard(p), surfacecode.KindZ)
+	lp := core.NewLanePolicies(core.PolicyEraser, l, circuit.ProtocolSwap, batch.BlockLanes)
+	builder := circuit.NewBuilder(l)
+	active := batch.BlockMask(batch.BlockLanes)
+	rounds := experiment.Config{Distance: 7, Cycles: 7}.NumRounds()
+	for blk := 0; blk < blocks; blk++ {
+		var rngs [batch.BlockWords]*stats.RNG
+		for w := range rngs {
+			rngs[w] = stats.NewRNG(2023, uint64(blk*batch.BlockWords+w))
+		}
+		ws.Reset(rngs)
+		lp.Reset()
+		for r := 1; r <= rounds; r++ {
+			ps := lp.PlanRound(r, active)
+			kept := slices.Clone(ps)
+			for i := range kept {
+				kept[i].LRCs = slices.Clone(kept[i].LRCs)
+			}
+			plans = append(plans, kept)
+			ev := ws.RunRoundMasked(builder.MaskedRound(ps, active))
+			events = append(events, slices.Clone(ev))
+			lp.Observe(core.LaneRoundInfo{Round: r, Active: active, Events: ev})
+		}
+	}
+	return plans, events
+}
+
+// reportLRCDensity attaches the LRC density of recorded rounds: LRCs planned
+// per 256-lane round, and the ops Builder.MaskedRound emits per round beyond
+// the LRC-free skeleton.
+func reportLRCDensity(b *testing.B, plans [][]circuit.Plan) {
+	l := surfacecode.MustNew(7)
+	builder := circuit.NewBuilder(l)
+	skeleton := len(builder.Round(circuit.Plan{}))
+	active := batch.BlockMask(batch.BlockLanes)
+	lrcs, lrcOps := 0, 0
+	for _, ps := range plans {
+		for _, p := range ps {
+			lrcs += len(p.LRCs)
+		}
+		lrcOps += len(builder.MaskedRound(ps, active)) - skeleton
+	}
+	b.ReportMetric(float64(lrcs)/float64(len(plans)), "lrcs/round")
+	b.ReportMetric(float64(lrcOps)/float64(len(plans)), "lrc_ops/round")
+}
+
 // BenchmarkMaskedRoundBuildD7 times the adaptive round build alone:
 // Builder.MaskedRound merging 256 lanes' plans into one masked d=7 round.
-// The plans come from a warmed ERASER core.LanePolicies fed detection-event
-// planes at the density of the eraser-d7-p1e-4 benchmark workload (2.7
-// events per 49-round shot, 1/871 per stabilizer per round), as
-// BenchmarkLanePoliciesD7 feeds its planner. Sixteen rounds of plans are
-// copied out before the timer and built once to grow the builder's buffers;
-// the CI allocation gate greps this benchmark for 0 allocs/op.
+// The plans are the eraser-d7-p1e-4 workload's: recorded before the timer
+// from 4 blocks x 49 rounds of a real p=1e-4 ERASER block loop, about 15
+// LRCs and 84 LRC ops per round. (Independent event planes at the workload's
+// 1/871 events per stabilizer-round feed the planner about a sixth of
+// that, since real events cluster around leaked qubits.) Every recorded
+// round is built once to grow the builder's buffers; the CI allocation gate
+// greps this benchmark for 0 allocs/op.
 func BenchmarkMaskedRoundBuildD7(b *testing.B) {
 	l := surfacecode.MustNew(7)
-	lp := core.NewLanePolicies(core.PolicyEraser, l, circuit.ProtocolSwap, batch.BlockLanes)
-	rng := stats.NewRNG(1, 1)
-	const rounds = 16
-	planes := make([][]uint64, rounds)
-	for r := range planes {
-		planes[r] = make([]uint64, l.NumParity*batch.BlockWords)
-		for i := range planes[r] {
-			for bit := 0; bit < batch.Lanes; bit++ {
-				if rng.Float64() < 1.0/871 {
-					planes[r][i] |= 1 << bit
-				}
-			}
-		}
-	}
+	plans, _ := recordEraserRounds(1e-4, 4)
 	active := batch.BlockMask(batch.BlockLanes)
-	lp.Reset()
-	for r := 1; r <= 4*rounds; r++ {
-		lp.PlanRound(r, active)
-		lp.Observe(core.LaneRoundInfo{Round: r, Active: active, Events: planes[r%rounds]})
-	}
-	// PlanRound rewrites its plan buffers in place, so keep copies.
-	plans := make([][]circuit.Plan, rounds)
-	for i := range plans {
-		r := 4*rounds + 1 + i
-		plans[i] = slices.Clone(lp.PlanRound(r, active))
-		for j := range plans[i] {
-			plans[i][j].LRCs = slices.Clone(plans[i][j].LRCs)
-		}
-		lp.Observe(core.LaneRoundInfo{Round: r, Active: active, Events: planes[r%rounds]})
-	}
 	builder := circuit.NewBuilder(l)
-	for _, p := range plans {
-		builder.MaskedRound(p, active)
+	for _, ps := range plans {
+		builder.MaskedRound(ps, active)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		builder.MaskedRound(plans[i%rounds], active)
+		builder.MaskedRound(plans[i%len(plans)], active)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
+	reportLRCDensity(b, plans)
 }
 
 // BenchmarkLanePoliciesD7 measures the bit-sliced ERASER planner in front of
 // the wide engine: one round of PlanRound + Observe over 256 lanes at d=7,
-// fed detection-event planes at the density a p=1e-3 memory experiment
-// produces (~1/64 per stabilizer per round; 37.5 events per 49-round shot).
-// The planner is warmed over every pre-drawn plane before the timer starts,
-// so the per-lane LRC buffers have reached their steady capacity; the CI
-// allocation gate greps this benchmark for 0 allocs/op.
+// replaying the detection-event planes of the eraser-d7-p1e-3 workload,
+// recorded before the timer from 4 blocks x 49 rounds of a real p=1e-3
+// ERASER block loop (about 1/43 events per stabilizer-round, 170 LRCs and
+// 297 LRC ops per round). The planner is Reset at each recorded block's
+// first round, so it plans exactly what the recorded loop planned. One
+// replay of every round runs before the timer, so the per-lane LRC buffers
+// have reached their steady capacity; the CI allocation gate greps this
+// benchmark for 0 allocs/op.
 func BenchmarkLanePoliciesD7(b *testing.B) {
 	l := surfacecode.MustNew(7)
+	plans, events := recordEraserRounds(1e-3, 4)
+	rounds := experiment.Config{Distance: 7, Cycles: 7}.NumRounds()
 	lp := core.NewLanePolicies(core.PolicyEraser, l, circuit.ProtocolSwap, batch.BlockLanes)
-	rng := stats.NewRNG(1, 1)
-	const rounds = 16
-	planes := make([][]uint64, rounds)
-	for r := range planes {
-		planes[r] = make([]uint64, l.NumParity*batch.BlockWords)
-		for i := range planes[r] {
-			planes[r][i] = ^uint64(0)
-			for j := 0; j < 6; j++ {
-				planes[r][i] &= rng.Uint64()
-			}
-		}
-	}
 	active := batch.BlockMask(batch.BlockLanes)
-	round := func(r int) {
+	round := func(i int) {
+		r := i%rounds + 1
+		if r == 1 {
+			lp.Reset()
+		}
 		lp.PlanRound(r, active)
-		lp.Observe(core.LaneRoundInfo{Round: r, Active: active, Events: planes[r%rounds]})
+		lp.Observe(core.LaneRoundInfo{Round: r, Active: active, Events: events[i%len(events)]})
 	}
-	lp.Reset()
-	for r := 1; r <= 4*rounds; r++ {
-		round(r)
+	for i := range events {
+		round(i)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		round(i + 1)
+		round(i)
 	}
+	b.StopTimer()
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
+	reportLRCDensity(b, plans)
 }
 
 // ------------------------------------------------- result store warm vs cold

@@ -8,6 +8,7 @@
 package circuit
 
 import (
+	"math/bits"
 	"slices"
 
 	"repro/internal/surfacecode"
@@ -43,11 +44,13 @@ const (
 	OpLeakISWAP
 )
 
-// Op is one primitive operation. Q1 and Stab are -1 when unused.
+// Op is one primitive operation. Q1 and Stab are -1 when unused. The int
+// fields lead so the two one-byte fields share the last word: an Op is 32
+// bytes and a MaskedOp 64, one cache line (TestOpLayout pins both).
 type Op struct {
-	Kind     OpKind
 	Q0, Q1   int
 	Stab     int
+	Kind     OpKind
 	DataWire bool
 }
 
@@ -152,15 +155,22 @@ type Builder struct {
 	final    []Op // FinalMeasurement's sequence, built once
 
 	// Masked-round state: per stabilizer, the data qubits LRC'd with it this
-	// round and the lanes requesting each pairing.
+	// round and the lanes requesting each pairing. lrcStabs lists, in
+	// ascending order, the stabilizers that got entries; lrcSet marks them
+	// while the plans merge.
 	mops     []MaskedOp
 	laneLRCs [][]laneLRC
 	laneMask []LaneMask // union of LRC lane masks per stabilizer
+	lrcStabs []int
+	lrcSet   []uint64
 	// mops[:prefix] is the extraction skeleton's prefix (opening Hadamards
-	// and the four CNOT steps) under prefixActive, kept across MaskedRound
-	// calls; prefix is 0 until the first call builds it.
+	// and the four CNOT steps) and tail its LRC-free rest (the closing
+	// Hadamards in X-stabilizer order, then measure + reset per
+	// stabilizer), both under prefixActive and kept across MaskedRound
+	// calls; prefix is 0 until the first call builds them.
 	prefix       int
 	prefixActive LaneMask
+	tail         []MaskedOp
 }
 
 // laneLRC is one merged (data qubit, lane set) LRC entry of a stabilizer.
@@ -368,8 +378,11 @@ func (b *Builder) round(ops []Op, plan Plan) []Op {
 // not per-shot decisions); lanes with empty plans carry no vote, so mixing
 // zero-valued idle plans with scheduling lanes is fine. The returned slice
 // aliases an internal buffer valid until the next call, and must not be
-// modified: a call with the same active mask as the last keeps that call's
-// opening Hadamards and CNOT steps in place and re-emits only the rest.
+// modified. It keeps the extraction skeleton across calls: a call with the
+// same active mask as the last reuses that call's opening Hadamards and CNOT
+// steps in place, and copies the runs of its LRC-free tail (closing
+// Hadamards, measure + reset) that lie between the stabilizers LRC'd this
+// call.
 //
 // Per stabilizer, the merged (data qubit, lane set) entries are emitted in
 // ascending data-qubit order — a canonical order independent of which lanes
@@ -383,31 +396,40 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	if b.laneLRCs == nil {
 		b.laneLRCs = make([][]laneLRC, l.NumParity)
 		b.laneMask = make([]LaneMask, l.NumParity)
+		b.lrcSet = make([]uint64, (l.NumParity+63)/64)
+		// Twice an LRC-free round (624 ops at d=7) holds the average ERASER
+		// round even at p=1e-3; a denser round grows the buffer once.
+		b.mops = make([]MaskedOp, 0, 2*b.skeleton)
+		b.tail = make([]MaskedOp, 0, l.NumX()+2*l.NumParity)
 	}
-	for i := range b.laneLRCs {
-		b.laneLRCs[i] = b.laneLRCs[i][:0]
-		b.laneMask[i] = LaneMask{}
+	for _, si := range b.lrcStabs {
+		b.laneLRCs[si] = b.laneLRCs[si][:0]
+		b.laneMask[si] = LaneMask{}
 	}
+	b.lrcStabs = b.lrcStabs[:0]
 
-	// Probe Protocol/CondReturn from the first active lane that actually
-	// schedules LRCs: both settings only affect LRC ops, and an idle lane's
-	// zero-valued plan must not override the scheduling lanes' choice. This
-	// keeps the sub-word restriction property exact — the probe result is
-	// the same whether it scans one 64-lane word or the whole wide block.
+	// Merge the active lanes' LRCs in one pass. Protocol and CondReturn come
+	// from the first active lane that actually schedules LRCs (the one that
+	// merges the first entry): both settings only affect LRC ops, and an idle
+	// lane's zero-valued plan must not override the scheduling lanes' choice.
+	// This keeps the sub-word restriction property exact — the probe result
+	// is the same whether it scans one 64-lane word or the whole wide block.
 	proto, condReturn := ProtocolSwap, false
+	entries := 0
 	for i := range plans {
-		if active[i>>6]&(1<<uint(i&63)) != 0 && len(plans[i].LRCs) != 0 {
-			proto, condReturn = plans[i].Protocol, plans[i].CondReturn
-			break
-		}
-	}
-	for i := range plans {
+		lrcs := plans[i].LRCs
 		w, bit := i>>6, uint64(1)<<uint(i&63)
-		if active[w]&bit == 0 {
+		if len(lrcs) == 0 || active[w]&bit == 0 {
 			continue
 		}
-		for _, lrc := range plans[i].LRCs {
+		if entries == 0 {
+			proto, condReturn = plans[i].Protocol, plans[i].CondReturn
+		}
+		for _, lrc := range lrcs {
 			list := b.laneLRCs[lrc.Stab]
+			if len(list) == 0 {
+				b.lrcSet[lrc.Stab>>6] |= 1 << uint(lrc.Stab&63)
+			}
 			merged := false
 			for j := range list {
 				if list[j].data == lrc.Data {
@@ -425,131 +447,157 @@ func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 					list[j], list[j-1] = list[j-1], list[j]
 				}
 				b.laneLRCs[lrc.Stab] = list
+				entries++
 			}
 			b.laneMask[lrc.Stab][w] |= bit
 		}
 	}
-	useSwap := proto == ProtocolSwap
-
-	// The opening Hadamards and the four CNOT steps depend on active alone:
-	// keep the last call's when active is unchanged.
-	if b.prefix == 0 || active != b.prefixActive {
-		b.mops = b.mops[:0]
-		for i := range l.Stabilizers {
-			s := &l.Stabilizers[i]
-			if s.Kind == surfacecode.KindX {
-				b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
-			}
+	for w, m := range b.lrcSet {
+		for ; m != 0; m &= m - 1 {
+			b.lrcStabs = append(b.lrcStabs, w<<6|bits.TrailingZeros64(m))
 		}
-		for step := 0; step < surfacecode.ExtractionSteps; step++ {
-			for i := range l.Stabilizers {
-				s := &l.Stabilizers[i]
-				d := s.Steps[step]
-				if d < 0 {
-					continue
-				}
-				if s.Kind == surfacecode.KindZ {
-					b.emitMasked(Op{Kind: OpCNOT, Q0: d, Q1: s.Ancilla, Stab: -1}, active)
-				} else {
-					b.emitMasked(Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1}, active)
-				}
-			}
-		}
-		b.prefix, b.prefixActive = len(b.mops), active
+		b.lrcSet[w] = 0
 	}
-	b.mops = b.mops[:b.prefix]
+
+	if b.prefix == 0 || active != b.prefixActive {
+		b.buildSkeleton(active)
+	}
+	if laneMaskZero(active) {
+		return b.mops[:b.prefix] // no lane runs, so none planned an LRC
+	}
+
+	// Every op below is written into its slot. An LRC entry adds at most
+	// seven ops: three forward CNOTs, a closing Hadamard, measure + reset
+	// and a return (DQLR adds two), while the ancilla ops an LRC'd
+	// stabilizer's leftover lanes run replace its tail ops one for one.
+	if n := b.prefix + len(b.tail) + 7*entries; cap(b.mops) < n {
+		b.mops = slices.Grow(b.mops[:b.prefix], n-b.prefix)
+	}
+	out := b.mops[:cap(b.mops)]
+	n := b.prefix
+	useSwap := proto == ProtocolSwap
+	var swapped []int // stabilizers whose outcome moves to a data qubit
+	if useSwap {
+		swapped = b.lrcStabs
+	}
 
 	// Forward SWAPs, masked to the lanes that planned each pairing.
-	if useSwap {
-		for si := range b.laneLRCs {
-			p := l.Stabilizers[si].Ancilla
-			for _, e := range b.laneLRCs[si] {
-				b.emitMasked(Op{Kind: OpCNOT, Q0: p, Q1: e.data, Stab: -1}, e.mask)
-				b.emitMasked(Op{Kind: OpCNOT, Q0: e.data, Q1: p, Stab: -1}, e.mask)
-				b.emitMasked(Op{Kind: OpCNOT, Q0: p, Q1: e.data, Stab: -1}, e.mask)
-			}
+	for _, si := range swapped {
+		p := l.Stabilizers[si].Ancilla
+		for _, e := range b.laneLRCs[si] {
+			out[n].set(Op{Kind: OpCNOT, Q0: p, Q1: e.data, Stab: -1}, &e.mask)
+			out[n+1].set(Op{Kind: OpCNOT, Q0: e.data, Q1: p, Stab: -1}, &e.mask)
+			out[n+2].set(Op{Kind: OpCNOT, Q0: p, Q1: e.data, Stab: -1}, &e.mask)
+			n += 3
 		}
 	}
 
 	// Closing Hadamards on whichever wire holds each X-stabilizer state. A
-	// stabilizer no lane swapped this round keeps it on the ancilla under
-	// the whole active mask.
-	anyActive := !laneMaskZero(active)
-	for i := range l.Stabilizers {
-		s := &l.Stabilizers[i]
-		if s.Kind != surfacecode.KindX {
+	// stabilizer no lane swapped keeps it on the ancilla under the whole
+	// active mask: the tail's runs between swapped X stabilizers.
+	numX, next := l.NumX(), 0
+	for _, si := range swapped {
+		x := l.XOrdinal(si)
+		if x < 0 {
 			continue
 		}
-		var lrcs []laneLRC
-		if useSwap {
-			lrcs = b.laneLRCs[s.Index]
+		n += copy(out[n:], b.tail[next:x])
+		next = x + 1
+		if rem := laneMaskAndNot(active, b.laneMask[si]); !laneMaskZero(rem) {
+			out[n].set(Op{Kind: OpH, Q0: l.Stabilizers[si].Ancilla, Q1: -1, Stab: -1}, &rem)
+			n++
 		}
-		if len(lrcs) == 0 {
-			if anyActive {
-				b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
-			}
-			continue
-		}
-		if rem := laneMaskAndNot(active, b.laneMask[s.Index]); !laneMaskZero(rem) {
-			b.emitMasked(Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
-		}
-		for _, e := range lrcs {
-			b.emitMasked(Op{Kind: OpH, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
+		for _, e := range b.laneLRCs[si] {
+			out[n].set(Op{Kind: OpH, Q0: e.data, Q1: -1, Stab: -1}, &e.mask)
+			n++
 		}
 	}
+	n += copy(out[n:], b.tail[next:numX])
 
 	// Measure + reset the wire carrying each stabilizer outcome. Lanes with
 	// an LRC read (and reset) the swapped data qubit and leave the parity
 	// qubit untouched, exactly as in the scalar Round.
-	for i := range l.Stabilizers {
-		s := &l.Stabilizers[i]
-		var lrcs []laneLRC
-		if useSwap {
-			lrcs = b.laneLRCs[s.Index]
+	next = numX
+	for _, si := range swapped {
+		n += copy(out[n:], b.tail[next:numX+2*si])
+		next = numX + 2*si + 2
+		if rem := laneMaskAndNot(active, b.laneMask[si]); !laneMaskZero(rem) {
+			p := l.Stabilizers[si].Ancilla
+			out[n].set(Op{Kind: OpMeasure, Q0: p, Q1: -1, Stab: si}, &rem)
+			out[n+1].set(Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1}, &rem)
+			n += 2
 		}
-		if len(lrcs) == 0 {
-			if anyActive {
-				b.emitMasked(Op{Kind: OpMeasure, Q0: s.Ancilla, Q1: -1, Stab: s.Index}, active)
-				b.emitMasked(Op{Kind: OpReset, Q0: s.Ancilla, Q1: -1, Stab: -1}, active)
-			}
-			continue
-		}
-		if rem := laneMaskAndNot(active, b.laneMask[s.Index]); !laneMaskZero(rem) {
-			b.emitMasked(Op{Kind: OpMeasure, Q0: s.Ancilla, Q1: -1, Stab: s.Index}, rem)
-			b.emitMasked(Op{Kind: OpReset, Q0: s.Ancilla, Q1: -1, Stab: -1}, rem)
-		}
-		for _, e := range lrcs {
-			b.emitMasked(Op{Kind: OpMeasure, Q0: e.data, Q1: -1, Stab: s.Index, DataWire: true}, e.mask)
-			b.emitMasked(Op{Kind: OpReset, Q0: e.data, Q1: -1, Stab: -1}, e.mask)
+		for _, e := range b.laneLRCs[si] {
+			out[n].set(Op{Kind: OpMeasure, Q0: e.data, Q1: -1, Stab: si, DataWire: true}, &e.mask)
+			out[n+1].set(Op{Kind: OpReset, Q0: e.data, Q1: -1, Stab: -1}, &e.mask)
+			n += 2
 		}
 	}
+	n += copy(out[n:], b.tail[next:])
 
 	// Return transfers for SWAP LRCs.
-	if useSwap {
-		kind := OpSwapReturn
-		if condReturn {
-			kind = OpCondReturn
-		}
-		for si := range b.laneLRCs {
-			p := l.Stabilizers[si].Ancilla
-			for _, e := range b.laneLRCs[si] {
-				b.emitMasked(Op{Kind: kind, Q0: p, Q1: e.data, Stab: si}, e.mask)
-			}
+	kind := OpSwapReturn
+	if condReturn {
+		kind = OpCondReturn
+	}
+	for _, si := range swapped {
+		p := l.Stabilizers[si].Ancilla
+		for _, e := range b.laneLRCs[si] {
+			out[n].set(Op{Kind: kind, Q0: p, Q1: e.data, Stab: si}, &e.mask)
+			n++
 		}
 	}
 
 	// DQLR epilogue per planned pairing.
 	if proto == ProtocolDQLR {
-		for si := range b.laneLRCs {
+		for _, si := range b.lrcStabs {
 			p := l.Stabilizers[si].Ancilla
 			for _, e := range b.laneLRCs[si] {
-				b.emitMasked(Op{Kind: OpLeakISWAP, Q0: e.data, Q1: p, Stab: si}, e.mask)
-				b.emitMasked(Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1}, e.mask)
+				out[n].set(Op{Kind: OpLeakISWAP, Q0: e.data, Q1: p, Stab: si}, &e.mask)
+				out[n+1].set(Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1}, &e.mask)
+				n += 2
 			}
 		}
 	}
 
-	return b.mops
+	return out[:n]
+}
+
+// buildSkeleton rebuilds the kept prefix (opening Hadamards and the four
+// CNOT steps) in mops and the LRC-free tail under active.
+func (b *Builder) buildSkeleton(active LaneMask) {
+	l := b.layout
+	b.mops = b.mops[:0]
+	for i := range l.Stabilizers {
+		s := &l.Stabilizers[i]
+		if s.Kind == surfacecode.KindX {
+			b.mops = append(b.mops, MaskedOp{Op{Kind: OpH, Q0: s.Ancilla, Q1: -1, Stab: -1}, active})
+		}
+	}
+	for step := 0; step < surfacecode.ExtractionSteps; step++ {
+		for i := range l.Stabilizers {
+			s := &l.Stabilizers[i]
+			d := s.Steps[step]
+			if d < 0 {
+				continue
+			}
+			op := Op{Kind: OpCNOT, Q0: s.Ancilla, Q1: d, Stab: -1}
+			if s.Kind == surfacecode.KindZ {
+				op.Q0, op.Q1 = d, s.Ancilla
+			}
+			b.mops = append(b.mops, MaskedOp{op, active})
+		}
+	}
+	b.prefix, b.prefixActive = len(b.mops), active
+
+	// The closing Hadamards are the opening ones again.
+	b.tail = append(b.tail[:0], b.mops[:l.NumX()]...)
+	for i := range l.Stabilizers {
+		p := l.Stabilizers[i].Ancilla
+		b.tail = append(b.tail,
+			MaskedOp{Op{Kind: OpMeasure, Q0: p, Q1: -1, Stab: i}, active},
+			MaskedOp{Op{Kind: OpReset, Q0: p, Q1: -1, Stab: -1}, active})
+	}
 }
 
 // FinalMeasurement emits a transversal Z-basis measurement of every data
@@ -566,8 +614,12 @@ func (b *Builder) FinalMeasurement() []Op {
 	return b.final
 }
 
-func (b *Builder) emitMasked(op Op, mask LaneMask) {
-	b.mops = append(b.mops, MaskedOp{Op: op, Mask: mask})
+// set writes op under mask into m in place. Assigning a MaskedOp literal to
+// a slice element builds it in a temporary and copies it, which cost the
+// masked round build about a third of its time.
+func (m *MaskedOp) set(op Op, mask *LaneMask) {
+	m.Op = op
+	m.Mask = *mask
 }
 
 // laneMaskAndNot returns a &^ b per word.

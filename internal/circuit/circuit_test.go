@@ -1,7 +1,9 @@
 package circuit
 
 import (
+	"fmt"
 	"math/rand/v2"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -295,6 +297,19 @@ func TestCountTwoQubitOps(t *testing.T) {
 	}
 }
 
+// TestOpLayout pins the op sizes: Op's int fields lead and its two one-byte
+// fields share the last word, so an Op is 32 bytes and a MaskedOp fills one
+// 64-byte cache line. A field added out of order fails here instead of
+// silently regrowing every op list.
+func TestOpLayout(t *testing.T) {
+	if got := reflect.TypeFor[Op]().Size(); got != 32 {
+		t.Errorf("Op is %d bytes, want 32", got)
+	}
+	if got := reflect.TypeFor[MaskedOp]().Size(); got != 64 {
+		t.Errorf("MaskedOp is %d bytes, want 64", got)
+	}
+}
+
 func TestProtocolString(t *testing.T) {
 	if ProtocolSwap.String() != "swap" || ProtocolDQLR.String() != "dqlr" {
 		t.Fatal("protocol names wrong")
@@ -500,9 +515,16 @@ func TestMaskedRoundStaticPlanMatchesRound(t *testing.T) {
 // fresh Builder returns for the same plans and active mask, op for op and
 // mask for mask. The seeded call sequence changes the active mask between
 // full blocks, shot-capped masks and absent sub-words (often repeating it, so
-// the kept prefix is reused), mixes LRC-free rounds with sparse and dense
-// SWAP and DQLR rounds, and turns CondReturn on and off. Keeping the prefix
-// after active changes fails it.
+// the kept prefix and tail are reused), mixes LRC-free rounds with sparse and
+// dense SWAP and DQLR rounds, and turns CondReturn on and off. A scripted
+// sequence follows: rounds with every stabilizer LRC'd (by two lanes each,
+// so each stabilizer merges two entries) under SWAP, CondReturn and DQLR;
+// active changing between such rounds; LRC-free rounds right after dense
+// ones; and an all-zero active mask whose lanes' plans must leave no trace.
+// Every call's sequence must also project, lane by lane, to the scalar
+// round of the lane's plan. Keeping the prefix or the tail after active
+// changes fails it, as do not clearing the last call's LRC'd stabilizers
+// and copying the tail's entry for an LRC'd stabilizer.
 func TestMaskedRoundReuseMatchesFresh(t *testing.T) {
 	actives := []LaneMask{
 		LaneMaskFor(MaxLanes),
@@ -513,7 +535,42 @@ func TestMaskedRoundReuseMatchesFresh(t *testing.T) {
 	}
 	for _, d := range []int{3, 5, 7} {
 		l := surfacecode.MustNew(d)
-		reused := NewBuilder(l)
+		reused, scalar := NewBuilder(l), NewBuilder(l)
+		check := func(call string, plans []Plan, active LaneMask) {
+			t.Helper()
+			got := reused.MaskedRound(plans, active)
+			want := NewBuilder(l).MaskedRound(plans, active)
+			if len(got) != len(want) {
+				t.Fatalf("d=%d call %s: %d ops, fresh builder %d", d, call, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("d=%d call %s op %d: %+v mask %#x, fresh builder %+v mask %#x",
+						d, call, i, got[i].Op, got[i].Mask, want[i].Op, want[i].Mask)
+				}
+			}
+			// A fault the fresh builder shares (a wrong tail copy) shows
+			// against the scalar rounds: every active lane projects to the
+			// scalar round of its plan with the LRCs in stabilizer order (the
+			// masked emitter's order), and no op touches an inactive lane.
+			for lane := 0; lane < MaxLanes; lane++ {
+				if active[lane>>6]>>uint(lane&63)&1 == 0 {
+					continue
+				}
+				plan := plans[lane]
+				plan.LRCs = sortLRCsByStab(plan.LRCs)
+				if p, w := projectLane(got, lane), scalar.Round(plan); !slices.Equal(p, w) {
+					t.Fatalf("d=%d call %s lane %d: projection of %d ops differs from the scalar round's %d",
+						d, call, lane, len(p), len(w))
+				}
+			}
+			for _, m := range got {
+				if rem := laneMaskAndNot(m.Mask, active); !laneMaskZero(rem) {
+					t.Fatalf("d=%d call %s: op %+v masked to inactive lanes %#x", d, call, m.Op, rem)
+				}
+			}
+		}
+
 		rng := rand.New(rand.NewPCG(uint64(d), 20))
 		plans := make([]Plan, MaxLanes)
 		active := actives[0]
@@ -544,17 +601,49 @@ func TestMaskedRoundReuseMatchesFresh(t *testing.T) {
 					plans[i].LRCs = append(plans[i].LRCs, LRC{Data: q, Stab: stab})
 				}
 			}
-			got := reused.MaskedRound(plans, active)
-			want := NewBuilder(l).MaskedRound(plans, active)
-			if len(got) != len(want) {
-				t.Fatalf("d=%d call %d: %d ops, fresh builder %d", d, call, len(got), len(want))
+			check(fmt.Sprint(call), plans, active)
+		}
+
+		// every returns plans in which lane s LRCs stabilizer s with its
+		// first data qubit and lane NumParity+s with its last, so every
+		// stabilizer is LRC'd and merges two entries (every check has
+		// weight 2 or 4).
+		every := func(proto Protocol, condReturn bool) []Plan {
+			ps := make([]Plan, MaxLanes)
+			for i := range ps {
+				ps[i] = Plan{Protocol: proto, CondReturn: condReturn}
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("d=%d call %d op %d: %+v mask %#x, fresh builder %+v mask %#x",
-						d, call, i, got[i].Op, got[i].Mask, want[i].Op, want[i].Mask)
-				}
+			for si := range l.Stabilizers {
+				data := l.Stabilizers[si].Data
+				ps[si].LRCs = []LRC{{Data: data[0], Stab: si}}
+				ps[l.NumParity+si].LRCs = []LRC{{Data: data[len(data)-1], Stab: si}}
 			}
+			return ps
+		}
+		idle := make([]Plan, MaxLanes)
+		swapAll, condAll, dqlrAll := every(ProtocolSwap, false), every(ProtocolSwap, true), every(ProtocolDQLR, false)
+		full, capped := LaneMaskFor(MaxLanes), LaneMaskFor(l.NumParity+3)
+		holed := LaneMask{^uint64(0), 0, ^uint64(0), ^uint64(0)}
+		for _, c := range []struct {
+			name   string
+			plans  []Plan
+			active LaneMask
+		}{
+			{"every-swap", swapAll, full},
+			{"idle-after-dense", idle, full},
+			{"every-condreturn", condAll, full},
+			{"every-swap-capped", swapAll, capped},
+			{"every-swap-holed", swapAll, holed},
+			{"idle-after-active-change", idle, full},
+			{"every-dqlr", dqlrAll, capped},
+			{"every-dqlr-full", dqlrAll, full},
+			{"every-swap-after-dqlr", swapAll, full},
+			{"zero-active", swapAll, LaneMask{}},
+			{"every-swap-after-zero", swapAll, full},
+			{"idle-zero-active", idle, LaneMask{}},
+			{"idle-after-zero", idle, capped},
+		} {
+			check(c.name, c.plans, c.active)
 		}
 	}
 }

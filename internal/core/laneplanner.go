@@ -39,6 +39,8 @@ type LaneRoundInfo struct {
 
 // maxSpecThreshold bounds analytic.SpeculationThreshold over a layout's
 // data qubits: a surface-code data qubit has 2 to 4 neighboring checks.
+// Observe counts flipped checks only up to it, and NewLanePolicies checks
+// the bound.
 const maxSpecThreshold = 2
 
 // LanePolicies runs one adaptive scheduling policy (ERASER, ERASER+M or
@@ -102,6 +104,9 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 	lp.threshold = make([]int, l.NumData)
 	for q := range lp.threshold {
 		lp.threshold[q] = analytic.SpeculationThreshold(len(l.DataStabs[q]))
+		if t := lp.threshold[q]; t < 1 || t > maxSpecThreshold {
+			panic(fmt.Sprintf("core: speculation threshold %d of data qubit %d outside [1, %d]", t, q, maxSpecThreshold))
+		}
 	}
 	lp.usePUTT = k != PolicyOptimal && proto != circuit.ProtocolDQLR
 	lp.ltt = make([]uint64, l.NumData*words)
@@ -221,32 +226,39 @@ func (lp *LanePolicies) Observe(info LaneRoundInfo) {
 		if lp.kind != PolicyEraserM {
 			ml = nil
 		}
+		// Sub-words past the last active one (absent from a partial block)
+		// add nothing, so the walk stops short of them.
+		live := words
+		for live > 0 && info.Active[live-1] == 0 {
+			live--
+		}
 		for q := 0; q < l.NumData; q++ {
-			stabs, k := l.DataStabs[q], lp.threshold[q]
-			for w := 0; w < words; w++ {
-				// atLeast[j] collects the lanes with more than j flipped
-				// neighboring checks so far: a carry chain that stops at the
-				// threshold, since only "at least k" matters. A sub-word with
-				// no active lane (absent from a partial block) skips it.
-				var atLeast [maxSpecThreshold]uint64
-				var mlLeak uint64
-				if info.Active[w] != 0 {
-					for _, s := range stabs {
-						e := info.Events[s*words+w]
-						for j := k - 1; j > 0; j-- {
-							atLeast[j] |= atLeast[j-1] & e
-						}
-						atLeast[0] |= e
-						if ml != nil {
-							mlLeak |= ml[s*words+w]
-						}
+			// one and two collect, per sub-word, the lanes with at least one
+			// and at least two flipped neighboring checks: the threshold is
+			// 1 or 2, so these two words decide the rule. mlLeak collects
+			// ERASER+M's |L> classifications in the same pass.
+			var one, two, mlLeak [circuit.MaskWords]uint64
+			for _, s := range l.DataStabs[q] {
+				for w, e := range info.Events[s*words : s*words+live] {
+					two[w] |= one[w] & e
+					one[w] |= e
+				}
+				if ml != nil {
+					for w, m := range ml[s*words : s*words+live] {
+						mlLeak[w] |= m
 					}
 				}
-				// A qubit that just had an LRC is cleared and not
-				// re-speculated from the syndrome that LRC produced
-				// (Section 4.2.1).
+			}
+			spec := &one
+			if lp.threshold[q] == 2 {
+				spec = &two
+			}
+			// Only active lanes speculate. A qubit that just had an LRC is
+			// cleared and not re-speculated from the syndrome that LRC
+			// produced (Section 4.2.1).
+			for w := 0; w < words; w++ {
 				i := q*words + w
-				lp.ltt[i] = (lp.ltt[i] | (atLeast[k-1]|mlLeak)&info.Active[w]) &^ lp.plannedWord[i]
+				lp.ltt[i] = (lp.ltt[i] | (spec[w]|mlLeak[w])&info.Active[w]) &^ lp.plannedWord[i]
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"slices"
 	"testing"
 
+	"repro/internal/analytic"
 	"repro/internal/circuit"
 	"repro/internal/sim"
 	"repro/internal/surfacecode"
@@ -331,5 +332,110 @@ func TestLanePoliciesWideWords(t *testing.T) {
 	}
 	if lp.LRCTotal() != 3 {
 		t.Fatalf("LRCTotal = %d, want 3", lp.LRCTotal())
+	}
+}
+
+// observeCarryChain is the ERASER/ERASER+M branch of an earlier Observe,
+// kept as an oracle: per (data qubit, sub-word) it walks the qubit's checks
+// through a carry chain of "more than j flipped" words that stops at the
+// threshold, and skips sub-words with no active lane.
+func observeCarryChain(lp *LanePolicies, info LaneRoundInfo) {
+	l, words := lp.layout, lp.words
+	ml := info.MLParityLeak
+	if lp.kind != PolicyEraserM {
+		ml = nil
+	}
+	for q := 0; q < l.NumData; q++ {
+		stabs, k := l.DataStabs[q], lp.threshold[q]
+		for w := 0; w < words; w++ {
+			var atLeast [maxSpecThreshold]uint64
+			var mlLeak uint64
+			if info.Active[w] != 0 {
+				for _, s := range stabs {
+					e := info.Events[s*words+w]
+					for j := k - 1; j > 0; j-- {
+						atLeast[j] |= atLeast[j-1] & e
+					}
+					atLeast[0] |= e
+					if ml != nil {
+						mlLeak |= ml[s*words+w]
+					}
+				}
+			}
+			i := q*words + w
+			lp.ltt[i] = (lp.ltt[i] | (atLeast[k-1]|mlLeak)&info.Active[w]) &^ lp.plannedWord[i]
+		}
+	}
+}
+
+// TestObserveMatchesCarryChain drives Observe and the carry-chain oracle
+// with the same 200 rounds of seeded random event and |L> planes and the
+// same random planned-lane words, and requires identical Leakage Tracking
+// Tables after every round. It covers ERASER and ERASER+M, planner widths of
+// one to four words, the d=3/5/7 layouts (whose data qubits have thresholds
+// 1 and 2), and active masks that are full, shot-capped, missing a middle or
+// trailing sub-word, sparse in every sub-word, or empty. Taking the
+// at-least-one word for a threshold-2 qubit fails it, and so does dropping
+// the Active mask.
+func TestObserveMatchesCarryChain(t *testing.T) {
+	for _, d := range []int{3, 5, 7} {
+		l := surfacecode.MustNew(d)
+		thresholds := map[int]bool{}
+		for q := 0; q < l.NumData; q++ {
+			thresholds[analytic.SpeculationThreshold(len(l.DataStabs[q]))] = true
+		}
+		if !thresholds[1] || !thresholds[2] {
+			t.Fatalf("d=%d: thresholds %v, want both 1 and 2", d, thresholds)
+		}
+		for _, k := range []Kind{PolicyEraser, PolicyEraserM} {
+			for words := 1; words <= circuit.MaskWords; words++ {
+				lanes := words * circuit.WordLanes
+				actives := []circuit.LaneMask{
+					circuit.LaneMaskFor(lanes),
+					circuit.LaneMaskFor(lanes - 37),
+					circuit.LaneMaskFor(lanes/2 + 5),
+					{0x5555555555555555, 0xff00ff00ff00ff00, 0x00000000ffffffff, 0x0f0f0f0f0f0f0f0f},
+					{},
+				}
+				if words > 1 {
+					holed := circuit.LaneMaskFor(lanes)
+					holed[1] = 0
+					actives = append(actives, holed)
+				}
+				lp := NewLanePolicies(k, l, circuit.ProtocolSwap, lanes)
+				ref := NewLanePolicies(k, l, circuit.ProtocolSwap, lanes)
+				rng := rand.New(rand.NewPCG(uint64(d), uint64(k)<<4|uint64(words)))
+				plane := func(n, sparsity int) []uint64 {
+					p := make([]uint64, n*words)
+					for i := range p {
+						p[i] = ^uint64(0)
+						for j := 0; j < sparsity; j++ {
+							p[i] &= rng.Uint64()
+						}
+					}
+					return p
+				}
+				for r := 1; r <= 200; r++ {
+					active := actives[rng.IntN(len(actives))]
+					planned := plane(l.NumData, 3)
+					copy(lp.plannedWord, planned)
+					copy(ref.plannedWord, planned)
+					info := LaneRoundInfo{
+						Round:        r,
+						Active:       active,
+						Events:       plane(l.NumParity, 1+rng.IntN(3)),
+						MLParityLeak: plane(l.NumParity, 4),
+					}
+					lp.Observe(info)
+					observeCarryChain(ref, info)
+					for j := range lp.ltt {
+						if lp.ltt[j] != ref.ltt[j] {
+							t.Fatalf("d=%d %v words=%d round %d: ltt[q%d w%d] = %#x, carry chain %#x",
+								d, k, words, r, j/words, j%words, lp.ltt[j], ref.ltt[j])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -258,7 +258,7 @@ func (s *Wide) RunRound(ops []circuit.Op) []uint64 {
 			s.cnotAll(op.Q0, op.Q1)
 			s.cnotAll(op.Q1, op.Q0)
 		default:
-			s.perSubWord(*op)
+			s.perSubWord(op)
 		}
 	}
 	return s.finishRound()
@@ -298,8 +298,8 @@ lead:
 	}
 	if i < len(ops) {
 		s.settle()
-		for _, op := range ops[i:] {
-			s.applyMasked(op.Op, op.Mask)
+		for ; i < len(ops); i++ {
+			s.applyMasked(&ops[i].Op, &ops[i].Mask)
 		}
 	}
 	return s.finishRound()
@@ -335,15 +335,15 @@ func (s *Wide) finishRound() []uint64 {
 	return s.events
 }
 
-func (s *Wide) applyMasked(op circuit.Op, mask Block) {
-	if mask == (Block{}) {
+func (s *Wide) applyMasked(op *circuit.Op, mask *Block) {
+	if *mask == (Block{}) {
 		return
 	}
 	switch op.Kind {
 	case circuit.OpH:
-		s.hadamard(op.Q0, mask)
+		s.hadamard(op.Q0, *mask)
 	case circuit.OpCNOT:
-		s.cnot(op.Q0, op.Q1, mask)
+		s.cnot(op.Q0, op.Q1, *mask)
 	case circuit.OpMeasure:
 		for w := 0; w < BlockWords; w++ {
 			if mask[w] == 0 {
@@ -372,8 +372,8 @@ func (s *Wide) applyMasked(op circuit.Op, mask Block) {
 			}
 		}
 	case circuit.OpSwapReturn:
-		s.cnot(op.Q0, op.Q1, mask)
-		s.cnot(op.Q1, op.Q0, mask)
+		s.cnot(op.Q0, op.Q1, *mask)
+		s.cnot(op.Q1, op.Q0, *mask)
 	case circuit.OpCondReturn:
 		if !s.TrackML {
 			panic("batch: OpCondReturn requires TrackML")
@@ -924,7 +924,7 @@ func (s *Wide) mlFire(k int) Block    { return s.mlCD[k].fire(subWords(s.mlS, k)
 // classes it calls are settled before it and re-armed after it: the
 // coupler's depol and both operands' leak classes, plus Q0's depol for the
 // return's reset.
-func (s *Wide) perSubWord(op circuit.Op) {
+func (s *Wide) perSubWord(op *circuit.Op) {
 	depol := [2]int{s.depolCouplerClass(op.Q0, op.Q1), int(s.depolQ[op.Q0])}
 	leak := [2]int{int(s.leakQ[op.Q0]), int(s.leakQ[op.Q1])}
 	nd := 1
@@ -937,7 +937,7 @@ func (s *Wide) perSubWord(op circuit.Op) {
 	for _, k := range leak {
 		s.leakCD[k].settle(subWords(s.leakS, k), &s.live)
 	}
-	s.applyMasked(op, s.live)
+	s.applyMasked(op, &s.live)
 	for _, k := range depol[:nd] {
 		s.depolCD[k].arm(subWords(s.depolS, k), &s.live)
 	}
