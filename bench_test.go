@@ -471,47 +471,11 @@ func BenchmarkBatchVsScalar(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchRoundD7 is BenchmarkSimRoundD7's batch counterpart: one
-// syndrome extraction round advancing 64 shots at once.
-func BenchmarkBatchRoundD7(b *testing.B) {
-	l := surfacecode.MustNew(7)
-	s := batch.New(l, noise.Standard(1e-3), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(1, 1))
-	builder := circuit.NewBuilder(l)
-	ops := builder.Round(circuit.Plan{})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunRound(ops)
-	}
-}
-
-// BenchmarkBatchMaskedRoundD7 measures the adaptive engine's substrate: one
-// lane-masked round (plan merge + masked execution) with a realistic sparse
-// spread of per-lane LRCs — a few lanes scheduling one LRC each, as ERASER
-// produces at the paper's error rates.
-func BenchmarkBatchMaskedRoundD7(b *testing.B) {
-	l := surfacecode.MustNew(7)
-	s := batch.New(l, noise.Standard(1e-3), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(1, 1))
-	builder := circuit.NewBuilder(l)
-	plans := make([]circuit.Plan, batch.Lanes)
-	for i := 0; i < batch.Lanes; i += 9 {
-		q := (i * 7) % l.NumData
-		plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.RunRoundMasked(builder.MaskedRound(plans, circuit.LaneMask{batch.AllLanes}))
-	}
-}
-
-// BenchmarkBatchRoundD7Wide is BenchmarkBatchRoundD7 at the wide engine's
-// width: one syndrome extraction round advancing 256 shots (4 bit-exact
-// 64-lane units) at once. The CI allocation gate greps this benchmark's
-// -benchmem column for 0 allocs/op — the wide hot loop must stay
-// allocation-free like the narrow one.
+// BenchmarkBatchRoundD7Wide is BenchmarkSimRoundD7's batch counterpart: one
+// static syndrome extraction round advancing 256 shots (4 64-lane units) at
+// once on the shared countdowns. The CI allocation gate greps this
+// benchmark's -benchmem column for 0 allocs/op — the hot loop must stay
+// allocation-free.
 func BenchmarkBatchRoundD7Wide(b *testing.B) {
 	l := surfacecode.MustNew(7)
 	s := batch.NewWide(l, noise.Standard(1e-3), surfacecode.KindZ)
@@ -584,11 +548,11 @@ func BenchmarkBatchBlockD7Wide(b *testing.B) {
 	}
 }
 
-// BenchmarkBatchMaskedRoundD7Wide is the wide counterpart of
-// BenchmarkBatchMaskedRoundD7: one lane-masked round over 256 lanes with the
-// same sparse per-lane LRC density. One round before the timer grows the
-// builder's buffers, so the CI allocation gate can hold the timed rounds to
-// 0 allocs/op even at -benchtime 2x.
+// BenchmarkBatchMaskedRoundD7Wide measures the adaptive engine's substrate:
+// one lane-masked round (plan merge + masked execution) over 256 lanes with
+// a sparse spread of per-lane LRCs, every ninth lane scheduling one. One
+// round before the timer grows the builder's buffers, so the CI allocation
+// gate can hold the timed rounds to 0 allocs/op even at -benchtime 2x.
 func BenchmarkBatchMaskedRoundD7Wide(b *testing.B) {
 	l := surfacecode.MustNew(7)
 	s := batch.NewWide(l, noise.Standard(1e-3), surfacecode.KindZ)

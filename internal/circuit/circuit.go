@@ -68,8 +68,8 @@ const MaskWords = 4
 const MaxLanes = MaskWords * WordLanes
 
 // LaneMask is the lane mask of a masked op: bit b of word w covers lane
-// w*WordLanes+b. The single-word (64-lane) engine reads only word 0; the wide
-// engine reads all MaskWords words, one per 64-lane sub-word of its block.
+// w*WordLanes+b. The wide engine reads all MaskWords words, one per 64-lane
+// sub-word of its block.
 type LaneMask = [MaskWords]uint64
 
 // LaneMaskFor returns the mask selecting the first n lanes, n in
@@ -388,9 +388,9 @@ func (b *Builder) round(ops []Op, plan Plan) []Op {
 // ascending data-qubit order — a canonical order independent of which lanes
 // requested each pairing. That invariant is what makes the wide engine
 // bit-exact per 64-lane sub-word: restricting the sequence to any one word of
-// the mask yields the same relative op order the single-word builder would
-// produce for those 64 lanes alone, so every sub-word's RNG streams see an
-// identical call sequence.
+// the mask yields the same relative op order MaskedRound produces for those
+// 64 lanes alone, so every sub-word's RNG streams see an identical call
+// sequence whatever the other sub-words plan.
 func (b *Builder) MaskedRound(plans []Plan, active LaneMask) []MaskedOp {
 	l := b.layout
 	if b.laneLRCs == nil {

@@ -14,8 +14,8 @@ import (
 // data qubit) per 64-lane sub-word. The per-plane slices use the wide
 // engine's flat layout — entity e's word for sub-word w sits at index
 // e*words+w, where words is the lane count / circuit.WordLanes the planner
-// was built with. A 64-lane planner (words = 1) therefore consumes the
-// single-word engine's outputs unchanged.
+// was built with. A 256-lane planner (words = 4) therefore consumes the
+// batch engine's outputs unchanged.
 type LaneRoundInfo struct {
 	// Round is the 1-based index of the round just executed.
 	Round int

@@ -57,8 +57,8 @@ func (c *BatchCollector) Add(word uint64, z, round int) {
 // kind-ordinal event is appended to each set lane. The words are the wide
 // engine's flat stride-`stride` event planes, and the collector takes
 // sub-word `sub` (the 64 lanes of one work unit) of each mapped stabilizer,
-// reading words[Idx*stride+sub]; stride 1, sub-word 0 reads a single-word
-// engine's planes. Collectors stay one per 64-lane unit, so everything
+// reading words[Idx*stride+sub]; stride 1, sub-word 0 reads planes of one
+// word per stabilizer. Collectors stay one per 64-lane unit, so everything
 // downstream of the sim→decode boundary is untouched by block width. This
 // is the single extraction point of the batch worker, for both the
 // per-round and final detector layers.

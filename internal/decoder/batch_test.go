@@ -45,8 +45,9 @@ func TestBatchCollectorReuse(t *testing.T) {
 
 // TestBatchCollectorAddWords: the word fan-out must reproduce, per lane,
 // exactly the syndrome a scalar loop over (stabilizer, lane) bits builds —
-// including masking by the active-lane word — from single-word planes
-// (stride 1) and from one sub-word of the wide engine's flat planes.
+// including masking by the active-lane word — from planes of one word per
+// stabilizer (stride 1) and from one sub-word of the wide engine's flat
+// planes.
 func TestBatchCollectorAddWords(t *testing.T) {
 	m := []StabMap{{Idx: 2, Ord: 0}, {Idx: 5, Ord: 1}, {Idx: 0, Ord: 2}}
 	const active = uint64(0x0fff_ffff_ffff_fff0) // drop lanes 0-3 and 60-63

@@ -12,11 +12,57 @@ import (
 
 func noiseless() noise.Params { return noise.Standard(0) }
 
-func newBatch(d int, n noise.Params, seed uint64) (*Simulator, *circuit.Builder) {
+// unitRNGs returns the dedicated streams of a full block's four units.
+func unitRNGs(seed uint64) [BlockWords]*stats.RNG {
+	var rngs [BlockWords]*stats.RNG
+	for w := range rngs {
+		rngs[w] = stats.NewRNG(seed, uint64(w))
+	}
+	return rngs
+}
+
+func newWide(d int, n noise.Params, seed uint64) (*Wide, *circuit.Builder) {
 	l := surfacecode.MustNew(d)
-	s := New(l, n, surfacecode.KindZ)
-	s.Reset(stats.NewRNG(seed, 0))
+	s := NewWide(l, n, surfacecode.KindZ)
+	s.Reset(unitRNGs(seed))
 	return s, circuit.NewBuilder(l)
+}
+
+func fullBlock() Block { return BlockMask(BlockLanes) }
+
+// plansOn returns a block's per-lane plans: p on the given lanes, no LRC on
+// the others.
+func plansOn(lanes Block, p circuit.Plan) []circuit.Plan {
+	plans := make([]circuit.Plan, BlockLanes)
+	for i := range plans {
+		if lanes[i/Lanes]&(1<<uint(i%Lanes)) != 0 {
+			plans[i] = p
+		}
+	}
+	return plans
+}
+
+// flipX flips the X frame of qubit q on the given unleaked lanes.
+func (s *Wide) flipX(q int, lanes Block) {
+	xq, lk := blk(s.x, q), blk(s.leaked, q)
+	for w := 0; w < BlockWords; w++ {
+		xq[w] ^= lanes[w] &^ lk[w]
+	}
+}
+
+// flipZ flips the Z frame of qubit q on the given unleaked lanes.
+func (s *Wide) flipZ(q int, lanes Block) {
+	zq, lk := blk(s.z, q), blk(s.leaked, q)
+	for w := 0; w < BlockWords; w++ {
+		zq[w] ^= lanes[w] &^ lk[w]
+	}
+}
+
+// forceLeak forces qubit q into the leaked state on the given lanes.
+func (s *Wide) forceLeak(q int, lanes Block) {
+	for w := 0; w < BlockWords; w++ {
+		s.leakMaskW(w, q, lanes[w])
+	}
 }
 
 // TestLaneMask checks the partial-batch mask helper.
@@ -31,7 +77,7 @@ func TestLaneMask(t *testing.T) {
 
 // TestNoiselessRoundsAreQuiet mirrors the scalar simulator's test: with zero
 // noise every detector word stays zero across plain, SWAP-LRC and DQLR
-// rounds, and the observable is unflipped in every lane.
+// rounds, and the observable is unflipped in every lane of every sub-word.
 func TestNoiselessRoundsAreQuiet(t *testing.T) {
 	l := surfacecode.MustNew(5)
 	plans := []circuit.Plan{
@@ -40,77 +86,77 @@ func TestNoiselessRoundsAreQuiet(t *testing.T) {
 			{Data: 12, Stab: l.SwapPrimary[12]}}},
 		{LRCs: []circuit.LRC{{Data: 7, Stab: l.SwapPrimary[7]}}, Protocol: circuit.ProtocolDQLR},
 	}
-	s := New(l, noiseless(), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(1, 1))
-	b := circuit.NewBuilder(l)
+	s, b := newWide(5, noiseless(), 1)
 	for r := 1; r <= 8; r++ {
 		events := s.RunRound(b.Round(plans[(r-1)%len(plans)]))
 		for i, e := range events {
 			if e != 0 {
-				t.Fatalf("round %d: event word %b on stabilizer %d without noise", r, e, i)
+				t.Fatalf("round %d: event word %b on stabilizer %d sub-word %d without noise",
+					r, e, i/BlockWords, i%BlockWords)
 			}
 		}
 	}
-	final := s.FinalMeasure(b.FinalMeasurement())
-	for i, w := range s.FinalDetectors(final) {
+	det, obs := s.FinalRound(b.FinalMeasurement())
+	for i, w := range det {
 		if w != 0 {
-			t.Fatalf("final detector %d fired without noise: %b", i, w)
+			t.Fatalf("final detector %d sub-word %d fired without noise: %b", i/BlockWords, i%BlockWords, w)
 		}
 	}
-	if obs := s.ObservableFlip(final); obs != 0 {
-		t.Fatalf("observable flipped without noise: %b", obs)
+	if obs != (Block{}) {
+		t.Fatalf("observable flipped without noise: %x", obs)
 	}
 }
 
-// TestInjectedXErrorFlipsZNeighborsPerLane injects an X error on different
-// qubits in different lanes and checks that exactly the right lanes of the
-// right Z-stabilizer event words fire.
+// TestInjectedXErrorFlipsZNeighborsPerLane injects X errors on different
+// qubits in different lanes and sub-words and checks that exactly the right
+// lanes of the right Z-stabilizer event words fire; a Z error fires only its
+// X neighbours.
 func TestInjectedXErrorFlipsZNeighborsPerLane(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	s := New(l, noiseless(), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(3, 3))
-	b := circuit.NewBuilder(l)
+	s, b := newWide(3, noiseless(), 3)
 	s.RunRound(b.Round(circuit.Plan{})) // settle round 1
 
-	// Lane 0: X on data qubit 0. Lane 5: X on data qubit 4 (center).
-	s.InjectX(0, 1<<0)
-	s.InjectX(4, 1<<5)
+	// X on data qubit 0 in sub-word 0 lane 0 and on the center qubit 4 in
+	// sub-word 2 lane 5; both in sub-word 3 lane 63. Z on qubit 4 in
+	// sub-word 1 lane 11.
+	s.flipX(0, Block{1 << 0, 0, 0, 1 << 63})
+	s.flipX(4, Block{0, 0, 1 << 5, 1 << 63})
+	s.flipZ(4, Block{0, 1 << 11, 0, 0})
 	events := s.RunRound(b.Round(circuit.Plan{}))
 	for i := range l.Stabilizers {
 		st := &l.Stabilizers[i]
-		if st.Kind != surfacecode.KindZ {
-			continue
-		}
-		var want uint64
+		var want Block
 		for _, q := range st.Data {
-			if q == 0 {
-				want ^= 1 << 0
-			}
-			if q == 4 {
-				want ^= 1 << 5
+			switch {
+			case st.Kind == surfacecode.KindZ && q == 0:
+				want[0] ^= 1 << 0
+				want[3] ^= 1 << 63
+			case st.Kind == surfacecode.KindZ && q == 4:
+				want[2] ^= 1 << 5
+				want[3] ^= 1 << 63
+			case st.Kind == surfacecode.KindX && q == 4:
+				want[1] ^= 1 << 11
 			}
 		}
-		if events[i] != want {
-			t.Errorf("stab %d events = %b, want %b", i, events[i], want)
+		if got := *blk(events, i); got != want {
+			t.Errorf("stab %d events = %x, want %x", i, got, want)
 		}
 	}
 }
 
 // TestObservableFlipPerLane checks that a logical X chain in one lane flips
-// only that lane's observable.
+// only that lane's observable, in whichever sub-word it sits.
 func TestObservableFlipPerLane(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	s := New(l, noiseless(), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(4, 4))
-	b := circuit.NewBuilder(l)
+	s, b := newWide(3, noiseless(), 4)
 	s.RunRound(b.Round(circuit.Plan{}))
 	// Logical Z support is the top row; flip exactly one of its qubits in
-	// lane 9 — a detectable error, but also a flip of the final outcome bit.
-	q := l.ZLogicalSupport[0]
-	s.InjectX(q, 1<<9)
-	final := s.FinalMeasure(b.FinalMeasurement())
-	if obs := s.ObservableFlip(final); obs != 1<<9 {
-		t.Fatalf("observable word = %b, want lane 9 only", obs)
+	// sub-word 1 lane 9 and sub-word 3 lane 60 — a detectable error, but
+	// also a flip of the final outcome bit.
+	lanes := Block{0, 1 << 9, 0, 1 << 60}
+	s.flipX(l.ZLogicalSupport[0], lanes)
+	if _, obs := s.FinalRound(b.FinalMeasurement()); obs != lanes {
+		t.Fatalf("observable words = %x, want %x", obs, lanes)
 	}
 }
 
@@ -122,25 +168,23 @@ func TestLRCClearsLeakagePerLane(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	n := noiseless()
 	n.PTransport = 0
-	s := New(l, n, surfacecode.KindZ)
-	s.Reset(stats.NewRNG(5, 5))
-	b := circuit.NewBuilder(l)
-	const lanes = uint64(0xF0)
-	s.InjectLeak(0, lanes)
-	if s.LeakedWord(0) != lanes {
+	s, b := newWide(3, n, 5)
+	lanes := Block{0xF0, 0, 0xF0 << 24, 1 << 63}
+	s.forceLeak(0, lanes)
+	if s.LeakedBlock(0) != lanes {
 		t.Fatal("injection failed")
 	}
 	plan := circuit.Plan{LRCs: []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]}}}
 	s.RunRound(b.Round(plan))
-	if s.LeakedWord(0) != 0 {
-		t.Fatalf("LRC left lanes leaked: %b", s.LeakedWord(0))
+	if got := s.LeakedBlock(0); got != (Block{}) {
+		t.Fatalf("LRC left lanes leaked: %x", got)
 	}
 	// Without an LRC the leakage would have persisted (no seepage at p=0).
-	s.Reset(stats.NewRNG(5, 6))
-	s.InjectLeak(0, lanes)
+	s.Reset(unitRNGs(6))
+	s.forceLeak(0, lanes)
 	s.RunRound(b.Round(circuit.Plan{}))
-	if s.LeakedWord(0) != lanes {
-		t.Fatalf("plain round altered data leakage: %b", s.LeakedWord(0))
+	if got := s.LeakedBlock(0); got != lanes {
+		t.Fatalf("plain round altered data leakage: %x", got)
 	}
 }
 
@@ -150,53 +194,61 @@ func TestDQLRClearsLeakagePerLane(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	n := noiseless()
 	n.PTransport = 0
-	s := New(l, n, surfacecode.KindZ)
-	s.Reset(stats.NewRNG(6, 6))
-	b := circuit.NewBuilder(l)
-	const lanes = uint64(0x5)
-	s.InjectLeak(0, lanes)
+	s, b := newWide(3, n, 6)
+	s.forceLeak(0, Block{0x5, 1 << 40, 0, 0x5 << 3})
 	plan := circuit.Plan{LRCs: []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]}},
 		Protocol: circuit.ProtocolDQLR}
 	s.RunRound(b.Round(plan))
-	if s.LeakedWord(0) != 0 {
-		t.Fatalf("DQLR left lanes leaked: %b", s.LeakedWord(0))
+	if got := s.LeakedBlock(0); got != (Block{}) {
+		t.Fatalf("DQLR left lanes leaked: %x", got)
 	}
 }
 
-// TestLeakedCountsActiveMask: counts respect the active-lane mask of a
-// partial batch.
+// TestLeakedCountsActiveMask: counts respect the active lanes of a partial
+// block, the mask the runner's LPR accounting passes.
 func TestLeakedCountsActiveMask(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	s := New(l, noiseless(), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(7, 7))
-	s.InjectLeak(0, 0xFF)             // 8 lanes on data qubit 0
-	s.InjectLeak(l.NumData, 0b11<<62) // 2 lanes on a parity qubit, outside mask
-	d, p := s.LeakedCounts(AllLanes)
-	if d != 8 || p != 2 {
-		t.Fatalf("full counts = (%d, %d), want (8, 2)", d, p)
+	s, _ := newWide(3, noiseless(), 7)
+	s.forceLeak(0, Block{0xFF, 0, 0xF << 60, 0})         // 12 lanes on data qubit 0
+	s.forceLeak(l.NumData, Block{0b11 << 62, 0, 0, 0b1}) // 3 lanes on a parity qubit
+	if d, p := s.LeakedCounts(fullBlock()); d != 12 || p != 3 {
+		t.Fatalf("full counts = (%d, %d), want (12, 3)", d, p)
 	}
-	d, p = s.LeakedCounts(LaneMask(4))
-	if d != 4 || p != 0 {
-		t.Fatalf("masked counts = (%d, %d), want (4, 0)", d, p)
+	if d, p := s.LeakedCounts(BlockMask(4)); d != 4 || p != 0 {
+		t.Fatalf("first-4-lanes counts = (%d, %d), want (4, 0)", d, p)
+	}
+	// Sub-word 0 capped at 4 lanes, sub-word 1 absent, sub-word 3 capped at
+	// one lane.
+	partial := Block{LaneMask(4), 0, AllLanes, LaneMask(1)}
+	if d, p := s.LeakedCounts(partial); d != 8 || p != 1 {
+		t.Fatalf("partial-block counts = (%d, %d), want (8, 1)", d, p)
 	}
 }
 
 // TestLeakedLanesCarryNoFrames: the invariant behind the word-parallel gate
-// implementations — leaked lanes always have zero frame bits.
+// implementations — leaked lanes always have zero frame bits — holds after
+// static rounds, with and without LRCs, and masked rounds.
 func TestLeakedLanesCarryNoFrames(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	s := New(l, noise.Standard(0.05), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(8, 8))
-	b := circuit.NewBuilder(l)
-	for r := 1; r <= 12; r++ {
-		plan := circuit.Plan{}
-		if r%2 == 0 {
-			plan.LRCs = []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]}}
+	s, b := newWide(3, noise.Standard(0.05), 8)
+	perLane := make([]circuit.Plan, BlockLanes)
+	for i := range perLane {
+		if q := i % 7; q < l.NumData {
+			perLane[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
 		}
-		s.RunRound(b.Round(plan))
-		for q := 0; q < l.NumQubits; q++ {
-			if lk := s.leaked[q]; s.x[q]&lk != 0 || s.z[q]&lk != 0 {
-				t.Fatalf("round %d: qubit %d leaked lanes carry frames", r, q)
+	}
+	for r := 1; r <= 12; r++ {
+		switch {
+		case r%3 == 0:
+			s.RunRoundMasked(b.MaskedRound(perLane, fullBlock()))
+		case r%2 == 0:
+			s.RunRound(b.Round(circuit.Plan{LRCs: []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]}}}))
+		default:
+			s.RunRound(b.Round(circuit.Plan{}))
+		}
+		for i, lk := range s.leaked {
+			if s.x[i]&lk != 0 || s.z[i]&lk != 0 {
+				t.Fatalf("round %d: qubit %d sub-word %d leaked lanes carry frames", r, i/BlockWords, i%BlockWords)
 			}
 		}
 	}
@@ -371,63 +423,47 @@ func TestCountdownMatchesSamplers(t *testing.T) {
 
 // TestMaskedLRCTouchesOnlyMaskedLanes: the heart of the lane-masked engine —
 // an LRC masked to a subset of lanes removes leakage exactly there, while
-// unmasked lanes (whose plan had no LRC) keep both their leakage and their
-// Pauli frames untouched by the LRC's measure/reset.
+// unmasked lanes (whose plan had no LRC) keep their leakage.
 func TestMaskedLRCTouchesOnlyMaskedLanes(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	n := noiseless()
 	n.PTransport = 0
-	s := New(l, n, surfacecode.KindZ)
-	s.Reset(stats.NewRNG(11, 11))
-	b := circuit.NewBuilder(l)
+	s, b := newWide(3, n, 11)
 
 	const q = 0
-	lrcLanes := uint64(0b0101)  // lanes 0, 2: plan an LRC on q
-	leakLanes := uint64(0b0110) // lanes 1, 2: q starts leaked
-	s.InjectLeak(q, leakLanes)
+	lrcLanes := Block{0b0101, 0, 0b0101 << 30, 1 << 63}       // plan an LRC on q
+	leakLanes := Block{0b0110, 1 << 7, 0b0110 << 30, 1 << 63} // q starts leaked
+	s.forceLeak(q, leakLanes)
+	plan := circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
+	s.RunRoundMasked(b.MaskedRound(plansOn(lrcLanes, plan), fullBlock()))
 
-	plans := make([]circuit.Plan, Lanes)
-	for i := 0; i < Lanes; i++ {
-		if lrcLanes&(1<<uint(i)) != 0 {
-			plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-		}
-	}
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
-
-	// Lane 2 (leaked, LRC'd) is cleaned; lane 1 (leaked, no LRC) stays
+	// Leaked, LRC'd lanes are cleaned; leaked lanes without an LRC stay
 	// leaked; every other lane stays unleaked.
-	if got := s.LeakedWord(q); got != 0b0010 {
-		t.Fatalf("leaked word %b after masked round, want 0b0010", got)
+	if got, want := s.LeakedBlock(q), (Block{0b0010, 1 << 7, 0b0010 << 30, 0}); got != want {
+		t.Fatalf("leaked block %x after masked round, want %x", got, want)
 	}
 }
 
-// TestMaskedFrameIsolation: lane 3's LRC measures and resets the data qubit
+// TestMaskedFrameIsolation: an LRC measures and resets the data qubit
 // mid-round, but the SWAP protocol holds the data state on the parity qubit
-// and returns it afterwards — so the X frame must survive on the LRC'd lane
+// and returns it afterwards — so the X frame must survive on the LRC'd lanes
 // (state-preserving leakage removal, as in the scalar engine) and, crucially,
-// on lane 7, whose plan never touched the qubit.
+// on the lanes whose plan never touched the qubit, with no frame bit landing
+// anywhere else.
 func TestMaskedFrameIsolation(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	s := New(l, noiseless(), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(12, 12))
-	b := circuit.NewBuilder(l)
+	s, b := newWide(3, noiseless(), 12)
 	s.RunRound(b.Round(circuit.Plan{})) // settle round 1
 
 	const q = 4 // center data qubit
-	s.InjectX(q, 1<<3|1<<7)
-	plans := make([]circuit.Plan, Lanes)
-	plans[3] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+	frames := Block{1<<3 | 1<<7, 0, 1<<3 | 1<<7, 0}
+	lrcLanes := Block{1 << 3, 0, 1 << 7, 1 << 3}
+	s.flipX(q, frames)
+	plan := circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
+	s.RunRoundMasked(b.MaskedRound(plansOn(lrcLanes, plan), fullBlock()))
 
-	if s.x[q]&(1<<7) == 0 {
-		t.Fatal("lane 7's X frame was destroyed by lane 3's LRC")
-	}
-	if s.x[q]&(1<<3) == 0 {
-		t.Fatal("lane 3's X frame was not returned by its LRC's swap-back")
-	}
-	// No other lane may have picked up a frame bit from the masked ops.
-	if extra := s.x[q] &^ (1<<3 | 1<<7); extra != 0 {
-		t.Fatalf("masked round leaked X frames onto lanes %b", extra)
+	if got := *blk(s.x, q); got != frames {
+		t.Fatalf("X frames of qubit %d = %x after LRCs on %x, want %x", q, got, lrcLanes, frames)
 	}
 }
 
@@ -438,41 +474,42 @@ func TestMLClassificationPlanes(t *testing.T) {
 	l := surfacecode.MustNew(3)
 	n := noiseless()
 	n.PTransport = 0
-	s := New(l, n, surfacecode.KindZ)
+	s := NewWide(l, n, surfacecode.KindZ)
 	s.TrackML = true
-	s.Reset(stats.NewRNG(13, 13))
+	s.Reset(unitRNGs(13))
 	b := circuit.NewBuilder(l)
 
-	// Leak a parity qubit on lanes 0 and 5; its measurement this round must
+	// Leak a parity qubit on three lanes; its measurement this round must
 	// classify |L> exactly there.
 	stab := 0
-	anc := l.Stabilizers[stab].Ancilla
-	s.InjectLeak(anc, 1<<0|1<<5)
+	ancLanes := Block{1<<0 | 1<<5, 0, 0, 1 << 62}
+	s.forceLeak(l.Stabilizers[stab].Ancilla, ancLanes)
 	s.RunRound(b.Round(circuit.Plan{}))
-	if got := s.MLParityLeak()[stab]; got != 1<<0|1<<5 {
-		t.Fatalf("MLParityLeak[%d] = %b, want lanes 0 and 5", stab, got)
-	}
 	for i := range l.Stabilizers {
-		if i != stab && s.MLParityLeak()[i] != 0 {
-			t.Fatalf("MLParityLeak[%d] = %b, want 0", i, s.MLParityLeak()[i])
+		var want Block
+		if i == stab {
+			want = ancLanes
+		}
+		if got := *blk(s.MLParityLeak(), i); got != want {
+			t.Fatalf("MLParityLeak of stabilizer %d = %x, want %x", i, got, want)
 		}
 	}
 
 	// An LRC on a leaked data qubit: the data-wire plane flags |L> on the
-	// LRC'd lane, driving the ERASER+M conditional swap-back.
+	// LRC'd lanes, driving the ERASER+M conditional swap-back.
 	const q = 0
-	s.InjectLeak(q, 1<<2)
-	plans := make([]circuit.Plan, Lanes)
-	plans[2] = circuit.Plan{
+	lanes := Block{1 << 2, 1 << 40, 0, 0}
+	s.forceLeak(q, lanes)
+	plan := circuit.Plan{
 		LRCs:       []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
 		CondReturn: true,
 	}
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
-	if got := s.MLDataLeak()[l.SwapPrimary[q]]; got != 1<<2 {
-		t.Fatalf("MLDataLeak = %b, want lane 2", got)
+	s.RunRoundMasked(b.MaskedRound(plansOn(lanes, plan), fullBlock()))
+	if got := *blk(s.mlDataLeak, l.SwapPrimary[q]); got != lanes {
+		t.Fatalf("data-wire ML leak = %x, want %x", got, lanes)
 	}
-	if s.LeakedWord(q) != 0 {
-		t.Fatalf("conditional-return LRC left leakage: %b", s.LeakedWord(q))
+	if got := s.LeakedBlock(q); got != (Block{}) {
+		t.Fatalf("conditional-return LRC left leakage: %x", got)
 	}
 }
 
@@ -480,20 +517,18 @@ func TestMLClassificationPlanes(t *testing.T) {
 // swap-back without the ML planes is a harness bug and must panic.
 func TestCondReturnRequiresTrackML(t *testing.T) {
 	l := surfacecode.MustNew(3)
-	s := New(l, noiseless(), surfacecode.KindZ)
-	s.Reset(stats.NewRNG(14, 14))
-	b := circuit.NewBuilder(l)
-	plans := make([]circuit.Plan, Lanes)
-	plans[0] = circuit.Plan{
+	s, b := newWide(3, noiseless(), 14)
+	plan := circuit.Plan{
 		LRCs:       []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]}},
 		CondReturn: true,
 	}
+	ops := b.MaskedRound(plansOn(Block{0, 0, 1 << 17, 0}, plan), fullBlock())
 	defer func() {
 		if recover() == nil {
 			t.Fatal("OpCondReturn without TrackML did not panic")
 		}
 	}()
-	s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+	s.RunRoundMasked(ops)
 }
 
 // TestMaskedNoiselessRoundsAreQuiet: masked rounds with heterogeneous
@@ -503,27 +538,25 @@ func TestMaskedNoiselessRoundsAreQuiet(t *testing.T) {
 	l := surfacecode.MustNew(5)
 	n := noiseless()
 	n.PTransport = 0
-	s := New(l, n, surfacecode.KindZ)
-	s.Reset(stats.NewRNG(15, 15))
-	b := circuit.NewBuilder(l)
+	s, b := newWide(5, n, 15)
+	plans := make([]circuit.Plan, BlockLanes)
 	for r := 1; r <= 6; r++ {
-		plans := make([]circuit.Plan, Lanes)
-		for i := 0; i < Lanes; i++ {
-			q := (r + i) % l.NumData
-			if i%3 == 0 {
+		for i := range plans {
+			plans[i] = circuit.Plan{}
+			if q := (r + i) % l.NumData; i%3 == 0 {
 				plans[i] = circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
 			}
 		}
-		events := s.RunRoundMasked(b.MaskedRound(plans, circuit.LaneMask{AllLanes}))
+		events := s.RunRoundMasked(b.MaskedRound(plans, fullBlock()))
 		for i, e := range events {
 			if e != 0 {
-				t.Fatalf("round %d: masked event word %b on stabilizer %d without noise", r, e, i)
+				t.Fatalf("round %d: masked event word %b on stabilizer %d sub-word %d without noise",
+					r, e, i/BlockWords, i%BlockWords)
 			}
 		}
 	}
-	final := s.FinalMeasure(b.FinalMeasurement())
-	if obs := s.ObservableFlip(final); obs != 0 {
-		t.Fatalf("observable flipped without noise: %b", obs)
+	if _, obs := s.FinalRound(b.FinalMeasurement()); obs != (Block{}) {
+		t.Fatalf("observable flipped without noise: %x", obs)
 	}
 }
 
@@ -531,7 +564,7 @@ func TestMaskedNoiselessRoundsAreQuiet(t *testing.T) {
 // diverge.
 func TestBatchRNGDeterminism(t *testing.T) {
 	run := func(seed uint64) []uint64 {
-		s, b := newBatch(3, noise.Standard(5e-3), seed)
+		s, b := newWide(3, noise.Standard(5e-3), seed)
 		var all []uint64
 		for r := 1; r <= 6; r++ {
 			all = append(all, s.RunRound(b.Round(circuit.Plan{}))...)

@@ -12,27 +12,24 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// Wide is the 256-lane wide-word engine: one plane operation advances a
-// Block of BlockWords (4) consecutive 64-lane words, Stim-style. The frame
-// algebra of the hot gates — Hadamard swaps, CNOT propagation, measurement
-// and reset masking, detector folding — runs block-wise as unrolled scalar
-// word ops: Go's compiler does not auto-vectorize, so a block amortizes op
-// dispatch and index arithmetic over 256 lanes, not instruction width.
+// Wide is the batch engine: one plane operation advances a Block of
+// BlockWords (4) consecutive 64-lane words, Stim-style. The frame algebra of
+// the hot gates — Hadamard swaps, CNOT propagation, measurement and reset
+// masking, detector folding — runs block-wise as unrolled scalar word ops:
+// Go's compiler does not auto-vectorize, so a block amortizes op dispatch
+// and index arithmetic over 256 lanes, not instruction width.
 //
-// Wide is the runtime engine of every batch unit; the single-word Simulator
-// stays as the reference it is tested against, bit for bit.
-//
-// The work unit stays 64 lanes. A Wide block carries up to 4 consecutive
-// units, and sub-word w draws every random number from unit w's own RNG: samplers
+// The work unit stays 64 lanes. A block carries up to 4 consecutive units,
+// and sub-word w draws every random number from unit w's own RNG: samplers
 // are instantiated per sub-word (4 independent geometric skip streams per
 // rate class, sharing one classTables), and every per-op sampling step is
-// guarded per sub-word exactly like the single-word engine's applyMasked
-// guards the whole op. An op whose mask word w is zero consumes nothing from
-// stream w; an op whose mask word w is nonzero performs, in order, exactly
-// the sampling work Simulator would perform for that op on those 64 lanes.
-// Together with circuit.Builder.MaskedRound's canonical per-stabilizer entry
-// order, that makes a wide block bit-exact with 4 serial Simulator units:
-// same events, same readouts, same final measurements, per sub-word.
+// guarded per sub-word. An op whose mask word w is zero consumes nothing
+// from stream w; an op whose mask word w is nonzero performs, in order, the
+// sampling work of its lanes in w and nothing that depends on another
+// sub-word. Together with circuit.Builder.MaskedRound's canonical
+// per-stabilizer entry order, that makes a unit's shots independent of its
+// placement: alone or among any neighbours, in any sub-word, it yields the
+// same events, readouts and final measurements, bit for bit.
 //
 // RunRound's ops call every rate class on all live sub-words at once, so a
 // static round steps one countdown per class instead of four (see
@@ -44,7 +41,7 @@ import (
 // A block with fewer than 4 units (a range edge) leaves the missing units'
 // sub-words absent: Reset gets a nil RNG for them, and an absent sub-word
 // draws nothing and stays all zero — frame, leakage, events and final
-// detectors — so every present sub-word still matches its narrow unit.
+// detectors — and every present sub-word runs exactly as in a whole block.
 //
 // Plane layout is flat with stride BlockWords: word w of qubit q's X plane
 // is x[q*BlockWords+w]. All exported slices alias internal buffers in this
@@ -52,9 +49,12 @@ import (
 type Wide struct {
 	Layout *surfacecode.Layout
 	Noise  noise.Params
-	// Basis is the memory basis, as in the single-word simulator.
+	// Basis is the memory basis, as in the scalar simulator.
 	Basis surfacecode.Kind
-	// TrackML maintains the multi-level readout bit-planes; see Simulator.
+	// TrackML maintains the multi-level readout bit-planes (MLParityLeak /
+	// MLParityVal and the data-wire planes consumed by OpCondReturn). Set it
+	// before Reset; only ERASER+M reads the classifications, so the default
+	// skips the extra sampling work.
 	TrackML bool
 
 	rng [BlockWords]*stats.RNG
@@ -82,10 +82,10 @@ type Wide struct {
 	rates *device.Rates
 	classTables
 	// Sampler streams per sub-word, flattened class-major with stride
-	// BlockWords: xS[class*BlockWords+w] mirrors the single-word engine's
-	// xS[class] for unit w of the block. Class-major order keeps the four
-	// sub-word streams of one rate class on adjacent cache lines — the per-op
-	// w-loops touch exactly those four in sequence.
+	// BlockWords: xS[class*BlockWords+w] is unit w's stream of that rate
+	// class. Class-major order keeps the four sub-word streams of one rate
+	// class on adjacent cache lines — the per-op w-loops touch exactly those
+	// four in sequence.
 	depolS []sampler
 	leakS  []sampler
 	seepS  []sampler
@@ -126,8 +126,12 @@ func NewWide(l *surfacecode.Layout, n noise.Params, basis surfacecode.Kind) *Wid
 	return s
 }
 
-// UseRates switches the wide simulator to per-site rates, exactly as
-// Simulator.UseRates. Call before Reset; survives it.
+// UseRates switches the simulator to per-site rates from a resolved device
+// profile and rebuilds the rate-class tables; Noise is rebound to the
+// profile's base (which still supplies the transport model and leakage
+// enable). A uniform profile collapses to one class per noise kind — the
+// profile-free sampler layout — so its blocks are bit-identical to the
+// profile-free simulator's. Call before Reset; survives it.
 func (s *Wide) UseRates(r *device.Rates) {
 	s.rates = r
 	if r != nil {
@@ -149,13 +153,13 @@ func (s *Wide) buildClasses() {
 }
 
 // Reset clears all frame state and rebinds the per-sub-word random sources
-// for a fresh block. rngs[w] must be unit w's dedicated RNG — the same one
-// the single-word engine would receive for that unit — and the sampler reset
-// order per stream matches Simulator.Reset exactly. A nil rngs[w] marks
-// sub-word w absent for the block: its samplers are not reset, and it takes
-// no round-start noise, no RunRound op and no final measurement. Masked op
-// sequences must leave it out of every mask, as MaskedRound does for a
-// sub-word its active mask leaves zero.
+// for a fresh block. rngs[w] must be unit w's dedicated RNG, from which
+// sub-word w resets its depol, leak, seepage and ML samplers in that order,
+// whatever the other sub-words hold. A nil rngs[w] marks sub-word w absent
+// for the block: its samplers are not reset, and it takes no round-start
+// noise, no RunRound op and no final measurement. Masked op sequences must
+// leave it out of every mask, as MaskedRound does for a sub-word its active
+// mask leaves zero.
 func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 	s.rng = rngs
 	s.round = 0
@@ -195,9 +199,6 @@ func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 
 // blk returns the Block of plane p at index q (stride-BlockWords access).
 func blk(p []uint64, q int) *Block { return (*Block)(p[q*BlockWords:]) }
-
-// Round returns the number of completed rounds.
-func (s *Wide) Round() int { return s.round }
 
 // LeakedBlock returns the leakage plane block of qubit q: bit i of word w is
 // sub-word w lane i's leakage state.
@@ -484,29 +485,6 @@ func (s *Wide) ObservableFlip(finalData []uint64) Block {
 	return par
 }
 
-// InjectX flips the X frame of qubit q on the given lanes (tests).
-func (s *Wide) InjectX(q int, lanes Block) {
-	xq, lk := blk(s.x, q), blk(s.leaked, q)
-	for w := 0; w < BlockWords; w++ {
-		xq[w] ^= lanes[w] &^ lk[w]
-	}
-}
-
-// InjectZ flips the Z frame of qubit q on the given lanes (tests).
-func (s *Wide) InjectZ(q int, lanes Block) {
-	zq, lk := blk(s.z, q), blk(s.leaked, q)
-	for w := 0; w < BlockWords; w++ {
-		zq[w] ^= lanes[w] &^ lk[w]
-	}
-}
-
-// InjectLeak forces qubit q into the leaked state on the given lanes.
-func (s *Wide) InjectLeak(q int, lanes Block) {
-	for w := 0; w < BlockWords; w++ {
-		s.leakMaskW(w, q, lanes[w])
-	}
-}
-
 // ------------------------------------------------------------ primitives --
 
 // depolCouplerClass returns the depolarizing rate class of the (a, b)
@@ -607,7 +585,11 @@ func (s *Wide) depolarize2MaskW(w, a, b int, m uint64) {
 	}
 }
 
-// classifyMLW mirrors Simulator.classifyML on sub-word w.
+// classifyMLW returns the multi-level classification planes for a
+// measurement of qubit q on sub-word w whose two-level outcome word (already
+// restricted to mask) is out: leaked lanes classify |L>, others carry the
+// outcome bit, and each lane errs to one of the two wrong classes with
+// probability PMultiLevelError, matching the scalar discriminator.
 func (s *Wide) classifyMLW(w, q int, out, mask uint64) (leak, val uint64) {
 	leak = s.leaked[q*BlockWords+w] & mask
 	val = out &^ leak
@@ -650,7 +632,8 @@ func (s *Wide) misreadW(w int, leak, val, errm uint64) (uint64, uint64) {
 // The samplers' countdowns and leakMaskW inline, and every other per-lane
 // handler is called only on a non-zero mask, so a sub-word where no sampler
 // fires and no operand is leaked makes no calls. Within a sub-word the
-// sampling order is exactly the single-word engine's.
+// sampling order is the block gates' (hadamardAll, cnotAll), so a unit
+// draws the same whichever path its op takes.
 func (s *Wide) hadamard(q int, mask Block) {
 	xq, zq, lk := blk(s.x, q), blk(s.z, q), blk(s.leaked, q)
 	c := int(s.depolQ[q]) * BlockWords
@@ -720,10 +703,9 @@ func (s *Wide) leakedOperandsW(w, c, t int, lt, m uint64) {
 	}
 }
 
-// leakISWAPW mirrors Simulator.leakISWAP on sub-word w. DQLR epilogue ops
-// are rare (one per planned LRC), so the per-sub-word form costs nothing and
-// keeps the lane-partitioned case analysis identical to the single-word
-// engine.
+// leakISWAPW mirrors the scalar simulator's DQLR LeakageISWAP semantics on
+// sub-word w, partitioned by lane into the three scalar cases. DQLR epilogue
+// ops are rare (one per planned LRC), so the per-sub-word form costs nothing.
 func (s *Wide) leakISWAPW(w, d, p int, mask uint64) {
 	n := &s.Noise
 	id, ip := d*BlockWords+w, p*BlockWords+w

@@ -12,353 +12,368 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// compareWideNarrow runs one wide block and BlockWords independent narrow
-// units on identical per-unit RNG streams and asserts bit-identical state
-// after every round: detection events, leakage planes, ML planes, final
-// detectors and observable flips. planFor assigns each (round, global lane)
-// its plan; masked selects RunRoundMasked vs the static RunRound path (the
-// latter requires planFor to ignore the lane). The absent sub-words get a
-// nil RNG and no lanes: they have no narrow counterpart, and their frame,
-// leakage, event, ML and final words must stay zero throughout.
-func compareWideNarrow(t *testing.T, d int, n noise.Params, rates *device.Rates,
-	trackML, masked bool, rounds int, active Block, absent []int, planFor func(r, lane int) circuit.Plan) {
-	t.Helper()
-	compareWideNarrowRounds(t, d, n, rates, trackML, func(int) bool { return masked },
-		rounds, active, absent, planFor)
+// placementCase is the scenario of one TestWideMatchesNarrow* test: a noise
+// model, a schedule, the 64-lane units that run it and the sub-words left
+// absent in its wide blocks.
+type placementCase struct {
+	d       int
+	noise   noise.Params
+	rates   *device.Rates
+	trackML bool
+	rounds  int
+	// masked reports whether round r runs through RunRoundMasked; the other
+	// rounds run plan(r, 0) through RunRound.
+	masked func(r int) bool
+	// plan returns the plan of lane i of unit u in round r as plan(r, u*Lanes+i).
+	plan func(r, lane int) circuit.Plan
+	// active holds each unit's active lanes, one entry per unit.
+	active []uint64
+	// absent holds one set of absent sub-words per subtest.
+	absent [][]int
 }
 
-// compareWideNarrowRounds is compareWideNarrow with the path chosen per
-// round: round r runs through RunRoundMasked if maskedRound(r), else
-// through RunRound.
-func compareWideNarrowRounds(t *testing.T, d int, n noise.Params, rates *device.Rates,
-	trackML bool, maskedRound func(r int) bool, rounds int, active Block, absent []int,
-	planFor func(r, lane int) circuit.Plan) {
-	t.Helper()
-	l := surfacecode.MustNew(d)
-
-	ws := NewWide(l, n, surfacecode.KindZ)
-	ws.TrackML = trackML
-	ws.UseRates(rates)
-	// A throwaway full block first: Reset must clear all of its state, and
-	// an absent sub-word must not draw from its stale streams.
-	var warm [BlockWords]*stats.RNG
-	for w := range warm {
-		warm[w] = stats.NewRNG(7, uint64(w))
-	}
-	ws.Reset(warm)
-	ws.RunRound(circuit.NewBuilder(l).Round(circuit.Plan{}))
+// trace runs one block with unit place[w] in sub-word w, each unit on its
+// own RNG stream, and returns every sub-word's record: after each round its
+// event, X frame, Z frame, leakage and both ML planes, then its final
+// detectors and observable.
+func (c *placementCase) trace(ws *Wide, b *circuit.Builder, place [BlockWords]int) [BlockWords][]uint64 {
 	var rngs [BlockWords]*stats.RNG
-	ns := make([]*Simulator, BlockWords) // nil on absent sub-words
-	for w := 0; w < BlockWords; w++ {
-		if slices.Contains(absent, w) {
-			active[w] = 0
-			continue
+	var active Block
+	for w, u := range place {
+		if u >= 0 {
+			rngs[w] = stats.NewRNG(1000+uint64(u), uint64(u))
+			active[w] = c.active[u]
 		}
-		rngs[w] = stats.NewRNG(1000+uint64(w), uint64(w))
-		ns[w] = New(l, n, surfacecode.KindZ)
-		ns[w].TrackML = trackML
-		ns[w].UseRates(rates)
-		ns[w].Reset(stats.NewRNG(1000+uint64(w), uint64(w)))
 	}
 	ws.Reset(rngs)
-
-	wb := circuit.NewBuilder(l)
-	nb := circuit.NewBuilder(l)
-	widePlans := make([]circuit.Plan, BlockLanes)
-	narrowPlans := make([]circuit.Plan, Lanes)
-
-	for r := 1; r <= rounds; r++ {
-		var evW []uint64
-		evN := make([][]uint64, BlockWords)
-		if maskedRound(r) {
-			for i := range widePlans {
-				widePlans[i] = planFor(r, i)
+	var rec [BlockWords][]uint64
+	keep := func(planes ...[]uint64) {
+		for _, p := range planes {
+			for i, v := range p {
+				rec[i%BlockWords] = append(rec[i%BlockWords], v)
 			}
-			evW = ws.RunRoundMasked(wb.MaskedRound(widePlans, active))
-			for w := 0; w < BlockWords; w++ {
-				if ns[w] == nil {
-					continue
+		}
+	}
+	plans := make([]circuit.Plan, BlockLanes)
+	for r := 1; r <= c.rounds; r++ {
+		var events []uint64
+		if c.masked(r) {
+			for w, u := range place {
+				for i := 0; i < Lanes; i++ {
+					plans[w*Lanes+i] = circuit.Plan{}
+					if u >= 0 {
+						plans[w*Lanes+i] = c.plan(r, u*Lanes+i)
+					}
 				}
-				for i := range narrowPlans {
-					narrowPlans[i] = planFor(r, w*Lanes+i)
-				}
-				ev := ns[w].RunRoundMasked(nb.MaskedRound(narrowPlans, circuit.LaneMask{active[w]}))
-				evN[w] = append([]uint64(nil), ev...)
 			}
+			events = ws.RunRoundMasked(b.MaskedRound(plans, active))
 		} else {
-			plan := planFor(r, 0)
-			evW = ws.RunRound(wb.Round(plan))
-			for w := 0; w < BlockWords; w++ {
-				if ns[w] == nil {
-					continue
-				}
-				ev := ns[w].RunRound(nb.Round(plan))
-				evN[w] = append([]uint64(nil), ev...)
-			}
+			events = ws.RunRound(b.Round(c.plan(r, 0)))
 		}
-		for i := range l.Stabilizers {
-			for w := 0; w < BlockWords; w++ {
-				j := i*BlockWords + w
-				if ns[w] == nil {
-					if evW[j]|ws.MLParityLeak()[j]|ws.MLParityVal()[j] != 0 {
-						t.Fatalf("round %d absent sub-word %d stab %d: event or ML words set", r, w, i)
-					}
-					continue
-				}
-				if evW[i*BlockWords+w] != evN[w][i] {
-					t.Fatalf("round %d sub-word %d stab %d: wide events %b, narrow %b",
-						r, w, i, evW[i*BlockWords+w], evN[w][i])
-				}
-				if trackML {
-					if ws.MLParityLeak()[i*BlockWords+w] != ns[w].MLParityLeak()[i] {
-						t.Fatalf("round %d sub-word %d stab %d: ML leak planes differ", r, w, i)
-					}
-					if ws.MLParityVal()[i*BlockWords+w] != ns[w].MLParityVal()[i] {
-						t.Fatalf("round %d sub-word %d stab %d: ML value planes differ", r, w, i)
-					}
-				}
-			}
-		}
-		for q := 0; q < l.NumQubits; q++ {
-			lk := ws.LeakedBlock(q)
-			for w := 0; w < BlockWords; w++ {
-				if ns[w] == nil {
-					if j := q*BlockWords + w; lk[w]|ws.x[j]|ws.z[j] != 0 {
-						t.Fatalf("round %d absent sub-word %d qubit %d: frame or leakage set", r, w, q)
-					}
-					continue
-				}
-				if lk[w] != ns[w].LeakedWord(q) {
-					t.Fatalf("round %d sub-word %d qubit %d: wide leaked %b, narrow %b",
-						r, w, q, lk[w], ns[w].LeakedWord(q))
-				}
-			}
-		}
+		keep(events, ws.x, ws.z, ws.leaked, ws.MLParityLeak(), ws.MLParityVal())
 	}
-
-	fdetW, obsW := ws.FinalRound(wb.FinalMeasurement())
-	for w := 0; w < BlockWords; w++ {
-		if ns[w] == nil {
-			for i := range l.Stabilizers {
-				if fdetW[i*BlockWords+w] != 0 {
-					t.Fatalf("absent sub-word %d final detector %d set", w, i)
-				}
-			}
-			if obsW[w] != 0 {
-				t.Fatalf("absent sub-word %d observable set", w)
-			}
-			continue
-		}
-		fdetN, obsN := ns[w].FinalRound(nb.FinalMeasurement())
-		for i := range l.Stabilizers {
-			if fdetW[i*BlockWords+w] != fdetN[i] {
-				t.Fatalf("sub-word %d final detector %d: wide %b, narrow %b",
-					w, i, fdetW[i*BlockWords+w], fdetN[i])
-			}
-		}
-		if obsW[w] != obsN {
-			t.Fatalf("sub-word %d observable: wide %b, narrow %b", w, obsW[w], obsN)
-		}
-	}
+	det, obs := ws.FinalRound(b.FinalMeasurement())
+	keep(det, obs[:])
+	return rec
 }
 
-func fullBlock() Block { return Block{AllLanes, AllLanes, AllLanes, AllLanes} }
-
-// TestWideMatchesNarrowStatic: the wide engine's unmasked round path is
-// bit-exact with 4 serial narrow units across plain, SWAP-LRC and DQLR
-// rounds under the uniform ERASER noise model.
-func TestWideMatchesNarrowStatic(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	plans := []circuit.Plan{
-		{},
-		{LRCs: []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]},
-			{Data: 12, Stab: l.SwapPrimary[12]}}},
-		{LRCs: []circuit.LRC{{Data: 7, Stab: l.SwapPrimary[7]}}, Protocol: circuit.ProtocolDQLR},
-	}
-	compareWideNarrow(t, 5, noise.Standard(4e-3), nil, false, false, 9, fullBlock(), nil,
-		func(r, _ int) circuit.Plan { return plans[(r-1)%len(plans)] })
-}
-
-// TestWideMatchesNarrowMasked: the masked path with per-lane plans spread
-// across all four sub-words, including the ERASER+M conditional return
-// (TrackML), stays bit-exact with the narrow engine.
-func TestWideMatchesNarrowMasked(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	compareWideNarrow(t, 5, noise.Standard(4e-3), nil, true, true, 9, fullBlock(), nil,
-		func(r, lane int) circuit.Plan {
-			if (lane+r)%3 != 0 {
-				return circuit.Plan{}
-			}
-			q := (lane*7 + r) % l.NumData
-			return circuit.Plan{
-				LRCs:       []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
-				CondReturn: true,
-			}
-		})
-}
-
-// TestWideMatchesNarrowProfile: heterogeneous rate-class tables (hotspot and
-// drift profiles) keep per-sub-word streams bit-exact — the tables are
-// shared across the block but every sub-word samples its own streams.
-func TestWideMatchesNarrowProfile(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	for _, tc := range []struct {
-		name    string
-		profile func() (*device.Profile, error)
+// where names the entry at index i of a trace record.
+func (c *placementCase) where(l *surfacecode.Layout, i int) string {
+	planes := []struct {
+		name string
+		n    int
 	}{
-		{"hotspot", func() (*device.Profile, error) { return device.Hotspot(5, 3e-3, 3, 8) }},
-		{"drift", func() (*device.Profile, error) { return device.Drift(5, 3e-3, 0.4, 99) }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			p, err := tc.profile()
-			if err != nil {
-				t.Fatal(err)
+		{"event", l.NumParity}, {"X frame", l.NumQubits}, {"Z frame", l.NumQubits},
+		{"leakage", l.NumQubits}, {"ML leak", l.NumParity}, {"ML value", l.NumParity},
+	}
+	per := 0
+	for _, p := range planes {
+		per += p.n
+	}
+	if r := i / per; r < c.rounds {
+		j := i % per
+		for _, p := range planes {
+			if j < p.n {
+				return fmt.Sprintf("round %d %s word %d", r+1, p.name, j)
 			}
-			rates, err := p.Resolve(l)
-			if err != nil {
-				t.Fatal(err)
+			j -= p.n
+		}
+	}
+	if j := i - c.rounds*per; j < l.NumParity {
+		return fmt.Sprintf("final detector %d", j)
+	}
+	return "observable"
+}
+
+// run is the body of every TestWideMatchesNarrow* test. Each unit first runs
+// narrow: alone in sub-word 0, the other sub-words absent. Then, for each set
+// of absent sub-words, a subtest runs one wide block per unit with the units
+// rotated through the present sub-words, so that every unit sits in every
+// present sub-word among changing neighbours. After every round each
+// sub-word's events, X and Z frames, leakage and both ML planes, and at the
+// end its final detectors and observable, must equal its unit's narrow run,
+// and an absent sub-word must stay all zero.
+//
+// Sub-words share the block gates and the rate classes' shared countdowns,
+// whose arming depends on every live sub-word's samplers, and a masked
+// round's lead run exists only when every present unit is fully active. So
+// a settle that comes late, early or never, an owed call paid wrongly, or a
+// block gate whose draws differ from the per-sub-word gate's moves a unit's
+// draws with its neighbours and fails the test.
+func (c *placementCase) run(t *testing.T) {
+	t.Helper()
+	l := surfacecode.MustNew(c.d)
+	ws := NewWide(l, c.noise, surfacecode.KindZ)
+	ws.TrackML = c.trackML
+	ws.UseRates(c.rates)
+	b := circuit.NewBuilder(l)
+	narrow := make([][]uint64, len(c.active))
+	check := func(t *testing.T, place [BlockWords]int, got [BlockWords][]uint64) {
+		t.Helper()
+		for w, u := range place {
+			for i, v := range got[w] {
+				var want uint64 // an absent sub-word stays zero
+				if u >= 0 {
+					want = narrow[u][i]
+				}
+				if v != want {
+					t.Fatalf("placement %v sub-word %d (unit %d): %s is %#x, want %#x",
+						place, w, u, c.where(l, i), v, want)
+				}
 			}
-			compareWideNarrow(t, 5, p.Base, rates, false, true, 7, fullBlock(), nil,
-				func(r, lane int) circuit.Plan {
-					if (lane+r)%4 != 0 {
-						return circuit.Plan{}
-					}
-					q := (lane*5 + r) % l.NumData
-					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-				})
+		}
+	}
+	for u := range narrow {
+		place := [BlockWords]int{u, -1, -1, -1}
+		got := c.trace(ws, b, place)
+		narrow[u] = got[0]
+		check(t, place, got)
+	}
+	for _, absent := range c.absent {
+		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
+			var present []int
+			for w := 0; w < BlockWords; w++ {
+				if !slices.Contains(absent, w) {
+					present = append(present, w)
+				}
+			}
+			for k := range narrow {
+				place := [BlockWords]int{-1, -1, -1, -1}
+				for j, w := range present {
+					place[w] = (k + j) % len(narrow)
+				}
+				check(t, place, c.trace(ws, b, place))
+			}
 		})
 	}
 }
 
-// TestWideMatchesNarrowPartialMask: inactive lanes in any sub-word (partial
-// shot caps) behave identically in both engines.
-func TestWideMatchesNarrowPartialMask(t *testing.T) {
-	l := surfacecode.MustNew(3)
-	active := Block{AllLanes, LaneMask(17), 0, LaneMask(63)}
-	compareWideNarrow(t, 3, noise.Standard(5e-3), nil, false, true, 6, active, nil,
-		func(r, lane int) circuit.Plan {
-			if (lane+r)%5 != 0 {
-				return circuit.Plan{}
-			}
-			q := (lane + r) % l.NumData
-			return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}}
-		})
+// units are the units of most scenarios: five fully active and one capped at
+// 40 shots, whose blocks have no masked lead run.
+var units = []uint64{AllLanes, AllLanes, AllLanes, AllLanes, AllLanes, LaneMask(40)}
+
+// fullAndPartial runs a scenario among full blocks and among blocks whose
+// sub-words 1 and 3 are absent.
+var fullAndPartial = [][]int{nil, {1, 3}}
+
+func always(int) bool { return true }
+func never(int) bool  { return false }
+
+// cycle runs the same plans on every lane, one per round in turn.
+func cycle(plans ...circuit.Plan) func(r, _ int) circuit.Plan {
+	return func(r, _ int) circuit.Plan { return plans[(r-1)%len(plans)] }
 }
 
-// TestWideMatchesNarrowAbsentSubWords: a block whose sub-words 1 and 3 are
-// absent (nil RNG, as at a range edge) keeps sub-words 0 and 2 bit-exact with
-// their narrow units on the static and the masked path, and leaves the absent
-// ones untouched. Leakage rates are raised so leaked-operand handling, which
-// draws per lane, runs in every round.
-func TestWideMatchesNarrowAbsentSubWords(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	n := noise.Standard(4e-3)
+// swap is a SWAP LRC of data qubit q with its primary ancilla.
+func swap(l *surfacecode.Layout, q int, condReturn bool) circuit.Plan {
+	return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: condReturn}
+}
+
+// leaky raises every leakage-injection rate tenfold, so that leaked operands
+// occur in every round.
+func leaky(n noise.Params) noise.Params {
 	n.PLeak *= 10
-	absent := []int{1, 3}
-	t.Run("static", func(t *testing.T) {
-		plans := []circuit.Plan{
-			{LRCs: []circuit.LRC{{Data: 3, Stab: l.SwapPrimary[3]}}},
-			{LRCs: []circuit.LRC{{Data: 9, Stab: l.SwapPrimary[9]}}, Protocol: circuit.ProtocolDQLR},
-		}
-		compareWideNarrow(t, 5, n, nil, false, false, 8, fullBlock(), absent,
-			func(r, _ int) circuit.Plan { return plans[r%len(plans)] })
-	})
-	t.Run("masked", func(t *testing.T) {
-		active := Block{LaneMask(40), AllLanes, AllLanes, AllLanes}
-		compareWideNarrow(t, 5, n, nil, true, true, 8, active, absent,
-			func(r, lane int) circuit.Plan {
-				if (lane+r)%3 != 0 {
-					return circuit.Plan{}
-				}
-				q := (lane*7 + r) % l.NumData
-				return circuit.Plan{
-					LRCs:       []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
-					CondReturn: true,
-				}
-			})
-	})
+	return n
 }
 
-// TestWideMatchesNarrowProfileStatic: static rounds under heterogeneous
-// profiles, where every qubit and coupler can have its own shared
-// countdown, stay bit-exact with the narrow engine. The rounds cycle
-// through a plain round, two SWAP LRCs and two DQLR LRCs, whose
-// LeakageISWAPs step their classes per sub-word between a settle and a
-// re-arm; TrackML adds the per-qubit ML classes. Leakage is raised so
-// leaked operands occur in every round, and absent sub-words vary.
-func TestWideMatchesNarrowProfileStatic(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	plans := []circuit.Plan{
-		{},
-		{LRCs: []circuit.LRC{{Data: 3, Stab: l.SwapPrimary[3]}, {Data: 16, Stab: l.SwapPrimary[16]}}},
-		{LRCs: []circuit.LRC{{Data: 9, Stab: l.SwapPrimary[9]}, {Data: 20, Stab: l.SwapPrimary[20]}},
-			Protocol: circuit.ProtocolDQLR},
-	}
-	for _, tc := range []struct {
-		name    string
-		profile func() (*device.Profile, error)
-	}{
-		{"hotspot", func() (*device.Profile, error) { return device.Hotspot(5, 3e-3, 3, 8) }},
-		{"drift", func() (*device.Profile, error) { return device.Drift(5, 3e-3, 0.4, 99) }},
-	} {
-		p, err := tc.profile()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for q := range p.PLeak {
-			p.PLeak[q] *= 10
-		}
-		rates, err := p.Resolve(l)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, absent := range [][]int{nil, {1, 3}, {0}} {
-			t.Run(fmt.Sprintf("%s/absent=%v", tc.name, absent), func(t *testing.T) {
-				compareWideNarrow(t, 5, p.Base, rates, true, false, 9, fullBlock(), absent,
-					func(r, _ int) circuit.Plan { return plans[(r-1)%len(plans)] })
-			})
-		}
-	}
-}
-
-// TestWideMatchesNarrowMixedRounds: a block that switches between static
-// and masked rounds hands its samplers between the shared countdowns and
-// the per-sub-word gates without moving a draw: RunRoundMasked and
-// FinalMeasure settle what RunRound armed. Its static rounds carry ERASER+M
-// conditional returns, which run per sub-word inside a static round, on a
-// drift profile so that the return's reset has a class of its own.
-func TestWideMatchesNarrowMixedRounds(t *testing.T) {
-	l := surfacecode.MustNew(5)
-	p, err := device.Drift(5, 4e-3, 0.4, 5)
+// profileRates builds a device profile, raises its leakage-injection rates
+// tenfold if raiseLeak, and returns its base noise and its rate tables on l.
+func profileRates(t *testing.T, l *surfacecode.Layout, raiseLeak bool,
+	build func() (*device.Profile, error)) (noise.Params, *device.Rates) {
+	t.Helper()
+	p, err := build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	for q := range p.PLeak {
-		p.PLeak[q] *= 10
+	if raiseLeak {
+		for q := range p.PLeak {
+			p.PLeak[q] *= 10
+		}
 	}
 	rates, err := p.Resolve(l)
 	if err != nil {
 		t.Fatal(err)
 	}
+	return p.Base, rates
+}
+
+// profiles are the heterogeneous profiles of the Profile tests.
+var profiles = []struct {
+	name  string
+	build func() (*device.Profile, error)
+}{
+	{"hotspot", func() (*device.Profile, error) { return device.Hotspot(5, 3e-3, 3, 8) }},
+	{"drift", func() (*device.Profile, error) { return device.Drift(5, 3e-3, 0.4, 99) }},
+}
+
+// TestWideMatchesNarrowStatic: the static round path across plain, SWAP-LRC
+// and DQLR rounds under the uniform ERASER noise model.
+func TestWideMatchesNarrowStatic(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	c := placementCase{d: 5, noise: noise.Standard(4e-3), rounds: 9, masked: never,
+		plan: cycle(
+			circuit.Plan{},
+			circuit.Plan{LRCs: []circuit.LRC{{Data: 0, Stab: l.SwapPrimary[0]}, {Data: 12, Stab: l.SwapPrimary[12]}}},
+			circuit.Plan{LRCs: []circuit.LRC{{Data: 7, Stab: l.SwapPrimary[7]}}, Protocol: circuit.ProtocolDQLR},
+		),
+		active: units, absent: fullAndPartial}
+	c.run(t)
+}
+
+// eraserM plans sparse ERASER+M rounds on l: every third lane returns
+// conditionally.
+func eraserM(l *surfacecode.Layout) func(r, lane int) circuit.Plan {
+	return func(r, lane int) circuit.Plan {
+		if (lane+r)%3 != 0 {
+			return circuit.Plan{}
+		}
+		return swap(l, (lane*7+r)%l.NumData, true)
+	}
+}
+
+// TestWideMatchesNarrowMasked: the masked path with per-lane plans, including
+// the ERASER+M conditional return (TrackML).
+func TestWideMatchesNarrowMasked(t *testing.T) {
+	c := placementCase{d: 5, noise: noise.Standard(4e-3), trackML: true, rounds: 9, masked: always,
+		plan: eraserM(surfacecode.MustNew(5)), active: units, absent: fullAndPartial}
+	c.run(t)
+}
+
+// TestWideMatchesNarrowProfile: masked rounds under hotspot and drift
+// profiles, whose rate-class tables the sub-words share while each samples
+// its own streams.
+func TestWideMatchesNarrowProfile(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	for _, p := range profiles {
+		t.Run(p.name, func(t *testing.T) {
+			n, rates := profileRates(t, l, false, p.build)
+			c := placementCase{d: 5, noise: n, rates: rates, rounds: 7, masked: always,
+				plan: func(r, lane int) circuit.Plan {
+					if (lane+r)%4 != 0 {
+						return circuit.Plan{}
+					}
+					return swap(l, (lane*5+r)%l.NumData, false)
+				},
+				active: units, absent: fullAndPartial}
+			c.run(t)
+		})
+	}
+}
+
+// TestWideMatchesNarrowPartialMask: units with inactive lanes (partial shot
+// caps), down to none.
+func TestWideMatchesNarrowPartialMask(t *testing.T) {
+	l := surfacecode.MustNew(3)
+	c := placementCase{d: 3, noise: noise.Standard(5e-3), rounds: 6, masked: always,
+		plan: func(r, lane int) circuit.Plan {
+			if (lane+r)%5 != 0 {
+				return circuit.Plan{}
+			}
+			return swap(l, (lane+r)%l.NumData, false)
+		},
+		active: []uint64{AllLanes, LaneMask(17), 0, LaneMask(63), AllLanes, LaneMask(1)},
+		absent: fullAndPartial}
+	c.run(t)
+}
+
+// TestWideMatchesNarrowAbsentSubWords: blocks whose sub-words 1 and 3 are
+// absent (nil RNG, as at a range edge), on the static and the masked path.
+// Leakage is raised so that leaked-operand handling, which draws per lane,
+// runs in every round.
+func TestWideMatchesNarrowAbsentSubWords(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	n := leaky(noise.Standard(4e-3))
+	t.Run("static", func(t *testing.T) {
+		c := placementCase{d: 5, noise: n, rounds: 8, masked: never,
+			plan: func(r, _ int) circuit.Plan {
+				if r%2 == 0 {
+					return swap(l, 3, false)
+				}
+				return circuit.Plan{LRCs: []circuit.LRC{{Data: 9, Stab: l.SwapPrimary[9]}}, Protocol: circuit.ProtocolDQLR}
+			},
+			active: units, absent: [][]int{{1, 3}}}
+		c.run(t)
+	})
+	t.Run("masked", func(t *testing.T) {
+		c := placementCase{d: 5, noise: n, trackML: true, rounds: 8, masked: always, plan: eraserM(l),
+			active: []uint64{LaneMask(40), AllLanes, AllLanes, AllLanes, AllLanes, AllLanes},
+			absent: [][]int{{1, 3}}}
+		c.run(t)
+	})
+}
+
+// TestWideMatchesNarrowProfileStatic: static rounds under heterogeneous
+// profiles, where every qubit and coupler can have its own shared
+// countdown. The rounds cycle through a plain round, two SWAP LRCs and two
+// DQLR LRCs, whose LeakageISWAPs step their classes per sub-word between a
+// settle and a re-arm; TrackML adds the per-qubit ML classes. Leakage is
+// raised so that leaked operands occur in every round.
+func TestWideMatchesNarrowProfileStatic(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	plans := cycle(
+		circuit.Plan{},
+		circuit.Plan{LRCs: []circuit.LRC{{Data: 3, Stab: l.SwapPrimary[3]}, {Data: 16, Stab: l.SwapPrimary[16]}}},
+		circuit.Plan{LRCs: []circuit.LRC{{Data: 9, Stab: l.SwapPrimary[9]}, {Data: 20, Stab: l.SwapPrimary[20]}},
+			Protocol: circuit.ProtocolDQLR},
+	)
+	for _, p := range profiles {
+		t.Run(p.name, func(t *testing.T) {
+			n, rates := profileRates(t, l, true, p.build)
+			c := placementCase{d: 5, noise: n, rates: rates, trackML: true, rounds: 9, masked: never,
+				plan: plans, active: units, absent: [][]int{nil, {1, 3}, {0}}}
+			c.run(t)
+		})
+	}
+}
+
+// TestWideMatchesNarrowMixedRounds: blocks that switch between static and
+// masked rounds hand their samplers between the shared countdowns and the
+// per-sub-word gates without moving a draw: RunRoundMasked and FinalMeasure
+// settle what RunRound armed. The static rounds return conditionally from
+// LRCs on every other data qubit, which runs per sub-word inside a static
+// round, on a drift profile so that each return's reset has a depolarizing
+// class of its own. No runtime schedule emits such a round, so this test
+// alone catches a missed settle there.
+func TestWideMatchesNarrowMixedRounds(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	n, rates := profileRates(t, l, true, func() (*device.Profile, error) { return device.Drift(5, 4e-3, 0.4, 5) })
 	static := circuit.Plan{CondReturn: true}
 	for q := 0; q < l.NumData; q += 2 {
 		static.LRCs = append(static.LRCs, circuit.LRC{Data: q, Stab: l.SwapPrimary[q]})
 	}
-	for _, absent := range [][]int{nil, {2}} {
-		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
-			compareWideNarrowRounds(t, 5, p.Base, rates, true, func(r int) bool { return r%3 == 0 }, 12,
-				fullBlock(), absent, func(r, lane int) circuit.Plan {
-					if r%3 != 0 {
-						return static
-					}
-					if lane%5 != 0 {
-						return circuit.Plan{}
-					}
-					q := (lane + r) % l.NumData
-					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: true}
-				})
-		})
-	}
+	c := placementCase{d: 5, noise: n, rates: rates, trackML: true, rounds: 12,
+		masked: func(r int) bool { return r%3 == 0 },
+		plan: func(r, lane int) circuit.Plan {
+			switch {
+			case r%3 != 0:
+				return static
+			case lane%5 != 0:
+				return circuit.Plan{}
+			}
+			return swap(l, (lane+r)%l.NumData, true)
+		},
+		active: units, absent: [][]int{nil, {2}}}
+	c.run(t)
 }
 
 // The three tests below pin the single settle point of RunRoundMasked's lead
@@ -366,58 +381,48 @@ func TestWideMatchesNarrowMixedRounds(t *testing.T) {
 // shared countdowns, and the countdowns are settled at the first op past
 // them. Settling one op late, or not settling at all, fails each of them.
 
-// TestWideMatchesNarrowLeadRunLRCFree: LRC-free masked rounds, where the
-// lead run is the whole round, alternate with dense ERASER+M rounds. Under
-// TrackML the LRC-free rounds run every measurement and its multi-level
-// classification on the block gates, and a dense round that follows starts
-// armed. Leakage is raised so leaked operands occur in every round; absent
-// sub-words vary.
+// TestWideMatchesNarrowLeadRunLRCFree: LRC-free masked rounds, whose lead run
+// is the whole round and, under TrackML, runs every measurement and its
+// multi-level classification on the block gates, alternate with dense
+// ERASER+M rounds, which start armed. Leakage is raised so that leaked
+// operands occur in every round.
 func TestWideMatchesNarrowLeadRunLRCFree(t *testing.T) {
 	l := surfacecode.MustNew(5)
-	n := noise.Standard(4e-3)
-	n.PLeak *= 10
-	for _, absent := range [][]int{nil, {1}, {0, 2}} {
-		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
-			compareWideNarrow(t, 5, n, nil, true, true, 12, fullBlock(), absent,
-				func(r, lane int) circuit.Plan {
-					if r%2 == 1 || (lane+r)%2 != 0 {
-						return circuit.Plan{}
-					}
-					q := (lane*3 + r) % l.NumData
-					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: true}
-				})
-		})
-	}
+	c := placementCase{d: 5, noise: leaky(noise.Standard(4e-3)), trackML: true, rounds: 12, masked: always,
+		plan: func(r, lane int) circuit.Plan {
+			if r%2 == 1 || (lane+r)%2 != 0 {
+				return circuit.Plan{}
+			}
+			return swap(l, (lane*3+r)%l.NumData, true)
+		},
+		active: units, absent: [][]int{nil, {1}, {0, 2}}}
+	c.run(t)
 }
 
 // TestWideMatchesNarrowLeadRunDQLR: masked rounds that plan only DQLR
 // pairings keep every stabilizer's closing Hadamard and measure/reset on the
 // ancilla under the live mask, so the lead run covers the whole extraction
-// and ends at the first OpLeakISWAP, whose classes then step per sub-word.
-// In every third round all lanes plan the same pairing, so that first
+// and ends at the first LeakageISWAP, whose classes then step per sub-word.
+// In every third round all lanes plan the same pairing, so that this
 // LeakageISWAP calls its classes on every lane; other rounds plan sparse
 // pairings or none. At p=1e-3 the countdowns run long between firings and
 // the lead run leaves calls owed to the LeakageISWAP's classes.
 func TestWideMatchesNarrowLeadRunDQLR(t *testing.T) {
 	l := surfacecode.MustNew(5)
-	n := noise.Standard(1e-3)
-	n.PLeak *= 10
-	for _, absent := range [][]int{nil, {3}} {
-		t.Run(fmt.Sprintf("absent=%v", absent), func(t *testing.T) {
-			compareWideNarrow(t, 5, n, nil, false, true, 24, fullBlock(), absent,
-				func(r, lane int) circuit.Plan {
-					q := (lane*5 + r) % l.NumData
-					switch {
-					case r%3 == 0:
-						q = r % l.NumData
-					case r%3 == 1 || (lane+r)%4 != 0:
-						return circuit.Plan{}
-					}
-					return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
-						Protocol: circuit.ProtocolDQLR}
-				})
-		})
-	}
+	c := placementCase{d: 5, noise: leaky(noise.Standard(1e-3)), rounds: 24, masked: always,
+		plan: func(r, lane int) circuit.Plan {
+			q := (lane*5 + r) % l.NumData
+			switch {
+			case r%3 == 0:
+				q = r % l.NumData
+			case r%3 == 1 || (lane+r)%4 != 0:
+				return circuit.Plan{}
+			}
+			return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}},
+				Protocol: circuit.ProtocolDQLR}
+		},
+		active: units, absent: [][]int{nil, {3}}}
+	c.run(t)
 }
 
 // TestWideMatchesNarrowLeadRunDrift: on a d=7 drift profile every qubit and
@@ -426,23 +431,14 @@ func TestWideMatchesNarrowLeadRunDQLR(t *testing.T) {
 // LRC-free ones.
 func TestWideMatchesNarrowLeadRunDrift(t *testing.T) {
 	l := surfacecode.MustNew(7)
-	p, err := device.Drift(7, 3e-3, 0.4, 99)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for q := range p.PLeak {
-		p.PLeak[q] *= 10
-	}
-	rates, err := p.Resolve(l)
-	if err != nil {
-		t.Fatal(err)
-	}
-	compareWideNarrow(t, 7, p.Base, rates, true, true, 8, fullBlock(), nil,
-		func(r, lane int) circuit.Plan {
+	n, rates := profileRates(t, l, true, func() (*device.Profile, error) { return device.Drift(7, 3e-3, 0.4, 99) })
+	c := placementCase{d: 7, noise: n, rates: rates, trackML: true, rounds: 8, masked: always,
+		plan: func(r, lane int) circuit.Plan {
 			if r%3 == 0 || (lane+r)%7 != 0 {
 				return circuit.Plan{}
 			}
-			q := (lane*11 + r) % l.NumData
-			return circuit.Plan{LRCs: []circuit.LRC{{Data: q, Stab: l.SwapPrimary[q]}}, CondReturn: true}
-		})
+			return swap(l, (lane*11+r)%l.NumData, true)
+		},
+		active: units, absent: fullAndPartial}
+	c.run(t)
 }

@@ -178,9 +178,6 @@ func (s *Simulator) transportAt(a, b int) float64 {
 	return s.rates.TransportP(a, b)
 }
 
-// Round returns the number of completed rounds.
-func (s *Simulator) Round() int { return s.round }
-
 // Leaked reports whether qubit q is currently leaked (ground truth; used by
 // the oracle policy, the LPR metric and speculation-accuracy accounting).
 func (s *Simulator) Leaked(q int) bool { return s.leaked[q] }
