@@ -83,7 +83,7 @@ func TestRunEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := service.New(st, 0)
-	mgr := campaign.NewManagerWithOptions(sched, campaign.Options{Poll: time.Millisecond})
+	mgr := campaign.NewManager(sched)
 	srv := httptest.NewServer(service.NewHandler(sched, mgr.Routes()...))
 	defer srv.Close()
 

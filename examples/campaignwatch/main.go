@@ -8,8 +8,9 @@
 //     for four LRC policies) as one JSON-shaped value, expanded into
 //     labeled, content-keyed points;
 //  2. live convergence telemetry — the per-point event stream a dashboard
-//     tails: shots, Wilson half-width against the target, warm/cold split,
-//     shots-to-target and ETA;
+//     tails, one event each time a point's tally moves: shots, Wilson
+//     half-width against the target, warm/cold split, shots-to-target and
+//     ETA;
 //  3. warm re-submission — running the same manifest again answers every
 //     point from the store: zero cold units, every event cached.
 //
@@ -20,7 +21,6 @@ package main
 import (
 	"fmt"
 	"log"
-	"time"
 
 	"repro/internal/campaign"
 	"repro/internal/service"
@@ -33,7 +33,7 @@ func main() {
 		log.Fatal(err)
 	}
 	sched := service.New(st, 0)
-	mgr := campaign.NewManagerWithOptions(sched, campaign.Options{Poll: 5 * time.Millisecond})
+	mgr := campaign.NewManager(sched)
 
 	// 1. The figure as data: distances x the four policies, every point run
 	// until its LER confidence interval is within ±0.01.

@@ -2,12 +2,8 @@ package campaign
 
 import (
 	"encoding/json"
-	"errors"
-	"fmt"
-	"log"
 	"net/http"
 	"strconv"
-	"time"
 
 	"repro/internal/service"
 )
@@ -57,49 +53,28 @@ func (m *Manager) handleCampaign(w http.ResponseWriter, r *http.Request) {
 	case http.MethodGet:
 		id := r.URL.Query().Get("id")
 		if id == "" {
-			writeJSON(w, http.StatusOK, m.List())
+			service.WriteJSON(w, http.StatusOK, m.List())
 			return
 		}
 		c, ok := m.Campaign(id)
 		if !ok {
-			writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+			service.WriteError(w, http.StatusNotFound, "unknown campaign %q", id)
 			return
 		}
-		writeJSON(w, http.StatusOK, c.Status())
+		service.WriteJSON(w, http.StatusOK, c.Status())
 	default:
-		writeError(w, http.StatusMethodNotAllowed, "POST or GET only")
+		service.WriteError(w, http.StatusMethodNotAllowed, "POST or GET only")
 	}
 }
 
 func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, service.MaxRequestBytes)
 	var man Manifest
-	dec := json.NewDecoder(r.Body)
-	// Unknown fields fail the request rather than silently changing a point.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&man); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			writeError(w, http.StatusRequestEntityTooLarge,
-				"manifest over %d bytes", tooBig.Limit)
-			return
-		}
-		writeError(w, http.StatusBadRequest, "bad manifest body: %v", err)
+	if !service.DecodeRequest(w, r, &man) {
 		return
 	}
 	c, err := m.Submit(man)
 	if err != nil {
-		var ov *service.OverloadError
-		switch {
-		case errors.As(err, &ov):
-			w.Header().Set("Retry-After", strconv.Itoa(int(ov.RetryAfter/time.Second)))
-			writeError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, service.ErrDraining):
-			w.Header().Set("Retry-After", "5")
-			writeError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			writeError(w, http.StatusBadRequest, "%v", err)
-		}
+		service.WriteSubmitError(w, err)
 		return
 	}
 	resp := SubmitResponse{Campaign: c.ID, Name: c.Name, Precision: man.Precision}
@@ -107,7 +82,7 @@ func (m *Manager) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		resp.Points = append(resp.Points, SubmittedPoint{
 			Point: pt.Label, Job: c.Jobs()[i].ID, Key: pt.Key})
 	}
-	writeJSON(w, http.StatusAccepted, resp)
+	service.WriteJSON(w, http.StatusAccepted, resp)
 }
 
 // handleStream serves the ND-JSON campaign event stream: every retained
@@ -118,14 +93,14 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 	id := r.URL.Query().Get("id")
 	c, ok := m.Campaign(id)
 	if !ok {
-		writeError(w, http.StatusNotFound, "unknown campaign %q", id)
+		service.WriteError(w, http.StatusNotFound, "unknown campaign %q", id)
 		return
 	}
 	cursor := 0
 	if from := r.URL.Query().Get("from"); from != "" {
 		n, err := strconv.Atoi(from)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, "bad from=%q", from)
+			service.WriteError(w, http.StatusBadRequest, "bad from=%q", from)
 			return
 		}
 		cursor = n
@@ -158,24 +133,5 @@ func (m *Manager) handleStream(w http.ResponseWriter, r *http.Request) {
 		if ctx.Err() != nil {
 			return
 		}
-	}
-}
-
-func writeError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
-}
-
-// writeJSON mirrors the service's response discipline: encode before writing
-// any status so a marshalling failure becomes a 500, not a truncated 200.
-func writeJSON(w http.ResponseWriter, code int, v any) {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		code = http.StatusInternalServerError
-		data = []byte(`{"error": "encode response"}`)
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(code)
-	if _, err := w.Write(append(data, '\n')); err != nil {
-		log.Printf("campaign: write %d response: %v", code, err)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/service"
 	"repro/internal/store"
@@ -23,7 +22,7 @@ func newCampaignServer(t *testing.T) (*httptest.Server, *Manager) {
 		t.Fatal(err)
 	}
 	sched := service.New(st, 0)
-	m := NewManagerWithOptions(sched, Options{Poll: time.Millisecond})
+	m := NewManager(sched)
 	srv := httptest.NewServer(service.NewHandler(sched, m.Routes()...))
 	t.Cleanup(srv.Close)
 	return srv, m

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -14,7 +15,7 @@ import (
 // Event is one per-point telemetry sample, the ND-JSON line the campaign
 // stream multiplexes and the per-point entry in the status summary. Every
 // event carries the campaign/point/job/key identifiers that also label the
-// log records, the span traces and the metric series.
+// log records and, by job, the span traces.
 type Event struct {
 	Campaign string `json:"campaign"`
 	Point    string `json:"point"`
@@ -81,34 +82,23 @@ type Summary struct {
 	Created  time.Time `json:"created"`
 }
 
-// Options configures a Manager.
-type Options struct {
-	// Poll is the telemetry sampling interval (default 25ms). Events are
-	// emitted on change only, so a fast poll costs snapshots, not stream
-	// volume.
-	Poll time.Duration
-	// RetainCampaigns caps finished campaigns kept queryable (default 256).
-	RetainCampaigns int
-}
-
-// DefaultPoll is the default telemetry sampling interval.
-const DefaultPoll = 25 * time.Millisecond
-
-// DefaultRetainCampaigns caps finished campaigns kept queryable.
-const DefaultRetainCampaigns = 256
+// retainCampaigns caps finished campaigns kept queryable.
+const retainCampaigns = 256
 
 // eventsCap bounds one campaign's retained event log; a stream that falls
 // behind a long campaign resumes from the oldest retained event.
 const eventsCap = 8192
 
 // Manager owns the campaign table: it expands manifests, submits their
-// points through the scheduler as one batch, and runs one monitor goroutine
-// per campaign that samples job statuses into telemetry events, metric
+// points through the scheduler as one batch, and runs one monitor per
+// campaign that turns every job tally update into telemetry events, metric
 // updates and log records.
 type Manager struct {
 	sched *service.Scheduler
 	log   *slog.Logger
-	opts  Options
+	// retain caps finished campaigns kept queryable: retainCampaigns, lowered
+	// by in-package tests before the first Submit.
+	retain int
 
 	mu        sync.Mutex
 	campaigns map[string]*Campaign
@@ -126,22 +116,11 @@ type Manager struct {
 // metric inventory on the scheduler's registry, and contributes campaign
 // counts to /v1/healthz.
 func NewManager(s *service.Scheduler) *Manager {
-	return NewManagerWithOptions(s, Options{})
-}
-
-// NewManagerWithOptions is NewManager with explicit options.
-func NewManagerWithOptions(s *service.Scheduler, opts Options) *Manager {
-	if opts.Poll <= 0 {
-		opts.Poll = DefaultPoll
-	}
-	if opts.RetainCampaigns <= 0 {
-		opts.RetainCampaigns = DefaultRetainCampaigns
-	}
 	reg := s.Registry()
 	m := &Manager{
 		sched:     s,
 		log:       s.Logger(),
-		opts:      opts,
+		retain:    retainCampaigns,
 		campaigns: make(map[string]*Campaign),
 
 		ptsSubmitted: reg.Counter("leak_campaign_points_total",
@@ -230,21 +209,6 @@ func (m *Manager) Submit(man Manifest) (*Campaign, error) {
 	}
 	m.ptsSubmitted.Add(int64(len(c.points)))
 
-	reg := m.sched.Registry()
-	reg.GaugeFunc("leak_campaign_eta_seconds",
-		"campaign finish estimate: max ETA over its running points",
-		func() float64 { return c.etaSeconds() }, "campaign", id)
-	reg.GaugeFunc("leak_campaign_max_half_width",
-		"widest Wilson 95% half-width among the campaign's unconverged points",
-		func() float64 { return c.maxHalfWidth() }, "campaign", id)
-	for _, p := range c.points {
-		p := p
-		reg.GaugeFunc("leak_campaign_half_width",
-			"per-point Wilson 95% half-width trajectory",
-			func() float64 { return c.pointHalfWidth(p) },
-			"campaign", id, "point", p.Label)
-	}
-
 	m.mu.Lock()
 	m.campaigns[id] = c
 	m.order = append(m.order, id)
@@ -284,20 +248,21 @@ func (m *Manager) List() []Summary {
 }
 
 // retire records a finished campaign and evicts the oldest finished ones
-// beyond the retention cap.
+// beyond the retention cap, from the table and the listing order alike.
 func (m *Manager) retire(id string) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.finished = append(m.finished, id)
-	for len(m.finished) > m.opts.RetainCampaigns {
+	for len(m.finished) > m.retain {
 		old := m.finished[0]
 		m.finished = m.finished[1:]
 		delete(m.campaigns, old)
+		m.order = slices.DeleteFunc(m.order, func(o string) bool { return o == old })
 	}
 }
 
 // Campaign is one submitted manifest: its points, their jobs, and the
-// telemetry event log the monitor goroutine appends to.
+// telemetry event log the point watchers append to.
 type Campaign struct {
 	ID   string
 	Name string
@@ -318,8 +283,8 @@ type Campaign struct {
 }
 
 // point carries one sweep point's job handle and telemetry state. Mutable
-// fields are guarded by the campaign's mu: the monitor goroutine writes them,
-// status views and gauge callbacks read them.
+// fields are guarded by the campaign's mu: the point's watcher goroutine
+// writes them, status views read them.
 type point struct {
 	Point
 	job       *service.Job
@@ -332,8 +297,8 @@ type point struct {
 	cached    bool
 	last      Event // latest emitted event
 	// firstAt/firstShots anchor the simulation-rate estimate: progress since
-	// the first observed sample, not since submission, so queue wait does not
-	// dilute the rate.
+	// the first sample. That sample is taken at submission, so a point that
+	// queues behind other work counts its wait in the rate.
 	firstAt    time.Time
 	firstShots int
 }
@@ -370,21 +335,18 @@ func (c *Campaign) Jobs() []*service.Job {
 	return out
 }
 
-// monitor samples every unfinished point once per poll interval, emits
-// telemetry events on change, and exits when the campaign is complete.
+// monitor runs one watcher per point and, once every point has finished,
+// retires the campaign and closes done.
 func (c *Campaign) monitor() {
-	for {
-		allDone := true
-		for _, p := range c.points {
-			if c.observe(p) {
-				allDone = false
-			}
-		}
-		if allDone {
-			break
-		}
-		time.Sleep(c.m.opts.Poll)
+	var wg sync.WaitGroup
+	for _, p := range c.points {
+		wg.Add(1)
+		go func(p *point) {
+			defer wg.Done()
+			c.watch(p)
+		}(p)
 	}
+	wg.Wait()
 	// Retire first: a waiter woken by done must already see the campaign
 	// counted against the retention cap, and any eviction that caused.
 	c.m.retire(c.ID)
@@ -400,25 +362,35 @@ func (c *Campaign) monitor() {
 		"dur_ms", float64(time.Since(c.created))/float64(time.Millisecond))
 }
 
+// watch observes one point at submission and again on every tally update of
+// its job until the job is done. It takes the job's signal before reading
+// the status, so an update that lands in between wakes it again; updates
+// that outpace it coalesce into one observation of the latest tally.
+func (c *Campaign) watch(p *point) {
+	for {
+		changed := p.job.Changed()
+		if !c.observe(p) {
+			return
+		}
+		select {
+		case <-changed:
+		case <-p.job.Done():
+		}
+	}
+}
+
 // observe samples one point and reports whether it is still running. An
 // event is emitted on the first sample, whenever the shot count moves, and
 // on the terminal transition.
 func (c *Campaign) observe(p *point) (stillRunning bool) {
-	c.mu.Lock()
-	if p.state != "running" {
-		c.mu.Unlock()
-		return false
-	}
-	c.mu.Unlock()
-
 	st := p.job.Status() // outside c.mu: Status takes the job's own locks
-	now := time.Now()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	now := time.Now() // under c.mu, so AtMS never decreases along Seq
 	terminal := st.State != "running"
 	if p.sampled && !terminal && st.Shots == p.lastShots {
-		return true // no progress since the last event; sample again later
+		return true // no progress since the last event
 	}
 	if !p.sampled {
 		p.sampled = true
@@ -576,43 +548,6 @@ func (c *Campaign) pointCounts() (running, done int) {
 		}
 	}
 	return running, done
-}
-
-// etaSeconds is the campaign finish estimate: max ETA over running points.
-func (c *Campaign) etaSeconds() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	eta := 0.0
-	for _, p := range c.points {
-		if p.state == "running" && p.last.ETASeconds > eta {
-			eta = p.last.ETASeconds
-		}
-	}
-	return eta
-}
-
-// maxHalfWidth is the widest half-width among unconverged points (0 once all
-// points are converged or finished).
-func (c *Campaign) maxHalfWidth() float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	hw := 0.0
-	for _, p := range c.points {
-		if p.state == "running" && p.sampled && !p.last.Converged && p.last.HalfWidth > hw {
-			hw = p.last.HalfWidth
-		}
-	}
-	return hw
-}
-
-// pointHalfWidth reads one point's latest half-width (the per-point gauge).
-func (c *Campaign) pointHalfWidth(p *point) float64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if !p.sampled {
-		return 0.5
-	}
-	return p.last.HalfWidth
 }
 
 // Status assembles the campaign's status summary.

@@ -11,8 +11,8 @@ import (
 	"repro/internal/store"
 )
 
-// newTestManager returns a manager over a fresh ephemeral store with a fast
-// telemetry poll, plus the store for direct tally inspection.
+// newTestManager returns a manager over a fresh ephemeral store, plus the
+// store for direct tally inspection.
 func newTestManager(t *testing.T) (*Manager, *store.Store) {
 	t.Helper()
 	st, err := store.Open("")
@@ -20,7 +20,21 @@ func newTestManager(t *testing.T) (*Manager, *store.Store) {
 		t.Fatal(err)
 	}
 	sched := service.New(st, 0)
-	return NewManagerWithOptions(sched, Options{Poll: time.Millisecond}), st
+	return NewManager(sched), st
+}
+
+// scrape parses the manager's registry as a /metrics scrape would see it.
+func scrape(t *testing.T, m *Manager) *metrics.Snapshot {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := m.Scheduler().Registry().WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	snap, err := metrics.ParseText(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
 }
 
 func waitCampaign(t *testing.T, c *Campaign) {
@@ -218,14 +232,7 @@ func TestCampaignMetricsAndHealth(t *testing.T) {
 		waitCampaign(t, c)
 	}
 
-	var buf bytes.Buffer
-	if err := m.Scheduler().Registry().WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	snap, err := metrics.ParseText(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := scrape(t, m)
 	pts, _ := man.Expand()
 	n := float64(len(pts))
 	for _, tc := range []struct {
@@ -243,13 +250,12 @@ func TestCampaignMetricsAndHealth(t *testing.T) {
 	if v, ok := snap.Value("leak_campaigns_active"); !ok || v != 0 {
 		t.Fatalf("leak_campaigns_active = %v (ok=%v), want 0", v, ok)
 	}
-	// Per-campaign gauges exist and are settled: converged campaigns report 0.
-	if v, ok := snap.Value("leak_campaign_max_half_width", "campaign", "c1"); !ok || v != 0 {
-		t.Fatalf("leak_campaign_max_half_width{campaign=c1} = %v (ok=%v), want 0", v, ok)
-	}
-	if _, ok := snap.Value("leak_campaign_half_width",
-		"campaign", "c1", "point", pts[0].Label); !ok {
-		t.Fatal("per-point half-width gauge missing")
+	// The registry cannot drop a series, so none is per campaign: GET
+	// /v1/campaign?id= serves the per-point telemetry.
+	for _, sm := range snap.Samples {
+		if _, ok := sm.Labels["campaign"]; ok {
+			t.Fatalf("series %s%v carries a campaign label", sm.Name, sm.Labels)
+		}
 	}
 
 	health := m.healthCounts()
@@ -261,14 +267,11 @@ func TestCampaignMetricsAndHealth(t *testing.T) {
 	}
 }
 
-// TestCampaignRetention evicts the oldest finished campaigns past the cap.
+// TestCampaignRetention evicts the oldest finished campaigns past the cap,
+// leaving nothing behind that names them: no listing slot, no metric series.
 func TestCampaignRetention(t *testing.T) {
-	st, err := store.Open("")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sched := service.New(st, 0)
-	m := NewManagerWithOptions(sched, Options{Poll: time.Millisecond, RetainCampaigns: 2})
+	m, _ := newTestManager(t)
+	m.retain = 2
 	man := Manifest{
 		Base:      service.ConfigSpec{Distance: 3, Cycles: 1, P: 2e-3, Shots: 64, Policy: "eraser"},
 		Precision: service.Precision{},
@@ -291,5 +294,16 @@ func TestCampaignRetention(t *testing.T) {
 	}
 	if got := len(m.List()); got != 2 {
 		t.Fatalf("listing has %d rows, want 2", got)
+	}
+	m.mu.Lock()
+	order := len(m.order)
+	m.mu.Unlock()
+	if order != 2 {
+		t.Fatalf("listing order holds %d IDs, want 2", order)
+	}
+	for _, sm := range scrape(t, m).Samples {
+		if sm.Labels["campaign"] == ids[0] {
+			t.Fatalf("evicted campaign %s still has series %s%v", ids[0], sm.Name, sm.Labels)
+		}
 	}
 }

@@ -30,7 +30,7 @@ import (
 // types, so a manifest point round-trips into exactly the request a client
 // would have POSTed to /v1/run by hand.
 type Manifest struct {
-	// Name labels the campaign in status views, metrics and logs
+	// Name labels the campaign in status views and logs
 	// ("figure14"); optional.
 	Name string `json:"name,omitempty"`
 	// Base is the config template every grid point starts from. Axis values

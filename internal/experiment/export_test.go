@@ -1,81 +1,12 @@
 package experiment
 
 import (
-	"encoding/csv"
 	"encoding/json"
 	"strings"
 	"testing"
 
 	"repro/internal/core"
 )
-
-func parseCSV(t *testing.T, s string) [][]string {
-	t.Helper()
-	rows, err := csv.NewReader(strings.NewReader(s)).ReadAll()
-	if err != nil {
-		t.Fatalf("invalid CSV: %v", err)
-	}
-	return rows
-}
-
-func TestDistanceSweepCSV(t *testing.T) {
-	s := &DistanceSweep{
-		Distances: []int{3, 5},
-		Names:     []string{"A", "B"},
-		LER:       [][]float64{{0.1, 0.2}, {0.3, 0.4}},
-		LERLow:    [][]float64{{0.05, 0.15}, {0.25, 0.35}},
-		LERHigh:   [][]float64{{0.15, 0.25}, {0.35, 0.45}},
-	}
-	var b strings.Builder
-	if err := s.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 3 || len(rows[0]) != 7 {
-		t.Fatalf("got %dx%d CSV", len(rows), len(rows[0]))
-	}
-	if rows[0][1] != "A_ler" || rows[2][0] != "5" || rows[1][1] != "0.1" {
-		t.Fatalf("bad cells: %v", rows)
-	}
-}
-
-func TestRoundSeriesCSV(t *testing.T) {
-	r := &RoundSeries{
-		Names:  []string{"X"},
-		LPR:    [][]float64{{0.001, 0.002}},
-		Data:   []float64{0.01, 0.02},
-		Parity: []float64{0.03, 0.04},
-	}
-	var b strings.Builder
-	if err := r.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 3 || len(rows[0]) != 4 {
-		t.Fatalf("got %dx%d CSV", len(rows), len(rows[0]))
-	}
-	if rows[0][2] != "data" || rows[1][3] != "0.03" {
-		t.Fatalf("bad cells: %v", rows)
-	}
-}
-
-func TestCycleSeriesCSV(t *testing.T) {
-	c := &CycleSeries{
-		Cycles: []int{1, 2, 3},
-		Names:  []string{"P", "Q"},
-		LER:    [][]float64{{1, 2, 3}, {4, 5, 6}},
-	}
-	var b strings.Builder
-	if err := c.WriteCSV(&b); err != nil {
-		t.Fatal(err)
-	}
-	rows := parseCSV(t, b.String())
-	if len(rows) != 4 || rows[3][2] != "6" {
-		t.Fatalf("bad CSV: %v", rows)
-	}
-}
-
-// ------------------------------------------------------------------ JSON --
 
 // TestResultJSON runs a real experiment and checks the JSON view carries the
 // derived statistics (not just raw counters) through a round trip.
@@ -101,78 +32,5 @@ func TestResultJSON(t *testing.T) {
 	}
 	if len(back.LPRTotal) != res.Rounds {
 		t.Fatalf("LPR series length %d, want %d", len(back.LPRTotal), res.Rounds)
-	}
-}
-
-// TestSweepJSONMirrorsCSV: every series and cell of the CSV form must appear
-// in the JSON form.
-func TestSweepJSONMirrorsCSV(t *testing.T) {
-	s := &DistanceSweep{
-		Title:     "T",
-		P:         1e-3,
-		Distances: []int{3, 5},
-		Names:     []string{"A", "B"},
-		LER:       [][]float64{{0.1, 0.2}, {0.3, 0.4}},
-		LERLow:    [][]float64{{0.05, 0.15}, {0.25, 0.35}},
-		LERHigh:   [][]float64{{0.15, 0.25}, {0.35, 0.45}},
-	}
-	var b strings.Builder
-	if err := s.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var sweep struct {
-		Title     string `json:"title"`
-		Distances []int  `json:"distances"`
-		Series    []struct {
-			Name   string    `json:"name"`
-			LER    []float64 `json:"ler"`
-			LERLow []float64 `json:"ler_lo"`
-		} `json:"series"`
-	}
-	if err := json.Unmarshal([]byte(b.String()), &sweep); err != nil {
-		t.Fatal(err)
-	}
-	if sweep.Title != "T" || len(sweep.Series) != 2 || sweep.Series[1].Name != "B" {
-		t.Fatalf("bad sweep JSON: %+v", sweep)
-	}
-	if sweep.Series[0].LER[1] != 0.2 || sweep.Series[1].LERLow[0] != 0.25 {
-		t.Fatalf("bad cells: %+v", sweep)
-	}
-
-	r := &RoundSeries{
-		Title: "R", Distance: 7,
-		Names:  []string{"X"},
-		LPR:    [][]float64{{0.001, 0.002}},
-		Data:   []float64{0.01, 0.02},
-		Parity: []float64{0.03, 0.04},
-	}
-	b.Reset()
-	if err := r.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var rs roundSeriesJSON
-	if err := json.Unmarshal([]byte(b.String()), &rs); err != nil {
-		t.Fatal(err)
-	}
-	if rs.Distance != 7 || rs.Series[0].LPR[1] != 0.002 || rs.Parity[0] != 0.03 {
-		t.Fatalf("bad round series JSON: %+v", rs)
-	}
-
-	c := &CycleSeries{
-		Title: "C", Distance: 5,
-		Cycles: []int{1, 2, 3},
-		Names:  []string{"P", "Q"},
-		LER:    [][]float64{{1, 2, 3}, {4, 5, 6}},
-	}
-	b.Reset()
-	if err := c.WriteJSON(&b); err != nil {
-		t.Fatal(err)
-	}
-	var cs cycleSeriesJSON
-	if err := json.Unmarshal([]byte(b.String()), &cs); err != nil {
-		t.Fatal(err)
-	}
-	if len(cs.Cycles) != 3 || cs.Series[1].LER[2] != 6 {
-		t.Fatalf("bad cycle series JSON: %+v", cs)
 	}
 }

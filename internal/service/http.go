@@ -20,8 +20,8 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// MaxRequestBytes bounds the /v1/run request body; inline device profiles
-// for large distances fit comfortably under 1 MiB.
+// MaxRequestBytes bounds a /v1/run or /v1/campaign request body; inline
+// device profiles for large distances fit comfortably under 1 MiB.
 const MaxRequestBytes = 1 << 20
 
 // ConfigSpec is the wire form of experiment.Config: names instead of enum
@@ -169,7 +169,8 @@ type Route struct {
 //	DELETE /v1/run     ?job=ID — cancel; completed units stay checkpointed
 //	GET    /v1/result  ?job=ID — result when done (200), interim status
 //	                   (202), 410 once evicted from the retention window
-//	GET    /v1/stream  ?job=ID — ND-JSON stream of interim tallies until done
+//	GET    /v1/stream  ?job=ID — ND-JSON status stream: one line on connect,
+//	                   one per tally update, then the final snapshot
 //	GET    /v1/trace   ?job=ID — the job's span-event trace (admission,
 //	                   chunk issues, sim/decode stage times, merges, retries)
 //	GET    /v1/healthz liveness, build identity, uptime + load counters
@@ -195,9 +196,9 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 				return
 			}
 			job.Cancel()
-			writeJSONStatus(w, http.StatusOK, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
+			WriteJSON(w, http.StatusOK, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
 		default:
-			httpError(w, http.StatusMethodNotAllowed, "POST or DELETE only")
+			WriteError(w, http.StatusMethodNotAllowed, "POST or DELETE only")
 		}
 	})
 	mux.HandleFunc("/v1/result", func(w http.ResponseWriter, r *http.Request) {
@@ -212,14 +213,14 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		case "done":
 			res, err := job.Result()
 			if err != nil {
-				httpError(w, http.StatusInternalServerError, "job %s: %v", job.ID, err)
+				WriteError(w, http.StatusInternalServerError, "job %s: %v", job.ID, err)
 				return
 			}
 			var buf bytes.Buffer
 			if err := res.WriteJSON(&buf); err != nil {
 				// A result that cannot be encoded is a server failure, not a
 				// silently-empty 200.
-				httpError(w, http.StatusInternalServerError, "job %s: encode result: %v", job.ID, err)
+				WriteError(w, http.StatusInternalServerError, "job %s: encode result: %v", job.ID, err)
 				return
 			}
 			resp.Result = buf.Bytes()
@@ -227,7 +228,7 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		case "error":
 			code = http.StatusInternalServerError
 		}
-		writeJSONStatus(w, code, resp)
+		WriteJSON(w, code, resp)
 	})
 	mux.HandleFunc("/v1/stream", func(w http.ResponseWriter, r *http.Request) {
 		job, ok := lookupJob(s, w, r)
@@ -237,18 +238,18 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		w.Header().Set("Content-Type", "application/x-ndjson")
 		flusher, _ := w.(http.Flusher)
 		enc := json.NewEncoder(w)
-		ticker := time.NewTicker(50 * time.Millisecond)
-		defer ticker.Stop()
 		ctx := r.Context()
 		for {
-			// A disconnected client must stop the poll loop at the next tick:
-			// once the context dies the select below stays permanently ready
-			// on two branches, so without this check the loop could keep
-			// winning the ticker race and writing into a dead connection.
+			// A disconnected client must stop the loop at its next wake: a
+			// select with an update and the dead context both ready picks
+			// either, and the update branch would write into a dead
+			// connection.
 			if ctx.Err() != nil {
 				return
 			}
-			// One interim tally per tick, then the final snapshot.
+			// Take the signal before the snapshot, so an update landing
+			// between the two wakes the loop again.
+			changed := job.Changed()
 			st := job.Status()
 			if err := enc.Encode(st); err != nil {
 				return
@@ -260,8 +261,8 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 				return
 			}
 			select {
+			case <-changed:
 			case <-job.Done():
-			case <-ticker.C:
 			case <-ctx.Done():
 				return
 			}
@@ -272,7 +273,7 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		if !ok {
 			return
 		}
-		writeJSONStatus(w, http.StatusOK, job.Trace())
+		WriteJSON(w, http.StatusOK, job.Trace())
 	})
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		simNS, decodeNS := s.StageNanos()
@@ -299,7 +300,7 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 				payload[name] = v
 			}
 		}
-		writeJSONStatus(w, http.StatusOK, payload)
+		WriteJSON(w, http.StatusOK, payload)
 	})
 	mux.Handle("/metrics", s.Registry().Handler())
 	return mux
@@ -363,47 +364,62 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// handleSubmit decodes and admits one POST /v1/run request, mapping
-// scheduler refusals onto distinct status codes: 413 for oversized bodies,
-// 429 + Retry-After for load shedding, 503 + Retry-After while draining.
+// handleSubmit decodes and admits one POST /v1/run request.
 func handleSubmit(s *Scheduler, w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
 	var req RunRequest
-	dec := json.NewDecoder(r.Body)
-	// A field the spec does not know — a misspelling, or one since retired —
-	// would otherwise be dropped and a different experiment run.
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			httpError(w, http.StatusRequestEntityTooLarge,
-				"request body over %d bytes", tooBig.Limit)
-			return
-		}
-		httpError(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !DecodeRequest(w, r, &req) {
 		return
 	}
 	cfg, err := req.Config.Config()
 	if err != nil {
-		httpError(w, http.StatusBadRequest, "bad config: %v", err)
+		WriteError(w, http.StatusBadRequest, "bad config: %v", err)
 		return
 	}
 	job, err := s.Submit(cfg, req.Precision)
 	if err != nil {
-		var ov *OverloadError
-		switch {
-		case errors.As(err, &ov):
-			w.Header().Set("Retry-After", strconv.Itoa(int(ov.RetryAfter/time.Second)))
-			httpError(w, http.StatusTooManyRequests, "%v", err)
-		case errors.Is(err, ErrDraining):
-			w.Header().Set("Retry-After", "5")
-			httpError(w, http.StatusServiceUnavailable, "%v", err)
-		default:
-			httpError(w, http.StatusBadRequest, "%v", err)
-		}
+		WriteSubmitError(w, err)
 		return
 	}
-	writeJSONStatus(w, http.StatusAccepted, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
+	WriteJSON(w, http.StatusAccepted, RunResponse{Job: job.ID, Key: job.Key, Status: job.Status()})
+}
+
+// DecodeRequest decodes a JSON request body into v, answering 413 for a body
+// over MaxRequestBytes and 400 for malformed JSON or an unknown field: a
+// field the wire form does not know — a misspelling, or one since retired —
+// would otherwise be dropped and a different experiment run. It reports
+// whether v was decoded; on false the error response is written.
+func DecodeRequest(w http.ResponseWriter, r *http.Request, v any) bool {
+	r.Body = http.MaxBytesReader(w, r.Body, MaxRequestBytes)
+	dec := json.NewDecoder(r.Body)
+	dec.DisallowUnknownFields()
+	err := dec.Decode(v)
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		WriteError(w, http.StatusRequestEntityTooLarge, "request body over %d bytes", tooBig.Limit)
+	default:
+		WriteError(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
+// WriteSubmitError maps a refused submission onto its status code: 429 +
+// Retry-After for load shedding, 503 + Retry-After while draining, and 400
+// for anything else (an invalid config or manifest).
+func WriteSubmitError(w http.ResponseWriter, err error) {
+	var ov *OverloadError
+	switch {
+	case errors.As(err, &ov):
+		w.Header().Set("Retry-After", strconv.Itoa(int(ov.RetryAfter/time.Second)))
+		WriteError(w, http.StatusTooManyRequests, "%v", err)
+	case errors.Is(err, ErrDraining):
+		w.Header().Set("Retry-After", "5")
+		WriteError(w, http.StatusServiceUnavailable, "%v", err)
+	default:
+		WriteError(w, http.StatusBadRequest, "%v", err)
+	}
 }
 
 // lookupJob resolves ?job=ID, answering 404 for IDs this scheduler never
@@ -417,21 +433,22 @@ func lookupJob(s *Scheduler, w http.ResponseWriter, r *http.Request) (*Job, bool
 	case JobFound:
 		return job, true
 	case JobEvicted:
-		httpError(w, http.StatusGone, "job %q evicted from the retention window; re-submit the config (identical requests are answered from the store)", id)
+		WriteError(w, http.StatusGone, "job %q evicted from the retention window; re-submit the config (identical requests are answered from the store)", id)
 	default:
-		httpError(w, http.StatusNotFound, "unknown job %q", id)
+		WriteError(w, http.StatusNotFound, "unknown job %q", id)
 	}
 	return nil, false
 }
 
-func httpError(w http.ResponseWriter, code int, format string, args ...any) {
-	writeJSONStatus(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
+// WriteError writes a JSON {"error": ...} body with the status code.
+func WriteError(w http.ResponseWriter, code int, format string, args ...any) {
+	WriteJSON(w, code, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
-// writeJSONStatus encodes v before writing any status, so an encoding
-// failure becomes a 500 instead of a silently truncated 200, and write
-// failures (client gone mid-response) are at least logged.
-func writeJSONStatus(w http.ResponseWriter, code int, v any) {
+// WriteJSON encodes v before writing any status, so an encoding failure
+// becomes a 500 instead of a silently truncated 200, and write failures
+// (client gone mid-response) are at least logged.
+func WriteJSON(w http.ResponseWriter, code int, v any) {
 	data, err := json.MarshalIndent(v, "", "  ")
 	if err != nil {
 		code = http.StatusInternalServerError

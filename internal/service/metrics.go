@@ -19,7 +19,7 @@ import (
 //     pool; 10 µs → ~40 s with factor-4 growth covers that in 12 buckets.
 //   - HTTP request latency is dominated by handler work, not payload size;
 //     0.1 ms → ~25 s with factor-2.5 growth brackets everything from a
-//     healthz probe to a long /v1/stream poll tick.
+//     healthz probe to a /v1/stream that lasts as long as its job.
 var (
 	jobLatencyBuckets   = metrics.ExpBuckets(5e-4, 2, 19)
 	stageSecondsBuckets = metrics.ExpBuckets(1e-5, 4, 12)

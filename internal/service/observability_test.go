@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"log/slog"
 	"net/http"
@@ -18,8 +19,10 @@ import (
 )
 
 // TestStreamClientDisconnect pins the /v1/stream lifecycle: when a client
-// goes away mid-stream, the handler goroutine must exit at the next tick
-// instead of ticking against a dead connection for as long as the job runs.
+// goes away mid-stream, the handler goroutine must exit at its next wake
+// instead of waiting against a dead connection for as long as the job runs;
+// and a job that makes no progress streams its connect line and nothing
+// more until a tally lands.
 func TestStreamClientDisconnect(t *testing.T) {
 	st, err := store.Open("")
 	if err != nil {
@@ -67,6 +70,26 @@ func TestStreamClientDisconnect(t *testing.T) {
 	leaked := runtime.NumGoroutine() - before
 	if leaked > 0 {
 		t.Errorf("%d goroutine(s) leaked after %d stream disconnects", leaked, streams)
+	}
+
+	// The queued target has no tally update to report: one line, then quiet.
+	ctx, stop := context.WithTimeout(context.Background(), 300*time.Millisecond)
+	defer stop()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/v1/stream?job="+target.Job, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := 0
+	for sc := bufio.NewScanner(resp.Body); sc.Scan(); {
+		lines++
+	}
+	resp.Body.Close()
+	if lines != 1 {
+		t.Errorf("queued job's stream wrote %d lines in 300ms, want 1", lines)
 	}
 
 	// The disconnects must not have disturbed the jobs themselves.

@@ -383,6 +383,7 @@ type Job struct {
 
 	mu       sync.Mutex
 	tally    *experiment.Tally
+	changed  chan struct{} // closed and replaced on every tally update (broadcast)
 	result   *experiment.Result
 	err      error
 	unitsRun int
@@ -417,6 +418,16 @@ type Status struct {
 
 // Done is closed when the job completes (successfully or not).
 func (j *Job) Done() <-chan struct{} { return j.done }
+
+// Changed returns a channel that closes at the job's next tally update. A
+// watcher takes it before reading Status, so an update landing between the
+// two still wakes it; updates that outpace the watcher coalesce into one
+// wake. The final snapshot follows Done, not Changed.
+func (j *Job) Changed() <-chan struct{} {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.changed
+}
 
 // Cancel asks the job to stop at the next unit boundary. Completed units
 // stay merged in the store (checkpoint), so a later identical request covers
@@ -480,6 +491,8 @@ func (j *Job) Status() Status {
 func (j *Job) setTally(t *experiment.Tally) {
 	j.mu.Lock()
 	j.tally = t.Clone()
+	close(j.changed)
+	j.changed = make(chan struct{})
 	j.mu.Unlock()
 }
 
@@ -536,13 +549,14 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 	}
 	s.nextID++
 	j := &Job{
-		ID:    fmt.Sprintf("j%d", s.nextID),
-		Key:   key,
-		cfg:   cfg,
-		prec:  prec,
-		done:  make(chan struct{}),
-		warm:  warm,
-		trace: newTrace(&s.traceDrops),
+		ID:      fmt.Sprintf("j%d", s.nextID),
+		Key:     key,
+		cfg:     cfg,
+		prec:    prec,
+		done:    make(chan struct{}),
+		changed: make(chan struct{}),
+		warm:    warm,
+		trace:   newTrace(&s.traceDrops),
 	}
 	admitNote := "cold"
 	if warm {
