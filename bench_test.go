@@ -763,17 +763,48 @@ func BenchmarkStoreWarmVsCold(b *testing.B) {
 	})
 }
 
+// ------------------------------------------------------ multi-worker runs
+
+// BenchmarkRunUnitsWorkers times the runner's multi-worker path, which no
+// bench/eraserbench workload reaches (they all run one worker). It runs the
+// four d=7 configs of those workloads (7 cycles, seed 2023) through
+// experiment.RunUnits at Workers: 0, so GOMAXPROCS workers claim the 4-unit
+// blocks of 256 units per op, and reports shots/s.
+func BenchmarkRunUnitsWorkers(b *testing.B) {
+	const units = 256
+	for _, w := range []struct {
+		name   string
+		policy core.Kind
+		p      float64
+	}{
+		{"always-d7-p1e-3", core.PolicyAlways, 1e-3},
+		{"eraser-d7-p1e-3", core.PolicyEraser, 1e-3},
+		{"always-d7-p1e-4", core.PolicyAlways, 1e-4},
+		{"eraser-d7-p1e-4", core.PolicyEraser, 1e-4},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			cfg := experiment.Config{Distance: 7, Cycles: 7, P: w.p, Seed: 2023,
+				Policy: w.policy, Workers: 0}
+			for i := 0; i < b.N; i++ {
+				experiment.RunUnits(cfg, 0, units)
+			}
+			b.ReportMetric(float64(b.N*units*cfg.UnitShots())/b.Elapsed().Seconds(), "shots/s")
+		})
+	}
+}
+
 // ------------------------------------------------- decode stage vs sim stage
 
-// BenchmarkDecodeVsSim measures the two stages of the lane-parallel pipeline
-// separately on the adaptive (ERASER) workload Figure 14 sweeps:
+// BenchmarkDecodeVsSim measures the two stages of a runner worker's block,
+// simulation and then decoding of the block's units, separately on the
+// adaptive (ERASER) workload Figure 14 sweeps:
 //
 //   - "stages" runs the metered unit loop and reports wall time attributed
 //     to simulation versus decoding per shot, plus their ratio. The decode
 //     stage must not dominate (it sits around 4.5x faster than sim on this
 //     workload); the run fails if decoding costs more than simulation,
-//     which would mean the batched decoders regressed toward the allocating
-//     per-shot cost model this pipeline retired.
+//     which would mean batched decoding regressed toward the allocating
+//     per-shot cost model it retired.
 //   - "decode-steady" times the batched decode of one pre-filled 64-lane
 //     collector on warmed arenas. It must report 0 allocs/op — CI greps the
 //     -benchmem output, so the warm-up happens before ResetTimer to keep the
@@ -855,7 +886,7 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 // point, Always LRCs at d=7, 7 cycles (49 rounds), p=1e-3, and returns its
 // detection events in a collector, as the runner collects them. Leaked
 // parity qubits fill its lanes with time chains: dozens of events per lane
-// and clusters past matching.DefaultMaxExact.
+// and clusters past matching.MaxExact.
 func denseUnitD7() (*surfacecode.Layout, *decoder.BatchCollector) {
 	l := surfacecode.MustNew(7)
 	const rounds = 49

@@ -159,7 +159,7 @@ func clusterSizes(d *Decoder, events []Event) []int {
 
 // TestGoldenFlips pins the MWPM decoder's predicted flip on seeded dense
 // event sets at d=5 and d=7 under uniform, hotspot and drift priors, with
-// clusters on both sides of matching.DefaultMaxExact. Any change to the
+// clusters on both sides of matching.MaxExact. Any change to the
 // matching arithmetic, its tie-breaking or the cluster decomposition that
 // moves a single prediction fails here. A change that alters predictions on
 // purpose regenerates the corpus with
@@ -186,7 +186,7 @@ func TestGoldenFlips(t *testing.T) {
 					maxEvents = max(maxEvents, len(ev))
 					for _, s := range clusterSizes(dec, ev) {
 						maxCluster = max(maxCluster, s)
-						if s > 1 && s <= matching.DefaultMaxExact {
+						if s > 1 && s <= matching.MaxExact {
 							exactMulti++
 						}
 					}
@@ -198,7 +198,7 @@ func TestGoldenFlips(t *testing.T) {
 		}
 		// The corpus must reach both matchers and shots as dense as a
 		// leak-flooded d=7 unit.
-		if maxCluster <= matching.DefaultMaxExact || exactMulti == 0 {
+		if maxCluster <= matching.MaxExact || exactMulti == 0 {
 			t.Errorf("d=%d: largest cluster %d, %d multi-event exact clusters; want both sides of MaxExact",
 				dist, maxCluster, exactMulti)
 		}
@@ -206,7 +206,7 @@ func TestGoldenFlips(t *testing.T) {
 			t.Errorf("d=7: densest set has %d events, want ~100", maxEvents)
 		}
 		t.Logf("d=%d: largest cluster %d, densest set %d events, %d exact clusters of 2..%d events",
-			dist, maxCluster, maxEvents, exactMulti, matching.DefaultMaxExact)
+			dist, maxCluster, maxEvents, exactMulti, matching.MaxExact)
 	}
 
 	if *updateFlips {

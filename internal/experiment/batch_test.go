@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/circuit"
@@ -10,32 +11,22 @@ import (
 	"repro/internal/surfacecode"
 )
 
-// TestBatchDeterministicAcrossWorkers: the batch path's integer accumulators
-// are identical for any worker count and across repeated runs, including a
-// partial final batch (shots not a multiple of 64), for both the shared-plan
-// (Always) and the lane-masked adaptive (ERASER, ERASER+M, Optimal) workers.
+// TestBatchDeterministicAcrossWorkers: the batch path's tallies are
+// identical across repeated runs and for any worker count, over four blocks
+// with a partial final unit (shots not a multiple of 64), for both the
+// shared-plan (Always) and the lane-masked adaptive (ERASER, ERASER+M,
+// Optimal) policies.
 func TestBatchDeterministicAcrossWorkers(t *testing.T) {
 	for _, pol := range []core.Kind{core.PolicyAlways, core.PolicyEraser,
 		core.PolicyEraserM, core.PolicyOptimal} {
-		cfg := Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 150, Seed: 5,
+		cfg := Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 1000, Seed: 5,
 			Policy: pol, Workers: 1}
 		a := Run(cfg)
 		b := Run(cfg)
-		if a.LogicalErrors != b.LogicalErrors || a.TruePos != b.TruePos {
-			t.Fatalf("%v: batch path not deterministic for a fixed seed", pol)
+		if !reflect.DeepEqual(a, b) {
+			t.Fatalf("%v: batch path not deterministic for a fixed seed:\n  %+v\n  %+v", pol, a, b)
 		}
-		cfg.Workers = 4
-		c := Run(cfg)
-		if a.LogicalErrors != c.LogicalErrors || a.TruePos != c.TruePos ||
-			a.FalsePos != c.FalsePos || a.FalseNeg != c.FalseNeg {
-			t.Fatalf("%v: worker count changed batch results: %+v vs %+v",
-				pol, a.LogicalErrors, c.LogicalErrors)
-		}
-		for r := range a.LPRTotal {
-			if a.LPRTotal[r] != b.LPRTotal[r] {
-				t.Fatalf("%v: LPR series diverged at round %d", pol, r)
-			}
-		}
+		requireWorkerInvariant(t, pol.String(), cfg)
 	}
 }
 

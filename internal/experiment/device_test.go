@@ -148,13 +148,10 @@ func TestProfileEngineAgreement(t *testing.T) {
 // TestProfileDeterministicAcrossWorkers: heterogeneous units stay seeded per
 // unit, so worker count must not change any counter.
 func TestProfileDeterministicAcrossWorkers(t *testing.T) {
-	cfg := Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 150, Seed: 5,
-		Policy: core.PolicyEraser, Workers: 1}
+	cfg := Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 1000, Seed: 5,
+		Policy: core.PolicyEraser}
 	cfg.Profile = hotspotProfile(t, 3, 2e-3, 2, 8)
-	a := Run(cfg)
-	cfg.Workers = 4
-	b := Run(cfg)
-	resultsEqual(t, "workers", a, b)
+	requireWorkerInvariant(t, "hotspot", cfg)
 }
 
 // TestHeterogeneityUniformEndpoint: the factor-1 point of the heterogeneity

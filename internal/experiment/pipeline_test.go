@@ -7,28 +7,29 @@ import (
 	"repro/internal/core"
 )
 
-// TestPipelineBitExactAllPolicies: the sim→decode pipeline (Workers > 1)
-// must produce tallies exactly equal to the inline single-worker path on
-// every policy — not statistically, but field for field, because decode
-// consumes no randomness and logical-error counts commute.
+// TestPipelineBitExactAllPolicies: several workers claiming blocks and
+// decoding their own units (Workers > 1) must produce tallies exactly equal
+// to a single worker's on every policy — not statistically, but field for
+// field, because every unit keeps its seed and sub-word, decode consumes no
+// randomness and integer counts merge exactly.
 func TestPipelineBitExactAllPolicies(t *testing.T) {
 	for _, pol := range []core.Kind{core.PolicyNone, core.PolicyAlways,
 		core.PolicyEraser, core.PolicyEraserM, core.PolicyOptimal} {
 		cfg := Config{Distance: 3, Cycles: 3, P: 3e-3, Shots: 300, Seed: 17,
 			Policy: pol, Workers: 1}
-		inline := Run(cfg)
+		serial := Run(cfg)
 		for _, workers := range []int{2, 4} {
 			cfg.Workers = workers
-			piped := Run(cfg)
-			if inline.LogicalErrors != piped.LogicalErrors ||
-				inline.Shots != piped.Shots ||
-				inline.TruePos != piped.TruePos || inline.FalsePos != piped.FalsePos ||
-				inline.TrueNeg != piped.TrueNeg || inline.FalseNeg != piped.FalseNeg {
-				t.Fatalf("%v workers=%d: pipeline diverged from inline:\n  inline %+v\n  piped  %+v",
-					pol, workers, inline, piped)
+			parallel := Run(cfg)
+			if serial.LogicalErrors != parallel.LogicalErrors ||
+				serial.Shots != parallel.Shots ||
+				serial.TruePos != parallel.TruePos || serial.FalsePos != parallel.FalsePos ||
+				serial.TrueNeg != parallel.TrueNeg || serial.FalseNeg != parallel.FalseNeg {
+				t.Fatalf("%v workers=%d: parallel run diverged from one worker:\n  serial   %+v\n  parallel %+v",
+					pol, workers, serial, parallel)
 			}
-			for r := range inline.LPRTotal {
-				if inline.LPRTotal[r] != piped.LPRTotal[r] {
+			for r := range serial.LPRTotal {
+				if serial.LPRTotal[r] != parallel.LPRTotal[r] {
 					t.Fatalf("%v workers=%d: LPR series diverged at round %d",
 						pol, workers, r)
 				}
@@ -37,9 +38,9 @@ func TestPipelineBitExactAllPolicies(t *testing.T) {
 	}
 }
 
-// TestMeteredRunReportsStageTimes: RunUnitsMeteredCtx attributes wall time
-// to both stages; the counters must be positive for a real workload and
-// consistent between the inline and pipelined paths (both nonzero).
+// TestMeteredRunReportsStageTimes: RunUnitsMeteredCtx attributes each
+// worker's time to simulation and decoding and sums it over workers; both
+// counters must be positive for a real workload at one worker and at four.
 func TestMeteredRunReportsStageTimes(t *testing.T) {
 	cfg := Config{Distance: 3, Cycles: 3, P: 3e-3, Shots: 640, Seed: 9,
 		Policy: core.PolicyEraser}

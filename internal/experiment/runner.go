@@ -62,8 +62,8 @@ type Config struct {
 	Protocol circuit.Protocol
 	// Decoder tunes matching weights; zero value uses defaults.
 	Decoder decoder.Config
-	// Workers bounds shot-level parallelism; 0 means GOMAXPROCS, 1 forces
-	// fully deterministic serial accumulation.
+	// Workers bounds block-level parallelism; 0 means GOMAXPROCS. Tallies
+	// are bit-identical for every worker count.
 	Workers int
 }
 
@@ -218,9 +218,9 @@ func RunUnits(cfg Config, lo, hi int) *Tally {
 	return t
 }
 
-// RunUnitsMeteredCtx is RunUnits with cooperative cancellation at unit
+// RunUnitsMeteredCtx is RunUnits with cooperative cancellation at block
 // boundaries, plus stage timing. When ctx is cancelled (deadline,
-// Job.Cancel, server drain), workers stop before starting their next unit
+// Job.Cancel, server drain), workers stop before starting their next block
 // and the partial tally — covering exactly the units that finished — is
 // returned alongside ctx's error. Partial tallies keep the merge-exactness
 // contract (their covered-unit bitset is a subset of [lo, hi)), so the
@@ -280,12 +280,11 @@ func (e *runSetup) decoder() *decoder.Decoder {
 // runUnitRange simulates units [lo, hi), with total shot count clamped to
 // shotsCap (the last unit runs fewer lanes when shotsCap cuts into it).
 //
-// With more than one worker, execution is a two-stage pipeline: sim workers
-// run the rounds of a block and hand each unit's filled event collector off
-// to a pool of decode workers, where the unit's 64 lanes are decoded
-// concurrently as lane-range tasks. Logical errors are pure integer counts,
-// so accumulating them from the decode stage with atomic adds keeps tallies
-// bit-identical to the serial path for any worker count.
+// Workers claim 4-unit blocks from one shared counter, so a worker that
+// draws cheap blocks takes more of them, and each decodes its own units into
+// its own tally. Every unit keeps its pre-drawn seed and its sub-word
+// whichever worker claims it, and tallies are integer counts that merge
+// exactly, so the result is bit-identical for any worker count.
 func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally, Metrics) {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("experiment: invalid unit range [%d, %d)", lo, hi))
@@ -307,36 +306,24 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		seeds[i] = root.Uint64()
 	}
 
-	// Workers stride over 4-unit blocks.
-	items := (hi+BlockUnits-1)/BlockUnits - lo/BlockUnits
+	blocks := (hi+BlockUnits-1)/BlockUnits - lo/BlockUnits
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > items {
-		workers = items
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	var pipe *decodePipeline
-	if workers > 1 {
-		pipe = newDecodePipeline(workers, rs)
-	}
+	workers = min(workers, blocks)
+	var next atomic.Int64 // the next unclaimed block
+	next.Store(int64(lo / BlockUnits))
 	accums := make([]*Tally, workers)
 	workerMetrics := make([]Metrics, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		acc := NewTally(rs.rounds, batch.Lanes)
-		accums[w] = acc
+	for w := range accums {
+		accums[w] = NewTally(rs.rounds, batch.Lanes)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
-			sink := newDecodeSink(pipe, rs)
-			runBatchWorker(ctx, cfg, rs, sink, seeds, lo, hi, shotsCap, w, workers, acc, &workerMetrics[w])
-			workerMetrics[w].SimNS += sink.simNS
-			workerMetrics[w].DecodeNS += sink.decodeNS
-		}(w)
+			runBatchWorker(ctx, cfg, rs, seeds, lo, hi, shotsCap, &next, accums[w], &workerMetrics[w])
+		}()
 	}
 	wg.Wait()
 
@@ -350,187 +337,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	for i := range workerMetrics {
 		m.Add(workerMetrics[i])
 	}
-	if pipe != nil {
-		// The decode stage drains fully even on cancellation: every unit
-		// that was simulated and submitted gets decoded, so partial tallies
-		// still cover exactly the completed units.
-		pipe.close()
-		total.LogicalErrors += int(pipe.errs.Load())
-		m.DecodeNS += pipe.decodeNS.Load()
-	}
 	return total, m
-}
-
-// unitTask carries one simulated unit from the sim stage to the decode
-// stage: the filled event collector, the ground-truth observable flips, the
-// active-lane mask and count, plus a refcount of outstanding lane-range
-// tasks so the collector returns to the free list exactly once.
-type unitTask struct {
-	col    *decoder.BatchCollector
-	obs    uint64
-	active uint64
-	lanes  int
-	refs   atomic.Int32
-}
-
-// decodeTask is one lane range [lo, hi) of a unit.
-type decodeTask struct {
-	u      *unitTask
-	lo, hi int
-}
-
-// decodePipeline fans simulated units out to a pool of decode workers, lane
-// ranges of one unit decoding concurrently. The bounded task channel is the
-// backpressure that keeps the number of in-flight collectors proportional
-// to the worker count, and the free list recycles unit tasks so the steady
-// state allocates nothing per unit.
-type decodePipeline struct {
-	tasks    chan decodeTask
-	free     chan *unitTask
-	fan      int
-	errs     atomic.Int64
-	decodeNS atomic.Int64
-	wg       sync.WaitGroup
-}
-
-// pipelineFan is the maximum number of lane-range decode tasks one unit
-// splits into; 4 tasks of 16 lanes keeps per-task overhead well under the
-// decode cost of a lane range while still spreading a single unit across
-// the pool.
-const pipelineFan = 4
-
-func newDecodePipeline(workers int, rs *runSetup) *decodePipeline {
-	fan := pipelineFan
-	if workers < fan {
-		fan = workers
-	}
-	p := &decodePipeline{
-		tasks: make(chan decodeTask, 4*workers),
-		free:  make(chan *unitTask, 8*workers),
-		fan:   fan,
-	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.decodeWorker(rs.decoder())
-	}
-	return p
-}
-
-func (p *decodePipeline) decodeWorker(dec *decoder.Decoder) {
-	defer p.wg.Done()
-	var errs, ns int64
-	for t := range p.tasks {
-		t0 := time.Now()
-		pred := dec.DecodeLanes(t.u.col, t.lo, t.hi)
-		ns += time.Since(t0).Nanoseconds()
-		mask := batch.LaneMask(t.hi) &^ batch.LaneMask(t.lo)
-		errs += int64(bits.OnesCount64((pred ^ t.u.obs) & t.u.active & mask))
-		if t.u.refs.Add(-1) == 0 {
-			select {
-			case p.free <- t.u:
-			default: // free list full; drop the unit task to the GC
-			}
-		}
-	}
-	p.errs.Add(errs)
-	p.decodeNS.Add(ns)
-}
-
-// get returns a recycled or fresh unit task with an empty collector.
-func (p *decodePipeline) get() *unitTask {
-	select {
-	case ut := <-p.free:
-		ut.col.Reset()
-		return ut
-	default:
-		return &unitTask{col: decoder.NewBatchCollector()}
-	}
-}
-
-// submit splits the unit into lane-range tasks and enqueues them; blocks
-// when the decode stage is saturated (backpressure on the sim stage).
-func (p *decodePipeline) submit(ut *unitTask) {
-	// Snapshot lanes: after the final send below the task may already be
-	// decoded, recycled through the free list, and rewritten by another sim
-	// worker, so ut must not be touched again.
-	lanes := ut.lanes
-	fan := p.fan
-	if lanes < fan {
-		fan = lanes
-	}
-	chunk := (lanes + fan - 1) / fan
-	n := (lanes + chunk - 1) / chunk
-	ut.refs.Store(int32(n))
-	for lo := 0; lo < lanes; lo += chunk {
-		hi := lo + chunk
-		if hi > lanes {
-			hi = lanes
-		}
-		p.tasks <- decodeTask{u: ut, lo: lo, hi: hi}
-	}
-}
-
-// close ends the decode stage after the sim stage has finished submitting
-// and waits for every outstanding task.
-func (p *decodePipeline) close() {
-	close(p.tasks)
-	p.wg.Wait()
-}
-
-// decodeSink is a batch worker's hand-off point to the decode stage. In
-// pipelined mode units go to the shared decode pool; in inline mode (a
-// single worker) the worker decodes its own units with its own decoder and
-// arenas. A sink holds up to BlockUnits units in flight — one slot per
-// sub-word of a block — so a block's sim step fans out to per-unit
-// collectors while everything downstream of the sim→decode boundary stays
-// 64-lane.
-type decodeSink struct {
-	pipe *decodePipeline
-	cur  [BlockUnits]*unitTask
-
-	dec  *decoder.Decoder
-	cols [BlockUnits]*decoder.BatchCollector
-
-	simNS    int64
-	decodeNS int64
-}
-
-func newDecodeSink(pipe *decodePipeline, rs *runSetup) *decodeSink {
-	if pipe != nil {
-		return &decodeSink{pipe: pipe}
-	}
-	return &decodeSink{dec: rs.decoder()}
-}
-
-// beginSlot returns the empty collector for the unit in slot i.
-func (sk *decodeSink) beginSlot(i int) *decoder.BatchCollector {
-	if sk.pipe != nil {
-		sk.cur[i] = sk.pipe.get()
-		return sk.cur[i].col
-	}
-	if sk.cols[i] == nil {
-		sk.cols[i] = decoder.NewBatchCollector()
-	}
-	sk.cols[i].Reset()
-	return sk.cols[i]
-}
-
-// finishSlot completes the unit in slot i, whose collector holds every
-// detector layer and whose shots fill the low lanes set in active:
-// pipelined units are handed off, inline units decode immediately into acc.
-func (sk *decodeSink) finishSlot(i int, obs, active uint64, acc *Tally) {
-	lanes := bits.OnesCount64(active)
-	if sk.pipe != nil {
-		ut := sk.cur[i]
-		sk.cur[i] = nil
-		ut.obs, ut.active, ut.lanes = obs, active, lanes
-		sk.pipe.submit(ut)
-		return
-	}
-	t0 := time.Now()
-	pred := sk.dec.DecodeLanes(sk.cols[i], 0, lanes)
-	sk.decodeNS += time.Since(t0).Nanoseconds()
-	acc.LogicalErrors += bits.OnesCount64((pred ^ obs) & active)
 }
 
 // kindStabs precomputes, once per worker, the stabilizer-index to decoder
@@ -545,24 +352,26 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 	return ks
 }
 
-// runBatchWorker runs worker w's share of units [lo, hi). Workers stride
-// over 4-unit blocks, and every block runs on the 256-lane wide engine with
-// one independent per-unit RNG stream per 64-lane sub-word, so a block is
-// bit-identical to its units run one at a time. A partial block — fewer than
-// 4 units at a range edge, or a last unit cut by the shot cap — leaves the
-// missing units' sub-words absent (nil RNG) and counts only the active lanes
-// of a cut unit. Static and adaptive policies differ in three steps only:
+// runBatchWorker claims 4-unit blocks of [lo, hi) from next until the range
+// is done or ctx is cancelled. Every block runs on the 256-lane wide engine
+// with one independent per-unit RNG stream per 64-lane sub-word, so a block
+// is bit-identical to its units run one at a time. A partial block — fewer
+// than 4 units at a range edge, or a last unit cut by the shot cap — leaves
+// the missing units' sub-words absent (nil RNG) and counts only the active
+// lanes of a cut unit. Static and adaptive policies differ in three steps
+// only:
 //   - plan: one core.Policy serves every lane of a static schedule; the
 //     bit-sliced core.LanePolicies plans each lane of an adaptive one;
 //   - round: static plans run the builder's memoized unmasked op sequence,
 //     adaptive ones the per-round merge of the lane plans under lane masks;
 //   - observe: only the adaptive planner reads the round's outcome words.
 //
-// Decoding goes through the sink: inline on single-worker runs, pipelined to
-// the decode pool otherwise.
-func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, sink *decodeSink,
-	unitSeeds []uint64, lo, hi, shotsCap, w, stride int, acc *Tally, m *Metrics) {
+// After the final round the worker decodes the block's units itself, one
+// collector per sub-word, with its own decoder, into acc and m.
+func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, unitSeeds []uint64,
+	lo, hi, shotsCap int, next *atomic.Int64, acc *Tally, m *Metrics) {
 
+	dec := rs.decoder()
 	layout, rounds := rs.layout, rs.rounds
 	builder := circuit.NewBuilder(layout)
 	kstabs := kindStabs(layout, cfg.Basis)
@@ -578,8 +387,9 @@ func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, sink *decodeS
 	}
 	var cols [BlockUnits]*decoder.BatchCollector
 
-	for blk := lo/BlockUnits + w; blk*BlockUnits < hi; blk += stride {
-		if ctx.Err() != nil {
+	for {
+		blk := int(next.Add(1) - 1)
+		if blk*BlockUnits >= hi || ctx.Err() != nil {
 			return
 		}
 		u0 := time.Now()
@@ -596,7 +406,10 @@ func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, sink *decodeS
 			n += lanes
 			units++
 			rngs[j] = stats.NewRNG(unitSeeds[b-lo], uint64(b))
-			cols[j] = sink.beginSlot(j)
+			if cols[j] == nil {
+				cols[j] = decoder.NewBatchCollector()
+			}
+			cols[j].Reset()
 			acc.Covered.Add(b)
 		}
 		acc.Shots += n
@@ -672,12 +485,15 @@ func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, sink *decodeS
 				col.AddWideWords(fdet, batch.BlockWords, j, kstabs, rounds+1, active[j])
 			}
 		}
-		sink.simNS += time.Since(u0).Nanoseconds()
-		for j := range cols {
+		d0 := time.Now()
+		m.SimNS += d0.Sub(u0).Nanoseconds()
+		for j, col := range cols {
 			if active[j] != 0 {
-				sink.finishSlot(j, obs[j], active[j], acc)
+				pred := dec.DecodeLanes(col, 0, bits.OnesCount64(active[j]))
+				acc.LogicalErrors += bits.OnesCount64((pred ^ obs[j]) & active[j])
 			}
 		}
+		m.DecodeNS += time.Since(d0).Nanoseconds()
 		if n == batch.BlockLanes {
 			m.WideUnits += int64(units)
 		} else {

@@ -1,7 +1,9 @@
 package experiment
 
 import (
+	"context"
 	"math"
+	"reflect"
 	"testing"
 
 	"repro/internal/core"
@@ -72,18 +74,39 @@ func TestConfigStreamSeparatesNoiseFields(t *testing.T) {
 	record("tiny-p", func(n *noise.Params) { n.P = 1e-3 + 1e-15 })
 }
 
+// TestParallelWorkersMatchSerialCounts: a static run spanning four blocks
+// with a shot-capped last unit tallies identically at every worker count.
 func TestParallelWorkersMatchSerialCounts(t *testing.T) {
-	cfg := Config{Distance: 3, Cycles: 3, P: 1e-3, Shots: 120, Seed: 9,
-		Policy: core.PolicyAlways, Workers: 1}
-	serial := Run(cfg)
-	cfg.Workers = 4
-	parallel := Run(cfg)
-	// Integer accumulators are order-independent, so they must agree
-	// exactly; float series may differ in the last bits only.
-	if serial.LogicalErrors != parallel.LogicalErrors ||
-		serial.TruePos != parallel.TruePos || serial.FalsePos != parallel.FalsePos {
-		t.Fatalf("parallel run changed results: %d vs %d logical errors",
-			serial.LogicalErrors, parallel.LogicalErrors)
+	cfg := Config{Distance: 3, Cycles: 3, P: 1e-3, Shots: 1000, Seed: 9,
+		Policy: core.PolicyAlways}
+	requireWorkerInvariant(t, "always", cfg)
+}
+
+// requireWorkerInvariant runs cfg's shot-capped unit range, as Run does, at
+// Workers 1 through 4 and fails unless every run covers every unit and shot
+// and every tally equals the single-worker one field for field. cfg must
+// span at least four blocks and cut its last unit, so every worker count
+// above one can claim blocks and a partial block is among them.
+func requireWorkerInvariant(t *testing.T, name string, cfg Config) {
+	t.Helper()
+	units := cfg.NumUnits()
+	if units <= 3*BlockUnits || cfg.Shots%cfg.UnitShots() == 0 {
+		t.Fatalf("%s: %d shots must span at least 4 blocks and cut the last unit", name, cfg.Shots)
+	}
+	var want *Tally
+	for _, workers := range []int{1, 2, 3, 4} {
+		cfg.Workers = workers
+		got, _ := runUnitRange(context.Background(), cfg, 0, units, cfg.Shots)
+		if got.Shots != cfg.Shots || got.Covered.Count() != units {
+			t.Fatalf("%s workers=%d: tally covers %d shots in %d units, want %d in %d",
+				name, workers, got.Shots, got.Covered.Count(), cfg.Shots, units)
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(want, got) {
+			t.Fatalf("%s: workers=%d tally differs from workers=1:\n  1: %+v\n  %d: %+v",
+				name, workers, want, workers, got)
+		}
 	}
 }
 

@@ -71,23 +71,27 @@ func TestWideBitExactAllPolicies(t *testing.T) {
 
 // TestWidePartialBlockRange: a unit range that is not block-aligned at either
 // end runs its full interior blocks whole and its ragged edges as partial
-// blocks, and the combined tally still matches the merge of single-unit runs.
+// blocks, and the combined tally still matches the merge of single-unit runs
+// at every worker count.
 func TestWidePartialBlockRange(t *testing.T) {
 	cfg := Config{Distance: 3, Cycles: 3, P: 2e-3, Seed: 9,
-		Policy: core.PolicyEraser, Workers: 1}
-	// Units [2, 12): block 0 contributes ragged units 2-3, blocks 1-2 are
-	// full (units 4-11 wide).
-	wide, m, err := RunUnitsMeteredCtx(context.Background(), cfg, 2, 12)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.WideUnits != 8 || m.NarrowUnits != 2 {
-		t.Fatalf("partial range ran %d whole-block + %d partial-block units, want 8 + 2",
-			m.WideUnits, m.NarrowUnits)
-	}
+		Policy: core.PolicyEraser}
 	single := mergeSingleUnits(t, cfg, 2, 12)
-	if !reflect.DeepEqual(wide, single) {
-		t.Fatalf("partial-range tally differs from merged single units:\nrange  %+v\nsingle %+v",
-			wide, single)
+	for _, workers := range []int{1, 2, 3} {
+		cfg.Workers = workers
+		// Units [2, 12): block 0 contributes ragged units 2-3, blocks 1-2 are
+		// full (units 4-11 wide).
+		wide, m, err := RunUnitsMeteredCtx(context.Background(), cfg, 2, 12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m.WideUnits != 8 || m.NarrowUnits != 2 {
+			t.Fatalf("workers=%d: partial range ran %d whole-block + %d partial-block units, want 8 + 2",
+				workers, m.WideUnits, m.NarrowUnits)
+		}
+		if !reflect.DeepEqual(wide, single) {
+			t.Fatalf("workers=%d: partial-range tally differs from merged single units:\nrange  %+v\nsingle %+v",
+				workers, wide, single)
+		}
 	}
 }

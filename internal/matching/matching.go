@@ -28,21 +28,13 @@ import (
 // Boundary is the Mate value of an event matched to the lattice boundary.
 const Boundary = -1
 
-// DefaultMaxExact is the default cap on event counts solved exactly. The
-// exact matcher's cost grows exponentially with N, so this bound is the knee
-// of the decode-latency tail: clusters up to this size decode in a few
-// microseconds, and the larger ones (long time-chains seeded by a leaked,
-// never-reset parity qubit) fall back to greedy-plus-2-opt.
-const DefaultMaxExact = 12
-
-// MaxExact seeds the exact-solve cap for instances that do not set their own
-// (Instance.MaxExact == 0).
-//
-// Deprecated: mutating this package-level knob is a data race once decoders
-// run concurrently across workers. Set Instance.MaxExact instead; this
-// variable remains only as the default for zero-valued instances, which are
-// what package decoder builds.
-var MaxExact = DefaultMaxExact
+// MaxExact is the cap on event counts solved exactly for instances that do
+// not set their own (Instance.MaxExact == 0). The exact matcher's cost grows
+// exponentially with N, so this bound is the knee of the decode-latency
+// tail: clusters up to this size decode in a few microseconds, and the
+// larger ones (long time-chains seeded by a leaked, never-reset parity
+// qubit) fall back to greedy-plus-2-opt.
+const MaxExact = 12
 
 // Instance describes a matching problem over N detection events.
 //
@@ -60,7 +52,7 @@ type Instance struct {
 	// Boundary[i] is the cost of matching event i to the boundary.
 	Boundary []float64
 	// MaxExact caps the event count solved exactly by Solve; 0 falls back to
-	// the package-level MaxExact default.
+	// the package constant MaxExact.
 	MaxExact int
 }
 

@@ -18,7 +18,7 @@ type refInstance struct {
 	// BoundaryWeight returns the cost of matching event i to the boundary.
 	BoundaryWeight func(i int) float64
 	// MaxExact caps the event count solved exactly by Solve; 0 falls back to
-	// the package-level MaxExact default.
+	// the package constant MaxExact.
 	MaxExact int
 }
 

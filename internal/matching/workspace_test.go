@@ -46,11 +46,11 @@ func TestWorkspaceSteadyStateAllocs(t *testing.T) {
 }
 
 // TestInstanceMaxExact: the per-instance threshold picks the algorithm — at
-// or below it Solve is provably optimal; zero falls back to the deprecated
-// package variable; above it the result is still a valid matching.
+// or below it Solve is provably optimal; zero falls back to the package
+// constant; above it the result is still a valid matching.
 func TestInstanceMaxExact(t *testing.T) {
-	if DefaultMaxExact != 12 {
-		t.Fatalf("DefaultMaxExact = %d, want 12", DefaultMaxExact)
+	if MaxExact != 12 {
+		t.Fatalf("MaxExact = %d, want 12", MaxExact)
 	}
 	rng := rand.New(rand.NewPCG(21, 4))
 	inst := randomInstance(rng, 8)

@@ -109,7 +109,9 @@ func (e *OverloadError) Error() string {
 	return fmt.Sprintf("service: overloaded (%d jobs pending), retry in %v", e.Pending, e.RetryAfter)
 }
 
-// Options configures a Scheduler beyond the worker-pool width.
+// Options configures a Scheduler's worker pool, admission, job retention
+// and logging. The metrics registry is not an option: every scheduler builds
+// its own, and Scheduler.Registry shares it with subsystems layered on top.
 type Options struct {
 	// Workers is the worker-pool width (0 = GOMAXPROCS).
 	Workers int
@@ -124,10 +126,6 @@ type Options struct {
 	// client holding a fresh job ID cannot lose it to a burst of completions
 	// between submit and poll. 0 = DefaultRetainAge.
 	RetainAge time.Duration
-	// Registry receives the scheduler's metric inventory (store, scheduler,
-	// stage-latency, chaos series). nil = a fresh registry, retrievable via
-	// Scheduler.Registry(); pass one to share a registry across subsystems.
-	Registry *metrics.Registry
 	// Logger receives the scheduler's structured log stream. Every record
 	// carries the same identifiers the span traces and metric labels use
 	// (job, key, unit_lo/unit_hi, outcome), so one grep on a job ID lines the
@@ -247,9 +245,6 @@ func NewWithOptions(st *store.Store, opts Options) *Scheduler {
 	if opts.RetainAge <= 0 {
 		opts.RetainAge = DefaultRetainAge
 	}
-	if opts.Registry == nil {
-		opts.Registry = metrics.NewRegistry()
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
@@ -266,13 +261,15 @@ func NewWithOptions(st *store.Store, opts Options) *Scheduler {
 		log:        opts.Logger,
 		start:      time.Now(),
 	}
-	s.ins = newInstruments(opts.Registry, s)
+	s.ins = newInstruments(metrics.NewRegistry(), s)
 	return s
 }
 
-// Registry returns the metrics registry carrying the scheduler's inventory
-// (plus the store, chaos and — once NewHandler wraps it — HTTP series).
-func (s *Scheduler) Registry() *metrics.Registry { return s.opts.Registry }
+// Registry returns the scheduler's own metrics registry, which carries its
+// inventory (store, scheduler, stage-latency and chaos series, plus the HTTP
+// series once NewHandler wraps it). Subsystems layered on the scheduler,
+// such as the campaign manager, register their series here too.
+func (s *Scheduler) Registry() *metrics.Registry { return s.ins.reg }
 
 // Logger returns the scheduler's structured logger (a discard logger unless
 // Options.Logger was set). Subsystems layered on the scheduler log through
