@@ -806,12 +806,13 @@ func BenchmarkRunUnitsWorkers(b *testing.B) {
 //     which would mean batched decoding regressed toward the allocating
 //     per-shot cost model it retired.
 //   - "decode-steady" times the batched decode of one pre-filled 64-lane
-//     collector on warmed arenas. It must report 0 allocs/op — CI greps the
-//     -benchmem output, so the warm-up happens before ResetTimer to keep the
-//     figure exact even at -benchtime 2x. The "decode-steady/mwpm" unit is
-//     sparse (d=5, ~3 events per lane); "decode-steady/mwpm-dense" decodes
-//     one simulated d=7 Always unit at p=1e-3 (denseUnitD7), whose leak
-//     chains reach greedy matching and full-size exact DP tables.
+//     collector on the decoder table's warmed scratch. It must report 0
+//     allocs/op — CI greps the -benchmem output, so the warm-up happens
+//     before ResetTimer to keep the figure exact even at -benchtime 2x. The
+//     "decode-steady/mwpm" unit is sparse (d=5, ~3 events per lane);
+//     "decode-steady/mwpm-dense" decodes one simulated d=7 Always unit at
+//     p=1e-3 (denseUnitD7), whose leak chains reach greedy matching and
+//     full-size exact DP tables.
 func BenchmarkDecodeVsSim(b *testing.B) {
 	b.Run("stages", func(b *testing.B) {
 		cfg := experiment.Config{Distance: 5, Cycles: 4, P: 1e-3, Shots: 1024,
@@ -853,7 +854,7 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 				}
 			}
 		}
-		for i := 0; i < 3; i++ { // grow arenas to steady state
+		for i := 0; i < 3; i++ { // grow the table's scratch to steady state
 			dec.DecodeLanes(col, 0, decoder.BatchLanes)
 		}
 		b.ReportAllocs()
@@ -868,7 +869,7 @@ func BenchmarkDecodeVsSim(b *testing.B) {
 	b.Run("decode-steady/mwpm-dense", func(b *testing.B) {
 		l, col := denseUnitD7()
 		dec := decoder.New(l, decoder.Config{})
-		for i := 0; i < 3; i++ { // grow arenas to steady state
+		for i := 0; i < 3; i++ { // grow the table's scratch to steady state
 			dec.DecodeLanes(col, 0, decoder.BatchLanes)
 		}
 		b.ReportAllocs()

@@ -19,20 +19,32 @@ type StabMap struct {
 }
 
 // BatchCollector fans the batch simulator's per-stabilizer detection-event
-// words out into the per-lane event lists the decoder consumes. It owns one
-// reusable event buffer per lane, so the steady-state experiment loop
-// performs no per-shot allocations while gathering events.
+// words out into the per-lane event lists the decoder consumes, one
+// collector per 64-lane unit. It holds one event buffer per lane, which
+// Reset truncates without shrinking. Borrow collectors with
+// (*Decoder).Collector and hand them back with Release: the decoder's table
+// keeps them, grown buffers and all, so the next run gathers events
+// without allocating, as the steady-state experiment loop does within a
+// run. A collector is used by one goroutine at a time.
 type BatchCollector struct {
 	lanes [BatchLanes][]Event
 }
 
-// NewBatchCollector returns a collector with empty per-lane buffers.
+// NewBatchCollector returns a collector with small per-lane buffers that no
+// table keeps. Only tests and the benchmark's replica of the runner's block
+// loop (bench/eraserbench) call it; it can leave the API with that replica.
 func NewBatchCollector() *BatchCollector {
 	c := &BatchCollector{}
+	c.init()
+	return c
+}
+
+// init gives every lane a small empty buffer, so a new collector's first
+// unit does not grow its 64 lane buffers up from nothing.
+func (c *BatchCollector) init() {
 	for i := range c.lanes {
 		c.lanes[i] = make([]Event, 0, 16)
 	}
-	return c
 }
 
 // Reset truncates every lane's event list for a new batch.

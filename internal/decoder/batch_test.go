@@ -1,6 +1,8 @@
 package decoder
 
 import (
+	"fmt"
+	"sync"
 	"testing"
 
 	"repro/internal/stats"
@@ -129,10 +131,19 @@ func randomBatch(rng *stats.RNG, nz, rounds int, density float64) (*BatchCollect
 	return c, serial
 }
 
+// privateDecoder returns a memory-Z decoder on its own table and free
+// lists, which no other decoder shares, so its scratch starts empty.
+func privateDecoder(l *surfacecode.Layout, cfg Config) *Decoder {
+	tab := buildSpaceTable(l, cfg, surfacecode.KindZ)
+	tab.free = new(freeLists)
+	return &Decoder{tab: tab}
+}
+
 // TestDecodeBatchMatchesSerial: DecodeLanes over all lanes of a shared
 // collector must equal, bit for bit, the serial Decode of each lane's event
-// list — on the same (arena-reusing) instance and on a fresh one. Also
-// checks DecodeLanes masks bits outside its range.
+// list — on the same handle, whose table's scratch every call reuses, and
+// on a handle with private free lists whose scratch starts empty each trial.
+// Also checks DecodeLanes masks bits outside its range.
 func TestDecodeBatchMatchesSerial(t *testing.T) {
 	t.Run("mwpm", func(t *testing.T) {
 		l := surfacecode.MustNew(5)
@@ -142,7 +153,7 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 		for trial := 0; trial < 8; trial++ {
 			c, serial := randomBatch(rng, l.NumZ(), rounds, 0.04)
 			var want uint64
-			ref := New(l, Config{}) // fresh instance: no arena state carried over
+			ref := privateDecoder(l, Config{}) // no scratch carried over
 			for lane := 0; lane < BatchLanes; lane++ {
 				want |= uint64(ref.Decode(serial[lane])) << uint(lane)
 			}
@@ -150,8 +161,8 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 				t.Fatalf("trial %d: DecodeLanes = %#x, want %#x (xor %#x)",
 					trial, got, want, got^want)
 			}
-			// Interleave serial decodes on the same instance, then batch
-			// again: arena reuse must not leak state between modes.
+			// Interleave serial decodes on the same handle, then batch
+			// again: scratch reuse must not leak state between modes.
 			for lane := 0; lane < 4; lane++ {
 				if got := dec.Decode(serial[lane]); got != uint8(want>>uint(lane))&1 {
 					t.Fatalf("trial %d: serial re-decode lane %d diverged", trial, lane)
@@ -171,12 +182,14 @@ func TestDecodeBatchMatchesSerial(t *testing.T) {
 }
 
 // TestDecodeSteadyStateAllocs: after warm-up, the decoder decodes a full
-// 64-lane batch with zero heap allocations.
+// 64-lane batch with zero heap allocations, and so does the first call of a
+// fresh handle on the warmed table: the scratch belongs to the table, not
+// to the handle that grew it.
 func TestDecodeSteadyStateAllocs(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	const rounds = 6
+	c, _ := randomBatch(stats.NewRNG(5, 3), l.NumZ(), rounds, 0.04)
 	t.Run("mwpm", func(t *testing.T) {
-		l := surfacecode.MustNew(5)
-		const rounds = 6
-		c, _ := randomBatch(stats.NewRNG(5, 3), l.NumZ(), rounds, 0.04)
 		dec := New(l, Config{})
 		for i := 0; i < 3; i++ { // grow arenas to steady state
 			dec.DecodeLanes(c, 0, BatchLanes)
@@ -186,4 +199,129 @@ func TestDecodeSteadyStateAllocs(t *testing.T) {
 			t.Fatalf("steady-state DecodeLanes allocates %v per batch, want 0", allocs)
 		}
 	})
+	t.Run("fresh-handle", func(t *testing.T) {
+		New(l, Config{}).DecodeLanes(c, 0, BatchLanes) // one handle warms the table
+		const runs = 20
+		fresh := make([]*Decoder, runs+1) // AllocsPerRun calls once more to warm up
+		for i := range fresh {
+			fresh[i] = New(l, Config{})
+		}
+		next := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			fresh[next].DecodeLanes(c, 0, BatchLanes)
+			next++
+		})
+		if allocs != 0 {
+			t.Fatalf("a fresh handle's first DecodeLanes allocates %v per batch, want 0", allocs)
+		}
+	})
+}
+
+// TestCollectorReuse: a new collector starts with NewBatchCollector's lane
+// buffers, and a released one comes back from the next Collector call
+// empty, with the buffers it grew.
+func TestCollectorReuse(t *testing.T) {
+	dec := privateDecoder(surfacecode.MustNew(5), Config{})
+	c := dec.Collector()
+	for lane := range c.lanes {
+		if len(c.lanes[lane]) != 0 || cap(c.lanes[lane]) != cap(NewBatchCollector().lanes[lane]) {
+			t.Fatalf("new collector lane %d: len %d cap %d", lane, len(c.lanes[lane]), cap(c.lanes[lane]))
+		}
+	}
+	for r := 0; r < 40; r++ {
+		c.Add(^uint64(0), r%12, r)
+	}
+	grown := cap(c.lanes[0])
+	dec.Release(c)
+	if got := dec.Collector(); got != c || len(got.lanes[0]) != 0 || cap(got.lanes[0]) != grown {
+		t.Fatalf("reused collector: same %v, len %d, cap %d (want 0, %d)", got == c, len(got.lanes[0]), cap(got.lanes[0]), grown)
+	}
+}
+
+// TestFreeListsSharedPerLayout: tables that differ only in weights share
+// one set of free lists, so a sweep over many device profiles keeps one set
+// of arenas; another distance or kind has its own.
+func TestFreeListsSharedPerLayout(t *testing.T) {
+	l5, l7 := surfacecode.MustNew(5), surfacecode.MustNew(7)
+	free := New(l5, Config{}).tab.free
+	for _, pr := range flipPriors {
+		if New(l5, pr.cfg(t, l5)).tab.free != free {
+			t.Errorf("d=5 %s priors: free lists not shared with the unit-weight table", pr.name)
+		}
+	}
+	if New(l7, Config{}).tab.free == free || NewForKind(l5, Config{}, surfacecode.KindX).tab.free == free {
+		t.Error("d=7 or memory-X tables share the d=5 memory-Z free lists")
+	}
+}
+
+// TestDecoderConcurrentUse: one Decoder shared by four goroutines, each
+// decoding its own share of TestGoldenFlips' event sets through its own
+// Collector, predicts exactly the flips of serial decoding. Each goroutine
+// decodes a collector in 16-lane calls, so the table's free lists see many
+// interleaved pops and pushes. Afterwards the free lists keep at most one
+// scratch arena and one collector per goroutine. The sets are the first
+// half of each seed-1 case, which keeps ten runs under -race short.
+func TestDecoderConcurrentUse(t *testing.T) {
+	const workers, calls = 4, 4
+	for _, dist := range []int{5, 7} {
+		l := surfacecode.MustNew(dist)
+		rounds := dist * dist
+		for _, pr := range flipPriors {
+			cfg := pr.cfg(t, l)
+			rng := stats.NewRNG(1, uint64(dist))
+			sets := make([][]Event, flipSets/2)
+			for k := range sets {
+				sets[k] = denseEvents(rng, l.NumZ(), rounds)
+			}
+			want := make([]uint8, len(sets))
+			ref := New(l, cfg)
+			for k, ev := range sets {
+				want[k] = ref.Decode(ev)
+			}
+
+			// The shared handle gets private free lists, so they start empty
+			// and the bound below counts only this test's goroutines.
+			dec := privateDecoder(l, cfg)
+			name := fmt.Sprintf("d%d-%s", dist, pr.name)
+			var wg sync.WaitGroup
+			errs := make([]error, workers)
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c := dec.Collector()
+					defer dec.Release(c)
+					// Worker w takes every workers-th batch of 64 sets.
+					for lo := w * BatchLanes; lo < len(sets); lo += workers * BatchLanes {
+						hi := min(lo+BatchLanes, len(sets))
+						c.Reset()
+						for lane, ev := range sets[lo:hi] {
+							for _, e := range ev {
+								c.Add(1<<uint(lane), e.Z, e.Round)
+							}
+						}
+						var got uint64
+						for q := 0; q < calls; q++ {
+							got |= dec.DecodeLanes(c, q*BatchLanes/calls, min((q+1)*BatchLanes/calls, hi-lo))
+						}
+						for k := lo; k < hi; k++ {
+							if uint8(got>>uint(k-lo))&1 != want[k] {
+								errs[w] = fmt.Errorf("%s: set %d predicted %d concurrently, %d serially", name, k, got>>uint(k-lo)&1, want[k])
+								return
+							}
+						}
+					}
+				}()
+			}
+			wg.Wait()
+			for _, err := range errs {
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			if n, m := len(dec.tab.free.scratch.items), len(dec.tab.free.cols.items); n > workers || m > workers {
+				t.Fatalf("%s: free lists keep %d scratch arenas and %d collectors after %d concurrent users", name, n, m, workers)
+			}
+		}
+	}
 }

@@ -4,10 +4,12 @@
 // shortest-path distances on the Z-stabilizer space graph — whose edges are
 // the data qubits, with the top and bottom lattice boundaries merged into a
 // single virtual node — together with the parity of logical-observable
-// crossings along each shortest path. The tables are immutable and shared
-// through a content-keyed cache, so spinning up a decoder per worker is an
-// O(lookup) operation. Decoding a shot then reduces to a matching problem
-// over the detection events with separable space+time distances, solved
+// crossings along each shortest path. The precompute is immutable and
+// shared through a content-keyed cache, and each table also keeps the
+// scratch its decode calls borrow, so a decoder is an O(lookup) handle that
+// any number of goroutines may share. Decoding a shot then reduces to a
+// matching problem over the detection events with separable space+time
+// distances, solved
 // exactly for small event sets and by refined greedy matching for large ones
 // (see package matching).
 package decoder
@@ -81,12 +83,16 @@ type Event struct {
 	Round int
 }
 
-// spaceTable is the immutable precompute of one (layout, kind, weights)
-// combination: all-pairs shortest space-graph distances, logical-crossing
-// parities, and per-ordinal time-edge weights. Tables are shared between
-// decoder instances via a content-keyed cache, so they must never be
-// mutated after construction.
+// spaceTable is the precompute of one (layout, kind, weights) combination:
+// all-pairs shortest space-graph distances, logical-crossing parities, and
+// per-ordinal time-edge weights. Tables are shared between decoder handles
+// via a content-keyed cache, so the precompute must never be mutated after
+// construction. The table also leads to the working memory of its decodes:
+// released scratch and unit collectors wait on its free lists for the next
+// call, whichever handle makes it.
 type spaceTable struct {
+	// nz is the number of kind ordinals; ordinal nz is the boundary node.
+	nz int
 	// dist[a*stride+b] is the shortest space-graph distance between Z
 	// ordinals a and b (stride = nz+1); ordinal nz is the boundary node.
 	// Row a is Dijkstra from a, so with non-uniform weights dist[a][b] and
@@ -104,6 +110,66 @@ type spaceTable struct {
 	// its time cost, which Decode's cluster pass uses to end its scans.
 	twMin   float64
 	scanCut bool
+
+	// free holds released scratch arenas and unit collectors. Their sizes
+	// follow event counts, not weights, so every table of one (distance,
+	// kind) shares one set: a sweep over many device profiles, each with
+	// its own table, keeps one set of arenas rather than one per profile.
+	free *freeLists
+}
+
+// freeLists are the released scratch arenas and unit collectors of one
+// (distance, kind).
+type freeLists struct {
+	scratch freeList[scratch]
+	cols    freeList[BatchCollector]
+}
+
+var layoutFree sync.Map // [2]int{distance, kind} -> *freeLists
+
+// freeList is a mutex-guarded stack of released values. It never shrinks,
+// so it holds at most as many values as were ever in use at once.
+type freeList[T any] struct {
+	mu    sync.Mutex
+	items []*T
+}
+
+// get pops the most recently released value, or returns a new zero value
+// when none is free.
+func (f *freeList[T]) get() *T {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	n := len(f.items)
+	if n == 0 {
+		return new(T)
+	}
+	x := f.items[n-1]
+	f.items[n-1] = nil
+	f.items = f.items[:n-1]
+	return x
+}
+
+// put releases x for the next get.
+func (f *freeList[T]) put(x *T) {
+	f.mu.Lock()
+	f.items = append(f.items, x)
+	f.mu.Unlock()
+}
+
+// scratch is one decode call's working memory: the cluster buffers and the
+// matching workspace, grown to the high-water event and cluster counts of
+// the shots decoded with it and reused.
+type scratch struct {
+	bw     []float64
+	parent []int32
+	root   []int32
+	done   []bool
+	sub    []int32
+	// pair and bound are the current cluster's matching.Instance tables,
+	// grown to the high-water cluster size.
+	pair  []float64
+	bound []float64
+	ws    matching.Workspace
 }
 
 var spaceTables sync.Map // string key -> *spaceTable
@@ -147,29 +213,16 @@ func sharedSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) 
 // layout: Z detectors for memory-Z experiments (the default), X detectors
 // for memory-X.
 //
-// A Decoder owns reusable scratch arenas (cluster buffers and a matching
-// workspace), so steady-state decoding performs no allocations — and,
-// consequently, a Decoder must NOT be shared by concurrent goroutines. The
-// heavy precompute lives in a shared immutable table, so constructing one
-// decoder per worker is cheap (O(cache lookup) after the first).
+// A Decoder is an immutable handle on its shared table and is safe for
+// concurrent use. Each Decode or DecodeLanes call takes one scratch arena
+// (cluster buffers and a matching workspace) from the table's free list and
+// returns it when done, so steady-state decoding performs no allocations,
+// and a fresh handle on a table decodes as warm as an old one. The free
+// lists, shared by the tables of one distance and kind, keep as many arenas
+// as decode calls ever ran on them at once, and as many unit collectors as
+// were ever borrowed at once.
 type Decoder struct {
-	layout *surfacecode.Layout
-	kind   surfacecode.Kind
-	nz     int
-	tab    *spaceTable
-
-	// Scratch arenas, grown to the high-water event count and reused.
-	events []Event // the events of the shot being decoded (aliases caller's)
-	bw     []float64
-	parent []int32
-	root   []int32
-	done   []bool
-	sub    []int32
-	// pair and bound are the current cluster's matching.Instance tables,
-	// grown to the high-water cluster size.
-	pair  []float64
-	bound []float64
-	ws    matching.Workspace
+	tab *spaceTable
 }
 
 // New builds the memory-Z decoder for a layout.
@@ -181,7 +234,25 @@ func New(l *surfacecode.Layout, cfg Config) *Decoder {
 // kind (KindZ decodes X-type errors against the logical Z, KindX decodes
 // Z-type errors against the logical X).
 func NewForKind(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *Decoder {
-	return &Decoder{layout: l, kind: kind, nz: l.NumKind(kind), tab: sharedSpaceTable(l, cfg, kind)}
+	return &Decoder{tab: sharedSpaceTable(l, cfg, kind)}
+}
+
+// Collector returns an empty unit collector, reusing one a caller released
+// on this decoder's table when there is one. A new one gets the small lane
+// buffers NewBatchCollector gives.
+func (d *Decoder) Collector() *BatchCollector {
+	c := d.tab.free.cols.get()
+	if c.lanes[0] == nil { // new: Release keeps the buffers it was given
+		c.init()
+	}
+	return c
+}
+
+// Release empties c and keeps it, with its grown lane buffers, for the next
+// Collector call on the same table. The caller must not use c afterwards.
+func (d *Decoder) Release(c *BatchCollector) {
+	c.Reset()
+	d.tab.free.cols.put(c)
 }
 
 type spaceEdge struct {
@@ -192,7 +263,8 @@ type spaceEdge struct {
 
 func buildSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *spaceTable {
 	nz := l.NumKind(kind)
-	t := &spaceTable{tw: make([]float64, nz)}
+	free, _ := layoutFree.LoadOrStore([2]int{l.Distance, int(kind)}, new(freeLists))
+	t := &spaceTable{nz: nz, tw: make([]float64, nz), free: free.(*freeLists)}
 	for i := range t.tw {
 		t.tw[i] = 1
 	}
@@ -285,17 +357,10 @@ func dijkstra(adj [][]spaceEdge, src int) ([]float64, []uint8) {
 }
 
 // SpaceDistance exposes the precomputed Z-ordinal space distance (tests).
-func (d *Decoder) SpaceDistance(a, b int) float64 { return d.tab.dist[a*(d.nz+1)+b] }
+func (d *Decoder) SpaceDistance(a, b int) float64 { return d.tab.dist[a*(d.tab.nz+1)+b] }
 
 // BoundaryDistance exposes the distance from Z ordinal a to the boundary.
-func (d *Decoder) BoundaryDistance(a int) float64 { return d.tab.dist[a*(d.nz+1)+d.nz] }
-
-// pairWeight is the space+time cost of matching events i and j of the
-// current shot.
-func (d *Decoder) pairWeight(i, j int) float64 {
-	a, b := d.events[i], d.events[j]
-	return d.tab.dist[a.Z*(d.nz+1)+b.Z] + timeCost(d.tab.tw, a, b)
-}
+func (d *Decoder) BoundaryDistance(a int) float64 { return d.tab.dist[a*(d.tab.nz+1)+d.tab.nz] }
 
 // timeCost is the time part of the cost of matching events a and b: the
 // per-ordinal time weights, averaged over the pair, per round of
@@ -322,41 +387,45 @@ func timeCost(tw []float64, a, b Event) float64 {
 // handful of events each and the exponential exact matcher runs on tiny
 // instances instead of the whole shot — this is what keeps decoding off the
 // critical path of the word-parallel batch simulator.
-//
-// Decode reuses the decoder's scratch arenas and is therefore NOT safe for
-// concurrent calls on one instance; give each goroutine its own Decoder.
 func (d *Decoder) Decode(events []Event) uint8 {
+	s := d.tab.free.scratch.get()
+	flip := s.decode(d.tab, events)
+	d.tab.free.scratch.put(s)
+	return flip
+}
+
+// decode is Decode on table t with s as its working memory.
+func (s *scratch) decode(t *spaceTable, events []Event) uint8 {
 	n := len(events)
 	if n == 0 {
 		return 0
 	}
-	d.events = events
-	stride, bnd := d.nz+1, d.nz
-	dist, cross, tw := d.tab.dist, d.tab.cross, d.tab.tw
+	stride, bnd := t.nz+1, t.nz
+	dist, cross, tw := t.dist, t.cross, t.tw
 	// Allocation-free fast paths for the one- and two-event shots that
 	// dominate at low physical error rates.
 	if n == 1 {
 		return cross[events[0].Z*stride+bnd]
 	}
 	if n == 2 {
-		z0, z1 := events[0].Z, events[1].Z
-		if d.pairWeight(0, 1) < dist[z0*stride+bnd]+dist[z1*stride+bnd] {
-			return cross[z0*stride+z1]
+		e0, e1 := events[0], events[1]
+		if dist[e0.Z*stride+e1.Z]+timeCost(tw, e0, e1) < dist[e0.Z*stride+bnd]+dist[e1.Z*stride+bnd] {
+			return cross[e0.Z*stride+e1.Z]
 		}
-		return cross[z0*stride+bnd] ^ cross[z1*stride+bnd]
+		return cross[e0.Z*stride+bnd] ^ cross[e1.Z*stride+bnd]
 	}
-	d.grow(n)
-	bw := d.bw[:n]
+	s.grow(n)
+	bw := s.bw[:n]
 	bwMax, sorted := math.Inf(-1), true
 	for i, e := range events {
 		bw[i] = dist[e.Z*stride+bnd]
 		bwMax = max(bwMax, bw[i])
 		sorted = sorted && (i == 0 || e.Round >= events[i-1].Round)
 	}
-	scanCut := sorted && d.tab.scanCut
+	scanCut := sorted && t.scanCut
 
 	// Union-find over the edges that can participate in an optimal matching.
-	parent := d.parent[:n]
+	parent := s.parent[:n]
 	for i := range parent {
 		parent[i] = int32(i)
 	}
@@ -375,7 +444,7 @@ func (d *Decoder) Decode(events []Event) uint8 {
 		// exact, so the clusters are those of the full scan.
 		endRound := math.MaxInt
 		if scanCut {
-			endRound = a.Round + cutRounds((tw[a.Z]+d.tab.twMin)/2, bw[i]+bwMax)
+			endRound = a.Round + cutRounds((tw[a.Z]+t.twMin)/2, bw[i]+bwMax)
 		}
 		for j := i + 1; j < n; j++ {
 			b := events[j]
@@ -389,8 +458,8 @@ func (d *Decoder) Decode(events []Event) uint8 {
 			}
 		}
 	}
-	root := d.root[:n]
-	done := d.done[:n]
+	root := s.root[:n]
+	done := s.done[:n]
 	for i := range root {
 		root[i] = find(int32(i))
 		done[i] = false
@@ -405,7 +474,7 @@ func (d *Decoder) Decode(events []Event) uint8 {
 		if done[i] {
 			continue
 		}
-		sub := d.sub[:0]
+		sub := s.sub[:0]
 		r := root[i]
 		for j := i; j < n; j++ {
 			if root[j] == r {
@@ -413,13 +482,13 @@ func (d *Decoder) Decode(events []Event) uint8 {
 				done[j] = true
 			}
 		}
-		d.sub = sub
+		s.sub = sub
 		if len(sub) == 1 {
 			// A lone event always boundary-matches.
 			flip ^= cross[events[sub[0]].Z*stride+bnd]
 			continue
 		}
-		res := d.ws.Solve(d.instance(sub))
+		res := s.ws.Solve(s.instance(t, events, sub))
 		for i, j := range res.Mate {
 			za := events[sub[i]].Z
 			switch {
@@ -450,63 +519,65 @@ func cutRounds(h, lim float64) int {
 	return k
 }
 
-// instance fills the matching tables of the cluster sub (event indices of
-// the current shot) and returns them as an instance.
+// instance fills the matching tables of the cluster sub (indices into
+// events, the current shot) and returns them as an instance.
 //
-// Every entry holds pairWeight(sub[a], sub[b]) for its own ordered pair,
-// not a mirrored copy of the upper triangle. Under device-profile priors
-// the Dijkstra table is not exactly symmetric: at d=7 a drift profile's
-// dist[a][b] and dist[b][a] differ in the last bit in 64-130 of the 625
-// entries (20 seeds checked). The 2-opt pass reads both orientations,
-// so a mirrored table would move its tie decisions, and with them
-// predicted flips. The time cost is symmetric bit for bit and is computed
-// once per pair.
-func (d *Decoder) instance(sub []int32) matching.Instance {
+// Every entry holds the space+time cost of its own ordered pair (the
+// Dijkstra row of its first event), not a mirrored copy of the upper
+// triangle. Under device-profile priors the Dijkstra table is not exactly
+// symmetric: at d=7 a drift profile's dist[a][b] and dist[b][a] differ in
+// the last bit in 64-130 of the 625 entries (20 seeds checked). The 2-opt
+// pass reads both orientations, so a mirrored table would move its tie
+// decisions, and with them predicted flips. The time cost is symmetric bit
+// for bit and is computed once per pair.
+func (s *scratch) instance(t *spaceTable, events []Event, sub []int32) matching.Instance {
 	m := len(sub)
-	if cap(d.bound) < m {
-		d.bound = make([]float64, m)
+	if cap(s.bound) < m {
+		s.bound = make([]float64, m)
 	}
-	if cap(d.pair) < m*m {
-		d.pair = make([]float64, m*m)
+	if cap(s.pair) < m*m {
+		s.pair = make([]float64, m*m)
 	}
-	pair, bound := d.pair[:m*m], d.bound[:m]
-	stride, dist, tw := d.nz+1, d.tab.dist, d.tab.tw
+	pair, bound := s.pair[:m*m], s.bound[:m]
+	stride, dist, tw := t.nz+1, t.dist, t.tw
 	for a, ia := range sub {
-		ea := d.events[ia]
-		bound[a] = d.bw[ia]
+		ea := events[ia]
+		bound[a] = s.bw[ia]
 		for b := a + 1; b < m; b++ {
-			eb := d.events[sub[b]]
-			t := timeCost(tw, ea, eb)
-			pair[a*m+b] = dist[ea.Z*stride+eb.Z] + t
-			pair[b*m+a] = dist[eb.Z*stride+ea.Z] + t
+			eb := events[sub[b]]
+			tc := timeCost(tw, ea, eb)
+			pair[a*m+b] = dist[ea.Z*stride+eb.Z] + tc
+			pair[b*m+a] = dist[eb.Z*stride+ea.Z] + tc
 		}
 	}
 	return matching.Instance{N: m, Pair: pair, Boundary: bound}
 }
 
 // grow sizes the scratch arenas for an n-event shot.
-func (d *Decoder) grow(n int) {
-	if cap(d.bw) < n {
-		d.bw = make([]float64, n)
-		d.parent = make([]int32, n)
-		d.root = make([]int32, n)
-		d.done = make([]bool, n)
-		d.sub = make([]int32, 0, n)
+func (s *scratch) grow(n int) {
+	if cap(s.bw) < n {
+		s.bw = make([]float64, n)
+		s.parent = make([]int32, n)
+		s.root = make([]int32, n)
+		s.done = make([]bool, n)
+		s.sub = make([]int32, 0, n)
 	}
 }
 
 // DecodeLanes decodes lanes [lo, hi) of the collector, lane i's predicted
 // flip in bit i and bits outside the range 0 — the layout of the batch
 // simulator's observable words, so batched prediction and ground truth
-// compare with one XOR. Disjoint lane ranges of one collector may be
-// decoded concurrently — by different Decoder instances; a single
-// instance's arenas are single-threaded.
+// compare with one XOR. The call takes one scratch arena from the table
+// for all its lanes. Concurrent calls may decode disjoint lane ranges of
+// one collector, or different collectors, through one Decoder.
 func (d *Decoder) DecodeLanes(c *BatchCollector, lo, hi int) uint64 {
+	s := d.tab.free.scratch.get()
 	var out uint64
 	for lane := lo; lane < hi; lane++ {
-		if d.Decode(c.lanes[lane]) != 0 {
+		if s.decode(d.tab, c.lanes[lane]) != 0 {
 			out |= 1 << uint(lane)
 		}
 	}
+	d.tab.free.scratch.put(s)
 	return out
 }

@@ -124,9 +124,9 @@ func denseEvents(rng *stats.RNG, nz, rounds int) []Event {
 
 // clusterSizes returns the sizes of the clusters Decode matches separately:
 // the components of the pairs lighter than boundary-matching both events.
+// It reads the decoder's table directly and leaves its scratch alone.
 func clusterSizes(d *Decoder, events []Event) []int {
 	n := len(events)
-	d.events = events
 	comp := make([]int, n)
 	for i := range comp {
 		comp[i] = i
@@ -140,8 +140,9 @@ func clusterSizes(d *Decoder, events []Event) []int {
 	}
 	for i := 0; i < n; i++ {
 		for j := i + 1; j < n; j++ {
-			bi, bj := d.BoundaryDistance(events[i].Z), d.BoundaryDistance(events[j].Z)
-			if d.pairWeight(i, j) < bi+bj {
+			a, b := events[i], events[j]
+			w := d.SpaceDistance(a.Z, b.Z) + timeCost(d.tab.tw, a, b)
+			if w < d.BoundaryDistance(a.Z)+d.BoundaryDistance(b.Z) {
 				comp[find(i)] = find(j)
 			}
 		}

@@ -269,10 +269,10 @@ func newRunSetup(cfg Config) *runSetup {
 	return e
 }
 
-// decoder builds one worker's decoder. Decoder instances own reusable
-// scratch arenas and must not be shared across goroutines; the distance
-// tables are cached and shared inside package decoder, so construction is
-// O(lookup).
+// decoder builds the run's decoder, one handle that every worker shares.
+// The distance tables, with the scratch arenas and unit collectors decode
+// calls borrow, are cached and shared inside package decoder, so
+// construction is O(lookup) and a new run decodes as warm as the last.
 func (e *runSetup) decoder() *decoder.Decoder {
 	return decoder.NewForKind(e.layout, e.dcfg, e.basis)
 }
@@ -281,10 +281,11 @@ func (e *runSetup) decoder() *decoder.Decoder {
 // shotsCap (the last unit runs fewer lanes when shotsCap cuts into it).
 //
 // Workers claim 4-unit blocks from one shared counter, so a worker that
-// draws cheap blocks takes more of them, and each decodes its own units into
-// its own tally. Every unit keeps its pre-drawn seed and its sub-word
-// whichever worker claims it, and tallies are integer counts that merge
-// exactly, so the result is bit-identical for any worker count.
+// draws cheap blocks takes more of them, and each decodes its own units
+// through the run's one decoder into its own tally. Every unit keeps its
+// pre-drawn seed and its sub-word whichever worker claims it, and tallies
+// are integer counts that merge exactly, so the result is bit-identical for
+// any worker count.
 func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally, Metrics) {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("experiment: invalid unit range [%d, %d)", lo, hi))
@@ -293,6 +294,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		return NewTally(cfg.rounds(), batch.Lanes), Metrics{}
 	}
 	rs := newRunSetup(cfg)
+	dec := rs.decoder()
 	// One pre-drawn seed per unit, a deterministic function of the config
 	// identity and the unit index alone, so results are identical for any
 	// worker count and any partition of the unit range across runs. Unit u's
@@ -322,7 +324,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runBatchWorker(ctx, cfg, rs, seeds, lo, hi, shotsCap, &next, accums[w], &workerMetrics[w])
+			runBatchWorker(ctx, cfg, rs, dec, seeds, lo, hi, shotsCap, &next, accums[w], &workerMetrics[w])
 		}()
 	}
 	wg.Wait()
@@ -367,11 +369,12 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 //   - observe: only the adaptive planner reads the round's outcome words.
 //
 // After the final round the worker decodes the block's units itself, one
-// collector per sub-word, with its own decoder, into acc and m.
-func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, unitSeeds []uint64,
+// collector per sub-word, through the run's shared decoder, into acc and m.
+// The four collectors come from dec and go back to it when the worker
+// returns.
+func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, dec *decoder.Decoder, unitSeeds []uint64,
 	lo, hi, shotsCap int, next *atomic.Int64, acc *Tally, m *Metrics) {
 
-	dec := rs.decoder()
 	layout, rounds := rs.layout, rs.rounds
 	builder := circuit.NewBuilder(layout)
 	kstabs := kindStabs(layout, cfg.Basis)
@@ -386,6 +389,16 @@ func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, unitSeeds []u
 		lp = core.NewLanePolicies(cfg.Policy, layout, cfg.Protocol, batch.BlockLanes)
 	}
 	var cols [BlockUnits]*decoder.BatchCollector
+	for j := range cols {
+		cols[j] = dec.Collector()
+	}
+	defer func() {
+		// Last in, first out: the next worker to borrow them gets each
+		// sub-word's collector back in the same slot.
+		for j := len(cols) - 1; j >= 0; j-- {
+			dec.Release(cols[j])
+		}
+	}()
 
 	for {
 		blk := int(next.Add(1) - 1)
@@ -406,9 +419,6 @@ func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, unitSeeds []u
 			n += lanes
 			units++
 			rngs[j] = stats.NewRNG(unitSeeds[b-lo], uint64(b))
-			if cols[j] == nil {
-				cols[j] = decoder.NewBatchCollector()
-			}
 			cols[j].Reset()
 			acc.Covered.Add(b)
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/core"
@@ -80,6 +81,27 @@ func TestParallelWorkersMatchSerialCounts(t *testing.T) {
 	cfg := Config{Distance: 3, Cycles: 3, P: 1e-3, Shots: 1000, Seed: 9,
 		Policy: core.PolicyAlways}
 	requireWorkerInvariant(t, "always", cfg)
+}
+
+// TestRunUnitsWarmAllocs: a second RunUnits call on the decode-bound
+// Figure-14 point (d=7, 7 cycles, p=1e-3, Always; 16 units on one worker)
+// reuses the decoder table's scratch arenas and unit collectors that the
+// first call grew, so it allocates only the per-call engine set-up. The
+// bound sits far above that (~100 B/shot) and far below the ~1,070 B/shot
+// of a run that regrows its decode buffers from empty.
+func TestRunUnitsWarmAllocs(t *testing.T) {
+	cfg := Config{Distance: 7, Cycles: 7, P: 1e-3, Seed: 2023, Policy: core.PolicyAlways, Workers: 1}
+	const units, maxPerShot = 16, 300
+	RunUnits(cfg, 0, units)
+	var m0, m1 runtime.MemStats
+	runtime.ReadMemStats(&m0)
+	tally := RunUnits(cfg, 0, units)
+	runtime.ReadMemStats(&m1)
+	perShot := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(tally.Shots)
+	t.Logf("warm RunUnits: %.1f B/shot over %d shots", perShot, tally.Shots)
+	if perShot > maxPerShot {
+		t.Fatalf("warm RunUnits allocates %.1f B/shot, want <= %d", perShot, maxPerShot)
+	}
 }
 
 // requireWorkerInvariant runs cfg's shot-capped unit range, as Run does, at
