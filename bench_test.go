@@ -793,6 +793,33 @@ func BenchmarkRunUnitsWorkers(b *testing.B) {
 	}
 }
 
+// BenchmarkRunUnitsPerCall times one 4-unit RunUnits call on one worker,
+// the size of a small service part, at d=7, p=1e-4 and 7 cycles, for the
+// Always and ERASER workloads of the benchmark. Here the simulation is
+// cheapest, so the set-up every call pays weighs most. Every op runs units
+// [0, 4) after one warm-up call has grown the decoder table's scratch.
+func BenchmarkRunUnitsPerCall(b *testing.B) {
+	const units = 4
+	for _, w := range []struct {
+		name   string
+		policy core.Kind
+	}{
+		{"always-d7-p1e-4", core.PolicyAlways},
+		{"eraser-d7-p1e-4", core.PolicyEraser},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			cfg := experiment.Config{Distance: 7, Cycles: 7, P: 1e-4, Seed: 2023,
+				Policy: w.policy, Workers: 1}
+			experiment.RunUnits(cfg, 0, units)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				experiment.RunUnits(cfg, 0, units)
+			}
+		})
+	}
+}
+
 // ------------------------------------------------- decode stage vs sim stage
 
 // BenchmarkDecodeVsSim measures the two stages of a runner worker's block,
@@ -952,12 +979,6 @@ func BenchmarkQuditCNOT(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.ApplyUnitary2(0, 4, u)
-	}
-}
-
-func BenchmarkLayoutConstruction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		surfacecode.MustNew(11)
 	}
 }
 

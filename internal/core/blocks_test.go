@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -135,11 +136,11 @@ func TestLSBSetThreshold(t *testing.T) {
 // TestDLIConflictResolution reproduces Figure 11: two data qubits whose
 // primary parity collides must both be scheduled via the backup entry.
 func TestDLIConflictResolution(t *testing.T) {
-	l := surfacecode.MustNew(5)
+	l := patchableLayout(5)
 	// Find two data qubits sharing the same primary by construction: force
 	// the collision by requesting a qubit plus a neighbor sharing a parity.
 	// Construct a synthetic collision instead: pick a weight-4 stabilizer,
-	// two of its data qubits, and temporarily make it both their primary.
+	// two of its data qubits, and make it both their primary in a private copy.
 	var stab *surfacecode.Stabilizer
 	for i := range l.Stabilizers {
 		if l.Stabilizers[i].Weight() == 4 {
@@ -148,8 +149,6 @@ func TestDLIConflictResolution(t *testing.T) {
 		}
 	}
 	q1, q2 := stab.Data[0], stab.Data[1]
-	savedP1, savedP2 := l.SwapPrimary[q1], l.SwapPrimary[q2]
-	defer func() { l.SwapPrimary[q1], l.SwapPrimary[q2] = savedP1, savedP2 }()
 	l.SwapPrimary[q1], l.SwapPrimary[q2] = stab.Index, stab.Index
 
 	dli := NewDLI(l)
@@ -218,7 +217,7 @@ func TestDLIUniqueParityPerRound(t *testing.T) {
 // TestDLIDisabledBackup: with backups off, a primary conflict drops the
 // second request.
 func TestDLIDisabledBackup(t *testing.T) {
-	l := surfacecode.MustNew(5)
+	l := patchableLayout(5)
 	var stab *surfacecode.Stabilizer
 	for i := range l.Stabilizers {
 		if l.Stabilizers[i].Weight() == 4 {
@@ -227,8 +226,6 @@ func TestDLIDisabledBackup(t *testing.T) {
 		}
 	}
 	q1, q2 := stab.Data[0], stab.Data[1]
-	savedP1, savedP2 := l.SwapPrimary[q1], l.SwapPrimary[q2]
-	defer func() { l.SwapPrimary[q1], l.SwapPrimary[q2] = savedP1, savedP2 }()
 	l.SwapPrimary[q1], l.SwapPrimary[q2] = stab.Index, stab.Index
 
 	dli := NewDLI(l)
@@ -238,6 +235,15 @@ func TestDLIDisabledBackup(t *testing.T) {
 	if plan := dli.Schedule(req, nil); len(plan) != 1 {
 		t.Fatalf("scheduled %d LRCs with backups disabled, want 1", len(plan))
 	}
+}
+
+// patchableLayout returns a private copy of the shared distance-d layout
+// whose SwapPrimary the caller may overwrite; the other slices stay shared
+// and read-only.
+func patchableLayout(d int) *surfacecode.Layout {
+	l := *surfacecode.MustNew(d)
+	l.SwapPrimary = slices.Clone(l.SwapPrimary)
+	return &l
 }
 
 var _ = circuit.Plan{} // keep the import for test helpers below

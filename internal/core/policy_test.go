@@ -101,7 +101,7 @@ func TestEraserReactsToSpeculation(t *testing.T) {
 // backups, the losing request persists in the LTT; it stays blocked while
 // the parity qubit is under PUTT cooldown and is granted the round after.
 func TestEraserRetriesBlockedRequest(t *testing.T) {
-	l := surfacecode.MustNew(5)
+	l := patchableLayout(5)
 	var stab *surfacecode.Stabilizer
 	for i := range l.Stabilizers {
 		if l.Stabilizers[i].Weight() == 4 {
@@ -110,8 +110,6 @@ func TestEraserRetriesBlockedRequest(t *testing.T) {
 		}
 	}
 	q1, q2 := stab.Data[0], stab.Data[1]
-	savedP1, savedP2 := l.SwapPrimary[q1], l.SwapPrimary[q2]
-	defer func() { l.SwapPrimary[q1], l.SwapPrimary[q2] = savedP1, savedP2 }()
 	l.SwapPrimary[q1], l.SwapPrimary[q2] = stab.Index, stab.Index
 
 	e := NewEraser(l, false, circuit.ProtocolSwap)

@@ -43,8 +43,8 @@ type Config struct {
 // Validate reports whether the config builds a working decoder for the
 // distance-d layout: per-site vectors, when set, hold exactly one finite,
 // non-negative weight per data qubit (SpaceWeights) or per stabilizer
-// (TimeWeights). The layout is built only to check vector lengths, so
-// configs without per-site vectors stay cheap to validate.
+// (TimeWeights). The shared layout is looked up only to check vector
+// lengths.
 func (c Config) Validate(d int) error {
 	if c.SpaceWeights == nil && c.TimeWeights == nil {
 		return nil

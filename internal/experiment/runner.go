@@ -1,10 +1,10 @@
 // Package experiment runs the paper's memory-Z experiments end to end: it
-// builds a layout, instantiates a scheduling policy, simulates the requested
-// number of QEC cycles shot by shot, decodes every shot, and aggregates the
-// paper's metrics — logical error rate (Equation 4), leakage population
-// ratio per round (Equation 5), LRCs scheduled per round (Table 4) and
-// speculation accuracy with false-positive and false-negative rates
-// (Figure 16). Figure-level sweeps live in figures.go.
+// takes the code's shared layout, instantiates a scheduling policy,
+// simulates the requested number of QEC cycles shot by shot, decodes every
+// shot, and aggregates the paper's metrics — logical error rate (Equation
+// 4), leakage population ratio per round (Equation 5), LRCs scheduled per
+// round (Table 4) and speculation accuracy with false-positive and
+// false-negative rates (Figure 16). Figure-level sweeps live in figures.go.
 package experiment
 
 import (

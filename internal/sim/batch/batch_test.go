@@ -2,6 +2,7 @@ package batch
 
 import (
 	"math/bits"
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -529,6 +530,26 @@ func TestCondReturnRequiresTrackML(t *testing.T) {
 		}
 	}()
 	s.RunRoundMasked(ops)
+}
+
+// TestMLPlanesOnlyUnderTrackML: a simulator without TrackML never
+// allocates the multi-level planes, and the first Reset with it set
+// allocates them zeroed, one word per stabilizer and sub-word.
+func TestMLPlanesOnlyUnderTrackML(t *testing.T) {
+	l := surfacecode.MustNew(3)
+	s := NewWide(l, noiseless(), surfacecode.KindZ)
+	s.Reset(unitRNGs(15))
+	s.RunRound(circuit.NewBuilder(l).Round(circuit.Plan{}))
+	if s.MLParityLeak() != nil || s.MLParityVal() != nil || s.mlDataLeak != nil || s.mlDataVal != nil {
+		t.Fatal("ML planes allocated without TrackML")
+	}
+	s.TrackML = true
+	s.Reset(unitRNGs(16))
+	for _, p := range [][]uint64{s.MLParityLeak(), s.MLParityVal(), s.mlDataLeak, s.mlDataVal} {
+		if len(p) != l.NumParity*BlockWords || slices.ContainsFunc(p, func(w uint64) bool { return w != 0 }) {
+			t.Fatalf("ML plane after a TrackML Reset: len %d, want %d zero words", len(p), l.NumParity*BlockWords)
+		}
+	}
 }
 
 // TestMaskedNoiselessRoundsAreQuiet: masked rounds with heterogeneous

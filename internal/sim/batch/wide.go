@@ -53,8 +53,9 @@ type Wide struct {
 	Basis surfacecode.Kind
 	// TrackML maintains the multi-level readout bit-planes (MLParityLeak /
 	// MLParityVal and the data-wire planes consumed by OpCondReturn). Set it
-	// before Reset; only ERASER+M reads the classifications, so the default
-	// skips the extra sampling work.
+	// before Reset, whose first call with it set allocates the planes; only
+	// ERASER+M reads the classifications, so the default skips the extra
+	// sampling work and memory.
 	TrackML bool
 
 	rng [BlockWords]*stats.RNG
@@ -71,6 +72,8 @@ type Wide struct {
 	prev     []uint64
 	events   []uint64
 
+	// The multi-level classification planes, [NumParity*BlockWords] each,
+	// allocated by the first Reset with TrackML set and nil until then.
 	mlParLeak  []uint64
 	mlParVal   []uint64
 	mlDataLeak []uint64
@@ -112,15 +115,11 @@ func NewWide(l *surfacecode.Layout, n noise.Params, basis surfacecode.Kind) *Wid
 		z:      make([]uint64, l.NumQubits*BlockWords),
 		leaked: make([]uint64, l.NumQubits*BlockWords),
 
-		syndrome:   make([]uint64, l.NumParity*BlockWords),
-		prev:       make([]uint64, l.NumParity*BlockWords),
-		events:     make([]uint64, l.NumParity*BlockWords),
-		mlParLeak:  make([]uint64, l.NumParity*BlockWords),
-		mlParVal:   make([]uint64, l.NumParity*BlockWords),
-		mlDataLeak: make([]uint64, l.NumParity*BlockWords),
-		mlDataVal:  make([]uint64, l.NumParity*BlockWords),
-		finalData:  make([]uint64, l.NumData*BlockWords),
-		finalDet:   make([]uint64, l.NumParity*BlockWords),
+		syndrome:  make([]uint64, l.NumParity*BlockWords),
+		prev:      make([]uint64, l.NumParity*BlockWords),
+		events:    make([]uint64, l.NumParity*BlockWords),
+		finalData: make([]uint64, l.NumData*BlockWords),
+		finalDet:  make([]uint64, l.NumParity*BlockWords),
 	}
 	s.buildClasses()
 	return s
@@ -169,6 +168,13 @@ func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 	}
 	for i := range s.syndrome {
 		s.syndrome[i], s.prev[i], s.events[i] = 0, 0, 0
+	}
+	if s.TrackML && s.mlParLeak == nil {
+		n := len(s.syndrome)
+		s.mlParLeak, s.mlParVal = make([]uint64, n), make([]uint64, n)
+		s.mlDataLeak, s.mlDataVal = make([]uint64, n), make([]uint64, n)
+	}
+	for i := range s.mlParLeak {
 		s.mlParLeak[i], s.mlParVal[i] = 0, 0
 		s.mlDataLeak[i], s.mlDataVal[i] = 0, 0
 	}
@@ -209,11 +215,13 @@ func (s *Wide) LeakedBlock(q int) Block { return *blk(s.leaked, q) }
 func (s *Wide) LeakedDataWords() []uint64 { return s.leaked[:s.Layout.NumData*BlockWords] }
 
 // MLParityLeak returns the flat is-leak planes of the latest round's
-// per-stabilizer multi-level classifications (aliased; zero unless TrackML).
+// per-stabilizer multi-level classifications (aliased; nil until a Reset
+// with TrackML set, zero after a Reset without it).
 func (s *Wide) MLParityLeak() []uint64 { return s.mlParLeak }
 
 // MLParityVal returns the flat value planes of the latest round's
-// per-stabilizer multi-level classifications (aliased).
+// per-stabilizer multi-level classifications (aliased; nil or zero as
+// MLParityLeak is).
 func (s *Wide) MLParityVal() []uint64 { return s.mlParVal }
 
 // LeakedCounts returns the number of (lane, qubit) pairs currently leaked

@@ -16,7 +16,10 @@
 // bottom boundaries are logical errors.
 package surfacecode
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Kind distinguishes the two stabilizer types of the surface code.
 type Kind uint8
@@ -62,7 +65,12 @@ type Stabilizer struct {
 // Weight returns the number of data qubits in the stabilizer's support.
 func (s *Stabilizer) Weight() int { return len(s.Data) }
 
-// Layout is an immutable description of a distance-d rotated surface code.
+// Layout describes a distance-d rotated surface code.
+//
+// New returns one Layout per distance, and every caller of that distance
+// shares it, across goroutines and for the life of the process. So nobody
+// writes to a Layout or to a slice it holds: a caller that needs a patched
+// layout copies the struct and clones the slices it changes first.
 type Layout struct {
 	// Distance is the code distance d (odd, >= 3).
 	Distance int
@@ -113,11 +121,11 @@ type Layout struct {
 	numX     int
 }
 
-// MaxDistance is the largest code distance New accepts. Layouts are cheap,
-// but everything sized by one grows fast: a decoder's all-pairs table
-// holds (d²/2)² entries. At d = 25 one MWPM table took 46 ms and 2.3 MB to
-// build on a 2-vCPU Xeon, against 1 ms and 0.2 MB at d = 11, where the
-// paper stops.
+// MaxDistance is the largest code distance New accepts. Layouts are cheap
+// and built once per distance, but everything sized by one grows fast: a
+// decoder's all-pairs table holds (d²/2)² entries. At d = 25 one MWPM table
+// took 46 ms and 2.3 MB to build on a 2-vCPU Xeon, against 1 ms and 0.2 MB
+// at d = 11, where the paper stops.
 const MaxDistance = 25
 
 // CheckDistance is the one home of the distance rule: an odd integer in
@@ -131,11 +139,28 @@ func CheckDistance(d int) error {
 	return nil
 }
 
-// New constructs the layout for a code distance that passes CheckDistance.
+// layouts holds the shared layout of each odd distance in [3, MaxDistance],
+// slot (d-3)/2, built on first use.
+var layouts [(MaxDistance - 1) / 2]atomic.Pointer[Layout]
+
+// New returns the shared layout of a code distance that passes
+// CheckDistance, building it on first use. Concurrent first calls may build
+// it twice; construction is deterministic, and every caller gets the one
+// that landed first.
 func New(d int) (*Layout, error) {
 	if err := CheckDistance(d); err != nil {
 		return nil, fmt.Errorf("surfacecode: %w", err)
 	}
+	slot := &layouts[(d-3)/2]
+	if l := slot.Load(); l != nil {
+		return l, nil
+	}
+	slot.CompareAndSwap(nil, build(d))
+	return slot.Load(), nil
+}
+
+// build constructs the layout of a valid distance d.
+func build(d int) *Layout {
 	l := &Layout{
 		Distance:  d,
 		NumData:   d * d,
@@ -192,8 +217,8 @@ func New(d int) (*Layout, error) {
 		}
 	}
 	if len(l.Stabilizers) != l.NumParity {
-		return nil, fmt.Errorf("surfacecode: built %d stabilizers for d=%d, want %d",
-			len(l.Stabilizers), d, l.NumParity)
+		panic(fmt.Sprintf("surfacecode: built %d stabilizers for d=%d, want %d",
+			len(l.Stabilizers), d, l.NumParity))
 	}
 
 	// Adjacency from data qubits to stabilizers.
@@ -239,7 +264,7 @@ func New(d int) (*Layout, error) {
 	}
 
 	l.buildSwapTables()
-	return l, nil
+	return l
 }
 
 // MustNew is New but panics on error; it is convenient for examples, tests

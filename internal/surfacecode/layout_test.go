@@ -1,6 +1,7 @@
 package surfacecode
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +16,46 @@ func TestNewRejectsBadDistances(t *testing.T) {
 	}
 	if _, err := New(MaxDistance); err != nil {
 		t.Errorf("New(MaxDistance): %v", err)
+	}
+}
+
+// TestNewSharesOneLayoutPerDistance: New returns the same layout for the
+// same distance and a distinct one per distance.
+func TestNewSharesOneLayoutPerDistance(t *testing.T) {
+	seen := map[*Layout]int{}
+	for d := 3; d <= MaxDistance; d += 2 {
+		l := MustNew(d)
+		if again := MustNew(d); again != l || l.Distance != d {
+			t.Fatalf("d=%d: New returned %p then %p, with distance %d", d, l, again, l.Distance)
+		}
+		if prev, ok := seen[l]; ok {
+			t.Fatalf("d=%d shares its layout with d=%d", d, prev)
+		}
+		seen[l] = d
+	}
+}
+
+// TestNewConcurrentFirstCalls: goroutines racing to build a distance's
+// layout may each build one, but all of them get the one that landed first.
+func TestNewConcurrentFirstCalls(t *testing.T) {
+	const d, callers = 9, 4
+	slot := &layouts[(d-3)/2]
+	saved := slot.Swap(nil) // empty the slot; the old layout goes back after
+	defer slot.Store(saved)
+	got := make([]*Layout, callers)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i] = MustNew(d)
+		}()
+	}
+	wg.Wait()
+	for i, l := range got {
+		if l != slot.Load() {
+			t.Fatalf("caller %d got %p, the slot holds %p", i, l, slot.Load())
+		}
 	}
 }
 
@@ -365,5 +406,14 @@ func TestKindHelpers(t *testing.T) {
 	}
 	if len(l.LogicalSupport(KindX)) != 5 || len(l.LogicalSupport(KindZ)) != 5 {
 		t.Fatal("LogicalSupport size wrong")
+	}
+}
+
+// BenchmarkLayoutConstruction times building a d=11 layout from scratch,
+// matching and SWAP tables included: what New pays once per distance.
+func BenchmarkLayoutConstruction(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		build(11)
 	}
 }
