@@ -577,18 +577,19 @@ func BenchmarkBatchMaskedRoundD7Wide(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*batch.BlockLanes), "ns/shot")
 }
 
-// BenchmarkBuilderRoundD7 measures the static round build the shared-plan
-// workers call every round: one warmed builder alternating Always's dense
-// and sparse d=7 plans, which Round serves from its memo. The CI allocation
-// gate greps it for 0 allocs/op.
+// BenchmarkBuilderRoundD7 measures Round's build of a plan that carries no
+// compiled sequence (the adaptive policies' plans on the scalar path): one
+// warmed builder alternating plain copies of Always's dense and sparse d=7
+// plans, each built afresh into the builder's buffer. Always's own plans
+// are compiled, so a builder serves them without building. The CI
+// allocation gate greps it for 0 allocs/op.
 func BenchmarkBuilderRoundD7(b *testing.B) {
 	l := surfacecode.MustNew(7)
 	pol := core.NewPolicy(core.PolicyAlways, l, circuit.ProtocolSwap)
-	// PlanRound rewrites one buffer in place, so keep copies of both plans.
 	var plans [2]circuit.Plan
 	for i, r := range []int{2, 3} {
-		plans[i] = pol.PlanRound(r)
-		plans[i].LRCs = slices.Clone(plans[i].LRCs)
+		p := pol.PlanRound(r)
+		plans[i] = circuit.Plan{LRCs: slices.Clone(p.LRCs), Protocol: p.Protocol, CondReturn: p.CondReturn}
 	}
 	builder := circuit.NewBuilder(l)
 	for _, p := range plans {
@@ -924,12 +925,7 @@ func denseUnitD7() (*surfacecode.Layout, *decoder.BatchCollector) {
 		rngs[w] = stats.NewRNG(2023, uint64(w))
 	}
 	ws.Reset(rngs)
-	var ks []decoder.StabMap
-	for i := range l.Stabilizers {
-		if l.Stabilizers[i].Kind == surfacecode.KindZ {
-			ks = append(ks, decoder.StabMap{Idx: int32(i), Ord: int32(l.ZOrdinal(i))})
-		}
-	}
+	ks := decoder.KindStabMaps(l, surfacecode.KindZ)
 	pol := core.NewPolicy(core.PolicyAlways, l, circuit.ProtocolSwap)
 	builder := circuit.NewBuilder(l)
 	col := decoder.NewBatchCollector()

@@ -10,6 +10,7 @@ package circuit
 import (
 	"math/bits"
 	"slices"
+	"sync/atomic"
 
 	"repro/internal/surfacecode"
 )
@@ -124,7 +125,8 @@ func (p Protocol) String() string {
 	return "swap"
 }
 
-// Plan is the per-round output of an LRC scheduling policy.
+// Plan is the per-round output of an LRC scheduling policy. A plan that
+// Compile returned also carries its op sequence (see Compile).
 type Plan struct {
 	// LRCs lists the data qubits receiving leakage removal this round, each
 	// with its assigned parity qubit (stabilizer index). At most one LRC per
@@ -134,6 +136,44 @@ type Plan struct {
 	Protocol Protocol
 	// CondReturn enables the ERASER+M conditional swap-back.
 	CondReturn bool
+
+	// compiled is the op sequence Compile attached, nil on a plain plan.
+	compiled *compiledRound
+}
+
+// compiledRound is a compiled plan's op sequence on one layout. The plan
+// fields it was built from are kept, so Round serves it only to the plan
+// Compile returned and to unmodified copies of it.
+type compiledRound struct {
+	layout     *surfacecode.Layout
+	lrcs       []LRC
+	proto      Protocol
+	condReturn bool
+	ops        []Op
+}
+
+// Compile returns p with its op sequence on layout l attached. A Builder on
+// l then serves that sequence from Round without building anything; on any
+// other layout the plan is built as a plain one. The sequence comes from
+// the same code as Round's and is sized exactly. The returned plan holds
+// its own copy of p's LRCs, and every copy of the plan shares it and the
+// sequence, so neither may be modified: a changed plan is a new plan.
+// Static policies compile their few plans once per distance and hand the
+// same plans to every run.
+func Compile(l *surfacecode.Layout, p Plan) Plan {
+	b := NewBuilder(l)
+	p.LRCs = slices.Clone(p.LRCs)
+	p.compiled = &compiledRound{layout: l, lrcs: p.LRCs, proto: p.Protocol, condReturn: p.CondReturn,
+		ops: b.round(make([]Op, 0, b.roundLen(p)), p)}
+	return p
+}
+
+// serves reports whether c is the sequence of plan on layout l: plan is the
+// plan Compile returned for l, or a copy with the same LRC slice and
+// settings.
+func (c *compiledRound) serves(l *surfacecode.Layout, plan Plan) bool {
+	return c.layout == l && c.proto == plan.Protocol && c.condReturn == plan.CondReturn &&
+		len(c.lrcs) == len(plan.LRCs) && (len(c.lrcs) == 0 || &c.lrcs[0] == &plan.LRCs[0])
 }
 
 // Builder assembles the operation list for successive rounds of a memory
@@ -147,12 +187,9 @@ type Builder struct {
 	// skeleton is the length of a round without LRCs.
 	skeleton int
 
-	// Round's memo of recent plans and their sequences, replaced round-robin:
-	// static policies repeat a handful of plans (Always cycles through
-	// three), so steady-state rounds are a lookup.
-	memo     [roundMemoSize]roundMemo
-	memoNext int
-	final    []Op // FinalMeasurement's sequence, built once
+	// bare is the round without LRCs, built on the first uncompiled plan
+	// that has none; ops is Round's buffer for the other uncompiled plans.
+	bare, ops []Op
 
 	// Masked-round state: per stabilizer, the data qubits LRC'd with it this
 	// round and the lanes requesting each pairing. lrcStabs lists, in
@@ -177,23 +214,6 @@ type Builder struct {
 type laneLRC struct {
 	data int
 	mask LaneMask
-}
-
-// roundMemoSize is the number of plans Round remembers.
-const roundMemoSize = 4
-
-// roundMemo is one remembered plan — its LRCs copied by value, since
-// policies rewrite their plan buffers in place — and its op sequence.
-type roundMemo struct {
-	lrcs       []LRC
-	proto      Protocol
-	condReturn bool
-	ops        []Op // nil until the entry is first filled
-}
-
-func (m *roundMemo) matches(plan Plan) bool {
-	return m.ops != nil && m.proto == plan.Protocol && m.condReturn == plan.CondReturn &&
-		slices.Equal(m.lrcs, plan.LRCs)
 }
 
 // NewBuilder returns a Builder for the layout.
@@ -236,29 +256,36 @@ func TwoQubitOpsPerParity(withLRC bool) int {
 // usual, then parity qubits are reset, LeakageISWAPped with their data
 // qubit, and reset again.
 //
-// The returned slice is read-only: a plan equal to one of the last few
-// (same Protocol, CondReturn and LRCs) gets the sequence built for it then,
-// and later calls hand out the same slice again.
+// The returned slice is read-only. A plan Compile built for the builder's
+// layout gets its compiled sequence. A plan without LRCs, whatever its
+// Protocol and CondReturn, gets the builder's one round without LRCs, built
+// once: most rounds of an adaptive policy plan none. Any other plan is
+// built into the builder's buffer, valid until the next call.
 func (b *Builder) Round(plan Plan) []Op {
-	for i := range b.memo {
-		if m := &b.memo[i]; m.matches(plan) {
-			return m.ops
+	switch c := plan.compiled; {
+	case c != nil && c.serves(b.layout, plan):
+		return c.ops
+	case len(plan.LRCs) == 0:
+		if b.bare == nil {
+			b.bare = b.round(make([]Op, 0, b.skeleton), plan)
 		}
+		return b.bare
 	}
-	m := &b.memo[b.memoNext]
-	b.memoNext = (b.memoNext + 1) % roundMemoSize
-	m.lrcs = append(fit(m.lrcs, len(plan.LRCs)), plan.LRCs...)
-	m.proto, m.condReturn = plan.Protocol, plan.CondReturn
+	b.ops = b.round(fit(b.ops, b.roundLen(plan)), plan)
+	return b.ops
+}
+
+// roundLen returns the length of plan's round sequence.
+func (b *Builder) roundLen(plan Plan) int {
 	perLRC := 4 // forward SWAP (three CNOTs) and the return transfer
 	if plan.Protocol == ProtocolDQLR {
 		perLRC = 2 // LeakageISWAP and the second parity reset
 	}
-	m.ops = b.round(fit(m.ops, b.skeleton+perLRC*len(plan.LRCs)), plan)
-	return m.ops
+	return b.skeleton + perLRC*len(plan.LRCs)
 }
 
 // fit returns buf emptied if it can hold n elements, else a new buffer of
-// capacity exactly n, so memo buffers never carry append's growth slack.
+// capacity exactly n, so a buffer never carries append's growth slack.
 func fit[T any](buf []T, n int) []T {
 	if cap(buf) < n {
 		return make([]T, 0, n)
@@ -600,18 +627,29 @@ func (b *Builder) buildSkeleton(active LaneMask) {
 	}
 }
 
+// finals holds FinalMeasurement's sequence for each odd distance d in
+// [3, surfacecode.MaxDistance], slot (d-3)/2, built on first use. It
+// depends on the data-qubit count alone, so every layout of a distance
+// shares it.
+var finals [(surfacecode.MaxDistance - 1) / 2]atomic.Pointer[[]Op]
+
 // FinalMeasurement emits a transversal Z-basis measurement of every data
 // qubit, tagged with Stab = -1; the experiment harness folds the outcomes
 // into the final detector layer and the logical observable. The returned
-// slice is read-only and the same on every call.
+// slice is read-only, and every builder of a distance gets the same one.
+// Concurrent first calls may build it twice; every caller gets the one that
+// landed first.
 func (b *Builder) FinalMeasurement() []Op {
-	if b.final == nil {
-		b.final = make([]Op, b.layout.NumData)
-		for q := range b.final {
-			b.final[q] = Op{Kind: OpMeasure, Q0: q, Q1: -1, Stab: -1}
-		}
+	slot := &finals[(b.layout.Distance-3)/2]
+	if ops := slot.Load(); ops != nil {
+		return *ops
 	}
-	return b.final
+	ops := make([]Op, b.layout.NumData)
+	for q := range ops {
+		ops[q] = Op{Kind: OpMeasure, Q0: q, Q1: -1, Stab: -1}
+	}
+	slot.CompareAndSwap(nil, &ops)
+	return *slot.Load()
 }
 
 // set writes op under mask into m in place. Assigning a MaskedOp literal to

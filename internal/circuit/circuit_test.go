@@ -287,6 +287,127 @@ func TestBuilderReuse(t *testing.T) {
 	}
 }
 
+// plainCopy returns p as a plain plan with a copy of its LRCs: what a
+// builder does with it does not depend on any compiled sequence.
+func plainCopy(p Plan) Plan {
+	return Plan{LRCs: slices.Clone(p.LRCs), Protocol: p.Protocol, CondReturn: p.CondReturn}
+}
+
+// TestCompiledPlans: a builder serves a compiled plan's sequence only on
+// the layout the plan was compiled for, and only to the plan Compile
+// returned or an unmodified copy of it. Any other plan, a copy with a
+// changed field included, is built afresh, exactly as a plain plan is. A
+// plan compiled at d=5 is handed to a d=7 builder, whose build of it must
+// not be the d=5 sequence.
+func TestCompiledPlans(t *testing.T) {
+	l5, l7 := surfacecode.MustNew(5), surfacecode.MustNew(7)
+	var lrcs []LRC
+	for q, s := range l5.AlwaysAssign {
+		if s >= 0 {
+			lrcs = append(lrcs, LRC{Data: q, Stab: s})
+		}
+	}
+	for _, proto := range []Protocol{ProtocolSwap, ProtocolDQLR} {
+		plan := Plan{LRCs: lrcs, Protocol: proto}
+		compiled := Compile(l5, plan)
+		want := NewBuilder(l5).Round(plainCopy(plan))
+
+		b5 := NewBuilder(l5)
+		got := b5.Round(compiled)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%v: compiled sequence differs from a plain build", proto)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("%v: compiled sequence not sized exactly: len %d cap %d", proto, len(got), cap(got))
+		}
+		if other := NewBuilder(l5).Round(compiled); &other[0] != &got[0] {
+			t.Fatalf("%v: two d=5 builders built the compiled plan instead of serving it", proto)
+		}
+
+		if got, want := NewBuilder(l7).Round(compiled), NewBuilder(l7).Round(plainCopy(plan)); !slices.Equal(got, want) {
+			t.Fatalf("%v: a d=7 builder served the plan compiled at d=5", proto)
+		}
+
+		for _, c := range []struct {
+			name   string
+			change func(*Plan)
+		}{
+			{"fewer LRCs", func(p *Plan) { p.LRCs = p.LRCs[1:] }},
+			{"other protocol", func(p *Plan) { p.Protocol = 1 - p.Protocol }},
+			{"cond return", func(p *Plan) { p.CondReturn = true }},
+			{"reordered copy of the LRCs", func(p *Plan) {
+				p.LRCs = slices.Clone(p.LRCs)
+				p.LRCs[0], p.LRCs[1] = p.LRCs[1], p.LRCs[0]
+			}},
+		} {
+			p := compiled
+			c.change(&p)
+			if got, want := b5.Round(p), NewBuilder(l5).Round(plainCopy(p)); !slices.Equal(got, want) {
+				t.Fatalf("%v, %s: a changed copy of a compiled plan got %d ops, a plain build %d",
+					proto, c.name, len(got), len(want))
+			}
+		}
+	}
+
+	// Compile keeps its own copy of the LRCs: a later write to the caller's
+	// slice leaves the compiled plan as it was.
+	plan := Plan{LRCs: slices.Clone(lrcs)}
+	compiled := Compile(l5, plan)
+	want := NewBuilder(l5).Round(plainCopy(plan))
+	plan.LRCs[0] = plan.LRCs[1]
+	if got := NewBuilder(l5).Round(compiled); !slices.Equal(got, want) || !slices.Equal(compiled.LRCs, lrcs) {
+		t.Fatal("a write to the slice handed to Compile changed the compiled plan")
+	}
+}
+
+// TestSharedSequencesAllocateNothing: a fresh builder serves a compiled
+// plan and its distance's final measurement, which every builder of the
+// distance shares, without allocating.
+func TestSharedSequencesAllocateNothing(t *testing.T) {
+	l := surfacecode.MustNew(7)
+	plan := Compile(l, Plan{LRCs: []LRC{{Data: l.Leftover, Stab: l.SwapPrimary[l.Leftover]}}})
+	final := NewBuilder(l).FinalMeasurement()
+	b := NewBuilder(l)
+	if got := b.FinalMeasurement(); &got[0] != &final[0] {
+		t.Fatal("two builders of one distance hold different final measurements")
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		b.Round(plan)
+		b.FinalMeasurement()
+	}); n != 0 {
+		t.Fatalf("Round on a compiled plan and FinalMeasurement allocate %v times per call", n)
+	}
+}
+
+// TestBareRoundBuiltOnce: every uncompiled plan without LRCs, under either
+// protocol and with or without CondReturn, gets one sequence that the
+// builder builds once and that a build of another plan in between leaves
+// as it was.
+func TestBareRoundBuiltOnce(t *testing.T) {
+	l := surfacecode.MustNew(5)
+	b := NewBuilder(l)
+	bare := b.Round(Plan{})
+	want := slices.Clone(bare)
+	for _, proto := range []Protocol{ProtocolSwap, ProtocolDQLR} {
+		for _, cond := range []bool{false, true} {
+			b.Round(Plan{LRCs: []LRC{{Data: l.Leftover, Stab: l.SwapPrimary[l.Leftover]}}, Protocol: proto, CondReturn: cond})
+			if !slices.Equal(bare, want) {
+				t.Fatalf("%v, CondReturn %v: building a plan with an LRC overwrote the bare round", proto, cond)
+			}
+			got := b.Round(Plan{LRCs: []LRC{}, Protocol: proto, CondReturn: cond})
+			if &got[0] != &bare[0] || !slices.Equal(got, want) {
+				t.Fatalf("%v, CondReturn %v: a plan without LRCs did not get the builder's one bare round", proto, cond)
+			}
+			if fresh := NewBuilder(l).Round(Plan{Protocol: proto, CondReturn: cond}); !slices.Equal(fresh, want) {
+				t.Fatalf("%v, CondReturn %v: a fresh builder's bare round differs", proto, cond)
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { b.Round(Plan{}) }); n != 0 {
+		t.Fatalf("Round on a plan without LRCs allocates %v times per call", n)
+	}
+}
+
 func TestCountTwoQubitOps(t *testing.T) {
 	ops := []Op{
 		{Kind: OpCNOT}, {Kind: OpH}, {Kind: OpSwapReturn},

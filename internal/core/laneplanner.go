@@ -91,11 +91,10 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 		panic(fmt.Sprintf("core: %v is a static policy; plan it with one Policy for all lanes", k))
 	}
 	words := lanes / circuit.WordLanes
-	ref := NewPolicy(k, l, proto)
 	lp := &LanePolicies{
 		kind:        k,
 		layout:      l,
-		name:        ref.Name(),
+		name:        PolicyName(k, proto),
 		lanes:       lanes,
 		words:       words,
 		plans:       make([]circuit.Plan, lanes),

@@ -213,6 +213,20 @@ func checkSharedStaticPolicy(t *testing.T, l *surfacecode.Layout, k Kind, proto 
 	}
 }
 
+// TestLanePolicyNamesMatchScalar: the planner reports the name of the
+// scalar policy it stands in for, for every adaptive kind and protocol.
+func TestLanePolicyNamesMatchScalar(t *testing.T) {
+	l := surfacecode.MustNew(3)
+	for _, k := range []Kind{PolicyEraser, PolicyEraserM, PolicyOptimal} {
+		for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
+			got, want := NewLanePolicies(k, l, proto, circuit.WordLanes).Name(), NewPolicy(k, l, proto).Name()
+			if got != want {
+				t.Errorf("%v/%v: planner named %q, scalar policy %q", k, proto, got, want)
+			}
+		}
+	}
+}
+
 // TestLanePoliciesIndependentLanes: an ERASER observation delivered on one
 // lane's event bits triggers LRCs in that lane's next plan only.
 func TestLanePoliciesIndependentLanes(t *testing.T) {

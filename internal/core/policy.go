@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"slices"
+	"sync/atomic"
 
 	"repro/internal/circuit"
 	"repro/internal/sim"
@@ -82,10 +84,8 @@ func (k Kind) String() string {
 // A.2).
 func NewPolicy(k Kind, l *surfacecode.Layout, proto circuit.Protocol) Policy {
 	switch k {
-	case PolicyNone:
-		return &noLRC{}
-	case PolicyAlways:
-		return newAlways(l, proto)
+	case PolicyNone, PolicyAlways:
+		return &static{kind: k, proto: proto, sched: sharedSchedule(k, l, proto)}
 	case PolicyEraser:
 		return NewEraser(l, false, proto)
 	case PolicyEraserM:
@@ -97,74 +97,140 @@ func NewPolicy(k Kind, l *surfacecode.Layout, proto circuit.Protocol) Policy {
 	}
 }
 
-// ---------------------------------------------------------------- NoLRC --
-
-type noLRC struct{}
-
-func (*noLRC) Name() string               { return "NoLRC" }
-func (*noLRC) Reset()                     {}
-func (*noLRC) PlanRound(int) circuit.Plan { return circuit.Plan{} }
-func (*noLRC) Observe(RoundInfo)          {}
-func (*noLRC) PlannedLRC(int) bool        { return false }
-
-// --------------------------------------------------------------- Always --
-
-// always is the state-of-the-art static policy (Section 2.4, Figure 3):
-// round 1 runs without LRCs so every parity qubit is flushed; even rounds
-// swap the d*d-1 matched data qubits; odd rounds from round 3 on carry the
-// single leftover data qubit's LRC. With DQLR the dense protocol runs every
-// round (Appendix A.2), alternating in the leftover qubit.
-type always struct {
-	layout  *surfacecode.Layout
-	proto   circuit.Protocol
-	planned []bool
-	pairs   []circuit.LRC
-}
-
-func newAlways(l *surfacecode.Layout, proto circuit.Protocol) *always {
-	return &always{layout: l, proto: proto, planned: make([]bool, l.NumData)}
-}
-
-func (a *always) Name() string {
-	if a.proto == circuit.ProtocolDQLR {
+// PolicyName names the policy of kind k under protocol proto in reports:
+// the kind's name, with DQLR marked on every kind that schedules LRCs
+// (Always-LRCs under DQLR is plain "DQLR"). It is the one source of the
+// names of the scalar policies, the lane planner and experiment results.
+func PolicyName(k Kind, proto circuit.Protocol) string {
+	switch {
+	case k > PolicyOptimal:
+		panic(fmt.Sprintf("core: unknown policy kind %d", k))
+	case k == PolicyNone || proto != circuit.ProtocolDQLR:
+		return k.String()
+	case k == PolicyAlways:
 		return "DQLR"
+	default:
+		return k.String() + "-DQLR"
 	}
-	return "Always-LRCs"
 }
 
-func (a *always) Reset() {}
+// ---------------------------------------------------------- NoLRC, Always --
 
-func (a *always) PlanRound(round int) circuit.Plan {
-	a.pairs = a.pairs[:0]
-	for i := range a.planned {
-		a.planned[i] = false
-	}
-	dense := round%2 == 0
-	carry := round%2 == 1 && round >= 3
-	if a.proto == circuit.ProtocolDQLR {
+// static runs a schedule fixed by the round number alone, from the shared
+// compiled plans of its distance, kind and protocol.
+//
+// NoLRC never schedules leakage removal. Always is the state-of-the-art
+// static policy (Section 2.4, Figure 3): round 1 runs without LRCs so every
+// parity qubit is flushed; even rounds swap the d*d-1 matched data qubits;
+// odd rounds from round 3 on carry the single leftover data qubit's LRC.
+// With DQLR the dense protocol runs every round (Appendix A.2), alternating
+// in the leftover qubit.
+type static struct {
+	kind  Kind
+	proto circuit.Protocol
+	sched *schedule
+	cur   int // the index of the plan PlanRound returned last
+}
+
+func (s *static) Name() string      { return PolicyName(s.kind, s.proto) }
+func (s *static) Reset()            {}
+func (s *static) Observe(RoundInfo) {}
+
+func (s *static) PlanRound(round int) circuit.Plan {
+	switch {
+	case s.kind == PolicyNone:
+		s.cur = planEmpty
+	case round%2 == 0:
+		s.cur = planDense
+	case round >= 3 || s.proto == circuit.ProtocolDQLR:
 		// DQLR runs every round; the leftover qubit still alternates since
 		// there are d^2 data qubits and only d^2-1 parity qubits.
-		dense = true
-		carry = round%2 == 1
+		s.cur = planCarry
+	default:
+		s.cur = planEmpty
 	}
-	if dense {
-		for q := 0; q < a.layout.NumData; q++ {
-			if s := a.layout.AlwaysAssign[q]; s >= 0 {
-				a.pairs = append(a.pairs, circuit.LRC{Data: q, Stab: s})
-				a.planned[q] = true
-			}
-		}
-	}
-	if carry && a.layout.Leftover >= 0 {
-		q := a.layout.Leftover
-		a.pairs = append(a.pairs, circuit.LRC{Data: q, Stab: a.layout.SwapPrimary[q]})
-		a.planned[q] = true
-	}
-	return circuit.Plan{LRCs: a.pairs, Protocol: a.proto}
+	return s.sched.plans[s.cur]
 }
 
-func (a *always) Observe(RoundInfo)     {}
-func (a *always) PlannedLRC(q int) bool { return a.planned[q] }
+func (s *static) PlannedLRC(q int) bool { return s.sched.planned[s.cur][q] }
+
+// The plans of a schedule: the empty plan, Always's dense round (every
+// matched data qubit) and its carry round (the leftover qubit, on top of
+// the dense round under DQLR).
+const (
+	planEmpty = iota
+	planDense
+	planCarry
+	numPlans
+)
+
+// schedule is the compiled plans of one static policy on one layout, each
+// with the data qubits it plans. NoLRC fills only the empty plan. A schedule
+// is never written after construction.
+type schedule struct {
+	plans   [numPlans]circuit.Plan
+	planned [numPlans][]bool
+}
+
+// schedules holds the schedules of the shared layouts, slot [(d-3)/2][i]
+// for the odd distances d in [3, surfacecode.MaxDistance], with i = 0 for
+// NoLRC, which ignores the protocol, and 1 + protocol for Always. Each is
+// built on first use.
+var schedules [(surfacecode.MaxDistance - 1) / 2][3]atomic.Pointer[schedule]
+
+// sharedSchedule returns the schedule of a static kind on l. On the shared
+// layout of l's distance, every caller gets the one kept for (distance,
+// kind, protocol); concurrent first calls may build it twice, and every
+// caller gets the one that landed first. A private layout (a patched copy)
+// or an unknown protocol gets a schedule of its own.
+func sharedSchedule(k Kind, l *surfacecode.Layout, proto circuit.Protocol) *schedule {
+	if shared, err := surfacecode.New(l.Distance); err != nil || shared != l || proto > circuit.ProtocolDQLR {
+		return buildSchedule(k, l, proto)
+	}
+	i := 0
+	if k == PolicyAlways {
+		i = 1 + int(proto)
+	}
+	slot := &schedules[(l.Distance-3)/2][i]
+	if s := slot.Load(); s != nil {
+		return s
+	}
+	slot.CompareAndSwap(nil, buildSchedule(k, l, proto))
+	return slot.Load()
+}
+
+// buildSchedule compiles a static kind's plans on l.
+func buildSchedule(k Kind, l *surfacecode.Layout, proto circuit.Protocol) *schedule {
+	var lrcs [numPlans][]circuit.LRC
+	n := 1
+	if k == PolicyAlways {
+		n = numPlans
+		for q := 0; q < l.NumData; q++ {
+			if s := l.AlwaysAssign[q]; s >= 0 {
+				lrcs[planDense] = append(lrcs[planDense], circuit.LRC{Data: q, Stab: s})
+			}
+		}
+		if proto == circuit.ProtocolDQLR {
+			lrcs[planCarry] = slices.Clone(lrcs[planDense])
+		}
+		if q := l.Leftover; q >= 0 {
+			lrcs[planCarry] = append(lrcs[planCarry], circuit.LRC{Data: q, Stab: l.SwapPrimary[q]})
+		}
+	}
+	s := &schedule{}
+	for i := range n {
+		plan := circuit.Plan{LRCs: lrcs[i]}
+		if k == PolicyAlways {
+			plan.Protocol = proto
+		}
+		s.plans[i] = circuit.Compile(l, plan)
+		s.planned[i] = make([]bool, l.NumData)
+		for _, lrc := range lrcs[i] {
+			s.planned[i][lrc.Data] = true
+		}
+	}
+	return s
+}
 
 // --------------------------------------------------------------- ERASER --
 
@@ -208,14 +274,10 @@ func (e *Eraser) DLI() *DLI { return e.dli }
 
 // Name reports ERASER / ERASER+M with a protocol suffix for DQLR.
 func (e *Eraser) Name() string {
-	n := "ERASER"
 	if e.multiLevel {
-		n = "ERASER+M"
+		return PolicyName(PolicyEraserM, e.proto)
 	}
-	if e.proto == circuit.ProtocolDQLR {
-		n += "-DQLR"
-	}
-	return n
+	return PolicyName(PolicyEraser, e.proto)
 }
 
 // Reset clears the LTT and PUTT.
@@ -286,12 +348,7 @@ func newOptimal(l *surfacecode.Layout, proto circuit.Protocol) *optimal {
 	return o
 }
 
-func (o *optimal) Name() string {
-	if o.proto == circuit.ProtocolDQLR {
-		return "Optimal-DQLR"
-	}
-	return "Optimal"
-}
+func (o *optimal) Name() string { return PolicyName(PolicyOptimal, o.proto) }
 
 func (o *optimal) Reset() {
 	o.dli.Reset()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/circuit"
@@ -49,6 +50,105 @@ func TestAlwaysAverageMatchesTable4(t *testing.T) {
 		if rel := avg/tc.want - 1; rel < -0.07 || rel > 0.07 {
 			t.Errorf("d=%d: average %.2f LRCs/round, Table 4 says %v", tc.d, avg, tc.want)
 		}
+	}
+}
+
+// alwaysRule is Always-LRCs' schedule written as a per-round rule, the
+// oracle for the compiled schedules: round 1 has no LRCs, even rounds swap
+// the matched data qubits, odd rounds from 3 on carry the leftover; DQLR
+// runs the dense round every round and adds the leftover on odd ones.
+func alwaysRule(l *surfacecode.Layout, proto circuit.Protocol, round int) []circuit.LRC {
+	var pairs []circuit.LRC
+	dense := round%2 == 0
+	carry := round%2 == 1 && round >= 3
+	if proto == circuit.ProtocolDQLR {
+		dense = true
+		carry = round%2 == 1
+	}
+	if dense {
+		for q := 0; q < l.NumData; q++ {
+			if s := l.AlwaysAssign[q]; s >= 0 {
+				pairs = append(pairs, circuit.LRC{Data: q, Stab: s})
+			}
+		}
+	}
+	if carry && l.Leftover >= 0 {
+		pairs = append(pairs, circuit.LRC{Data: l.Leftover, Stab: l.SwapPrimary[l.Leftover]})
+	}
+	return pairs
+}
+
+// TestStaticSchedulesMatchRule: for d = 3 to 11, NoLRC and Always under
+// both protocols plan rounds 1 to 2d+3 from the one schedule NewPolicy
+// shares per (distance, kind, protocol). Every plan is the one alwaysRule
+// (or, for NoLRC, the empty plan) gives, PlannedLRC holds on exactly its
+// data qubits, and a builder serves its compiled sequence, which equals a
+// fresh builder's build of a plain copy of the plan op for op.
+func TestStaticSchedulesMatchRule(t *testing.T) {
+	for d := 3; d <= 11; d += 2 {
+		l := surfacecode.MustNew(d)
+		for _, k := range []Kind{PolicyNone, PolicyAlways} {
+			for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
+				p := NewPolicy(k, l, proto)
+				if p.(*static).sched != NewPolicy(k, l, proto).(*static).sched {
+					t.Fatalf("d=%d %s: two policies hold different schedules", d, p.Name())
+				}
+				b, other := circuit.NewBuilder(l), circuit.NewBuilder(l)
+				p.Reset()
+				for r := 1; r <= 2*d+3; r++ {
+					plan := p.PlanRound(r)
+					want := circuit.Plan{}
+					if k == PolicyAlways {
+						want = circuit.Plan{LRCs: alwaysRule(l, proto, r), Protocol: proto}
+					}
+					if !slices.Equal(plan.LRCs, want.LRCs) || plan.Protocol != want.Protocol || plan.CondReturn {
+						t.Fatalf("d=%d %s round %d: plan %+v, want %+v", d, p.Name(), r, plan, want)
+					}
+					planned := make([]bool, l.NumData)
+					for _, lrc := range plan.LRCs {
+						planned[lrc.Data] = true
+					}
+					for q, want := range planned {
+						if p.PlannedLRC(q) != want {
+							t.Fatalf("d=%d %s round %d: PlannedLRC(%d) = %v, want %v", d, p.Name(), r, q, !want, want)
+						}
+					}
+					plain := circuit.Plan{LRCs: slices.Clone(plan.LRCs), Protocol: plan.Protocol}
+					ops := b.Round(plan)
+					if !slices.Equal(ops, circuit.NewBuilder(l).Round(plain)) {
+						t.Fatalf("d=%d %s round %d: compiled sequence differs from a plain build", d, p.Name(), r)
+					}
+					if &other.Round(plan)[0] != &ops[0] {
+						t.Fatalf("d=%d %s round %d: the plan is not compiled", d, p.Name(), r)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestStaticScheduleOnPatchedLayout: a private copy of a layout gets a
+// schedule of its own, planned from its own tables, and leaves the shared
+// one as it was.
+func TestStaticScheduleOnPatchedLayout(t *testing.T) {
+	shared := surfacecode.MustNew(5)
+	l := patchableLayout(5)
+	q := l.Leftover
+	if l.SwapBackup[q] < 0 {
+		t.Fatalf("the d=5 leftover qubit %d has no backup parity qubit", q)
+	}
+	l.SwapPrimary[q] = l.SwapBackup[q]
+	p := NewPolicy(PolicyAlways, l, circuit.ProtocolSwap)
+	if p.(*static).sched == NewPolicy(PolicyAlways, shared, circuit.ProtocolSwap).(*static).sched {
+		t.Fatal("a patched layout shares the shared layout's schedule")
+	}
+	want := circuit.LRC{Data: q, Stab: l.SwapBackup[q]}
+	if got := p.PlanRound(3).LRCs; len(got) != 1 || got[0] != want {
+		t.Fatalf("round 3 on the patched layout: %+v, want [%+v]", got, want)
+	}
+	got := NewPolicy(PolicyAlways, shared, circuit.ProtocolSwap).PlanRound(3).LRCs
+	if want := alwaysRule(shared, circuit.ProtocolSwap, 3); !slices.Equal(got, want) {
+		t.Fatalf("round 3 on the shared layout: %+v, want %+v", got, want)
 	}
 }
 

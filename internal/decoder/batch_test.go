@@ -2,6 +2,7 @@ package decoder
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"testing"
 
@@ -251,6 +252,31 @@ func TestFreeListsSharedPerLayout(t *testing.T) {
 	}
 	if New(l7, Config{}).tab.free == free || NewForKind(l5, Config{}, surfacecode.KindX).tab.free == free {
 		t.Error("d=7 or memory-X tables share the d=5 memory-Z free lists")
+	}
+}
+
+// TestKindStabMaps: the shared stabilizer map lists every stabilizer of the
+// kind with its ordinal, in stabilizer order, and every call of a distance
+// and kind returns the same slice, before or after a decoder is built.
+func TestKindStabMaps(t *testing.T) {
+	for _, d := range []int{3, 5, 7} {
+		l := surfacecode.MustNew(d)
+		for _, kind := range []surfacecode.Kind{surfacecode.KindZ, surfacecode.KindX} {
+			var want []StabMap
+			for i, s := range l.Stabilizers {
+				if s.Kind == kind {
+					want = append(want, StabMap{Idx: int32(i), Ord: int32(len(want))})
+				}
+			}
+			got := KindStabMaps(l, kind)
+			if !slices.Equal(got, want) {
+				t.Fatalf("d=%d kind %v: map %v, want %v", d, kind, got, want)
+			}
+			NewForKind(l, Config{}, kind)
+			if again := KindStabMaps(l, kind); &again[0] != &got[0] {
+				t.Errorf("d=%d kind %v: a second call built another map", d, kind)
+			}
+		}
 	}
 }
 

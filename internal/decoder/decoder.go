@@ -119,13 +119,40 @@ type spaceTable struct {
 }
 
 // freeLists are the released scratch arenas and unit collectors of one
-// (distance, kind).
+// (distance, kind), with the kind's stabilizer map that the collectors read.
 type freeLists struct {
 	scratch freeList[scratch]
 	cols    freeList[BatchCollector]
+	stabs   []StabMap // set before the lists are stored, read-only after
 }
 
 var layoutFree sync.Map // [2]int{distance, kind} -> *freeLists
+
+// layoutLists returns the free lists of l's distance and kind, stored with
+// their stabilizer map on first use.
+func layoutLists(l *surfacecode.Layout, kind surfacecode.Kind) *freeLists {
+	key := [2]int{l.Distance, int(kind)}
+	if f, ok := layoutFree.Load(key); ok {
+		return f.(*freeLists)
+	}
+	f := &freeLists{}
+	for i := range l.Stabilizers {
+		if l.Stabilizers[i].Kind == kind {
+			f.stabs = append(f.stabs, StabMap{Idx: int32(i), Ord: int32(l.KindOrdinal(kind, i))})
+		}
+	}
+	actual, _ := layoutFree.LoadOrStore(key, f)
+	return actual.(*freeLists)
+}
+
+// KindStabMaps returns the map from l's stabilizers of the given kind to
+// their decoder ordinals, in stabilizer order: the map AddWideWords reads
+// to fan a simulator's outcome words out to lanes. It depends on the
+// distance alone, so every caller of a distance and kind gets the same
+// slice, and it must not be modified.
+func KindStabMaps(l *surfacecode.Layout, kind surfacecode.Kind) []StabMap {
+	return layoutLists(l, kind).stabs
+}
 
 // freeList is a mutex-guarded stack of released values. It never shrinks,
 // so it holds at most as many values as were ever in use at once.
@@ -263,8 +290,7 @@ type spaceEdge struct {
 
 func buildSpaceTable(l *surfacecode.Layout, cfg Config, kind surfacecode.Kind) *spaceTable {
 	nz := l.NumKind(kind)
-	free, _ := layoutFree.LoadOrStore([2]int{l.Distance, int(kind)}, new(freeLists))
-	t := &spaceTable{nz: nz, tw: make([]float64, nz), free: free.(*freeLists)}
+	t := &spaceTable{nz: nz, tw: make([]float64, nz), free: layoutLists(l, kind)}
 	for i := range t.tw {
 		t.tw[i] = 1
 	}

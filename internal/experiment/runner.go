@@ -342,18 +342,6 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	return total, m
 }
 
-// kindStabs precomputes, once per worker, the stabilizer-index to decoder
-// kind-ordinal map the collector uses to fan event words out to lanes.
-func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.StabMap {
-	var ks []decoder.StabMap
-	for i := range layout.Stabilizers {
-		if layout.Stabilizers[i].Kind == basis {
-			ks = append(ks, decoder.StabMap{Idx: int32(i), Ord: int32(layout.KindOrdinal(basis, i))})
-		}
-	}
-	return ks
-}
-
 // runBatchWorker claims 4-unit blocks of [lo, hi) from next until the range
 // is done or ctx is cancelled. Every block runs on the 256-lane wide engine
 // with one independent per-unit RNG stream per 64-lane sub-word, so a block
@@ -364,7 +352,7 @@ func kindStabs(layout *surfacecode.Layout, basis surfacecode.Kind) []decoder.Sta
 // only:
 //   - plan: one core.Policy serves every lane of a static schedule; the
 //     bit-sliced core.LanePolicies plans each lane of an adaptive one;
-//   - round: static plans run the builder's memoized unmasked op sequence,
+//   - round: static plans run their shared compiled unmasked op sequence,
 //     adaptive ones the per-round merge of the lane plans under lane masks;
 //   - observe: only the adaptive planner reads the round's outcome words.
 //
@@ -377,7 +365,7 @@ func runBatchWorker(ctx context.Context, cfg Config, rs *runSetup, dec *decoder.
 
 	layout, rounds := rs.layout, rs.rounds
 	builder := circuit.NewBuilder(layout)
-	kstabs := kindStabs(layout, cfg.Basis)
+	kstabs := decoder.KindStabMaps(layout, cfg.Basis)
 	ws := batch.NewWide(layout, rs.np, cfg.Basis)
 	ws.UseRates(rs.rates)
 	ws.TrackML = cfg.Policy == core.PolicyEraserM

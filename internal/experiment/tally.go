@@ -237,7 +237,7 @@ func (t *Tally) ResultFor(cfg Config) Result {
 	layout := surfacecode.MustNew(cfg.Distance)
 	res := Result{
 		Config:        cfg,
-		PolicyName:    core.NewPolicy(cfg.Policy, layout, cfg.Protocol).Name(),
+		PolicyName:    core.PolicyName(cfg.Policy, cfg.Protocol),
 		Rounds:        t.Rounds,
 		Shots:         t.Shots,
 		LogicalErrors: t.LogicalErrors,

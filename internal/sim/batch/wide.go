@@ -130,8 +130,12 @@ func NewWide(l *surfacecode.Layout, n noise.Params, basis surfacecode.Kind) *Wid
 // profile's base (which still supplies the transport model and leakage
 // enable). A uniform profile collapses to one class per noise kind — the
 // profile-free sampler layout — so its blocks are bit-identical to the
-// profile-free simulator's. Call before Reset; survives it.
+// profile-free simulator's. A nil r on a simulator without rates keeps the
+// tables it has. Call before Reset; survives it.
 func (s *Wide) UseRates(r *device.Rates) {
+	if r == nil && s.rates == nil {
+		return
+	}
 	s.rates = r
 	if r != nil {
 		s.Noise = r.Base
