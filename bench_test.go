@@ -691,8 +691,8 @@ func BenchmarkMaskedRoundBuildD7(b *testing.B) {
 // ERASER block loop (about 1/43 events per stabilizer-round, 170 LRCs and
 // 297 LRC ops per round). The planner is Reset at each recorded block's
 // first round, so it plans exactly what the recorded loop planned. One
-// replay of every round runs before the timer, so the per-lane LRC buffers
-// have reached their steady capacity; the CI allocation gate greps this
+// replay of every round runs before the timer, so the planner's LRC arena
+// has reached its steady capacity; the CI allocation gate greps this
 // benchmark for 0 allocs/op.
 func BenchmarkLanePoliciesD7(b *testing.B) {
 	l := surfacecode.MustNew(7)

@@ -225,13 +225,15 @@ func TestFinalMeasurement(t *testing.T) {
 }
 
 // TestBuilderReuse: one Builder fed a seeded sequence of plans returns, for
-// every plan, exactly what a fresh builder emits. The sequence holds far
-// more distinct plans than Round's memo (random LRC sets) next to the
-// repeating ones (the empty plan, Always's dense and sparse plans), both
-// protocols, CondReturn on and off, and FinalMeasurement calls in between.
-// Every non-empty plan is written into one shared LRC buffer in place, as
-// always.PlanRound does, so a memo that kept the caller's slice instead of
-// a copy would match a stale plan.
+// every plan, exactly what a fresh builder emits. The sequence mixes random
+// LRC sets with repeating plans (the empty plan, whose one bare round the
+// builder keeps, and Always's dense and sparse plans, here uncompiled),
+// both protocols, CondReturn on and off, and FinalMeasurement calls in
+// between. Every non-empty plan is written into one shared LRC buffer in
+// place, as the lane planner rewrites its LRC arena every round, so a
+// builder that kept anything of a caller's slice from one call to the next
+// would build a stale plan. A rebuilt round's buffer has exactly its
+// length, with no growth slack.
 func TestBuilderReuse(t *testing.T) {
 	for _, d := range []int{3, 5} {
 		l := surfacecode.MustNew(d)

@@ -75,8 +75,16 @@ type LanePolicies struct {
 	used      []uint64 // [NumParity*words] scratch: parity qubits taken this round
 	planLanes circuit.LaneMask
 
-	plannedWord []uint64 // [NumData*words] lanes scheduling an LRC on q
-	lrcTotal    int64    // LRCs planned this round, summed over active lanes
+	plannedWord []uint64      // [NumData*words] lanes scheduling an LRC on q
+	laneLRCs    []int32       // [lanes] scratch: each lane's LRC count, then its next arena slot
+	planned     []laneLRC     // this round's LRCs over all active lanes, in planning order
+	arena       []circuit.LRC // this round's LRCs, lane after lane; plans[i].LRCs are its sub-slices
+}
+
+// laneLRC is one LRC the DLI planned for one lane.
+type laneLRC struct {
+	lane int32
+	lrc  circuit.LRC
 }
 
 // NewLanePolicies builds a planner for lanes shots of the given adaptive
@@ -99,6 +107,7 @@ func NewLanePolicies(k Kind, l *surfacecode.Layout, proto circuit.Protocol, lane
 		words:       words,
 		plans:       make([]circuit.Plan, lanes),
 		plannedWord: make([]uint64, l.NumData*words),
+		laneLRCs:    make([]int32, lanes),
 	}
 	lp.threshold = make([]int, l.NumData)
 	for q := range lp.threshold {
@@ -130,16 +139,16 @@ func (lp *LanePolicies) Reset() {
 	clear(lp.putt)
 	clear(lp.plannedWord)
 	lp.clearPlans()
-	lp.lrcTotal = 0
+	lp.planned = lp.planned[:0]
 }
 
-// clearPlans empties the plans of the lanes that scheduled LRCs last round,
-// keeping each lane's LRC buffer for reuse.
+// clearPlans empties the plans of the lanes that scheduled LRCs last round.
 func (lp *LanePolicies) clearPlans() {
 	for w, m := range lp.planLanes {
 		for ; m != 0; m &= m - 1 {
 			i := w<<6 | bits.TrailingZeros64(m)
-			lp.plans[i].LRCs = lp.plans[i].LRCs[:0]
+			lp.plans[i].LRCs = nil
+			lp.laneLRCs[i] = 0
 		}
 	}
 	lp.planLanes = circuit.LaneMask{}
@@ -147,54 +156,82 @@ func (lp *LanePolicies) clearPlans() {
 
 // PlanRound returns the per-lane plans for the upcoming round (aliased;
 // valid until the next call). Inactive lanes get empty plans.
+//
+// The DLI records the round's LRCs in planning order, ascending in data
+// qubit, and counts each lane's. They are then laid out lane after lane in
+// one arena the planner keeps: each plan's LRCs is a full-capacity
+// sub-slice of it, so an append by a caller copies instead of overwriting
+// the next lane's list, and each lane's LRCs keep the order the scalar DLI
+// emits them in.
 func (lp *LanePolicies) PlanRound(round int, active circuit.LaneMask) []circuit.Plan {
 	lp.clearPlans()
 	clear(lp.used)
-	lp.lrcTotal = 0
 	l, words := lp.layout, lp.words
+	ltt, used, putt, count := lp.ltt, lp.used, lp.putt, lp.laneLRCs
+	planned := lp.planned[:0]
 	for q := 0; q < l.NumData; q++ {
-		prim, back := l.SwapPrimary[q]*words, -1
-		if l.SwapBackup[q] >= 0 {
-			back = l.SwapBackup[q] * words
-		}
+		prim, back := l.SwapPrimary[q], l.SwapBackup[q]
 		for w := 0; w < words; w++ {
-			req := lp.ltt[q*words+w] & active[w]
+			i := q*words + w
+			req := ltt[i] & active[w]
+			lp.plannedWord[i] = 0
 			if req == 0 {
-				lp.plannedWord[q*words+w] = 0
 				continue
 			}
 			// Each lane takes the primary parity qubit when it is neither
 			// taken this round nor cooling down in the PUTT, else the backup
 			// under the same rule; lanes losing both retry next round.
-			onPrim := req &^ (lp.used[prim+w] | lp.putt[prim+w])
-			lp.used[prim+w] |= onPrim
-			lp.appendLRCs(w, onPrim, circuit.LRC{Data: q, Stab: l.SwapPrimary[q]})
-			got := onPrim
-			if rest := req &^ onPrim; rest != 0 && back >= 0 {
-				onBack := rest &^ (lp.used[back+w] | lp.putt[back+w])
-				lp.used[back+w] |= onBack
-				lp.appendLRCs(w, onBack, circuit.LRC{Data: q, Stab: l.SwapBackup[q]})
+			got := req &^ (used[prim*words+w] | putt[prim*words+w])
+			used[prim*words+w] |= got
+			planned = planLRC(planned, count, w, got, circuit.LRC{Data: q, Stab: prim})
+			if rest := req &^ got; rest != 0 && back >= 0 {
+				onBack := rest &^ (used[back*words+w] | putt[back*words+w])
+				used[back*words+w] |= onBack
+				planned = planLRC(planned, count, w, onBack, circuit.LRC{Data: q, Stab: back})
 				got |= onBack
 			}
-			lp.plannedWord[q*words+w] = got
+			lp.plannedWord[i] = got
 			lp.planLanes[w] |= got
-			lp.lrcTotal += int64(bits.OnesCount64(got))
 		}
 	}
+	lp.planned = planned
 	if lp.usePUTT {
-		copy(lp.putt, lp.used)
+		copy(putt, used)
+	}
+	if len(planned) == 0 {
+		return lp.plans
+	}
+	if cap(lp.arena) < len(planned) {
+		lp.arena = make([]circuit.LRC, len(planned))
+	}
+	arena := lp.arena[:len(planned)]
+	// Hand each planning lane its stretch of the arena, and turn its count
+	// into the arena slot its first LRC goes to.
+	off := int32(0)
+	for w, m := range lp.planLanes {
+		for ; m != 0; m &= m - 1 {
+			i := w<<6 | bits.TrailingZeros64(m)
+			end := off + count[i]
+			lp.plans[i].LRCs = arena[off:end:end]
+			count[i], off = off, end
+		}
+	}
+	for _, p := range planned {
+		arena[count[p.lane]] = p.lrc
+		count[p.lane]++
 	}
 	return lp.plans
 }
 
-// appendLRCs appends lrc to the plan of every lane of sub-word w set in m.
-// Data qubits are visited in ascending order, so each lane's LRCs come out
-// in the order the scalar DLI emits them.
-func (lp *LanePolicies) appendLRCs(w int, m uint64, lrc circuit.LRC) {
+// planLRC appends lrc to planned for every lane of sub-word w set in m and
+// counts it in the lane's entry of count.
+func planLRC(planned []laneLRC, count []int32, w int, m uint64, lrc circuit.LRC) []laneLRC {
 	for ; m != 0; m &= m - 1 {
 		i := w<<6 | bits.TrailingZeros64(m)
-		lp.plans[i].LRCs = append(lp.plans[i].LRCs, lrc)
+		planned = append(planned, laneLRC{int32(i), lrc})
+		count[i]++
 	}
+	return planned
 }
 
 // PlannedWords returns all planned-lane words of data qubit q, one per
@@ -205,7 +242,7 @@ func (lp *LanePolicies) PlannedWords(q int) []uint64 {
 
 // LRCTotal returns the number of LRCs in the current round's plans, summed
 // over active lanes.
-func (lp *LanePolicies) LRCTotal() int64 { return lp.lrcTotal }
+func (lp *LanePolicies) LRCTotal() int64 { return int64(len(lp.planned)) }
 
 // Observe updates the active lanes' Leakage Tracking Table from the round's
 // packed classical record: detection events (and, for ERASER+M, the

@@ -100,7 +100,7 @@ func tallyHash(t *testing.T, tl *Tally) string {
 //	go test ./internal/experiment -run TestGoldenTallies -update
 func TestGoldenTallies(t *testing.T) {
 	got := goldenFile{
-		KeySchema: 3,
+		KeySchema: keySchema,
 		Grid:      "5 policies x {swap, dqlr} x {uniform, hotspot, drift} x d{3,5}; 2 cycles, p=3e-3, seed 2023, 1 worker",
 		Entries:   map[string]goldenEntry{},
 	}

@@ -79,9 +79,15 @@ func RunPostSelection(cfg Config, window, flips int) *PostSelection {
 	// streak[q] counts consecutive rounds with >= flips adjacent events.
 	streak := make([]int, layout.NumData)
 	var events []decoder.Event
+	var s *sim.Simulator
 
 	for shot := 0; shot < cfg.Shots; shot++ {
-		s := sim.NewMemory(layout, np, root.Split(uint64(shot)), cfg.Basis)
+		rng := root.Split(uint64(shot))
+		if s == nil {
+			s = sim.NewMemory(layout, np, rng, cfg.Basis)
+		} else {
+			s.Reset(rng)
+		}
 		pol.Reset()
 		suspect := false
 		events = events[:0]

@@ -83,20 +83,24 @@ func TestParallelWorkersMatchSerialCounts(t *testing.T) {
 	requireWorkerInvariant(t, "always", cfg)
 }
 
-// TestRunUnitsWarmAllocs: a second RunUnits call (d=7, 7 cycles, Always; 16
-// units on one worker) reuses the decoder table's scratch arenas and unit
+// TestRunUnitsWarmAllocs: a second RunUnits call (d=7, 7 cycles; 16 units
+// on one worker) reuses the decoder table's scratch arenas and unit
 // collectors that the first call grew, and the static policy's shared
 // compiled plans, so it allocates only the rest of the per-call engine
-// set-up (~21 B/shot). At p=1e-3, the decode-bound Figure-14 point, the
-// bound sits far below the ~1,070 B/shot of a run that regrows its decode
-// buffers from empty. At p=1e-4 it sits below the ~64 B/shot of a run
-// that rebuilds the Always op sequences in every call.
+// set-up (~21 B/shot under Always). At p=1e-3, the decode-bound Figure-14
+// point, the Always bound sits far below the ~1,070 B/shot of a run that
+// regrows its decode buffers from empty. At p=1e-4 it sits below the ~64
+// B/shot of a run that rebuilds the Always op sequences in every call. The
+// ERASER case pins the lane planner's one LRC arena per round (~191
+// B/shot, ~146 allocations a call): a planner that grows each of its 256
+// lanes' LRC lists on its own reads ~244 B/shot and ~1,250 allocations.
 func TestRunUnitsWarmAllocs(t *testing.T) {
 	for _, c := range []struct {
+		policy     core.Kind
 		p          float64
 		maxPerShot float64
-	}{{1e-3, 300}, {1e-4, 40}} {
-		cfg := Config{Distance: 7, Cycles: 7, P: c.p, Seed: 2023, Policy: core.PolicyAlways, Workers: 1}
+	}{{core.PolicyAlways, 1e-3, 300}, {core.PolicyAlways, 1e-4, 40}, {core.PolicyEraser, 1e-3, 210}} {
+		cfg := Config{Distance: 7, Cycles: 7, P: c.p, Seed: 2023, Policy: c.policy, Workers: 1}
 		const units = 16
 		RunUnits(cfg, 0, units)
 		var m0, m1 runtime.MemStats
@@ -104,9 +108,10 @@ func TestRunUnitsWarmAllocs(t *testing.T) {
 		tally := RunUnits(cfg, 0, units)
 		runtime.ReadMemStats(&m1)
 		perShot := float64(m1.TotalAlloc-m0.TotalAlloc) / float64(tally.Shots)
-		t.Logf("p=%g: warm RunUnits %.1f B/shot over %d shots", c.p, perShot, tally.Shots)
+		t.Logf("%v p=%g: warm RunUnits %.1f B/shot, %d allocations over %d shots",
+			c.policy, c.p, perShot, m1.Mallocs-m0.Mallocs, tally.Shots)
 		if perShot > c.maxPerShot {
-			t.Errorf("p=%g: warm RunUnits allocates %.1f B/shot, want <= %v", c.p, perShot, c.maxPerShot)
+			t.Errorf("%v p=%g: warm RunUnits allocates %.1f B/shot, want <= %v", c.policy, c.p, perShot, c.maxPerShot)
 		}
 	}
 }

@@ -18,7 +18,9 @@ import (
 // streams or decisions. The hashes were computed with the
 // scalar engine as it ran before RunScalar existed (Run with the config
 // fields that once forced the scalar engine and tuned its policy), for 1
-// and GOMAXPROCS workers alike.
+// and GOMAXPROCS workers alike. noLRC's was re-pinned when greedy matching
+// took its documented tie order (key schema 4), which moved one of its
+// shots to a logical error (34 to 35 of 500); the other eight did not move.
 func TestRunScalarPinned(t *testing.T) {
 	const p = 3e-3
 	base := Config{Distance: 3, Cycles: 3, P: p, Shots: 500, Seed: 2023}
@@ -34,7 +36,7 @@ func TestRunScalarPinned(t *testing.T) {
 		want string
 	}{
 		{"noLRC", with(func(c *Config) { c.Policy = core.PolicyNone }), nil,
-			"6999a18a98c72a776896dc1d4a630d106811f97d41baeaf1d97a253839735b3c"},
+			"1634d801e6f741167b2a058f81a0cf1d9c179fe35f005cd5b1ccd24be9123277"},
 		{"always", with(func(c *Config) { c.Policy = core.PolicyAlways }), nil,
 			"0ba71a380bb4bae955da374523d8072d8ed39d4f500a6a366897d55d35539c28"},
 		{"eraser", with(func(c *Config) { c.Policy = core.PolicyEraser }), nil,

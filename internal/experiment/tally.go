@@ -329,6 +329,14 @@ func (c Config) Validate() error {
 	return c.noiseParams().Validate()
 }
 
+// keySchema is the version of Config.Key's layout and of what a key's
+// units decode to. It moves whenever the same config would simulate or
+// decode any unit differently, so no stored tally of the old code is
+// merged with the new. v4: greedy matching takes its candidates in one
+// documented total order, and the five constant slots v3 kept for deleted
+// knobs are gone.
+const keySchema = 4
+
 // Key returns the content address of the experiment's unit stream: a
 // canonical hash over every Config field that determines what any given unit
 // simulates. Two configs with equal keys produce bit-identical units, so
@@ -343,23 +351,13 @@ func (c Config) Key() string {
 		binary.LittleEndian.PutUint64(buf, v)
 		h.Write(buf)
 	}
-	put(3) // key schema version (v3: decoder MaxExact joins the identity)
+	put(keySchema)
 	put(uint64(c.Distance))
 	put(uint64(c.rounds()))
 	put(uint64(c.Policy))
 	put(uint64(c.Protocol))
 	put(uint64(c.Basis))
-	// Schema v3 keyed five knobs that are gone: the union-find selection
-	// and a scalar-engine flag here and, after the seed, the decoder's
-	// uniform space and time weights and its exact-matching cap. Their slots
-	// hold the values of the one configuration left (MWPM, batch engine,
-	// unit weights, cap 12), so every v3 key of an MWPM config stays valid.
-	put(0)
-	put(0)
 	put(c.Seed)
-	put(math.Float64bits(1))
-	put(math.Float64bits(1))
-	put(12)
 	dec := c.Decoder
 	put(uint64(len(dec.SpaceWeights)))
 	for _, w := range dec.SpaceWeights {

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand/v2"
 	"testing"
+	"testing/quick"
 )
 
 // oracleInstance draws one instance in both forms: the table form and the
@@ -60,12 +61,14 @@ func sameResult(got, want Result) bool {
 
 // TestSolveMatchesReference: on 1e5 seeded instances (1e4 in short mode),
 // the table-driven Solve returns the same Mate and the same Weight, bit for
-// bit, as the closure-based matcher it replaced (reference_test.go). The
-// instances cover N from 0 to 48, integer weights with heavy ties and float
-// weights, pair tables whose lower triangle differs from the upper, and
-// MaxExact of 0 (the package default), 4 and 12, so both the exact DP and
-// greedy + 2-opt run on both sides of every cap. A quarter of the instances
-// draw N uniformly from [0, 48], the rest from [0, 16], where the caps sit.
+// bit, as the closure-based reference matcher (reference_test.go), whose
+// greedy sorts every candidate by the documented order, so Greedy's pruning
+// and tie rule are both checked. The instances cover N from 0 to 48,
+// integer weights with heavy ties and float weights, pair tables whose
+// lower triangle differs from the upper, and MaxExact of 0 (the package
+// default), 4 and 12, so both the exact DP and greedy + 2-opt run on both
+// sides of every cap. A quarter of the instances draw N uniformly from
+// [0, 48], the rest from [0, 16], where the caps sit.
 // Workspaces are reused across instances of varying size, as the decoder
 // reuses its own.
 func TestSolveMatchesReference(t *testing.T) {
@@ -143,30 +146,29 @@ func TestExactVisitsReachableStates(t *testing.T) {
 	}
 }
 
-// TestSortCandsMatchesHeapSort: the hole-based, branch-free sift produces
-// the verbatim heap sort's permutation, which decides greedy's tie breaks.
-// Weights come from a few distinct values so nearly every comparison is a
-// tie; endpoints are unique per candidate so the permutation is visible.
-func TestSortCandsMatchesHeapSort(t *testing.T) {
-	rng := rand.New(rand.NewPCG(9, 9))
-	for trial := 0; trial < 400; trial++ {
-		m := rng.IntN(1300)
-		distinct := 1 + rng.IntN(6)
-		c := make([]cand, m)
-		rc := make([]refCand, m)
-		for k := range c {
-			w := float64(rng.IntN(distinct))
-			j := int32(rng.IntN(50)) - 1
-			c[k] = cand{w, int32(k), j}
-			rc[k] = refCand{w, k, int(j)}
-		}
-		sortCands(c)
-		refSortCands(rc)
-		for k := range c {
-			if c[k].w != rc[k].w || int(c[k].i) != rc[k].i || int(c[k].j) != rc[k].j {
-				t.Fatalf("trial %d (m=%d, %d weights): position %d holds %v, heap sort has %v",
-					trial, m, distinct, k, c[k], rc[k])
+// TestGreedyPairsWithinBounds: every pair (i, j), i < j, that Greedy takes
+// costs less than Boundary[i] and at most Boundary[j], the two bounds it
+// prunes candidates by. A pair outside them comes after the boundary
+// candidate of i or of j in the order, which claims that event first.
+func TestGreedyPairsWithinBounds(t *testing.T) {
+	var ws Workspace
+	f := func(seed uint64, nRaw uint8, ints, asym bool) bool {
+		n := int(nRaw % 41)
+		inst, _ := oracleInstance(rand.New(rand.NewPCG(seed, 31)), n, ints, asym)
+		r := ws.Greedy(inst)
+		for i, j := range r.Mate {
+			if j == Boundary || j < i {
+				continue
+			}
+			if w := inst.Pair[i*n+j]; !(w < inst.Boundary[i] && w <= inst.Boundary[j]) {
+				t.Logf("n=%d: pair (%d, %d) of weight %v, boundary weights %v and %v",
+					n, i, j, w, inst.Boundary[i], inst.Boundary[j])
+				return false
 			}
 		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 4000}); err != nil {
+		t.Fatal(err)
 	}
 }

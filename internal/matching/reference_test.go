@@ -3,12 +3,16 @@ package matching
 import (
 	"math"
 	"math/bits"
+	"sort"
 )
 
 // This file keeps the closure-based matcher that the table-driven one
-// replaced, verbatim apart from a ref prefix on every name, as the oracle of
-// TestSolveMatchesReference: the table-driven Solve must return the same
-// Mate and the same Weight, bit for bit, on every instance.
+// replaced, as the oracle of TestSolveMatchesReference: the table-driven
+// Solve must return the same Mate and the same Weight, bit for bit, on every
+// instance. Its Exact and 2-opt are kept verbatim apart from a ref prefix on
+// every name. Its Greedy is the plain definition of the greedy order: all
+// N(N+1)/2 candidates, sorted by (weight, lower event, partner), each taken
+// when its events are free.
 
 // refInstance is the closure form of Instance.
 type refInstance struct {
@@ -165,9 +169,10 @@ func refLowestBit(s int) int {
 	return bits.TrailingZeros64(uint64(s))
 }
 
-// Greedy builds a matching by repeatedly taking the cheapest available
-// pairing (event-event or event-boundary), reusing the workspace's candidate
-// buffer. The result aliases the workspace.
+// Greedy sorts every candidate, each pair (i, j) with i < j and each event
+// alone to the boundary (partner Boundary = -1), by (weight, lower event,
+// partner) and takes each candidate whose events are both still free.
+// The result aliases the workspace.
 func (ws *refWorkspace) Greedy(inst refInstance) Result {
 	n := inst.N
 	mate := ws.mateBuf(n)
@@ -182,7 +187,16 @@ func (ws *refWorkspace) Greedy(inst refInstance) Result {
 		}
 	}
 	ws.cands = cands
-	refSortCands(cands)
+	sort.Slice(cands, func(a, b int) bool {
+		ca, cb := cands[a], cands[b]
+		if ca.w != cb.w {
+			return ca.w < cb.w
+		}
+		if ca.i != cb.i {
+			return ca.i < cb.i
+		}
+		return ca.j < cb.j
+	})
 	for _, c := range cands {
 		if mate[c.i] != -2 {
 			continue
@@ -193,43 +207,7 @@ func (ws *refWorkspace) Greedy(inst refInstance) Result {
 			mate[c.i], mate[c.j] = c.j, c.i
 		}
 	}
-	for i := range mate {
-		if mate[i] == -2 {
-			mate[i] = Boundary
-		}
-	}
 	return Result{Mate: mate, Weight: inst.weight(mate)}
-}
-
-// sortCands heap-sorts candidates by ascending weight without allocating.
-// Ties break deterministically by the heap order, which is all the greedy
-// matcher needs; 2-opt refinement absorbs any tie-order sensitivity.
-func refSortCands(c []refCand) {
-	n := len(c)
-	for i := n/2 - 1; i >= 0; i-- {
-		refSiftDown(c, i, n)
-	}
-	for i := n - 1; i > 0; i-- {
-		c[0], c[i] = c[i], c[0]
-		refSiftDown(c, 0, i)
-	}
-}
-
-func refSiftDown(c []refCand, root, n int) {
-	for {
-		child := 2*root + 1
-		if child >= n {
-			return
-		}
-		if r := child + 1; r < n && c[r].w > c[child].w {
-			child = r
-		}
-		if c[child].w <= c[root].w {
-			return
-		}
-		c[root], c[child] = c[child], c[root]
-		root = child
-	}
 }
 
 // Refine improves a matching with 2-opt local search, mutating r.Mate in
