@@ -223,11 +223,15 @@ func run(name string, opt experiment.Options, exports exportPaths) error {
 		v := experiment.MeasureVisibility(5, 40, opt.Shots/2, 2*opt.P, opt.Seed, 3)
 		fmt.Print(v)
 	case "postselect":
-		ps := experiment.RunPostSelection(experiment.Config{
-			Distance: 5, Cycles: opt.Cycles, P: opt.P, Shots: opt.Shots,
-			Seed: opt.Seed,
-		}, 2, 2)
-		fmt.Print(ps)
+		cfg := experiment.Config{Distance: 5, Cycles: opt.Cycles, P: opt.P, Shots: opt.Shots, Seed: opt.Seed}
+		if opt.Profile != nil {
+			prof, err := opt.Profile.For(5, noise.TransportConservative)
+			if err != nil {
+				return fmt.Errorf("postselect: profile %s: %v", opt.Profile, err)
+			}
+			cfg.Profile = prof
+		}
+		fmt.Print(experiment.RunPostSelection(cfg, 2, 2))
 	case "fig1c":
 		fmt.Print(experiment.Figure1c(opt))
 	case "fig2c":

@@ -93,6 +93,34 @@ func TestHeteroSweepRunsAndExports(t *testing.T) {
 	}
 }
 
+// TestPostselectRunsOnProfile: -profile reaches the post-selection study.
+// A uniform profile at -p prints what no profile prints, and a hotspot
+// profile prints something else.
+func TestPostselectRunsOnProfile(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: builds the binary")
+	}
+	bin := buildLeakage(t)
+	run := func(extra ...string) string {
+		t.Helper()
+		args := append([]string{"-exp", "postselect", "-shots", "300", "-cycles", "3"}, extra...)
+		out, err := exec.Command(bin, args...).CombinedOutput()
+		if err != nil {
+			t.Fatalf("%v: %v\n%s", args, err, out)
+		}
+		// Drop the wall-clock "[postselect done in ...]" line.
+		report, _, _ := strings.Cut(string(out), "[postselect done")
+		return report
+	}
+	plain := run()
+	if got := run("-profile", "uniform:1e-3"); got != plain {
+		t.Errorf("uniform profile:\n%s\nno profile:\n%s", got, plain)
+	}
+	if got := run("-profile", "hotspot:1e-3,3,10"); got == plain {
+		t.Errorf("hotspot profile printed the profile-free report:\n%s", got)
+	}
+}
+
 // TestImprovementLinePrintsBounds: the Figure 14/17/20 improvement summary
 // prints a distance where the improved policy had no logical errors as a
 // bound ("≥"), never as 0.0x, and a sweep with no errors at all as

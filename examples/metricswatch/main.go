@@ -16,7 +16,7 @@
 //     GET /v1/trace?job=, printed for one cold and one warm job.
 //
 // Against a live server the same flow is: scrape GET /metrics twice and
-// diff (cmd/leakload does exactly this for its server-side report).
+// diff (cmd/leakwatch's footer does exactly this for its window).
 package main
 
 import (

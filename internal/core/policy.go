@@ -17,10 +17,9 @@ type RoundInfo struct {
 	Round int
 	// Events holds the detection events per stabilizer.
 	Events []uint8
-	// MLParity and MLData are the multi-level readout classifications
-	// (meaningful only to ERASER+M).
+	// MLParity is the multi-level readout classification of each
+	// stabilizer's measured wire (meaningful only to ERASER+M).
 	MLParity []sim.MLClass
-	MLData   []sim.MLClass
 	// TrueLeakedData is the simulator's ground-truth per-data-qubit leakage
 	// at the end of the round. Only the idealized Optimal policy reads it.
 	TrueLeakedData []bool

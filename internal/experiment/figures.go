@@ -266,31 +266,12 @@ func Figure5(o Options) *RoundSeries {
 // lprSweep runs the given policies and collects their LPR series.
 func (o Options) lprSweep(title string, d int, kinds []core.Kind) *RoundSeries {
 	rs := &RoundSeries{Title: title, Distance: d}
-	layoutNames(o, kinds, rs)
 	for _, k := range kinds {
 		res := o.run(o.config(d, o.Cycles, k))
+		rs.Names = append(rs.Names, core.PolicyName(k, o.Protocol))
 		rs.LPR = append(rs.LPR, res.LPRTotal)
 	}
 	return rs
-}
-
-func layoutNames(o Options, kinds []core.Kind, rs *RoundSeries) {
-	for _, k := range kinds {
-		name := k.String()
-		if o.Protocol == circuit.ProtocolDQLR {
-			switch k {
-			case core.PolicyAlways:
-				name = "DQLR"
-			case core.PolicyEraser:
-				name = "ERASER-DQLR"
-			case core.PolicyEraserM:
-				name = "ERASER+M-DQLR"
-			case core.PolicyOptimal:
-				name = "Optimal-DQLR"
-			}
-		}
-		rs.Names = append(rs.Names, name)
-	}
 }
 
 // Figure6 reproduces Figure 6: LPR per round (top) and LER per cycle
@@ -445,15 +426,13 @@ func MeanMax(rs []Ratio) (mean, max Ratio) {
 func Figure14(o Options) *DistanceSweep {
 	o = o.filled(0)
 	kinds := []core.Kind{core.PolicyEraser, core.PolicyAlways, core.PolicyEraserM, core.PolicyOptimal}
-	rs := &RoundSeries{}
-	layoutNames(o, kinds, rs)
 	s := &DistanceSweep{
 		Title:     "LER vs code distance",
 		P:         o.P,
 		Distances: o.Distances,
-		Names:     rs.Names,
 	}
 	for _, k := range kinds {
+		s.Names = append(s.Names, core.PolicyName(k, o.Protocol))
 		var ler, lo, hi []float64
 		for _, d := range o.Distances {
 			res := o.run(o.config(d, o.Cycles, k))
@@ -554,10 +533,10 @@ func Figure16Table4(o Options) *AccuracyReport {
 	kinds := []core.Kind{core.PolicyAlways, core.PolicyEraser, core.PolicyEraserM, core.PolicyOptimal}
 	rep := &AccuracyReport{
 		Distances:   o.Distances,
-		Names:       []string{"Always-LRCs", "ERASER", "ERASER+M", "Optimal"},
 		FNRDistance: fnrDistance,
 	}
 	for _, k := range kinds {
+		rep.Names = append(rep.Names, core.PolicyName(k, o.Protocol))
 		var acc, lrcs []float64
 		var fpr, fnr float64
 		for _, d := range o.Distances {

@@ -2,11 +2,13 @@ package experiment
 
 import (
 	"math"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/circuit"
+	"repro/internal/core"
 	"repro/internal/noise"
 )
 
@@ -93,14 +95,35 @@ func TestFigure14AndImprovement(t *testing.T) {
 	}
 }
 
-func TestFigure15DQLRNames(t *testing.T) {
-	o := tinyOpts()
-	o.Distance = 3
-	o.Protocol = circuit.ProtocolDQLR
-	rs := Figure15(o)
-	joined := strings.Join(rs.Names, ",")
-	if !strings.Contains(joined, "DQLR") {
-		t.Fatalf("DQLR names missing: %v", rs.Names)
+// TestFigurePolicyNames: Figures 14, 15 and 16 label each series with
+// core.PolicyName of its policy under the run's protocol, so DQLR runs are
+// named as DQLR policies in every figure.
+func TestFigurePolicyNames(t *testing.T) {
+	eraserFirst := []core.Kind{core.PolicyEraser, core.PolicyAlways, core.PolicyEraserM, core.PolicyOptimal}
+	alwaysFirst := []core.Kind{core.PolicyAlways, core.PolicyEraser, core.PolicyEraserM, core.PolicyOptimal}
+	for _, proto := range []circuit.Protocol{circuit.ProtocolSwap, circuit.ProtocolDQLR} {
+		o := tinyOpts()
+		o.Shots = 8
+		o.Cycles = 1
+		o.Distance = 3
+		o.Protocol = proto
+		for _, fig := range []struct {
+			name  string
+			kinds []core.Kind
+			got   []string
+		}{
+			{"Figure 14", eraserFirst, Figure14(o).Names},
+			{"Figure 15", eraserFirst, Figure15(o).Names},
+			{"Figure 16", alwaysFirst, Figure16Table4(o).Names},
+		} {
+			var want []string
+			for _, k := range fig.kinds {
+				want = append(want, core.PolicyName(k, proto))
+			}
+			if !reflect.DeepEqual(fig.got, want) {
+				t.Errorf("%s, protocol %v: names %q, want %q", fig.name, proto, fig.got, want)
+			}
+		}
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"repro/internal/decoder"
 	"repro/internal/sim"
 	"repro/internal/stats"
-	"repro/internal/surfacecode"
 )
 
 // PostSelection implements the prior-work baseline of Section 2.4(1):
@@ -65,12 +64,13 @@ func (p *PostSelection) String() string {
 }
 
 // RunPostSelection executes cfg without LRCs and post-selects shots whose
-// syndrome history shows a persistent leakage signature.
+// syndrome history shows a persistent leakage signature. Like RunScalar it
+// takes its layout, noise, per-site rates and decoder from the run set-up,
+// so a device profile is simulated and decoded as itself.
 func RunPostSelection(cfg Config, window, flips int) *PostSelection {
-	layout := surfacecode.MustNew(cfg.Distance)
-	rounds := cfg.rounds()
-	np := cfg.noiseParams()
-	dec := decoder.NewForKind(layout, cfg.Decoder, cfg.Basis)
+	rs := newRunSetup(cfg)
+	layout, rounds := rs.layout, rs.rounds
+	dec := rs.decoder()
 	builder := circuit.NewBuilder(layout)
 	pol := core.NewPolicy(core.PolicyNone, layout, circuit.ProtocolSwap)
 	root := stats.NewRNG(cfg.Seed, 0x905e1ec7)
@@ -79,15 +79,13 @@ func RunPostSelection(cfg Config, window, flips int) *PostSelection {
 	// streak[q] counts consecutive rounds with >= flips adjacent events.
 	streak := make([]int, layout.NumData)
 	var events []decoder.Event
-	var s *sim.Simulator
+	var rng stats.RNG // reseeded in place for every shot
+	s := sim.NewMemory(layout, rs.np, &rng, cfg.Basis)
+	s.UseRates(rs.rates)
 
 	for shot := 0; shot < cfg.Shots; shot++ {
-		rng := root.Split(uint64(shot))
-		if s == nil {
-			s = sim.NewMemory(layout, np, rng, cfg.Basis)
-		} else {
-			s.Reset(rng)
-		}
+		root.Split(&rng, uint64(shot))
+		s.Reset(&rng)
 		pol.Reset()
 		suspect := false
 		events = events[:0]

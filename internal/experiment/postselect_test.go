@@ -1,8 +1,14 @@
 package experiment
 
 import (
+	"crypto/sha256"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
+
+	"repro/internal/surfacecode"
 )
 
 // TestRunPostSelectionZeroShots: a zero-shot *run* (not just the zero-value
@@ -108,5 +114,88 @@ func TestVisibilityDistribution(t *testing.T) {
 	w.record(10)
 	if w.InvisibleRounds[2] != 1 || w.Episodes != 1 {
 		t.Errorf("overflow episode not clamped: %+v", w)
+	}
+}
+
+// TestScalarStudiesPinned pins post-selection and the visibility study bit
+// for bit: the SHA-256 of each study's JSON result over both distances,
+// both memory bases and two error rates (post-selection), and both
+// distances at two error rates (visibility). Their other tests check
+// invariants only and would not notice a change to their random streams.
+func TestScalarStudiesPinned(t *testing.T) {
+	hash := func(v any) string {
+		data, err := json.Marshal(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sum := sha256.Sum256(data)
+		return hex.EncodeToString(sum[:])
+	}
+	post := map[string]string{
+		"d3-Z-p0.001": "f07bff9b8f732022a00185e6cd567188694d42286deafd8f6946215c642fdef4",
+		"d3-Z-p0.003": "d9884363eb626e13a03dabe77db9085a550e42b10d7d792ec949c4d2061bf0fa",
+		"d3-X-p0.001": "422b4c600cf1e7b68e3952098d2fc37f9a5343eb6633377f3136d54c5f22f308",
+		"d3-X-p0.003": "69c1d418eb4164f193ee1f59783e3ac43931b04892cec5572c120efe432b36c8",
+		"d5-Z-p0.001": "c7b826ed3467aa977ad7ab4d800722356de65a50a13e011f2981c44794d36d49",
+		"d5-Z-p0.003": "9fb9454827d9a6aa0e173d9334130b3668c6a579ce83c4e4858afc233ccd77ac",
+		"d5-X-p0.001": "1061652879da8ff1b3eafb7c44da28504c171d040e18b5a828e98cb69edde509",
+		"d5-X-p0.003": "74539a665de3a9f6597c15ec0983cd4c058afb13d1c6b80ad45154f7eef42bee",
+	}
+	for _, d := range []int{3, 5} {
+		for _, basis := range []surfacecode.Kind{surfacecode.KindZ, surfacecode.KindX} {
+			for _, p := range []float64{1e-3, 3e-3} {
+				name := fmt.Sprintf("d%d-%v-p%g", d, basis, p)
+				ps := RunPostSelection(Config{Distance: d, Cycles: 2, P: p, Basis: basis, Shots: 200, Seed: 2023}, 2, 2)
+				if got := hash(ps); got != post[name] {
+					t.Errorf("post-selection %s: hash %s, pinned %s\n%+v", name, got, post[name], *ps)
+				}
+			}
+		}
+	}
+	vis := map[string]string{
+		"d3-p0.002": "de4e7f4cba5d539bcb3fb8bbdc585a9ffb8b166f00e1a55b74c7743c174207ad",
+		"d3-p0.005": "afbbbb7cf0ced3441153267783e6936d7dd2a11e1ad54f1508ddcf899c244b82",
+		"d5-p0.002": "a46528ef40c6dcdd1c08e920c252bc002e05b51819d33f12664309b526c51203",
+		"d5-p0.005": "fe78bab7d1b1b85a2ff69401418824019216031838a9aece217208cdf1b2f972",
+	}
+	for _, d := range []int{3, 5} {
+		for _, p := range []float64{2e-3, 5e-3} {
+			name := fmt.Sprintf("d%d-p%g", d, p)
+			v := MeasureVisibility(d, 20, 100, p, 2023, 3)
+			if got := hash(v); got != vis[name] {
+				t.Errorf("visibility %s: hash %s, pinned %s\n%+v", name, got, vis[name], *v)
+			}
+		}
+	}
+}
+
+// TestPostSelectionRunsOnProfile: post-selection simulates and decodes a
+// device profile as itself. Three data qubits at ten times the base rates
+// fail more shots and trip the leakage detector on more of them than the
+// uniform base does on the same streams; the profile's matching priors fail
+// fewer of those shots than explicit unit weights do; and a uniform profile
+// reads the profile-free result exactly.
+func TestPostSelectionRunsOnProfile(t *testing.T) {
+	const d, p = 5, 1e-3
+	cfg := Config{Distance: d, Cycles: 4, P: p, Shots: 400, Seed: 9}
+	plain := *RunPostSelection(cfg, 2, 2)
+	uni := cfg
+	uni.Profile = uniformProfile(t, d, p)
+	if got := *RunPostSelection(uni, 2, 2); got != plain {
+		t.Errorf("uniform profile: %+v, profile-free %+v", got, plain)
+	}
+	hot := cfg
+	hot.Profile = hotspotProfile(t, d, p, 3, 10)
+	got := *RunPostSelection(hot, 2, 2)
+	if got.LogicalErrorsAll <= plain.LogicalErrorsAll || got.Kept >= plain.Kept {
+		t.Errorf("hotspot profile: %+v, not worse than its uniform base's %+v", got, plain)
+	}
+	flat := hot
+	flat.Decoder.SpaceWeights = make([]float64, d*d)
+	for q := range flat.Decoder.SpaceWeights {
+		flat.Decoder.SpaceWeights[q] = 1
+	}
+	if unit := *RunPostSelection(flat, 2, 2); got.LogicalErrorsAll >= unit.LogicalErrorsAll {
+		t.Errorf("hotspot profile: %d errors with its priors, %d with unit weights", got.LogicalErrorsAll, unit.LogicalErrorsAll)
 	}
 }

@@ -286,6 +286,10 @@ func (e *runSetup) decoder() *decoder.Decoder {
 // pre-drawn seed and its sub-word whichever worker claims it, and tallies
 // are integer counts that merge exactly, so the result is bit-identical for
 // any worker count.
+//
+// A worker that panics stops the others at their next block claim, and once
+// all have returned runUnitRange re-panics with the first value in the
+// caller's goroutine, where the caller's recover can see it.
 func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally, Metrics) {
 	if lo < 0 || hi < lo {
 		panic(fmt.Sprintf("experiment: invalid unit range [%d, %d)", lo, hi))
@@ -319,15 +323,26 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 	accums := make([]*Tally, workers)
 	workerMetrics := make([]Metrics, workers)
 	var wg sync.WaitGroup
+	var panicOnce sync.Once
+	var panicked any
 	for w := range accums {
 		accums[w] = NewTally(rs.rounds, batch.Lanes)
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					panicOnce.Do(func() { panicked = r })
+					next.Store(int64(hi)) // every later claim is past the range
+				}
+			}()
 			runBatchWorker(ctx, cfg, rs, dec, seeds, lo, hi, shotsCap, &next, accums[w], &workerMetrics[w])
 		}()
 	}
 	wg.Wait()
+	if panicked != nil {
+		panic(panicked)
+	}
 
 	total := accums[0]
 	for _, a := range accums[1:] {

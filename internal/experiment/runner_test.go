@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -45,6 +46,24 @@ func sameSeries(a, b []float64) bool {
 		}
 	}
 	return true
+}
+
+// TestRunUnitsWorkerPanicReachesCaller: a panic in a runner worker's
+// goroutine is re-raised in the caller's, where a recover sees its value,
+// instead of killing the process. An unknown policy kind panics in every
+// worker's set-up.
+func TestRunUnitsWorkerPanicReachesCaller(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		cfg := Config{Distance: 3, Cycles: 1, P: 1e-3, Seed: 1, Policy: core.Kind(99), Workers: workers}
+		got := func() (r any) {
+			defer func() { r = recover() }()
+			RunUnits(cfg, 0, 2*BlockUnits)
+			return nil
+		}()
+		if msg := fmt.Sprint(got); msg != "core: unknown policy kind 99" {
+			t.Errorf("Workers=%d: recovered %q, want the worker's panic", workers, msg)
+		}
+	}
 }
 
 // TestConfigStreamSeparatesNoiseFields: configs differing in any single

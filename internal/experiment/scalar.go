@@ -30,17 +30,14 @@ func RunScalar(cfg Config, tune func(core.Policy)) Result {
 	truth := make([]bool, layout.NumData)
 	prevTruth := make([]bool, layout.NumData)
 	events := make([]decoder.Event, 0, 64)
-	var s *sim.Simulator
+	var rng stats.RNG // reseeded in place for every shot
+	s := sim.NewMemory(layout, rs.np, &rng, cfg.Basis)
+	s.UseRates(rs.rates)
 
 	for shot := 0; shot < cfg.Shots; shot++ {
 		acc.Shots++
-		rng := stats.NewRNG(root.Uint64(), uint64(shot))
-		if s == nil {
-			s = sim.NewMemory(layout, rs.np, rng, cfg.Basis)
-			s.UseRates(rs.rates)
-		} else {
-			s.Reset(rng)
-		}
+		rng.Seed(root.Uint64(), uint64(shot))
+		s.Reset(&rng)
 		pol.Reset()
 		clear(prevTruth)
 		events = events[:0]
@@ -78,7 +75,6 @@ func RunScalar(cfg Config, tune func(core.Policy)) Result {
 				Round:          r,
 				Events:         rr.Events,
 				MLParity:       rr.MLParity,
-				MLData:         rr.MLData,
 				TrueLeakedData: truth,
 			})
 			prevTruth, truth = truth, prevTruth

@@ -81,15 +81,12 @@ func MeasureVisibility(d, rounds, shots int, p float64, seed uint64, maxTrack in
 	// onset[q] is the round the current episode started, or 0 when none.
 	onset := make([]int, layout.NumData)
 	wasLeaked := make([]bool, layout.NumData)
-	var s *sim.Simulator
+	var rng stats.RNG // reseeded in place for every shot
+	s := sim.New(layout, np, &rng)
 
 	for shot := 0; shot < shots; shot++ {
-		rng := root.Split(uint64(shot))
-		if s == nil {
-			s = sim.New(layout, np, rng)
-		} else {
-			s.Reset(rng)
-		}
+		root.Split(&rng, uint64(shot))
+		s.Reset(&rng)
 		for q := range onset {
 			onset[q] = 0
 			wasLeaked[q] = false

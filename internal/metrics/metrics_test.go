@@ -250,6 +250,73 @@ func TestCounterIgnoresNegative(t *testing.T) {
 	}
 }
 
+// TestSnapshotSub: diffing two scrapes subtracts each series from the same
+// series (name and full label set) of the earlier scrape, histogram buckets
+// included, which is how a scrape client isolates the traffic between them
+// from a server's lifetime totals; a series absent from the earlier scrape
+// keeps its value.
+func TestSnapshotSub(t *testing.T) {
+	beforeText := `# HELP leak_sched_units_total u
+# TYPE leak_sched_units_total counter
+leak_sched_units_total 100
+# HELP leak_store_lookups_total l
+# TYPE leak_store_lookups_total counter
+leak_store_lookups_total{result="hit"} 10
+leak_store_lookups_total{result="miss"} 5
+# HELP leak_job_seconds j
+# TYPE leak_job_seconds histogram
+leak_job_seconds_bucket{le="1"} 2
+leak_job_seconds_bucket{le="+Inf"} 3
+leak_job_seconds_sum 4
+leak_job_seconds_count 3
+`
+	afterText := `# HELP leak_sched_units_total u
+# TYPE leak_sched_units_total counter
+leak_sched_units_total 350
+# HELP leak_store_lookups_total l
+# TYPE leak_store_lookups_total counter
+leak_store_lookups_total{result="hit"} 100
+leak_store_lookups_total{result="miss"} 15
+# HELP leak_job_seconds j
+# TYPE leak_job_seconds histogram
+leak_job_seconds_bucket{le="1"} 6
+leak_job_seconds_bucket{le="+Inf"} 10
+leak_job_seconds_sum 12
+leak_job_seconds_count 10
+# HELP leak_store_repairs_total r
+# TYPE leak_store_repairs_total counter
+leak_store_repairs_total 3
+`
+	before, err := ParseText(strings.NewReader(beforeText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	after, err := ParseText(strings.NewReader(afterText))
+	if err != nil {
+		t.Fatal(err)
+	}
+	diff := after.Sub(before)
+	if v, _ := diff.Value("leak_sched_units_total"); v != 250 {
+		t.Errorf("units diff: got %v want 250", v)
+	}
+	hits, _ := diff.Value("leak_store_lookups_total", "result", "hit")
+	misses, _ := diff.Value("leak_store_lookups_total", "result", "miss")
+	if hits != 90 || misses != 10 {
+		t.Errorf("lookup diff: got %v/%v want 90/10", hits, misses)
+	}
+	if rate := hits / (hits + misses); rate != 0.9 {
+		t.Errorf("hit rate: got %v want 0.9", rate)
+	}
+	in1, _ := diff.Value("leak_job_seconds_bucket", "le", "1")
+	inf, _ := diff.Value("leak_job_seconds_bucket", "le", "+Inf")
+	if n, _ := diff.Value("leak_job_seconds_count"); in1 != 4 || inf != 7 || n != 7 {
+		t.Errorf("histogram diff: buckets %v/%v count %v, want 4/7 and 7", in1, inf, n)
+	}
+	if v, _ := diff.Value("leak_store_repairs_total"); v != 3 {
+		t.Errorf("series absent before: got %v want 3", v)
+	}
+}
+
 // FuzzParseText: a /metrics scrape is either rejected, or every parsed
 // sample is found again by Value under its own labels, and Quantile and
 // Sub run on the snapshot without a panic. The seed corpus in

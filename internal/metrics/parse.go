@@ -18,8 +18,9 @@ type Sample struct {
 	Value  float64
 }
 
-// Snapshot is a parsed /metrics scrape, indexed for the lookups the load
-// generator and the conformance tests need.
+// Snapshot is a parsed /metrics scrape, indexed for the lookups scrape
+// clients (cmd/leakwatch, examples/metricswatch) and the conformance tests
+// need.
 type Snapshot struct {
 	// Samples holds every value line in file order.
 	Samples []Sample
@@ -99,8 +100,9 @@ next:
 // Sub returns a new snapshot whose sample values are s minus prev, matching
 // series by name and full label set (series absent from prev keep their
 // value). Counter families — histogram buckets included, since those are
-// cumulative counters per `le` — subtract cleanly, which is how a load run
-// isolates "what happened during the run" from a server's lifetime totals.
+// cumulative counters per `le` — subtract cleanly, which is how a scrape
+// client isolates "what happened since the first scrape" from a server's
+// lifetime totals.
 // Gauge families are not meaningfully subtractable; callers should read
 // gauges from the live snapshot instead.
 func (s *Snapshot) Sub(prev *Snapshot) *Snapshot {

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -278,7 +279,8 @@ func TestServerDeleteCancelsJob(t *testing.T) {
 
 // TestServerShedsWithRetryAfter: over-capacity cold submissions answer 429
 // with a Retry-After header, while a warm (store-satisfied) request on the
-// same saturated server still completes as a cache hit.
+// same saturated server still completes as a cache hit. Once the scheduler
+// drains, every submission, warm ones too, answers 503 with Retry-After.
 func TestServerShedsWithRetryAfter(t *testing.T) {
 	st, err := store.Open("")
 	if err != nil {
@@ -321,6 +323,21 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 
 	close(blocker.release)
 	pollDone(t, srv, cold.Job)
+
+	if err := sched.Shutdown(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	resp, err = http.Post(srv.URL+"/v1/run", "application/json", strings.NewReader(warmBody))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("submit while draining: status %d, want 503", resp.StatusCode)
+	}
+	if ra := resp.Header.Get("Retry-After"); ra == "" {
+		t.Fatal("503 response carries no Retry-After header")
+	}
 }
 
 // TestServerEvictedJobAnswers410: polling a job that aged out of the

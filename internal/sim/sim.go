@@ -48,9 +48,6 @@ type RoundResult struct {
 	// MLParity holds the multi-level classification of each stabilizer's
 	// measured wire (parity qubit, or the swapped data qubit in LRC rounds).
 	MLParity []MLClass
-	// MLData holds, per stabilizer, the classification of the data qubit
-	// measured during an LRC (MLNone when the stabilizer had no LRC).
-	MLData []MLClass
 }
 
 // Simulator holds the frame state for one shot of a memory experiment.
@@ -240,7 +237,6 @@ func (s *Simulator) RunRound(ops []circuit.Op) RoundResult {
 		Syndrome: s.syndrome,
 		Events:   s.events,
 		MLParity: s.mlPar,
-		MLData:   s.mlData,
 	}
 }
 

@@ -153,7 +153,9 @@ func TestLeakedMeasurementIsRandom(t *testing.T) {
 	n := noiseless()
 	rng := stats.NewRNG(6, 0)
 	for i := 0; i < trials; i++ {
-		s := New(l, n, rng.Split(uint64(i)))
+		var shot stats.RNG
+		rng.Split(&shot, uint64(i))
+		s := New(l, n, &shot)
 		b := circuit.NewBuilder(l)
 		s.InjectLeak(anc)
 		res := s.RunRound(b.Round(circuit.Plan{}))
@@ -407,7 +409,9 @@ func TestLeakISWAPResetFailureExcites(t *testing.T) {
 	excited, trials := 0, 2000
 	rng := stats.NewRNG(21, 0)
 	for i := 0; i < trials; i++ {
-		s := New(l, n, rng.Split(uint64(i)))
+		var shot stats.RNG
+		rng.Split(&shot, uint64(i))
+		s := New(l, n, &shot)
 		const q, p = 4, 9
 		s.x[p] = true // parity reset failed: |1> instead of |0>
 		s.leakISWAP(q, p)

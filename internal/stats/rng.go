@@ -33,20 +33,24 @@ type RNG struct {
 // (seed, stream) pairs yield independent streams; identical pairs yield
 // identical sequences.
 func NewRNG(seed, stream uint64) *RNG {
-	// Mix the words through SplitMix64 so that small consecutive seeds do
-	// not produce correlated PCG states.
 	r := &RNG{}
-	r.src.Seed(splitmix64(seed), splitmix64(stream^0x9e3779b97f4a7c15))
+	r.Seed(seed, stream)
 	return r
 }
 
-// Split derives an independent child generator for the given shot index.
-// Splitting is deterministic: the same parent seed and index always produce
-// the same child stream.
-func (r *RNG) Split(index uint64) *RNG {
-	c := &RNG{}
-	c.src.Seed(r.src.Uint64()^splitmix64(index), splitmix64(index+0x517cc1b727220a95))
-	return c
+// Seed reseeds r in place to the sequence NewRNG(seed, stream) returns, so a
+// shot loop can reuse one generator instead of allocating one per shot.
+func (r *RNG) Seed(seed, stream uint64) {
+	// Mix the words through SplitMix64 so that small consecutive seeds do
+	// not produce correlated PCG states.
+	r.src.Seed(splitmix64(seed), splitmix64(stream^0x9e3779b97f4a7c15))
+}
+
+// Split reseeds child in place to an independent stream for the given shot
+// index, consuming one draw of r. Splitting is deterministic: the same
+// parent state and index always produce the same child stream.
+func (r *RNG) Split(child *RNG, index uint64) {
+	child.src.Seed(r.src.Uint64()^splitmix64(index), splitmix64(index+0x517cc1b727220a95))
 }
 
 func splitmix64(x uint64) uint64 {

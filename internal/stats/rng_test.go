@@ -33,12 +33,32 @@ func TestRNGStreamsDiffer(t *testing.T) {
 }
 
 func TestRNGSplitDeterminism(t *testing.T) {
-	mk := func() *RNG { return NewRNG(5, 5) }
-	a := mk().Split(3)
-	b := mk().Split(3)
+	var a, b RNG
+	NewRNG(5, 5).Split(&a, 3)
+	NewRNG(5, 5).Split(&b, 3)
 	for i := 0; i < 50; i++ {
 		if a.Uint64() != b.Uint64() {
 			t.Fatal("Split is not deterministic")
+		}
+	}
+}
+
+// TestRNGSeedInPlace: a used generator reseeded in place replays the
+// sequence NewRNG returns for the same pair, and a used child split into
+// again replays a fresh child's stream, so a shot loop may reuse one RNG.
+func TestRNGSeedInPlace(t *testing.T) {
+	var r, used, fresh RNG
+	r.Seed(1, 2)
+	r.Uint64()
+	r.Seed(42, 7)
+	NewRNG(5, 5).Split(&used, 1)
+	used.Uint64()
+	NewRNG(5, 5).Split(&used, 3)
+	NewRNG(5, 5).Split(&fresh, 3)
+	ref := NewRNG(42, 7)
+	for i := 0; i < 50; i++ {
+		if r.Uint64() != ref.Uint64() || used.Uint64() != fresh.Uint64() {
+			t.Fatalf("reseeded generator diverged at draw %d", i)
 		}
 	}
 }
@@ -48,7 +68,11 @@ func TestRNGSplitDeterminism(t *testing.T) {
 // beyond chance, bitwise half-distance on average, and no linear correlation
 // between their uniform outputs.
 func TestSplitStreamIndependence(t *testing.T) {
-	child := func(index uint64) *RNG { return NewRNG(9, 9).Split(index) }
+	child := func(index uint64) *RNG {
+		c := &RNG{}
+		NewRNG(9, 9).Split(c, index)
+		return c
+	}
 	pairs := [][2]uint64{{1, 2}, {0, 1}, {7, 1 << 40}}
 	for _, pr := range pairs {
 		a, b := child(pr[0]), child(pr[1])
