@@ -9,6 +9,7 @@ package repro_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -764,6 +765,44 @@ func BenchmarkStoreWarmVsCold(b *testing.B) {
 	})
 }
 
+// BenchmarkSchedulerConcurrent submits Figure 14's twelve points (d = 3, 5
+// and 7 under four policies, 7 cycles, p = 1e-3, 32,768 shots each) to one
+// cold scheduler at once, in the figure's order, as a campaign does, and
+// times until every job is done. Each point is one 512-unit chunk, so the
+// op measures how the pool's slots are shared among concurrent chunks of
+// unequal cost; the sub-benchmarks set Options.Workers.
+func BenchmarkSchedulerConcurrent(b *testing.B) {
+	var cfgs []experiment.Config
+	experiment.Figure14(experiment.Options{Shots: 32768, Seed: 2023, P: 1e-3,
+		Distances: []int{3, 5, 7}, Cycles: 7,
+		Runner: func(c experiment.Config) experiment.Result {
+			cfgs = append(cfgs, c)
+			return experiment.Result{}
+		}})
+	for _, workers := range []int{4, 8} {
+		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				st, err := store.Open("")
+				if err != nil {
+					b.Fatal(err)
+				}
+				sched := service.NewWithOptions(st, service.Options{Workers: workers})
+				jobs := make([]*service.Job, len(cfgs))
+				for k, c := range cfgs {
+					if jobs[k], err = sched.Submit(c, service.Precision{}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, j := range jobs {
+					if _, err := j.Result(); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+	}
+}
+
 // ------------------------------------------------------ multi-worker runs
 
 // BenchmarkRunUnitsWorkers times the runner's multi-worker path, which no
@@ -795,8 +834,8 @@ func BenchmarkRunUnitsWorkers(b *testing.B) {
 }
 
 // BenchmarkRunUnitsPerCall times one 4-unit RunUnits call on one worker,
-// the size of a small service part, at d=7, p=1e-4 and 7 cycles, for the
-// Always and ERASER workloads of the benchmark. Here the simulation is
+// the size of a one-block service chunk, at d=7, p=1e-4 and 7 cycles, for
+// the Always and ERASER workloads of the benchmark. Here the simulation is
 // cheapest, so the set-up every call pays weighs most. Every op runs units
 // [0, 4) after one warm-up call has grown the decoder table's scratch.
 func BenchmarkRunUnitsPerCall(b *testing.B) {

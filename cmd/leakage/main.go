@@ -8,7 +8,7 @@
 //	leakage -exp fig17                   # Appendix A.1 transport model
 //	leakage -exp fig20                   # Appendix A.2 DQLR protocol
 //	leakage -exp hetero -csv out.csv     # heterogeneity robustness sweep
-//	leakage -exp fig14 -profile hotspot:1e-3,3,8   # any figure on a profile
+//	leakage -exp fig14 -profile hotspot:1e-3,3,8   # a figure on a profile
 //	leakage -exp all -shots 2000         # everything
 //
 // Shot counts default to laptop scale; raise -shots toward the paper's 10M+
@@ -76,7 +76,7 @@ func realMain() int {
 		targetCI  = flag.Float64("target-ci", 0, "adaptive precision: stop each point when the Wilson 95% half-width on LER reaches this (0 = fixed -shots; requires a runner, implies an in-memory store if -store is unset)")
 		minShots  = flag.Int("min-shots", 0, "adaptive precision floor per point (0 = service default)")
 		maxShots  = flag.Int("max-shots", 0, "adaptive precision budget cap per point (0 = service default)")
-		profile   = flag.String("profile", "", "device profile: a generator spec ("+device.GeneratorSpecs+") or a JSON profile file; every data point then runs on per-site calibrated rates")
+		profile   = flag.String("profile", "", "device profile: a generator spec ("+device.GeneratorSpecs+") or a JSON profile file; fig1c, fig2c, fig5, fig6, fig14-fig18, fig20, fig21, table4 and postselect then run on per-site calibrated rates; eqs, table2, table2emp, fig8, latency and hetero ignore it")
 		hotspots  = flag.Int("hotspot-qubits", 0, "hetero sweep: number of hotspot data qubits (0 = default 3)")
 		csvOut    = flag.String("csv", "", "write the hetero sweep as CSV to this file")
 		jsonOut   = flag.String("json", "", "write the hetero sweep as JSON to this file")

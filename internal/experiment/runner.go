@@ -74,6 +74,12 @@ type Config struct {
 // with identical results at a higher cost per unit.
 const BlockUnits = batch.BlockWords
 
+// Blocks is the number of 4-unit blocks units [lo, hi) touch, partial edge
+// blocks included: the most workers a run of that range can keep busy.
+func Blocks(lo, hi int) int {
+	return (hi+BlockUnits-1)/BlockUnits - lo/BlockUnits
+}
+
 // staticPlans reports whether the policy's round plans depend only on the
 // round number, so one unmasked op sequence serves every lane of a batch.
 func staticPlans(k core.Kind) bool {
@@ -312,7 +318,7 @@ func runUnitRange(ctx context.Context, cfg Config, lo, hi, shotsCap int) (*Tally
 		seeds[i] = root.Uint64()
 	}
 
-	blocks := (hi+BlockUnits-1)/BlockUnits - lo/BlockUnits
+	blocks := Blocks(lo, hi)
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)

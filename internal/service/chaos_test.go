@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -166,12 +167,14 @@ func TestChaosSoakBitExact(t *testing.T) {
 // timing assumptions.
 type blockingInjector struct {
 	release chan struct{}
-	started chan struct{} // one send per chunk that reached the pool
+	// started gets the range of each chunk that reached the pool while it
+	// has buffer room; a chunk that finds it full skips the send.
+	started chan [2]int
 }
 
 func (b *blockingInjector) ChunkFaults(lo, hi int) {
 	select {
-	case b.started <- struct{}{}:
+	case b.started <- [2]int{lo, hi}:
 	default:
 	}
 	<-b.release
@@ -196,7 +199,7 @@ func TestChaosBackpressureShedsColdServesWarm(t *testing.T) {
 	}
 	warmUnits := sched.UnitsExecuted()
 
-	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan struct{}, 16)}
+	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan [2]int, 16)}
 	sched.SetFaults(blocker)
 
 	coldCfg := func(seed uint64) experiment.Config {
@@ -260,13 +263,13 @@ func TestChaosBackpressureShedsColdServesWarm(t *testing.T) {
 	}
 }
 
-// gateInjector lets the first chunk part through untouched and wedges every
-// later one until released — a deterministic way to freeze a job mid-chunk
-// with part of its units completed.
+// gateInjector lets the first chunk through untouched and wedges every
+// later one until released — a deterministic way to freeze a job between
+// chunks with part of its units completed.
 type gateInjector struct {
 	mu      sync.Mutex
 	passed  bool
-	wedged  chan struct{} // one send per wedged part
+	wedged  chan struct{} // one send per wedged chunk
 	release chan struct{}
 }
 
@@ -294,18 +297,20 @@ func TestChaosCancelKeepsCheckpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := NewWithOptions(st, Options{Workers: 2})
-	// 64 units split across 2 pool parts: the gate lets one part run and
-	// wedges the other, so the cancel deterministically lands mid-chunk.
+	// A target no 64-unit budget can meet makes the job issue growing
+	// chunks: the gate lets the first run and wedges the second, so the
+	// cancel deterministically lands with part of the job merged.
 	gate := &gateInjector{wedged: make(chan struct{}, 4), release: make(chan struct{})}
 	sched.SetFaults(gate)
 	cfg := experiment.Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 64 * 64,
 		Seed: 60, Policy: core.PolicyAlways}
+	prec := Precision{TargetCIHalfWidth: 1e-9, MaxShots: cfg.Shots}
 
-	j, err := sched.Submit(cfg, Precision{})
+	j, err := sched.Submit(cfg, prec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	<-gate.wedged // one part is frozen; the other is running its units
+	<-gate.wedged // the second chunk is frozen; the first is merged
 	j.Cancel()
 	close(gate.release)
 	if _, err := j.Result(); !errors.Is(err, ErrCanceled) {
@@ -317,6 +322,10 @@ func TestChaosCancelKeepsCheckpoint(t *testing.T) {
 	var checkpointed int
 	if tal := st.Get(key); tal != nil {
 		checkpointed = tal.Covered.Count()
+	}
+	if checkpointed == 0 || checkpointed >= cfg.NumUnits() {
+		t.Fatalf("checkpoint holds %d units, want a non-empty proper subset of %d",
+			checkpointed, cfg.NumUnits())
 	}
 	before := sched.UnitsExecuted()
 	res, err := sched.Run(cfg, Precision{})
@@ -334,6 +343,81 @@ func TestChaosCancelKeepsCheckpoint(t *testing.T) {
 	}
 }
 
+// claimCtx is a job context whose Err reports context.Canceled after its
+// first n calls. The runner asks Err once per 4-unit block it claims, so a
+// one-worker chunk run under it is cancelled after exactly n blocks, and
+// those blocks finish.
+type claimCtx struct {
+	context.Context // Background: no deadline, no values
+	n               atomic.Int64
+	once            sync.Once
+	done            chan struct{}
+}
+
+func newClaimCtx(n int64) *claimCtx {
+	c := &claimCtx{Context: context.Background(), done: make(chan struct{})}
+	c.n.Store(n)
+	return c
+}
+
+func (c *claimCtx) Done() <-chan struct{} { return c.done }
+
+func (c *claimCtx) Err() error {
+	if c.n.Add(-1) >= 0 {
+		return nil
+	}
+	c.once.Do(func() { close(c.done) })
+	return context.Canceled
+}
+
+// TestChaosCancelMidChunkCheckpoints: a chunk cancelled after some of its
+// blocks ran hands exactly those units to the store, step reports the
+// cancellation, and a later request runs only the rest, bit-exactly.
+func TestChaosCancelMidChunkCheckpoints(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewWithOptions(st, Options{Workers: 1})
+	cfg := experiment.Config{Distance: 3, Cycles: 3, P: 2e-3, Shots: 16 * 64,
+		Seed: 61, Policy: core.PolicyAlways}
+	// One 16-unit chunk on one runner worker; the cancel lands at the third
+	// block claim.
+	j := &Job{ID: "j1", Key: cfg.Key(), cfg: cfg, ctx: newClaimCtx(2),
+		trace: newTrace(&sched.traceDrops)}
+	_, ran, _, done, err := sched.step(j)
+	if !errors.Is(err, context.Canceled) || done {
+		t.Fatalf("cancelled step returned done=%v err=%v, want context.Canceled", done, err)
+	}
+	if want := 2 * experiment.BlockUnits; ran != want {
+		t.Fatalf("cancelled step ran %d units, want %d", ran, want)
+	}
+	tal := st.Get(cfg.Key())
+	if tal == nil {
+		t.Fatal("cancelled chunk checkpointed nothing")
+	}
+	for u := 0; u < cfg.NumUnits(); u++ {
+		if tal.Covered.Contains(u) != (u < ran) {
+			t.Fatalf("checkpoint covers %d units, want exactly [0, %d)", tal.Covered.Count(), ran)
+		}
+	}
+	if ref := referenceTally(cfg, tal); !reflect.DeepEqual(ref, tal) {
+		t.Fatalf("checkpoint diverged from RunUnits:\nwant %+v\ngot  %+v", ref, tal)
+	}
+
+	res, err := sched.Run(cfg, Precision{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := int(sched.UnitsExecuted()), cfg.NumUnits()-ran; got != want {
+		t.Fatalf("re-run executed %d units, want the %d-unit remainder", got, want)
+	}
+	want := experiment.RunUnits(cfg, 0, cfg.NumUnits()).ResultFor(cfg)
+	if res.LogicalErrors != want.LogicalErrors || res.Shots != want.Shots {
+		t.Fatalf("post-cancel result diverged: %+v vs %+v", res, want)
+	}
+}
+
 // TestChaosDeadlineExpiresJob: Precision.TimeoutMS bounds a job's wall
 // clock; an expired job fails with context.DeadlineExceeded and the
 // scheduler stays healthy for the next request.
@@ -343,7 +427,7 @@ func TestChaosDeadlineExpiresJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	sched := NewWithOptions(st, Options{Workers: 1})
-	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan struct{}, 1)}
+	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan [2]int, 1)}
 	sched.SetFaults(blocker)
 
 	cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 2 * 64,

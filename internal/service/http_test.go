@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strconv"
 	"strings"
 	"testing"
@@ -219,7 +220,7 @@ func TestServerRejectsOversizedBody(t *testing.T) {
 // deleting an unknown handle is a 404.
 func TestServerDeleteCancelsJob(t *testing.T) {
 	srv, sched := newTestServer(t)
-	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan struct{}, 1)}
+	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan [2]int, 1)}
 	sched.SetFaults(blocker)
 
 	rr := submit(t, srv, smokeBody)
@@ -295,7 +296,7 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 	warm := submit(t, srv, warmBody)
 	pollDone(t, srv, warm.Job)
 
-	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan struct{}, 1)}
+	blocker := &blockingInjector{release: make(chan struct{}), started: make(chan [2]int, 1)}
 	sched.SetFaults(blocker)
 	coldBody := func(seed int) string {
 		return `{"config": {"distance": 3, "cycles": 2, "p": 0.002, "shots": 128,
@@ -341,7 +342,8 @@ func TestServerShedsWithRetryAfter(t *testing.T) {
 }
 
 // TestServerEvictedJobAnswers410: polling a job that aged out of the
-// retention window is 410 Gone — a different answer than a guessed handle.
+// retention window is 410 Gone — a different answer than a guessed handle,
+// which is 404.
 func TestServerEvictedJobAnswers410(t *testing.T) {
 	st, err := store.Open("")
 	if err != nil {
@@ -359,13 +361,21 @@ func TestServerEvictedJobAnswers410(t *testing.T) {
 	                           "seed": 46, "policy": "nolrc"}}`)
 	pollDone(t, srv, second.Job)
 
-	resp, err := http.Get(srv.URL + "/v1/result?job=" + first.Job)
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGone {
-		t.Fatalf("evicted job: status %d, want 410", resp.StatusCode)
+	for job, want := range map[string]int{
+		first.Job: http.StatusGone,
+		// Spellings Submit never issues parse as an issued number but are
+		// guessed handles all the same.
+		"j01": http.StatusNotFound,
+		"j+1": http.StatusNotFound,
+	} {
+		resp, err := http.Get(srv.URL + "/v1/result?" + url.Values{"job": {job}}.Encode())
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Fatalf("job %q: status %d, want %d", job, resp.StatusCode, want)
+		}
 	}
 }
 

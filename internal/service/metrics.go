@@ -102,7 +102,7 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 		"deduplicated jobs currently executing or queued",
 		func() float64 { return float64(s.Inflight()) })
 	reg.GaugeFunc("leak_sched_workers",
-		"worker-pool width (concurrent unit chunks)",
+		"worker-pool width (runner workers)",
 		func() float64 { return float64(s.opts.Workers) })
 	reg.GaugeFunc("leak_uptime_seconds",
 		"seconds since the scheduler was constructed",

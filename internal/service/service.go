@@ -1,14 +1,14 @@
 // Package service is the async job scheduler of the sweep orchestration
 // subsystem. It sits between callers (cmd/leakage, cmd/leakserved, the
 // figure harness) and the simulation engine: identical in-flight requests
-// are deduplicated, work is issued as 64-lane batch units fanned across a
-// bounded worker pool, finished units merge into the content-addressed
-// result store, and adaptive-precision requests keep issuing units until the
-// Wilson half-width on the logical error rate meets the target — so easy
-// points stop early and hard points get the budget. Because the store is
-// consulted before any unit runs, a warm-cache request executes zero
-// simulation units, and a request for higher precision extends the stored
-// tally instead of redoing it.
+// are deduplicated, work is issued in chunks of 64-lane batch units that
+// share one bounded worker pool, finished units merge into the
+// content-addressed result store, and adaptive-precision requests keep
+// issuing units until the Wilson half-width on the logical error rate meets
+// the target — so easy points stop early and hard points get the budget.
+// Because the store is consulted before any unit runs, a warm-cache request
+// executes zero simulation units, and a request for higher precision extends
+// the stored tally instead of redoing it.
 //
 // The scheduler is built to keep working on misbehaving infrastructure:
 //
@@ -113,7 +113,8 @@ func (e *OverloadError) Error() string {
 // and logging. The metrics registry is not an option: every scheduler builds
 // its own, and Scheduler.Registry shares it with subsystems layered on top.
 type Options struct {
-	// Workers is the worker-pool width (0 = GOMAXPROCS).
+	// Workers is the worker-pool width (0 = GOMAXPROCS): at most this many
+	// runner workers simulate at once across all jobs.
 	Workers int
 	// MaxPending bounds admitted-but-unfinished cold jobs; submissions over
 	// the bound are shed with an OverloadError. Warm requests (already
@@ -163,9 +164,13 @@ type faultBox struct{ f ChunkFaultInjector }
 type Scheduler struct {
 	store *store.Store
 	opts  Options
-	// sem is the worker-pool semaphore: at most cap(sem) units simulate at
-	// once across all jobs.
+	// sem is the worker-pool semaphore, one slot per runner worker: a chunk
+	// runs with as many workers as it holds slots (runChunk), so at most
+	// cap(sem) workers simulate at once across all jobs.
 	sem chan struct{}
+	// acq admits one chunk at a time to take its slots, so no two chunks
+	// each hold part of what the other waits for.
+	acq chan struct{}
 
 	// baseCtx parents every job context; cancelBase(ErrDraining) is the
 	// drain signal.
@@ -253,6 +258,7 @@ func NewWithOptions(st *store.Store, opts Options) *Scheduler {
 		store:      st,
 		opts:       opts,
 		sem:        make(chan struct{}, opts.Workers),
+		acq:        make(chan struct{}, 1),
 		baseCtx:    ctx,
 		cancelBase: cancel,
 		inflight:   make(map[string]*Job),
@@ -631,8 +637,10 @@ func (s *Scheduler) Lookup(id string) (*Job, JobState) {
 	if j, ok := s.jobs[id]; ok {
 		return j, JobFound
 	}
+	// Only the exact form Submit issues counts: "j01" or "j+1" parse as 1
+	// but were never handed out.
 	if len(id) > 1 && id[0] == 'j' {
-		if n, err := strconv.Atoi(id[1:]); err == nil && n >= 1 && n <= s.nextID {
+		if n, err := strconv.Atoi(id[1:]); err == nil && n >= 1 && n <= s.nextID && id[1:] == strconv.Itoa(n) {
 			return nil, JobEvicted
 		}
 	}
@@ -864,9 +872,9 @@ func (s *Scheduler) step(j *Job) (t *experiment.Tally, ran int, m experiment.Met
 			DurMS: float64(m.DecodeNS) / 1e6})
 	}
 	if delta != nil && delta.Covered.Count() > 0 {
-		// Checkpoint whatever completed — even a cancelled or crashed chunk
-		// hands its finished units to the store, and exactness is preserved
-		// because the covered bitsets stay disjoint.
+		// Checkpoint whatever completed — a cancelled or drained chunk hands
+		// its finished units to the store (a crashed one returns none), and
+		// exactness is preserved because the covered bitsets stay disjoint.
 		ran = delta.Covered.Count()
 		if err := cur.Merge(delta); err != nil {
 			return nil, ran, m, false, err
@@ -1004,92 +1012,53 @@ func needUnits(cfg experiment.Config, prec Precision, t *experiment.Tally) int {
 	return units
 }
 
-// runChunk simulates units [lo, hi), fanning contiguous subranges across the
-// worker pool, and returns the merged tally of every unit that completed
-// plus the summed sim/decode stage timing across the parts.
-// On failure (crashed part, cancellation) the partial tally comes back
-// alongside the error so the caller can checkpoint it; the missing units are
-// simply re-issued later — per-unit seeding makes the re-run bit-identical.
-func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi int) (*experiment.Tally, experiment.Metrics, error) {
-	cfg.Workers = 1 // parallelism comes from the pool, one unit stream per task
-	n := hi - lo
-	parts := cap(s.sem)
-	if parts > n {
-		parts = n
+// runChunk simulates units [lo, hi) as one runner call and returns the tally
+// of every unit that completed plus the chunk's sim/decode stage timing. It
+// runs one runner worker per 4-unit block of the range, up to the pool
+// width, and waits until it holds that many slots: a chunk that started on
+// whatever happened to be free would keep that width for its whole range
+// while slots freed by other chunks sat idle. Only the chunk holding acq
+// waits for slots; every other holder is running and frees its slots when
+// it returns, so the wait always ends. A cancelled chunk returns its
+// partial tally alongside the error so the caller can checkpoint it; a
+// crashed chunk returns none and is re-issued whole — per-unit seeding
+// makes the re-run bit-identical.
+func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi int) (t *experiment.Tally, m experiment.Metrics, err error) {
+	want := min(experiment.Blocks(lo, hi), cap(s.sem))
+	slots := 0
+	defer func() {
+		for range slots {
+			<-s.sem
+		}
+		// The fault injector's panic, or one a runner worker raised and the
+		// runner re-raised here, becomes the chunk's error.
+		if r := recover(); r != nil {
+			t, err = nil, fmt.Errorf("service: units [%d, %d): %v", lo, hi, r)
+		}
+	}()
+	select {
+	case s.acq <- struct{}{}:
+	case <-ctx.Done():
+		return nil, m, ctx.Err()
 	}
-	// Interior split points floor to the engine's block boundaries so a
-	// chunk fanned across the pool doesn't shred its 4-unit blocks into
-	// partial blocks; the chunk's own ends stay ragged if the caller's range
-	// is (alignment only redistributes work, never changes results).
-	const align = experiment.BlockUnits
-	bound := func(i int) int {
-		r := lo + i*n/parts
-		if r > lo && r < hi {
-			if f := r / align * align; f >= lo {
-				r = f
-			}
-		}
-		return r
-	}
-	tallies := make([]*experiment.Tally, parts)
-	metrics := make([]experiment.Metrics, parts)
-	errs := make([]error, parts)
-	var wg sync.WaitGroup
-	for i := 0; i < parts; i++ {
-		a, b := bound(i), bound(i+1)
-		if a == b {
-			continue
-		}
-		wg.Add(1)
-		go func(i, a, b int) {
-			defer wg.Done()
-			// Convert simulation panics into job errors here, inside the
-			// pool goroutine — execute's recover cannot see them.
-			defer func() {
-				if r := recover(); r != nil {
-					errs[i] = fmt.Errorf("service: units [%d, %d): %v", a, b, r)
-				}
-			}()
-			select {
-			case s.sem <- struct{}{}:
-			case <-ctx.Done():
-				errs[i] = ctx.Err()
-				return
-			}
-			defer func() { <-s.sem }()
-			if f := s.loadFaults(); f != nil {
-				f.ChunkFaults(a, b) // may sleep or panic (recovered above)
-			}
-			tallies[i], metrics[i], errs[i] = experiment.RunUnitsMeteredCtx(ctx, cfg, a, b)
-		}(i, a, b)
-	}
-	wg.Wait()
-	var total *experiment.Tally
-	var m experiment.Metrics
-	var firstErr error
-	for i := range tallies {
-		m.Add(metrics[i])
-		if errs[i] != nil && firstErr == nil {
-			firstErr = errs[i]
-		}
-		t := tallies[i]
-		if t == nil || t.Covered.Count() == 0 {
-			continue
-		}
-		if total == nil {
-			total = t
-			continue
-		}
-		if err := total.Merge(t); err != nil {
-			return nil, m, err
+	for slots < want {
+		select {
+		case s.sem <- struct{}{}:
+			slots++
+		case <-ctx.Done():
+			<-s.acq
+			return nil, m, ctx.Err()
 		}
 	}
+	<-s.acq
+	if f := s.loadFaults(); f != nil {
+		f.ChunkFaults(lo, hi) // may sleep or panic (recovered above)
+	}
+	cfg.Workers = slots
+	t, m, err = experiment.RunUnitsMeteredCtx(ctx, cfg, lo, hi)
 	s.simNS.Add(m.SimNS)
 	s.decodeNS.Add(m.DecodeNS)
 	s.wideUnits.Add(m.WideUnits)
 	s.narrowUnits.Add(m.NarrowUnits)
-	if total == nil && firstErr == nil {
-		firstErr = fmt.Errorf("service: empty chunk [%d, %d)", lo, hi)
-	}
-	return total, m, firstErr
+	return t, m, err
 }

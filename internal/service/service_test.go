@@ -1,8 +1,12 @@
 package service
 
 import (
+	"fmt"
+	"reflect"
+	"strconv"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/experiment"
@@ -19,9 +23,8 @@ func newTestScheduler(t *testing.T, dir string) *Scheduler {
 }
 
 // TestUnitsByWidth: a block-aligned fixed-count job runs entirely as
-// 256-lane wide blocks even when its chunk is fanned across the worker pool
-// (split points floor to block boundaries), and the width split sums to the
-// unit total.
+// 256-lane wide blocks, whichever runner worker claims each block, and the
+// width split sums to the unit total.
 func TestUnitsByWidth(t *testing.T) {
 	sched := newTestScheduler(t, t.TempDir())
 	cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 8 * 64,
@@ -36,6 +39,187 @@ func TestUnitsByWidth(t *testing.T) {
 	}
 	if wide != 8 || narrow != 0 {
 		t.Fatalf("aligned job ran wide=%d narrow=%d, want 8/0", wide, narrow)
+	}
+}
+
+// rangeRecorder records every unit range the scheduler hands the runner and
+// crashes the first crashes of them.
+type rangeRecorder struct {
+	mu      sync.Mutex
+	ranges  [][2]int
+	crashes int
+}
+
+func (r *rangeRecorder) ChunkFaults(lo, hi int) {
+	r.mu.Lock()
+	r.ranges = append(r.ranges, [2]int{lo, hi})
+	crash := len(r.ranges) <= r.crashes
+	r.mu.Unlock()
+	if crash {
+		panic(fmt.Sprintf("injected crash in units [%d, %d)", lo, hi))
+	}
+}
+
+// TestChunkRunsAsOneCall: however wide the pool, a chunk reaches the runner
+// as one call over its whole range, a crashed chunk is re-issued whole, and
+// the job's tally equals a direct run of the same units.
+func TestChunkRunsAsOneCall(t *testing.T) {
+	for _, tc := range []struct {
+		crashes int
+		want    [][2]int
+	}{
+		{0, [][2]int{{0, 64}}},
+		{1, [][2]int{{0, 64}, {0, 64}}},
+	} {
+		t.Run(fmt.Sprintf("crashes=%d", tc.crashes), func(t *testing.T) {
+			st, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := NewWithOptions(st, Options{Workers: 2})
+			rec := &rangeRecorder{crashes: tc.crashes}
+			sched.SetFaults(rec)
+			cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 64 * 64,
+				Seed: 22, Policy: core.PolicyEraser}
+			j, err := sched.Submit(cfg, Precision{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := j.Result(); err != nil {
+				t.Fatal(err)
+			}
+			rec.mu.Lock()
+			ranges := rec.ranges
+			rec.mu.Unlock()
+			if !reflect.DeepEqual(ranges, tc.want) {
+				t.Fatalf("runner calls over %v, want %v", ranges, tc.want)
+			}
+			if n := sched.UnitsExecuted(); n != 64 {
+				t.Fatalf("scheduler executed %d units, want 64", n)
+			}
+			tal := j.Tally()
+			if n := tal.Covered.Count(); n != 64 {
+				t.Fatalf("job covered %d units, want 64", n)
+			}
+			if ref := referenceTally(cfg, tal); !reflect.DeepEqual(ref, tal) {
+				t.Fatalf("job tally diverged from RunUnits:\nwant %+v\ngot  %+v", ref, tal)
+			}
+		})
+	}
+}
+
+// TestChunkSlots: a chunk takes one pool slot per 4-unit block of its range,
+// up to the pool width, and holds them while it runs. Only the first chunk
+// reports its range, so a scheduler that splits the chunk fails the range
+// check instead of hanging.
+func TestChunkSlots(t *testing.T) {
+	for _, tc := range []struct{ units, slots int }{{64, 2}, {8, 2}, {4, 1}} {
+		t.Run(strconv.Itoa(tc.units), func(t *testing.T) {
+			st, err := store.Open("")
+			if err != nil {
+				t.Fatal(err)
+			}
+			sched := NewWithOptions(st, Options{Workers: 2})
+			blocker := &blockingInjector{release: make(chan struct{}), started: make(chan [2]int, 1)}
+			sched.SetFaults(blocker)
+			cfg := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: tc.units * 64,
+				Seed: 23, Policy: core.PolicyAlways}
+			j, err := sched.Submit(cfg, Precision{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			held := <-blocker.started
+			slots := len(sched.sem)
+			close(blocker.release)
+			if _, err := j.Result(); err != nil {
+				t.Fatal(err)
+			}
+			if want := [2]int{0, tc.units}; held != want {
+				t.Fatalf("held range %v, want the whole chunk %v", held, want)
+			}
+			if slots != tc.slots {
+				t.Fatalf("%d-unit chunk held %d pool slots, want %d", tc.units, slots, tc.slots)
+			}
+		})
+	}
+}
+
+// gatesInjector wedges the first chunk until first is closed and every
+// later one until rest is, reporting each later chunk's range on started
+// while it has buffer room.
+type gatesInjector struct {
+	mu          sync.Mutex
+	calls       int
+	first, rest chan struct{}
+	started     chan [2]int
+}
+
+func (g *gatesInjector) ChunkFaults(lo, hi int) {
+	g.mu.Lock()
+	g.calls++
+	first := g.calls == 1
+	g.mu.Unlock()
+	if first {
+		<-g.first
+		return
+	}
+	select {
+	case g.started <- [2]int{lo, hi}:
+	default:
+	}
+	<-g.rest
+}
+
+// TestChunkWaitsForItsWidth: a chunk that finds the pool partly busy waits
+// for the slots its blocks can use instead of starting on the free ones,
+// so a long chunk queued behind a short one still runs on the whole pool.
+func TestChunkWaitsForItsWidth(t *testing.T) {
+	st, err := store.Open("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sched := NewWithOptions(st, Options{Workers: 2})
+	gates := &gatesInjector{first: make(chan struct{}), rest: make(chan struct{}),
+		started: make(chan [2]int, 1)}
+	sched.SetFaults(gates)
+	heldSlots := func(n int) {
+		t.Helper()
+		for deadline := time.Now().Add(10 * time.Second); len(sched.sem) != n; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("pool holds %d slots, want %d", len(sched.sem), n)
+			}
+		}
+	}
+	short := experiment.Config{Distance: 3, Cycles: 2, P: 2e-3, Shots: 4 * 64,
+		Seed: 24, Policy: core.PolicyAlways}
+	long := short
+	long.Shots, long.Seed = 64*64, 25
+
+	a, err := sched.Submit(short, Precision{}) // one block: one slot, wedged
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldSlots(1)
+	b, err := sched.Submit(long, Precision{}) // takes the free slot, wants two
+	if err != nil {
+		t.Fatal(err)
+	}
+	heldSlots(2)
+	close(gates.first)
+	if _, err := a.Result(); err != nil {
+		t.Fatal(err)
+	}
+	held := <-gates.started
+	slots := len(sched.sem)
+	close(gates.rest)
+	if _, err := b.Result(); err != nil {
+		t.Fatal(err)
+	}
+	if want := [2]int{0, 64}; held != want {
+		t.Fatalf("held range %v, want the whole chunk %v", held, want)
+	}
+	if slots != 2 {
+		t.Fatalf("the long chunk runs on %d pool slots after the short one freed its own, want 2", slots)
 	}
 }
 

@@ -540,12 +540,12 @@ func TestMLPlanesOnlyUnderTrackML(t *testing.T) {
 	s := NewWide(l, noiseless(), surfacecode.KindZ)
 	s.Reset(unitRNGs(15))
 	s.RunRound(circuit.NewBuilder(l).Round(circuit.Plan{}))
-	if s.MLParityLeak() != nil || s.MLParityVal() != nil || s.mlDataLeak != nil || s.mlDataVal != nil {
+	if s.MLParityLeak() != nil || s.MLParityVal() != nil || s.mlDataLeak != nil {
 		t.Fatal("ML planes allocated without TrackML")
 	}
 	s.TrackML = true
 	s.Reset(unitRNGs(16))
-	for _, p := range [][]uint64{s.MLParityLeak(), s.MLParityVal(), s.mlDataLeak, s.mlDataVal} {
+	for _, p := range [][]uint64{s.MLParityLeak(), s.MLParityVal(), s.mlDataLeak} {
 		if len(p) != l.NumParity*BlockWords || slices.ContainsFunc(p, func(w uint64) bool { return w != 0 }) {
 			t.Fatalf("ML plane after a TrackML Reset: len %d, want %d zero words", len(p), l.NumParity*BlockWords)
 		}

@@ -52,7 +52,7 @@ type Wide struct {
 	// Basis is the memory basis, as in the scalar simulator.
 	Basis surfacecode.Kind
 	// TrackML maintains the multi-level readout bit-planes (MLParityLeak /
-	// MLParityVal and the data-wire planes consumed by OpCondReturn). Set it
+	// MLParityVal and the data-wire is-leak plane OpCondReturn reads). Set it
 	// before Reset, whose first call with it set allocates the planes; only
 	// ERASER+M reads the classifications, so the default skips the extra
 	// sampling work and memory.
@@ -77,7 +77,6 @@ type Wide struct {
 	mlParLeak  []uint64
 	mlParVal   []uint64
 	mlDataLeak []uint64
-	mlDataVal  []uint64
 
 	finalData []uint64 // [NumData*BlockWords]
 	finalDet  []uint64 // [NumParity*BlockWords]
@@ -176,11 +175,10 @@ func (s *Wide) Reset(rngs [BlockWords]*stats.RNG) {
 	if s.TrackML && s.mlParLeak == nil {
 		n := len(s.syndrome)
 		s.mlParLeak, s.mlParVal = make([]uint64, n), make([]uint64, n)
-		s.mlDataLeak, s.mlDataVal = make([]uint64, n), make([]uint64, n)
+		s.mlDataLeak = make([]uint64, n)
 	}
 	for i := range s.mlParLeak {
-		s.mlParLeak[i], s.mlParVal[i] = 0, 0
-		s.mlDataLeak[i], s.mlDataVal[i] = 0, 0
+		s.mlParLeak[i], s.mlParVal[i], s.mlDataLeak[i] = 0, 0, 0
 	}
 	for w, rng := range rngs {
 		s.live[w] = 0
@@ -321,9 +319,7 @@ lead:
 func (s *Wide) beginRound() {
 	s.round++
 	if s.TrackML {
-		for i := range s.mlDataLeak {
-			s.mlDataLeak[i], s.mlDataVal[i] = 0, 0
-		}
+		clear(s.mlDataLeak)
 	}
 }
 
@@ -374,7 +370,6 @@ func (s *Wide) applyMasked(op *circuit.Op, mask *Block) {
 				s.mlParVal[i] = (s.mlParVal[i] &^ mask[w]) | val
 				if op.DataWire {
 					s.mlDataLeak[i] = (s.mlDataLeak[i] &^ mask[w]) | leak
-					s.mlDataVal[i] = (s.mlDataVal[i] &^ mask[w]) | val
 				}
 			}
 		}
@@ -1053,7 +1048,7 @@ func (s *Wide) classifyMLAll(op *circuit.Op, lk, out *Block) {
 		errs = s.mlFire(k)
 	}
 	pl, pv := blk(s.mlParLeak, op.Stab), blk(s.mlParVal, op.Stab)
-	dl, dv := blk(s.mlDataLeak, op.Stab), blk(s.mlDataVal, op.Stab)
+	dl := blk(s.mlDataLeak, op.Stab)
 	for w := 0; w < BlockWords; w++ {
 		mw := s.live[w]
 		leak, val := lk[w], out[w]&^lk[w]
@@ -1064,7 +1059,6 @@ func (s *Wide) classifyMLAll(op *circuit.Op, lk, out *Block) {
 		pv[w] = (pv[w] &^ mw) | val
 		if op.DataWire {
 			dl[w] = (dl[w] &^ mw) | leak
-			dv[w] = (dv[w] &^ mw) | val
 		}
 	}
 }
