@@ -112,9 +112,9 @@ type Manager struct {
 	ptsCached    *metrics.Counter
 }
 
-// NewManager returns a manager over the scheduler, registers the campaign
-// metric inventory on the scheduler's registry, and contributes campaign
-// counts to /v1/healthz.
+// NewManager returns a manager over the scheduler and registers the campaign
+// metric inventory (point counts by lifecycle state, active campaigns) on
+// the scheduler's registry.
 func NewManager(s *service.Scheduler) *Manager {
 	reg := s.Registry()
 	m := &Manager{
@@ -135,7 +135,6 @@ func NewManager(s *service.Scheduler) *Manager {
 	reg.GaugeFunc("leak_campaigns_active",
 		"campaigns with at least one unfinished point",
 		func() float64 { return float64(m.active()) })
-	s.RegisterHealth("campaigns", func() any { return m.healthCounts() })
 	return m
 }
 
@@ -152,27 +151,6 @@ func (m *Manager) active() int {
 		}
 	}
 	return n
-}
-
-// healthCounts is the /v1/healthz "campaigns" contribution.
-func (m *Manager) healthCounts() map[string]any {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	active, pointsRunning, pointsDone := 0, 0, 0
-	for _, c := range m.campaigns {
-		running, done := c.pointCounts()
-		pointsRunning += running
-		pointsDone += done
-		if running > 0 {
-			active++
-		}
-	}
-	return map[string]any{
-		"total":          m.nextID,
-		"active":         active,
-		"points_running": pointsRunning,
-		"points_done":    pointsDone,
-	}
 }
 
 // Submit expands the manifest and submits every point through the scheduler
@@ -533,21 +511,6 @@ func (c *Campaign) EventsSince(cursor int) (evs []Event, wake <-chan struct{}, f
 		evs = append([]Event(nil), c.events[i:]...)
 	}
 	return evs, c.notify, c.Finished()
-}
-
-// pointCounts returns (running, done) point counts. Callers hold m.mu, not
-// c.mu — take c.mu here.
-func (c *Campaign) pointCounts() (running, done int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for _, p := range c.points {
-		if p.state == "running" {
-			running++
-		} else {
-			done++
-		}
-	}
-	return running, done
 }
 
 // Status assembles the campaign's status summary.

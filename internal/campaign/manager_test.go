@@ -219,8 +219,8 @@ func TestCampaignAdaptiveEventsMonotone(t *testing.T) {
 	}
 }
 
-// TestCampaignMetricsAndHealth checks the campaign metric inventory and the
-// healthz contribution against a finished campaign.
+// TestCampaignMetricsAndHealth checks the campaign metric inventory, and
+// the campaign count the listing carries, against two finished campaigns.
 func TestCampaignMetricsAndHealth(t *testing.T) {
 	man := testFigure14Manifest()
 	m, _ := newTestManager(t)
@@ -258,12 +258,9 @@ func TestCampaignMetricsAndHealth(t *testing.T) {
 		}
 	}
 
-	health := m.healthCounts()
-	if health["total"] != 2 || health["active"] != 0 {
-		t.Fatalf("health counts: %+v", health)
-	}
-	if health["points_done"] != 2*len(pts) {
-		t.Fatalf("health points_done = %v, want %d", health["points_done"], 2*len(pts))
+	// Retention never evicts the newest campaign, so its ID counts them all.
+	if list := m.List(); len(list) != 2 || list[1].Campaign != "c2" {
+		t.Fatalf("listing %+v, want c1 and c2", list)
 	}
 }
 

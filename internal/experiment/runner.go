@@ -183,9 +183,9 @@ func (c Config) NumUnits() int {
 
 // Metrics splits a run's compute time between the simulation stage and the
 // decode stage, in nanoseconds summed across all workers (on a parallel run
-// the sum exceeds wall-clock time). The service aggregates these per job and
-// exposes them on /v1/healthz, keeping the sim/decode balance observable in
-// production, not just in benchmarks.
+// the sum exceeds wall-clock time). The service reports them per job in its
+// status and per chunk on /metrics (leak_sched_stage_seconds), keeping the
+// sim/decode balance observable in production, not just in benchmarks.
 type Metrics struct {
 	SimNS    int64
 	DecodeNS int64

@@ -1,8 +1,9 @@
 // Package metrics is the zero-dependency instrumentation layer of the sweep
-// service: race-clean atomic counters, gauges, and fixed-bucket histograms
-// registered in a Registry that exposes them in Prometheus text format 0.0.4
-// (`# HELP`/`# TYPE` headers, escaped labels, cumulative `_bucket`/`_sum`/
-// `_count` histogram series). It exists so every layer of the service —
+// service: race-clean atomic counters, fixed-bucket histograms and
+// scrape-time callback counters and gauges, registered in a Registry that
+// exposes them in Prometheus text format 0.0.4 (`# HELP`/`# TYPE` headers,
+// escaped labels, cumulative `_bucket`/`_sum`/`_count` histogram series).
+// It exists so every layer of the service —
 // store, scheduler, chaos injector, HTTP front end — can be watched in
 // production without importing a client library the container does not have.
 //
@@ -49,20 +50,6 @@ func (c *Counter) Add(n int64) {
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }
-
-// Gauge is an integer metric that can go up and down.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add adjusts the value by n (may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
 
 // Histogram is a fixed-bucket cumulative histogram. Buckets are upper bounds
 // in ascending order; an implicit +Inf bucket catches the tail. Observations
@@ -164,7 +151,6 @@ type series struct {
 	labels string // pre-rendered `{k="v",...}` suffix ("" when unlabeled)
 
 	counter *Counter
-	gauge   *Gauge
 	hist    *Histogram
 	cfn     func() int64   // counter-valued callback
 	gfn     func() float64 // gauge-valued callback
@@ -190,10 +176,6 @@ type Registry struct {
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*family)}
 }
-
-// Labels builds a label set from alternating name, value pairs. Label names
-// are sorted at render time, so call-site order does not matter.
-func Labels(kv ...string) []string { return kv }
 
 var nameRe = func(s string) bool {
 	if s == "" {
@@ -320,22 +302,6 @@ func (r *Registry) Counter(name, help string, labels ...string) *Counter {
 	return s.counter
 }
 
-// Gauge returns the gauge named name with the given labels, registering it
-// on first use.
-func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	f := r.familyFor(name, help, TypeGauge, nil)
-	s, existed := f.seriesFor(labels)
-	if !existed {
-		s.gauge = &Gauge{}
-	}
-	if s.gauge == nil {
-		panic(fmt.Sprintf("metrics: %s%s already registered as a callback", name, s.labels))
-	}
-	return s.gauge
-}
-
 // CounterFunc registers a counter whose value is read from fn at scrape
 // time — the bridge for subsystems that already keep their own atomic
 // counters (store, chaos injector). fn must be monotone and safe to call
@@ -392,9 +358,13 @@ func (r *Registry) Histogram(name, help string, buckets []float64, labels ...str
 // a family, so diffs between scrapes are stable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
 	r.mu.Lock()
-	// Snapshot the family list; instrument reads are atomic and need no lock.
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
+	// Snapshot the family list and, by copying each family, its series list:
+	// registration appends to both. Instrument reads are atomic and need no
+	// lock.
+	fams := make([]family, len(r.families))
+	for i, f := range r.families {
+		fams[i] = *f
+	}
 	r.mu.Unlock()
 
 	var b strings.Builder
@@ -405,8 +375,6 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch {
 			case s.counter != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.counter.Value())
-			case s.gauge != nil:
-				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.gauge.Value())
 			case s.cfn != nil:
 				fmt.Fprintf(&b, "%s%s %d\n", f.name, s.labels, s.cfn())
 			case s.gfn != nil:

@@ -3,8 +3,10 @@ package metrics
 import (
 	"bytes"
 	"math"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -17,9 +19,6 @@ func newTestRegistry() *Registry {
 	reg.Counter("test_by_kind_total", "events by kind", "kind", "read").Add(3)
 	reg.Counter("test_by_kind_total", "events by kind", "kind", `torn "write"\n`).Add(1)
 	reg.Counter("test_by_kind_total", "events by kind", "kind", "line\nbreak").Inc()
-	g := reg.Gauge("test_depth", "queue depth")
-	g.Set(7)
-	g.Add(-2)
 	reg.CounterFunc("test_func_total", "callback counter", func() int64 { return 11 })
 	reg.GaugeFunc("test_ratio", "callback gauge", func() float64 { return 0.25 }, "side", "left")
 	h := reg.Histogram("test_latency_seconds", "latency with a help line\nneeding escapes \\o/",
@@ -83,9 +82,6 @@ func TestPrometheusConformance(t *testing.T) {
 	// Scalar values.
 	if v, _ := snap.Value("test_events_total"); v != 42 {
 		t.Errorf("counter: got %v want 42", v)
-	}
-	if v, _ := snap.Value("test_depth"); v != 5 {
-		t.Errorf("gauge: got %v want 5", v)
 	}
 	if v, _ := snap.Value("test_func_total"); v != 11 {
 		t.Errorf("counter func: got %v want 11", v)
@@ -189,7 +185,7 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 	}
 	reg := NewRegistry()
 	reg.Counter("a_total", "h")
-	mustPanic("type clash", func() { reg.Gauge("a_total", "h") })
+	mustPanic("type clash", func() { reg.GaugeFunc("a_total", "h", func() float64 { return 0 }) })
 	mustPanic("bad name", func() { reg.Counter("0bad", "h") })
 	mustPanic("bad label name", func() { reg.Counter("b_total", "h", "0k", "v") })
 	mustPanic("odd labels", func() { reg.Counter("c_total", "h", "k") })
@@ -202,11 +198,14 @@ func TestRegistryPanicsOnMisuse(t *testing.T) {
 }
 
 // TestConcurrentInstruments hammers one counter, gauge, and histogram from
-// many goroutines while scraping — the race detector is the assertion.
+// many goroutines while they also register fresh labeled series, as the
+// HTTP middleware does on the first request for a route and status code,
+// and scrape — the race detector is the assertion.
 func TestConcurrentInstruments(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("conc_total", "h")
-	g := reg.Gauge("conc_depth", "h")
+	var depth atomic.Int64
+	reg.GaugeFunc("conc_depth", "h", func() float64 { return float64(depth.Load()) })
 	h := reg.Histogram("conc_seconds", "h", ExpBuckets(1e-6, 4, 8))
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -215,9 +214,14 @@ func TestConcurrentInstruments(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 1000; i++ {
 				c.Inc()
-				g.Add(1)
-				g.Add(-1)
+				depth.Add(1)
+				depth.Add(-1)
 				h.Observe(float64(i) * 1e-6)
+				if i%10 == 0 {
+					id := strconv.Itoa(w*1000 + i)
+					reg.Counter("conc_new_total", "h", "id", id).Inc()
+					reg.CounterFunc("conc_func_total", "h", func() int64 { return 1 }, "id", id)
+				}
 				if i%100 == 0 {
 					var b strings.Builder
 					if err := reg.WritePrometheus(&b); err != nil {
@@ -238,6 +242,15 @@ func TestConcurrentInstruments(t *testing.T) {
 	}
 	if h.Count() != 8000 {
 		t.Errorf("histogram count: got %d want 8000", h.Count())
+	}
+	var b strings.Builder
+	if err := reg.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"conc_new_total", "conc_func_total"} {
+		if n := strings.Count(b.String(), "\n"+name+"{"); n != 800 {
+			t.Errorf("%s: scraped %d series, want 800", name, n)
+		}
 	}
 }
 

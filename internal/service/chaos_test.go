@@ -55,11 +55,20 @@ func waitGoroutines(t *testing.T, base int) {
 	t.Fatalf("goroutines did not drain: %d now vs %d at start", runtime.NumGoroutine(), base)
 }
 
+// requireEveryFault fails the test unless the injector fired every fault
+// kind: a kind that never fires leaves its recovery path untested.
+func requireEveryFault(t *testing.T, s chaos.Stats) {
+	t.Helper()
+	if s.ReadErrs == 0 || s.WriteErrs == 0 || s.TornWrites == 0 || s.Panics == 0 || s.Delays == 0 {
+		t.Fatalf("injector did not fire every fault kind: %v", s)
+	}
+}
+
 // TestChaosSoakBitExact is the headline robustness invariant: under seeded
 // injection of store read/write errors, torn writes, worker panics and unit
-// latency, every job that completes returns a tally bit-identical to a
-// fault-free run of the same units — and after a drain, no goroutines or
-// stripe locks are leaked. A second, fault-free pass over the survivors of
+// latency (each kind fires), every job that completes returns a tally
+// bit-identical to a fault-free run of the same units — and after a drain,
+// no goroutines or stripe locks are leaked. A second, fault-free pass over the survivors of
 // the same (possibly torn) store directory must agree too.
 func TestChaosSoakBitExact(t *testing.T) {
 	baseGoroutines := runtime.NumGoroutine()
@@ -88,10 +97,15 @@ func TestChaosSoakBitExact(t *testing.T) {
 		cfg  experiment.Config
 		prec Precision
 	}
+	// The injector draws per (fault kind, site, attempt), and a chunk's site
+	// is its unit range, so every job has its own key and its own size: jobs
+	// sharing a range would share one run of chunk draws. Sizes start at 5
+	// units, clear of the adaptive point's first chunk [0, 4).
 	var reqs []req
-	for i, pol := range []core.Kind{core.PolicyNone, core.PolicyAlways, core.PolicyEraser} {
+	pols := []core.Kind{core.PolicyNone, core.PolicyAlways, core.PolicyEraser}
+	for i := range 12 {
 		reqs = append(reqs, req{cfg: experiment.Config{Distance: 3, Cycles: 2, P: 2e-3,
-			Shots: 3 * 64, Seed: uint64(100 + i), Policy: pol}})
+			Shots: (5 + i) * 64, Seed: uint64(100 + i), Policy: pols[i%len(pols)]}})
 	}
 	// One adaptive point rides along: its stopping unit count may differ
 	// under faults, but whatever it covers must still be bit-exact.
@@ -127,9 +141,7 @@ func TestChaosSoakBitExact(t *testing.T) {
 			t.Fatalf("job %d tally diverged from fault-free run:\nwant %+v\ngot  %+v", i, ref, tal)
 		}
 	}
-	if inj.Stats().Total() == 0 {
-		t.Fatal("soak injected no faults — the schedule tested nothing")
-	}
+	requireEveryFault(t, inj.Stats())
 
 	// Drain and check nothing leaked.
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
@@ -384,7 +396,7 @@ func TestChaosCancelMidChunkCheckpoints(t *testing.T) {
 	// One 16-unit chunk on one runner worker; the cancel lands at the third
 	// block claim.
 	j := &Job{ID: "j1", Key: cfg.Key(), cfg: cfg, ctx: newClaimCtx(2),
-		trace: newTrace(&sched.traceDrops)}
+		trace: newTrace(sched.ins.traceDrops)}
 	_, ran, _, done, err := sched.step(j)
 	if !errors.Is(err, context.Canceled) || done {
 		t.Fatalf("cancelled step returned done=%v err=%v, want context.Canceled", done, err)

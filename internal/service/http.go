@@ -173,10 +173,11 @@ type Route struct {
 //	                   one per tally update, then the final snapshot
 //	GET    /v1/trace   ?job=ID — the job's span-event trace (admission,
 //	                   chunk issues, sim/decode stage times, merges, retries)
-//	GET    /v1/healthz liveness, build identity, uptime + load counters
-//	                   (plus every RegisterHealth contribution)
+//	GET    /v1/healthz liveness and readiness only: ok, build identity,
+//	                   uptime and whether the scheduler is draining
 //	GET    /metrics    Prometheus text-format exposition of every registered
-//	                   store/scheduler/stage/chaos/HTTP series
+//	                   store/scheduler/stage/chaos/HTTP series — the one
+//	                   place the service's counts are read
 //
 // Every route — extras included — is wrapped in a middleware recording
 // per-route request latency (leak_http_request_seconds) and status-code
@@ -276,31 +277,15 @@ func NewHandler(s *Scheduler, extra ...Route) http.Handler {
 		WriteJSON(w, http.StatusOK, job.Trace())
 	})
 	mux.HandleFunc("/v1/healthz", func(w http.ResponseWriter, r *http.Request) {
-		simNS, decodeNS := s.StageNanos()
 		// Build identity + uptime let a liveness probe tell a fresh restart
-		// from a long-running instance; the corruption-repair count surfaces
-		// silent disk damage the store healed on its own.
-		payload := map[string]any{
-			"ok":                       true,
-			"build":                    BuildInfo(),
-			"uptime_seconds":           time.Since(s.Start()).Seconds(),
-			"units_executed":           s.UnitsExecuted(),
-			"pending_jobs":             s.Pending(),
-			"inflight_jobs":            s.Inflight(),
-			"draining":                 s.Draining(),
-			"sim_ns":                   simNS,
-			"decode_ns":                decodeNS,
-			"trace_drops":              s.TraceDrops(),
-			"store_corruption_repairs": s.Store().Counters().CorruptionsRepaired,
-		}
-		// Registered contributors (the campaign manager's counts) merge in
-		// under their names; built-in keys win on collision.
-		for name, v := range s.healthContributions() {
-			if _, taken := payload[name]; !taken {
-				payload[name] = v
-			}
-		}
-		WriteJSON(w, http.StatusOK, payload)
+		// from a long-running instance; draining tells a load balancer to
+		// stop routing here. Counts live on /metrics.
+		WriteJSON(w, http.StatusOK, map[string]any{
+			"ok":             true,
+			"build":          BuildInfo(),
+			"uptime_seconds": time.Since(s.Start()).Seconds(),
+			"draining":       s.Draining(),
+		})
 	})
 	mux.Handle("/metrics", s.Registry().Handler())
 	return mux

@@ -434,43 +434,3 @@ func FuzzConfigSpec(f *testing.F) {
 		}
 	})
 }
-
-// TestHealthzStageCounters: after a job has executed real units, the
-// liveness endpoint exposes monotone sim/decode stage-time counters, and the
-// job's own status carries its per-job split.
-func TestHealthzStageCounters(t *testing.T) {
-	srv, sched := newTestServer(t)
-
-	first := submit(t, srv, smokeBody)
-	res := pollDone(t, srv, first.Job)
-	if res.Status.SimNS <= 0 || res.Status.DecodeNS <= 0 {
-		t.Fatalf("job status stage counters not populated: sim_ns=%d decode_ns=%d",
-			res.Status.SimNS, res.Status.DecodeNS)
-	}
-
-	resp, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var hz struct {
-		OK       bool  `json:"ok"`
-		SimNS    int64 `json:"sim_ns"`
-		DecodeNS int64 `json:"decode_ns"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&hz); err != nil {
-		t.Fatal(err)
-	}
-	if !hz.OK {
-		t.Fatal("healthz not ok")
-	}
-	if hz.SimNS <= 0 || hz.DecodeNS <= 0 {
-		t.Fatalf("healthz stage counters not populated: sim_ns=%d decode_ns=%d",
-			hz.SimNS, hz.DecodeNS)
-	}
-	simNS, decodeNS := sched.StageNanos()
-	if simNS != hz.SimNS || decodeNS != hz.DecodeNS {
-		t.Fatalf("healthz counters (%d, %d) disagree with scheduler (%d, %d)",
-			hz.SimNS, hz.DecodeNS, simNS, decodeNS)
-	}
-}

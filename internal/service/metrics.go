@@ -26,8 +26,9 @@ var (
 	httpSecondsBuckets  = metrics.ExpBuckets(1e-4, 2.5, 13)
 )
 
-// instruments bundles every metric the scheduler updates on its hot paths as
-// direct pointers — no registry lookups, no allocation after construction.
+// instruments bundles every count the scheduler keeps, as direct pointers to
+// its registry's instruments — no registry lookups, no allocation after
+// construction.
 type instruments struct {
 	reg *metrics.Registry
 
@@ -44,13 +45,24 @@ type instruments struct {
 	chunkReissues   *metrics.Counter
 	storeRetryRead  *metrics.Counter
 	storeRetryWrite *metrics.Counter
+
+	// units is the executed-unit total; wideUnits/narrowUnits split it by how
+	// the units ran (whole 256-lane blocks, partial blocks). Block occupancy
+	// is a throughput property, never a correctness one.
+	units       *metrics.Counter
+	wideUnits   *metrics.Counter
+	narrowUnits *metrics.Counter
+	// traceDrops counts span events evicted from every job's bounded trace
+	// ring.
+	traceDrops *metrics.Counter
 }
 
 // newInstruments registers the scheduler's whole metric inventory on reg:
-// direct-pointer instruments for the hot paths plus scrape-time callbacks
-// bridging subsystems that keep their own atomic counters (the store's
-// hit/miss/corruption/byte counters, the chaos injector's per-kind fault
-// counts, the scheduler's unit total and queue gauges).
+// counters and histograms for everything the scheduler counts itself,
+// gauges read from its job table at scrape time, and scrape-time callbacks
+// bridging the leaf packages that keep their own atomic counters (the
+// store's hit/miss/corruption/byte counters, the chaos injector's per-kind
+// fault counts).
 func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 	ins := &instruments{
 		reg: reg,
@@ -79,22 +91,20 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 			"store operations retried after a transient failure", "op", "read"),
 		storeRetryWrite: reg.Counter("leak_sched_store_retries_total",
 			"store operations retried after a transient failure", "op", "write"),
+
+		units: reg.Counter("leak_sched_units_total",
+			"simulation units executed (64 lanes each); rate() of this is units/sec"),
+		// Companion series splitting the unit total by how each unit ran, so
+		// a dashboard can watch the whole-block occupancy ratio.
+		wideUnits: reg.Counter("leak_sched_units_by_width_total",
+			"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block",
+			"width", "256"),
+		narrowUnits: reg.Counter("leak_sched_units_by_width_total",
+			"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block",
+			"width", "64"),
 	}
 
-	// Scheduler-owned totals and gauges, read at scrape time.
-	reg.CounterFunc("leak_sched_units_total",
-		"simulation units executed (64 lanes each); rate() of this is units/sec",
-		func() int64 { return s.units.Load() })
-	// Companion series splitting the unit total by how each unit ran. The
-	// unlabeled total above stays the source of truth (its contract — equal
-	// to UnitsExecuted — is asserted in tests); these let a dashboard watch
-	// the whole-block occupancy ratio.
-	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block",
-		func() int64 { return s.wideUnits.Load() }, "width", "256")
-	reg.CounterFunc("leak_sched_units_by_width_total",
-		"simulation units executed, by how they ran: width 256 in a whole 4-unit block, 64 in a partial block",
-		func() int64 { return s.narrowUnits.Load() }, "width", "64")
+	// Job-table gauges, read at scrape time.
 	reg.GaugeFunc("leak_sched_queue_depth",
 		"admitted cold jobs not yet finished",
 		func() float64 { return float64(s.Pending()) })
@@ -107,12 +117,11 @@ func newInstruments(reg *metrics.Registry, s *Scheduler) *instruments {
 	reg.GaugeFunc("leak_uptime_seconds",
 		"seconds since the scheduler was constructed",
 		func() float64 { return time.Since(s.start).Seconds() })
-	// Trace-ring evictions were previously visible only inside each job's
-	// TraceView; the scheduler-wide total tells an operator that span history
-	// is being truncated without reading every trace.
-	reg.CounterFunc("leak_trace_drops_total",
-		"span events evicted from per-job bounded trace rings",
-		func() int64 { return s.traceDrops.Load() })
+	// Each job's TraceView counts its own evictions; the scheduler-wide total
+	// tells an operator that span history is being truncated without reading
+	// every trace.
+	ins.traceDrops = reg.Counter("leak_trace_drops_total",
+		"span events evicted from per-job bounded trace rings")
 
 	// Store counters: the store keeps plain atomics (it must not depend on
 	// the metrics package); the registry reads a snapshot per scrape.

@@ -10,7 +10,6 @@ import (
 	"net/http/httptest"
 	"runtime"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,13 +108,13 @@ func TestStreamClientDisconnect(t *testing.T) {
 // cap evict oldest-first and every eviction lands on the shared drop counter
 // that backs leak_trace_drops_total.
 func TestTraceRingDropCounter(t *testing.T) {
-	var drops atomic.Int64
+	var drops metrics.Counter
 	tr := newTrace(&drops)
 	const n = traceCap + 137
 	for i := 0; i < n; i++ {
 		tr.add(SpanEvent{Kind: SpanSimStage, UnitLo: i, UnitHi: i + 1})
 	}
-	if got := drops.Load(); got != 137 {
+	if got := drops.Value(); got != 137 {
 		t.Fatalf("drop counter = %d, want 137", got)
 	}
 	events, dropped, _ := tr.snapshot()
@@ -131,61 +130,23 @@ func TestTraceRingDropCounter(t *testing.T) {
 	}
 }
 
-// TestTraceDropsExposed checks the scheduler-level surfaces: the registry
-// counter and the /v1/healthz field both read the shared drop count.
+// TestTraceDropsExposed: the scheduler's trace-drop counter is the one
+// /metrics serves as leak_trace_drops_total.
 func TestTraceDropsExposed(t *testing.T) {
 	srv, sched := newTestServer(t)
-	sched.traceDrops.Add(9)
+	sched.ins.traceDrops.Add(9)
 
-	var buf bytes.Buffer
-	if err := sched.Registry().WritePrometheus(&buf); err != nil {
+	resp, err := http.Get(srv.URL + "/metrics")
+	if err != nil {
 		t.Fatal(err)
 	}
-	snap, err := metrics.ParseText(&buf)
+	defer resp.Body.Close()
+	snap, err := metrics.ParseText(resp.Body)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v, ok := snap.Value("leak_trace_drops_total"); !ok || v != 9 {
 		t.Fatalf("leak_trace_drops_total = %v (ok=%v), want 9", v, ok)
-	}
-
-	resp, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	if got := health["trace_drops"]; got != float64(9) {
-		t.Fatalf("healthz trace_drops = %v, want 9", got)
-	}
-}
-
-// TestRegisterHealthContribution checks the healthz extension hook: a
-// registered contributor appears under its key, and built-in keys win on
-// collision.
-func TestRegisterHealthContribution(t *testing.T) {
-	srv, sched := newTestServer(t)
-	sched.RegisterHealth("widget", func() any { return map[string]any{"spins": 3} })
-	sched.RegisterHealth("ok", func() any { return "shadowed" }) // collides with built-in
-
-	resp, err := http.Get(srv.URL + "/v1/healthz")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	var health map[string]any
-	if err := json.NewDecoder(resp.Body).Decode(&health); err != nil {
-		t.Fatal(err)
-	}
-	widget, ok := health["widget"].(map[string]any)
-	if !ok || widget["spins"] != float64(3) {
-		t.Fatalf("healthz widget contribution = %v", health["widget"])
-	}
-	if health["ok"] != true {
-		t.Fatalf("built-in ok key shadowed by contributor: %v", health["ok"])
 	}
 }
 

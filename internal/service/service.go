@@ -195,38 +195,16 @@ type Scheduler struct {
 	// its stripe for its whole lifetime.
 	keyLocks [64]sync.Mutex
 
-	// healthMu/health hold named liveness contributors (RegisterHealth):
-	// subsystems layered on the scheduler — the campaign manager — publish
-	// their own counts into /v1/healthz without the service importing them.
-	healthMu sync.Mutex
-	health   map[string]func() any
-
-	// traceDrops counts span events evicted from every job's bounded trace
-	// ring, exposed as leak_trace_drops_total.
-	traceDrops atomic.Int64
-
 	// log is the structured logger (Options.Logger; a discard logger when
 	// unset, never nil).
 	log *slog.Logger
 
-	units atomic.Int64
-	// wideUnits/narrowUnits split the executed-unit total by how the units
-	// ran (whole 256-lane blocks, partial blocks). Block occupancy is a
-	// throughput property, never a correctness one — the totals feed
-	// observability only.
-	wideUnits   atomic.Int64
-	narrowUnits atomic.Int64
-	// simNS/decodeNS aggregate the per-chunk stage timing (experiment.Metrics)
-	// across every job, keeping the sim/decode balance observable on
-	// /v1/healthz without a metrics dependency; the finer-grained per-chunk
-	// distributions live in the ins histograms.
-	simNS    atomic.Int64
-	decodeNS atomic.Int64
-	faults   atomic.Value // faultBox
+	faults atomic.Value // faultBox
 
 	// start anchors leak_uptime_seconds and healthz uptime.
 	start time.Time
-	// ins is the scheduler's registered metric inventory; never nil.
+	// ins is the scheduler's registered metric inventory, and the one place
+	// it keeps a service-wide count; never nil.
 	ins *instruments
 }
 
@@ -263,7 +241,6 @@ func NewWithOptions(st *store.Store, opts Options) *Scheduler {
 		cancelBase: cancel,
 		inflight:   make(map[string]*Job),
 		jobs:       make(map[string]*Job),
-		health:     make(map[string]func() any),
 		log:        opts.Logger,
 		start:      time.Now(),
 	}
@@ -282,34 +259,6 @@ func (s *Scheduler) Registry() *metrics.Registry { return s.ins.reg }
 // it so every signal lands in one correlated stream.
 func (s *Scheduler) Logger() *slog.Logger { return s.log }
 
-// RegisterHealth installs a named contributor whose value is embedded in the
-// /v1/healthz payload under its name. Contributors are read per probe; they
-// must be cheap and concurrency-safe. Re-registering a name replaces it.
-func (s *Scheduler) RegisterHealth(name string, fn func() any) {
-	s.healthMu.Lock()
-	s.health[name] = fn
-	s.healthMu.Unlock()
-}
-
-// healthContributions snapshots every registered health contributor.
-func (s *Scheduler) healthContributions() map[string]any {
-	s.healthMu.Lock()
-	fns := make(map[string]func() any, len(s.health))
-	for name, fn := range s.health {
-		fns[name] = fn
-	}
-	s.healthMu.Unlock()
-	out := make(map[string]any, len(fns))
-	for name, fn := range fns {
-		out[name] = fn()
-	}
-	return out
-}
-
-// TraceDrops returns how many span events have been evicted from per-job
-// trace rings since construction (the leak_trace_drops_total reading).
-func (s *Scheduler) TraceDrops() int64 { return s.traceDrops.Load() }
-
 // Start returns when the scheduler was constructed (the uptime anchor).
 func (s *Scheduler) Start() time.Time { return s.start }
 
@@ -321,25 +270,11 @@ func (s *Scheduler) Inflight() int {
 	return len(s.inflight)
 }
 
-// Store returns the scheduler's backing store.
-func (s *Scheduler) Store() *store.Store { return s.store }
-
 // UnitsExecuted returns the total number of simulation units this scheduler
-// has run since construction. Warm-cache sweeps leave it unchanged — the
-// figure-level cache tests assert exactly that.
-func (s *Scheduler) UnitsExecuted() int64 { return s.units.Load() }
-
-// StageNanos returns the cumulative worker-nanoseconds spent in the
-// simulation and decode stages across every chunk this scheduler has run.
-func (s *Scheduler) StageNanos() (simNS, decodeNS int64) {
-	return s.simNS.Load(), s.decodeNS.Load()
-}
-
-// UnitsByWidth splits UnitsExecuted by how each unit ran: in a whole
-// 256-lane block, or in a partial block (range edges, shot-capped units).
-func (s *Scheduler) UnitsByWidth() (wide, narrow int64) {
-	return s.wideUnits.Load(), s.narrowUnits.Load()
-}
+// has run since construction (the leak_sched_units_total reading). Warm-cache
+// sweeps leave it unchanged — the figure-level cache tests assert exactly
+// that.
+func (s *Scheduler) UnitsExecuted() int64 { return s.ins.units.Value() }
 
 // Pending returns the number of admitted cold jobs not yet finished.
 func (s *Scheduler) Pending() int {
@@ -559,7 +494,7 @@ func (s *Scheduler) Submit(cfg experiment.Config, prec Precision) (*Job, error) 
 		done:    make(chan struct{}),
 		changed: make(chan struct{}),
 		warm:    warm,
-		trace:   newTrace(&s.traceDrops),
+		trace:   newTrace(s.ins.traceDrops),
 	}
 	admitNote := "cold"
 	if warm {
@@ -769,7 +704,7 @@ func (s *Scheduler) execute(j *Job, fp string) {
 		}
 		t, ran, m, done, err := s.step(j)
 		if ran > 0 || m != (experiment.Metrics{}) {
-			s.units.Add(int64(ran))
+			s.ins.units.Add(int64(ran))
 			j.mu.Lock()
 			j.unitsRun += ran
 			j.metrics.Add(m)
@@ -862,8 +797,8 @@ func (s *Scheduler) step(j *Job) (t *experiment.Tally, ran int, m experiment.Met
 	s.log.Debug("chunk issued", "job", j.ID, "key", j.Key, "unit_lo", lo, "unit_hi", hi)
 	delta, m, runErr := s.runChunk(j.ctx, cfg, lo, hi)
 	if m.SimNS > 0 || m.DecodeNS > 0 {
-		// Per-chunk stage distributions; the bare nanosecond totals for
-		// /v1/healthz accumulate inside runChunk as before.
+		// Per-chunk stage distributions; their _sum series are the
+		// service-wide stage totals.
 		s.ins.simSeconds.Observe(float64(m.SimNS) / 1e9)
 		s.ins.decodeSeconds.Observe(float64(m.DecodeNS) / 1e9)
 		j.trace.add(SpanEvent{Kind: SpanSimStage, UnitLo: lo, UnitHi: hi,
@@ -1056,9 +991,7 @@ func (s *Scheduler) runChunk(ctx context.Context, cfg experiment.Config, lo, hi 
 	}
 	cfg.Workers = slots
 	t, m, err = experiment.RunUnitsMeteredCtx(ctx, cfg, lo, hi)
-	s.simNS.Add(m.SimNS)
-	s.decodeNS.Add(m.DecodeNS)
-	s.wideUnits.Add(m.WideUnits)
-	s.narrowUnits.Add(m.NarrowUnits)
+	s.ins.wideUnits.Add(m.WideUnits)
+	s.ins.narrowUnits.Add(m.NarrowUnits)
 	return t, m, err
 }

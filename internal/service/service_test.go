@@ -32,7 +32,7 @@ func TestUnitsByWidth(t *testing.T) {
 	if _, err := sched.Run(cfg, Precision{}); err != nil {
 		t.Fatal(err)
 	}
-	wide, narrow := sched.UnitsByWidth()
+	wide, narrow := sched.ins.wideUnits.Value(), sched.ins.narrowUnits.Value()
 	if wide+narrow != sched.UnitsExecuted() {
 		t.Fatalf("width split %d+%d does not sum to %d units",
 			wide, narrow, sched.UnitsExecuted())

@@ -2,8 +2,9 @@ package service
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
+
+	"repro/internal/metrics"
 )
 
 // Span event kinds, in the order a healthy job emits them. A chunked job
@@ -45,11 +46,11 @@ const traceCap = 512
 // costs nothing measurable next to the simulation work it describes.
 type trace struct {
 	start time.Time
-	// drops, when non-nil, is the scheduler-wide eviction counter behind
-	// leak_trace_drops_total: per-job rings know how many of their own events
-	// fell off (seq - len), but an operator watching /metrics needs one
-	// number that says "traces are being truncated somewhere".
-	drops *atomic.Int64
+	// drops is the scheduler-wide eviction counter, leak_trace_drops_total:
+	// per-job rings know how many of their own events fell off (seq - len),
+	// but an operator watching /metrics needs one number that says "traces
+	// are being truncated somewhere".
+	drops *metrics.Counter
 
 	mu      sync.Mutex
 	events  []SpanEvent // ring storage, len <= traceCap
@@ -58,7 +59,7 @@ type trace struct {
 	retries int
 }
 
-func newTrace(drops *atomic.Int64) *trace {
+func newTrace(drops *metrics.Counter) *trace {
 	return &trace{start: time.Now(), drops: drops}
 }
 
@@ -76,9 +77,7 @@ func (t *trace) add(ev SpanEvent) {
 	} else {
 		t.events[t.head] = ev
 		t.head = (t.head + 1) % traceCap
-		if t.drops != nil {
-			t.drops.Add(1)
-		}
+		t.drops.Inc()
 	}
 	t.mu.Unlock()
 }
